@@ -27,17 +27,15 @@ from . import bundle as bundlemod
 from . import evalkit, executor, planner, validator
 from .config import Config, load_config
 from .errors import (
-    BackendRefusalError,
     BudgetExceededError,
     ChecksumMismatchError,
     DslError,
     MalformedBundleError,
     MalformedCasesError,
     MalformedPlanError,
+    ModelCallError,
     OrchError,
     PhaseViolationError,
-    TransportError,
-    TruncatedError,
     UnseenRequestError,
     VersionIncompatibleError,
 )
@@ -66,7 +64,7 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_TAMPER
     if isinstance(exc, (MalformedPlanError, BudgetExceededError, MalformedCasesError, DslError)):
         return EXIT_PLANNER
-    if isinstance(exc, (TransportError, TruncatedError, BackendRefusalError, UnseenRequestError)):
+    if isinstance(exc, (ModelCallError, UnseenRequestError)):
         return EXIT_TRANSPORT
     # PlanInvalidError and UnrefinedPromptsError mean the input plan is not
     # packable; everything else unclassified is also treated as bad input.
@@ -77,12 +75,14 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _load_prefs(path: Path) -> UserPrefs:
+def _load_prefs(path: Path, config: Config) -> UserPrefs:
+    """Preferences JSON; a case count it omits comes from the config."""
     data = json.loads(path.read_text(encoding="utf-8"))
     return UserPrefs(
         output_labels=tuple(data["output_labels"]),
         max_subtasks=int(data.get("max_subtasks", 6)),
-        synthetic_cases_per_subtask=int(data.get("synthetic_cases_per_subtask", 10)),
+        synthetic_cases_per_subtask=int(data.get("synthetic_cases_per_subtask",
+                                                 config.synthetic_cases_per_subtask)),
         output_format_notes=str(data.get("output_format_notes", "")),
         include_entities=tuple(data.get("include_entities", ())),
         exclude_entities=tuple(data.get("exclude_entities", ())))
@@ -101,7 +101,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     task = TaskSpec(
         task_description=Path(args.task).read_text(encoding="utf-8"),
         guideline=Path(args.guideline).read_text(encoding="utf-8"),
-        preferences=_load_prefs(Path(args.prefs)))
+        preferences=_load_prefs(Path(args.prefs), config))
     gateway = Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD)
     clock = None if args.deterministic else _now_iso
     plan = planner.build_plan(task, gateway, templates=_templates(config), clock=clock)
@@ -199,6 +199,11 @@ def cmd_infer(args: argparse.Namespace) -> int:
     artifact = bundlemod.read_bundle(args.bundle)
     plan = artifact.to_plan()
     runtime = artifact.runtime()
+    # Where the config is silent, the bundle's local temperature and context apply.
+    if config.local.temperature is None:
+        config.local.temperature = runtime.local_temperature
+    if config.local.context is None:
+        config.local.context = runtime.local_context
     gateway = Gateway(config.local.to_profile("local"), PHASE_LOCAL)
     rounds = args.rounds if args.rounds is not None else runtime.rounds
 

@@ -14,15 +14,19 @@ class OrchError(Exception):
 
 # --- gateway ---------------------------------------------------------------
 
-class TransportError(OrchError):
+class ModelCallError(OrchError):
+    """A model call gave no usable completion (transport, truncation, refusal)."""
+
+
+class TransportError(ModelCallError):
     """Network or HTTP failure that survived the retry policy."""
 
 
-class TruncatedError(OrchError):
+class TruncatedError(ModelCallError):
     """Request would overflow (or did overflow) the backend context window."""
 
 
-class BackendRefusalError(OrchError):
+class BackendRefusalError(ModelCallError):
     """Backend returned an empty or refused completion."""
 
 

@@ -14,17 +14,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    BackendRefusalError,
-    OutputParseError,
-    PhaseViolationError,
-    TransportError,
-    TruncatedError,
-)
+from .errors import ModelCallError, OutputParseError, PhaseViolationError
 from .gateway import KIND_CLOUD_HTTP, PHASE_LOCAL, Gateway
 from .model import (
     Document,
@@ -36,7 +30,7 @@ from .model import (
     SubtaskRun,
 )
 from .parsing import format_block, parse_subtask_output
-from .ruledsl import evaluate
+from .ruledsl import SynthesisLogic, evaluate
 
 DEFAULT_ROUNDS = 5
 
@@ -104,7 +98,7 @@ def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
                           reasoning=reasoning, output=output, parse_status="ok")
     except OutputParseError:
         pass
-    except (TransportError, TruncatedError, BackendRefusalError) as exc:
+    except ModelCallError as exc:
         return SubtaskRun(subtask_id=subtask.id, document_id=doc.id,
                           reasoning=f"transport failure: {exc}",
                           output=FeatureSet.all_unknown(schema),
@@ -114,7 +108,7 @@ def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
         reasoning, output = attempt(repair_system)
         return SubtaskRun(subtask_id=subtask.id, document_id=doc.id,
                           reasoning=reasoning, output=output, parse_status="repaired")
-    except (OutputParseError, TransportError, TruncatedError, BackendRefusalError) as exc:
+    except (OutputParseError, ModelCallError) as exc:
         return SubtaskRun(subtask_id=subtask.id, document_id=doc.id,
                           reasoning=f"unparseable after repair: {exc}",
                           output=FeatureSet.all_unknown(schema),
@@ -122,40 +116,23 @@ def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
 
 
 def run_document(gateway: Gateway, plan: Plan, doc: Document, *,
-                 rounds: int = DEFAULT_ROUNDS, allow_failed: bool = False,
-                 subtask_workers: int = 4) -> DocumentPrediction:
-    """T independent inference rounds over one document, majority-voted.
+                 rounds: int = DEFAULT_ROUNDS, allow_failed: bool = False) -> DocumentPrediction:
+    """T inference rounds over one document, majority-voted: run_documents
+    over a one-document corpus."""
+    return run_documents(gateway, plan, [doc], rounds=rounds, allow_failed=allow_failed)[0]
 
-    Rounds are sequential and issue fresh requests; subtasks within a round
-    may run concurrently (results keep subtask order). Feature merge is a
-    disjoint union: cross-subtask field collisions are a plan-validation
-    error, so they cannot occur here.
-    """
-    _require_local(gateway)
-    if rounds < 1:
-        raise ValueError("run_document: rounds must be >= 1")
-    logic = plan.parsed_logic()
-    pairs = [(s, plan.prompt_for(s.id)) for s in plan.subtasks]
-    for subtask, prompt in pairs:
-        if prompt is None:
-            raise ValueError(f"run_document: no prompt for subtask {subtask.id!r}")
 
+def _predict(logic: SynthesisLogic, doc: Document,
+             lanes: Sequence[list[SubtaskRun]]) -> DocumentPrediction:
+    """Round r is entry r of each lane, in subtask order. Plan validation
+    rejects cross-subtask field collisions, so the merge is a disjoint union."""
     round_records: list[RoundRecord] = []
-    for index in range(1, rounds + 1):
-        if subtask_workers > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=min(subtask_workers, len(pairs))) as pool:
-                runs = list(pool.map(
-                    lambda pair: run_subtask(gateway, pair[0], pair[1], doc,
-                                             allow_failed=allow_failed), pairs))
-        else:
-            runs = [run_subtask(gateway, subtask, prompt, doc, allow_failed=allow_failed)
-                    for subtask, prompt in pairs]
+    for index, runs in enumerate(zip(*lanes), start=1):
         merged: dict[str, str] = {}
         for run in runs:
             merged.update(run.output.values)
         features = FeatureSet(merged)
-        round_records.append(RoundRecord(index=index, runs=tuple(runs),
-                                         features=features,
+        round_records.append(RoundRecord(index=index, runs=runs, features=features,
                                          label=evaluate(logic, features)))
     candidates = tuple(r.label for r in round_records)
     final = majority_vote(candidates)
@@ -170,14 +147,37 @@ def run_document(gateway: Gateway, plan: Plan, doc: Document, *,
 def run_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
                   rounds: int = DEFAULT_ROUNDS, allow_failed: bool = False,
                   workers: int = 1) -> list[DocumentPrediction]:
-    """Bounded worker pool over documents; order follows the input."""
-    if workers > 1 and len(docs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda d: run_document(gateway, plan, d, rounds=rounds,
-                                       allow_failed=allow_failed), docs))
-    return [run_document(gateway, plan, doc, rounds=rounds, allow_failed=allow_failed)
-            for doc in docs]
+    """T inference rounds over every document, majority-voted, in input order.
+
+    One pool runs a lane per (document, subtask); a lane issues that
+    subtask's T rounds in order, so repeated identical requests keep their
+    order at any `workers` (documents in flight). If a lane raises, lanes
+    not yet started are cancelled and its error is raised.
+    """
+    _require_local(gateway)
+    if rounds < 1:
+        raise ValueError("run_documents: rounds must be >= 1")
+    logic = plan.parsed_logic()
+    pairs = [(s, plan.prompt_for(s.id)) for s in plan.subtasks]
+    for subtask, prompt in pairs:
+        if prompt is None:
+            raise ValueError(f"run_documents: no prompt for subtask {subtask.id!r}")
+
+    def lane(subtask: Subtask, prompt: PromptSpec, doc: Document) -> list[SubtaskRun]:
+        return [run_subtask(gateway, subtask, prompt, doc, allow_failed=allow_failed)
+                for _ in range(rounds)]
+
+    pool = ThreadPoolExecutor(max_workers=workers * len(pairs))
+    try:
+        by_doc = [[pool.submit(lane, subtask, prompt, doc) for subtask, prompt in pairs]
+                  for doc in docs]
+        wait([f for futures in by_doc for f in futures], return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # Lanes start in submission order, so a failed lane comes before every
+    # cancelled one and its error is the one raised here.
+    return [_predict(logic, doc, [f.result() for f in futures])
+            for doc, futures in zip(docs, by_doc)]
 
 
 # ---------------------------------------------------------------------------

@@ -377,11 +377,11 @@ def estimate_tokens(text: str) -> int:
 class Gateway:
     """A phase-tagged handle to one backend profile.
 
-    Safe for concurrent use; in-flight requests are bounded per handle.
+    Safe for concurrent use; the caller's thread pool bounds calls in flight.
     """
 
     def __init__(self, profile: BackendProfile, phase: str, *,
-                 retry: RetryPolicy | None = None, max_inflight: int = 4,
+                 retry: RetryPolicy | None = None,
                  token_estimator: Callable[[str], int] = estimate_tokens,
                  sleep: Callable[[float], None] = time.sleep):
         if phase not in (PHASE_CLOUD, PHASE_LOCAL):
@@ -395,7 +395,6 @@ class Gateway:
         self.retry = retry or RetryPolicy()
         self._estimate = token_estimator
         self._sleep = sleep
-        self._sem = threading.BoundedSemaphore(max_inflight)
         self._backend = self._resolve(profile)
 
     @staticmethod
@@ -429,25 +428,24 @@ class Gateway:
             raise TruncatedError(
                 f"estimated {estimated} tokens exceeds the {request.max_context_tokens}-token window")
         last_error: TransportError | None = None
-        with self._sem:
-            for attempt in range(self.retry.attempts):
-                try:
-                    response = self._backend.complete(request)
-                except TransportError as exc:
-                    last_error = exc
-                    if attempt + 1 < self.retry.attempts:
-                        self._sleep(self.retry.delay(attempt))
-                    continue
-                if response.finish_reason == "truncated":
-                    raise TruncatedError("backend reported a truncated completion")
-                if not response.raw_text.strip():
-                    raise BackendRefusalError("backend returned an empty completion")
-                if attempt:
-                    response = ChatResponse(raw_text=response.raw_text,
-                                            finish_reason=response.finish_reason,
-                                            latency_ms=response.latency_ms,
-                                            retries=attempt)
-                return response
+        for attempt in range(self.retry.attempts):
+            try:
+                response = self._backend.complete(request)
+            except TransportError as exc:
+                last_error = exc
+                if attempt + 1 < self.retry.attempts:
+                    self._sleep(self.retry.delay(attempt))
+                continue
+            if response.finish_reason == "truncated":
+                raise TruncatedError("backend reported a truncated completion")
+            if not response.raw_text.strip():
+                raise BackendRefusalError("backend returned an empty completion")
+            if attempt:
+                response = ChatResponse(raw_text=response.raw_text,
+                                        finish_reason=response.finish_reason,
+                                        latency_ms=response.latency_ms,
+                                        retries=attempt)
+            return response
         raise TransportError(
             f"gave up after {self.retry.attempts} attempts: {last_error}") from last_error
 

@@ -12,11 +12,10 @@ when the budget runs out.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OutputParseError, TransportError
+from .errors import ModelCallError, OutputParseError
 from .gateway import Gateway
 from .model import FeatureSet, PromptSpec, Subtask, SubtaskRun, SyntheticCase
 from .parsing import parse_subtask_output
@@ -67,7 +66,7 @@ def _run_case(gateway: Gateway, prompt: PromptSpec, subtask: Subtask,
     try:
         response = gateway.chat(prompt.system_prompt, case.input_text,
                                 response_schema=schema)
-    except TransportError as exc:
+    except ModelCallError as exc:
         run = SubtaskRun(subtask_id=subtask.id, document_id=VALIDATION_DOC_ID,
                          reasoning="", output=FeatureSet.all_unknown(schema),
                          parse_status="unparseable")
@@ -95,10 +94,10 @@ def _run_case(gateway: Gateway, prompt: PromptSpec, subtask: Subtask,
 def validate_prompt(prompt: PromptSpec, cases: Sequence[SyntheticCase],
                     gateway: Gateway, *, subtask: Subtask,
                     threshold: float | Fraction = DEFAULT_THRESHOLD,
-                    case_workers: int = 1, repeats: int = 1) -> ValidationReport:
-    """Score one prompt revision over its synthetic set.
+                    repeats: int = 1) -> ValidationReport:
+    """Score one prompt revision over its synthetic set, one case at a time.
 
-    Transport failures mark their case failed and never abort the report.
+    A failed model call marks its case failed and never aborts the report.
     With repeats > 1 a case only counts as passed when every repeat passes
     (a stricter reading of "consistently passes"); the default is a single
     execution per case per revision.
@@ -108,20 +107,14 @@ def validate_prompt(prompt: PromptSpec, cases: Sequence[SyntheticCase],
     if repeats < 1:
         raise ValueError("validate_prompt: repeats must be >= 1")
 
-    def run_one(pair) -> CaseResult:
-        index, case = pair
+    results: list[CaseResult] = []
+    for index, case in enumerate(cases):
         result = _run_case(gateway, prompt, subtask, index, case)
         for _ in range(repeats - 1):
             if not result.passed:
                 break
             result = _run_case(gateway, prompt, subtask, index, case)
-        return result
-
-    if case_workers > 1:
-        with ThreadPoolExecutor(max_workers=case_workers) as pool:
-            results = list(pool.map(run_one, enumerate(cases)))
-    else:
-        results = [run_one(pair) for pair in enumerate(cases)]
+        results.append(result)
     passes = sum(1 for r in results if r.passed)
     verdict = ("passed"
                if Fraction(passes, len(results)) >= _as_fraction(threshold)
@@ -149,7 +142,7 @@ def run_refinement_loop(subtask: Subtask, draft: PromptSpec,
                         refine: RefineFn, *,
                         max_iters: int = DEFAULT_MAX_ITERS,
                         threshold: float | Fraction = DEFAULT_THRESHOLD,
-                        case_workers: int = 1, repeats: int = 1) -> RefinementOutcome:
+                        repeats: int = 1) -> RefinementOutcome:
     """Validate-refine until the threshold is met or the budget is spent.
 
     `refine` is the cloud-channel rewrite (planner.refine_prompt bound to
@@ -162,8 +155,7 @@ def run_refinement_loop(subtask: Subtask, draft: PromptSpec,
     history: list[ValidationReport] = []
     candidates: list[tuple[PromptSpec, ValidationReport]] = []
     report = validate_prompt(prompt, cases, gateway, subtask=subtask,
-                             threshold=threshold, case_workers=case_workers,
-                             repeats=repeats)
+                             threshold=threshold, repeats=repeats)
     history.append(report)
     candidates.append((prompt, report))
     refinements = 0
@@ -171,8 +163,7 @@ def run_refinement_loop(subtask: Subtask, draft: PromptSpec,
         prompt = refine(prompt, report.failures())
         refinements += 1
         report = validate_prompt(prompt, cases, gateway, subtask=subtask,
-                                 threshold=threshold, case_workers=case_workers,
-                                 repeats=repeats)
+                                 threshold=threshold, repeats=repeats)
         history.append(report)
         candidates.append((prompt, report))
     if report.verdict == "passed":

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from orchkit import executor
 from orchkit.bundle import load_plan, read_bundle
 from orchkit.cli import main
 from orchkit.gateway import (
@@ -40,6 +41,28 @@ def test_plan_command_writes_plan(workspace, tmp_path):
     plan = load_plan(out)
     assert [s.id for s in plan.subtasks] == ["distant_spread", "vessel_involvement"]
     assert all(len(v) == 3 for v in plan.synthetic_sets.values())
+
+
+def test_plan_case_count_from_config_unless_prefs_set_it(workspace, tmp_path):
+    # The recorded cloud session asks for 3 cases per subtask; another count
+    # would be an unseen request.
+    prefs = json.loads(workspace["prefs"].read_text(encoding="utf-8"))
+    assert prefs.pop("synthetic_cases_per_subtask") == 3
+    bare_prefs = tmp_path / "prefs.json"
+    bare_prefs.write_text(json.dumps(prefs), encoding="utf-8")
+    out = tmp_path / "plan.json"
+    assert run_cli("plan", "--task", str(workspace["task"]),
+                   "--guideline", str(workspace["guideline"]),
+                   "--prefs", str(bare_prefs), "--out", str(out),
+                   "--config", str(workspace["config"]), "--deterministic") == 0
+    assert all(len(v) == 3 for v in load_plan(out).synthetic_sets.values())
+
+    other_count = tmp_path / "seven.cfg"
+    other_count.write_text(workspace["config"].read_text(encoding="utf-8")
+                           + "synthetic_cases_per_subtask = 7\n", encoding="utf-8")
+    out = tmp_path / "plan-prefs.json"
+    assert plan_cmd({**workspace, "config": other_count}, out) == 0
+    assert all(len(v) == 3 for v in load_plan(out).synthetic_sets.values())
 
 
 def test_plan_missing_guideline_is_exit_2(workspace, tmp_path):
@@ -218,6 +241,39 @@ def test_infer_privacy_guard_exit_7(workspace, tmp_path):
                       "--config", str(guarded), "--deterministic",
                       "--i-know-this-is-scripted")
     assert allowed == 0
+
+
+def test_infer_local_settings_from_bundle_unless_configured(workspace, tmp_path,
+                                                          monkeypatch):
+    plan_file = tmp_path / "plan.json"
+    validated = tmp_path / "validated.json"
+    bundle_file = tmp_path / "a.orchb"
+    assert plan_cmd(workspace, plan_file) == 0
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated),
+                   "--config", str(workspace["config"])) == 0
+    base_config = workspace["config"].read_text(encoding="utf-8")
+    packing = tmp_path / "packing.cfg"
+    packing.write_text(base_config + "local.temperature = 0.35\nlocal.context = 4096\n",
+                       encoding="utf-8")
+    assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file),
+                   "--config", str(packing), "--deterministic") == 0
+
+    profiles = []
+
+    def capture(gateway, plan, docs, **kwargs):
+        profiles.append(gateway.profile)
+        return []
+
+    monkeypatch.setattr(executor, "run_documents", capture)
+    overriding = tmp_path / "overriding.cfg"
+    overriding.write_text(base_config + "local.temperature = 0.5\n", encoding="utf-8")
+    for config in (workspace["config"], overriding):
+        assert run_cli("infer", "--bundle", str(bundle_file),
+                       "--docs", str(workspace["docs"]),
+                       "--out", str(tmp_path / "p.jsonl"),
+                       "--config", str(config), "--deterministic") == 0
+    assert [(p.default_temperature, p.default_context) for p in profiles] == \
+        [(0.35, 4096), (0.5, 4096)]
 
 
 def test_infer_single_round_no_vote(workspace, tmp_path):

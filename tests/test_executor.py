@@ -5,11 +5,14 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
+import threading
+import time
 from collections import Counter
 
 import pytest
 
-from orchkit.errors import PhaseViolationError, TransportError
+from orchkit.errors import PhaseViolationError, TransportError, UnseenRequestError
 from orchkit.executor import (
     load_documents,
     majority_vote,
@@ -231,8 +234,7 @@ def test_run_document_votes_across_varying_rounds():
         return fake_local_extractor(request)
 
     gw = local_gateway(wobbling)
-    pred = run_document(gw, plan, fixture_documents()[3], rounds=5,
-                        subtask_workers=1)
+    pred = run_document(gw, plan, fixture_documents()[3], rounds=5)
     # Rounds 1 and 4 say Metastatic, rounds 2, 3, 5 say Resectable.
     assert [r.label.name for r in pred.rounds] == \
         ["Metastatic", "Resectable", "Resectable", "Metastatic", "Resectable"]
@@ -254,20 +256,84 @@ def test_run_document_tie_flag_and_upward_resolution():
         return fake_local_extractor(request)
 
     gw = local_gateway(alternating)
-    pred = run_document(gw, plan, fixture_documents()[3], rounds=4,
-                        subtask_workers=1)
+    pred = run_document(gw, plan, fixture_documents()[3], rounds=4)
     assert pred.tie is True
     assert pred.final.name == "Metastatic"  # tie resolves to the higher stage
 
 
-def test_run_documents_order_and_labels():
+class OccurrenceWobble:
+    """Flips distant_metastasis on the 2nd and 4th time the same request is
+    seen, like a sequence-keyed scripted session, so the output bytes depend
+    on each (document, subtask) seeing its rounds in order."""
+
+    def __init__(self):
+        self.seen: Counter = Counter()
+        self.lock = threading.Lock()
+
+    def __call__(self, request):
+        with self.lock:
+            self.seen[request.system_prompt, request.user_content] += 1
+            n = self.seen[request.system_prompt, request.user_content]
+        reply = fake_local_extractor(request)
+        if "Distant spread" in request.system_prompt and n in (2, 4):
+            value = json.loads(reply)["values"]["distant_metastasis"]
+            flipped = "absent" if value == "present" else "present"
+            reply = json.dumps({"reasoning": f"wobble {n}",
+                                "values": {"distant_metastasis": flipped}})
+        return reply
+
+
+def test_run_documents_order_and_labels(tmp_path, monkeypatch):
     plan = refined_plan()
     gw = local_gateway(fake_local_extractor)
     preds = run_documents(gw, plan, fixture_documents(), rounds=2)
     assert [p.document_id for p in preds] == ["d1", "d2", "d3", "d4", "d5"]
     assert tuple(p.final.name for p in preds) == FIXTURE_DOC_LABELS
-    preds_parallel = run_documents(gw, plan, fixture_documents(), rounds=2, workers=3)
-    assert [p.final for p in preds_parallel] == [p.final for p in preds]
+
+    started = Counter()
+    original_start = threading.Thread.start
+
+    def counting_start(thread):
+        started["threads"] += 1
+        return original_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    outputs = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave threads as often as possible
+    try:
+        for workers in (1, 2, 3, 8, 16):
+            started.clear()
+            preds = run_documents(local_gateway(OccurrenceWobble()), plan,
+                                  fixture_documents(), rounds=5, workers=workers)
+            assert started["threads"] <= workers * len(plan.subtasks)
+            assert tuple(p.final.name for p in preds) == FIXTURE_DOC_LABELS
+            out = tmp_path / f"preds-{workers}.jsonl"
+            write_predictions(preds, out)
+            outputs.add(out.read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outputs) == 1
+
+
+def test_run_documents_raises_lane_error_and_cancels_unstarted_lanes():
+    plan = refined_plan()
+    docs = fixture_documents()
+    seen = set()
+
+    def first_document_unseen(request):
+        doc = next(d.id for d in docs if d.body == request.user_content)
+        seen.add(doc)
+        if doc == "d1":
+            raise UnseenRequestError("no recorded response")
+        time.sleep(0.05)  # keep started lanes busy while the error is handled
+        return fake_local_extractor(request)
+
+    gw = local_gateway(first_document_unseen)
+    with pytest.raises(UnseenRequestError):
+        run_documents(gw, plan, docs, rounds=5, workers=2)
+    # Four lanes start at once; the two freed by d1's failure take d3.
+    assert seen <= {"d1", "d2", "d3"}
 
 
 def test_unparseable_round_still_votes():

@@ -140,6 +140,28 @@ def test_transport_failure_marks_case_and_report_survives():
     assert "transport" in failed.reason
 
 
+def test_empty_reply_and_overlong_case_mark_cases_and_report_survives():
+    def script(request):
+        idx = int(re.search(r"case (\d+)", request.user_content).group(1))
+        if idx == 2:
+            return "   "
+        expected = request.user_content.split("expects ")[1].split()[0]
+        return json.dumps({"reasoning": "ok", "values": {"distant_metastasis": expected}})
+
+    cases = make_cases(10)
+    cases[5] = SyntheticCase(SPREAD.id, "case 5 expects " + VALUES[5 % 3] + " x" * 200,
+                             cases[5].expected)
+    gw = Gateway(BackendProfile.scripted(ScriptedBackend(script), context=64),
+                 PHASE_LOCAL, sleep=lambda _s: None)
+    report = validate_prompt(draft_prompt(), cases, gw, subtask=SPREAD)
+    assert report.total == 10 and report.passes == 8
+    failed = [r for r in report.results if not r.passed]
+    assert [r.case_index for r in failed] == [2, 5]
+    assert "empty completion" in failed[0].reason
+    assert "token window" in failed[1].reason
+    assert all(r.run.parse_status == "unparseable" for r in failed)
+
+
 def test_validation_repeats_demand_consistency():
     calls = {"n": 0}
 
