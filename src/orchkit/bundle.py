@@ -16,7 +16,6 @@ isolated side can re-validate prompts before touching real documents.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from collections.abc import Mapping
@@ -30,6 +29,8 @@ from .errors import (
     UnrefinedPromptsError,
     VersionIncompatibleError,
 )
+from .gateway import DEFAULT_CONTEXT, DEFAULT_TEMPERATURE, PHASE_LOCAL
+from .jsonio import canonical_json, digest, sha256_text, write_json
 from .model import (
     FeatureSchema,
     FeatureSet,
@@ -49,15 +50,6 @@ _TRAILER_PREFIX = "#sha256:"
 _EPOCH = "1970-01-01T00:00:00Z"
 
 
-def canonical_json(value: object) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False, allow_nan=False)
-
-
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Model <-> dict
 # ---------------------------------------------------------------------------
@@ -74,6 +66,15 @@ def _subtask_from_dict(data: Mapping) -> Subtask:
                    output_schema=FeatureSchema.from_dict(data["schema"]))
 
 
+def _case_to_dict(case: SyntheticCase) -> dict:
+    return {"input_text": case.input_text, "expected": dict(case.expected.values)}
+
+
+def _case_from_dict(data: Mapping, subtask_id: str) -> SyntheticCase:
+    return SyntheticCase(subtask_id=subtask_id, input_text=data["input_text"],
+                         expected=FeatureSet(data["expected"]))
+
+
 def _report_to_dict(report: ValidationReport) -> dict:
     return {
         "subtask_id": report.subtask_id,
@@ -85,8 +86,7 @@ def _report_to_dict(report: ValidationReport) -> dict:
             "case_index": r.case_index,
             "passed": r.passed,
             "reason": r.reason,
-            "case": {"input_text": r.case.input_text,
-                     "expected": dict(r.case.expected.values)},
+            "case": _case_to_dict(r.case),
             "run": {"document_id": r.run.document_id,
                     "reasoning": r.run.reasoning,
                     "output": dict(r.run.output.values),
@@ -98,15 +98,13 @@ def _report_to_dict(report: ValidationReport) -> dict:
 def _report_from_dict(data: Mapping, subtask_id: str) -> ValidationReport:
     results = []
     for entry in data["results"]:
-        case = SyntheticCase(subtask_id=subtask_id,
-                             input_text=entry["case"]["input_text"],
-                             expected=FeatureSet(entry["case"]["expected"]))
         run = SubtaskRun(subtask_id=subtask_id,
                          document_id=entry["run"]["document_id"],
                          reasoning=entry["run"]["reasoning"],
                          output=FeatureSet(entry["run"]["output"]),
                          parse_status=entry["run"]["parse_status"])
-        results.append(CaseResult(case_index=entry["case_index"], case=case, run=run,
+        results.append(CaseResult(case_index=entry["case_index"],
+                                  case=_case_from_dict(entry["case"], subtask_id), run=run,
                                   passed=entry["passed"], reason=entry["reason"]))
     return ValidationReport(subtask_id=data["subtask_id"], revision=data["revision"],
                             results=tuple(results), passes=data["passes"],
@@ -131,10 +129,6 @@ def _prompt_from_dict(data: Mapping) -> PromptSpec:
                       if report else None)
 
 
-def _case_to_dict(case: SyntheticCase) -> dict:
-    return {"input_text": case.input_text, "expected": dict(case.expected.values)}
-
-
 def plan_to_dict(plan: Plan) -> dict:
     return {
         "subtasks": [_subtask_to_dict(s) for s in plan.subtasks],
@@ -149,12 +143,8 @@ def plan_to_dict(plan: Plan) -> dict:
 
 def plan_from_dict(data: Mapping) -> Plan:
     labels = tuple(OutcomeLabel(name, i) for i, name in enumerate(data["labels"]))
-    sets = {
-        sid: tuple(SyntheticCase(subtask_id=sid, input_text=c["input_text"],
-                                 expected=FeatureSet(c["expected"]))
-                   for c in cases)
-        for sid, cases in data["synthetic_sets"].items()
-    }
+    sets = {sid: tuple(_case_from_dict(c, sid) for c in cases)
+            for sid, cases in data["synthetic_sets"].items()}
     return Plan(subtasks=tuple(_subtask_from_dict(s) for s in data["subtasks"]),
                 prompts=tuple(_prompt_from_dict(p) for p in data["prompts"]),
                 logic_source=data["logic_source"], labels=labels,
@@ -169,9 +159,7 @@ _PLAN_FORMAT = "orchkit-plan/1"
 
 
 def save_plan(plan: Plan, path: str | Path) -> None:
-    payload = {"format": _PLAN_FORMAT, "plan": plan_to_dict(plan)}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
-                                     ensure_ascii=False) + "\n", encoding="utf-8")
+    write_json(path, {"format": _PLAN_FORMAT, "plan": plan_to_dict(plan)})
 
 
 def load_plan(path: str | Path) -> Plan:
@@ -193,8 +181,8 @@ class RuntimeDefaults:
     """Execution-side knobs that travel with the bundle."""
 
     rounds: int = 5
-    local_temperature: float = 0.2
-    local_context: int = 32768
+    local_temperature: float = DEFAULT_TEMPERATURE[PHASE_LOCAL]
+    local_context: int = DEFAULT_CONTEXT
     threshold: float = 0.80
 
     def __post_init__(self):
@@ -265,7 +253,7 @@ def _sections_for(plan: Plan, runtime: RuntimeDefaults, *, created_at: str,
         # Source travels verbatim; the digest is over the canonical parsed
         # form so the isolated side can prove its re-parse means the same.
         "logic": {"source": plan.logic_source,
-                  "parsed_digest": _sha256_text(pretty(plan.parsed_logic()))},
+                  "parsed_digest": sha256_text(pretty(plan.parsed_logic()))},
         "labels": plan_dict["labels"],
         "synthetic": plan_dict["synthetic_sets"],
         "runtime": runtime.to_dict(),
@@ -275,10 +263,9 @@ def _sections_for(plan: Plan, runtime: RuntimeDefaults, *, created_at: str,
 
 def _render(sections: dict) -> bytes:
     integrity = {"algo": "sha256",
-                 "sections": {name: _sha256_text(canonical_json(value))
-                              for name, value in sections.items()}}
+                 "sections": {name: digest(value) for name, value in sections.items()}}
     body = canonical_json({"integrity": integrity, "sections": sections}) + "\n"
-    trailer = _TRAILER_PREFIX + _sha256_text(body) + "\n"
+    trailer = _TRAILER_PREFIX + sha256_text(body) + "\n"
     return (body + trailer).encode("utf-8")
 
 
@@ -330,7 +317,7 @@ def unpack(data: bytes) -> ArtifactBundle:
     if not re.fullmatch(r"[0-9a-f]{64}\n", trailer):
         raise MalformedBundleError("bundle hash trailer is malformed")
     expected = trailer.strip()
-    actual = _sha256_text(body)
+    actual = sha256_text(body)
     if actual != expected:
         raise ChecksumMismatchError(
             f"whole-file hash mismatch: trailer {expected[:12]}…, computed {actual[:12]}…")
@@ -345,8 +332,7 @@ def unpack(data: bytes) -> ArtifactBundle:
     if set(recorded) != set(sections):
         raise ChecksumMismatchError("integrity map does not cover the sections")
     for name, value in sections.items():
-        actual = _sha256_text(canonical_json(value))
-        if actual != recorded[name]:
+        if digest(value) != recorded[name]:
             raise ChecksumMismatchError(f"section {name!r} hash mismatch")
     version = str(sections.get("meta", {}).get("format_version", ""))
     major = version.split(".", 1)[0]

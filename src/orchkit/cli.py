@@ -39,7 +39,15 @@ from .errors import (
     UnseenRequestError,
     VersionIncompatibleError,
 )
-from .gateway import KIND_CLOUD_HTTP, PHASE_CLOUD, PHASE_LOCAL, Gateway
+from .gateway import (
+    DEFAULT_CONTEXT,
+    DEFAULT_TEMPERATURE,
+    KIND_CLOUD_HTTP,
+    PHASE_CLOUD,
+    PHASE_LOCAL,
+    Gateway,
+)
+from .jsonio import write_json
 from .model import TaskSpec, UserPrefs, validate_plan
 from .planner import TemplateSet
 
@@ -151,9 +159,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     refined_plan = plan.with_prompts(new_prompts)
     bundlemod.save_plan(refined_plan, args.out)
     if args.emit_history:
-        Path(args.emit_history).write_text(
-            json.dumps(histories, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8")
+        write_json(args.emit_history, histories)
     print(f"validated plan written to {args.out}")
     return EXIT_VALIDATION if any_failed else EXIT_OK
 
@@ -161,10 +167,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_pack(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     plan = bundlemod.load_plan(args.plan)
+    local = config.local
     runtime = bundlemod.RuntimeDefaults(
         rounds=config.rounds,
-        local_temperature=config.local.temperature if config.local.temperature is not None else 0.2,
-        local_context=config.local.context or 32768,
+        local_temperature=(DEFAULT_TEMPERATURE[PHASE_LOCAL] if local.temperature is None
+                           else local.temperature),
+        local_context=DEFAULT_CONTEXT if local.context is None else local.context,
         threshold=config.threshold)
     guideline_body = (Path(args.include_guideline).read_text(encoding="utf-8")
                       if args.include_guideline else None)
@@ -235,32 +243,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if not args.deterministic:
         summary["completed_at"] = _now_iso()
     if args.summary:
-        Path(args.summary).write_text(
-            json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8")
+        write_json(args.summary, summary)
     print(f"{len(preds)} predictions written to {args.out}")
     return EXIT_OK
 
 
-def _load_pred_set(path: Path) -> evalkit.LabeledSet:
-    if path.suffix == ".csv":
-        return evalkit.load_labeled_csv(path, source="system")
-    with path.open("r", encoding="utf-8") as fh:
-        first = ""
-        for line in fh:
-            if line.strip():
-                first = line
-                break
-    if first and "final_label" in json.loads(first):
-        return evalkit.load_predictions_jsonl(path)
-    return evalkit.load_labeled_jsonl(path, source="system")
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    pred = _load_pred_set(Path(args.pred))
-    gt_path = Path(args.gt)
-    gt = (evalkit.load_labeled_csv(gt_path, source="gt") if gt_path.suffix == ".csv"
-          else evalkit.load_labeled_jsonl(gt_path, source="gt"))
+    pred = evalkit.load_labeled(args.pred, source="system")
+    gt = evalkit.load_labeled(args.gt, source="gt")
     labels = None
     if args.labels:
         labels = [x.strip() for x in args.labels.split(",") if x.strip()]
@@ -275,9 +265,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
           f"({report.n_scored} scored = {report.n_total} total "
           f"- {report.n_excluded} indeterminate)")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8")
+        write_json(args.out, report.to_dict())
     if args.confusion_csv:
         evalkit.confusion_to_csv(report, args.confusion_csv)
     return EXIT_OK
@@ -344,8 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
-    p.add_argument("--pred", required=True, help="predictions JSON-lines or id,label CSV")
-    p.add_argument("--gt", required=True, help="ground truth CSV or JSON-lines")
+    p.add_argument("--pred", required=True,
+                   help="predictions JSON-lines, or any labeled-set form (see --gt)")
+    p.add_argument("--gt", required=True,
+                   help="ground truth: id,label CSV, or JSON-lines of id/label records "
+                        "or predictions")
     p.add_argument("--labels", default=None,
                    help="comma-separated label order (ascending severity)")
     p.add_argument("--labels-from-summary", default=None,

@@ -33,7 +33,14 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .gateway import KIND_CLOUD_HTTP, KIND_LOCAL_HTTP, KIND_SCRIPTED, BackendProfile
+from .gateway import (
+    DEFAULT_CONTEXT,
+    DEFAULT_TEMPERATURE,
+    KIND_CLOUD_HTTP,
+    KIND_LOCAL_HTTP,
+    KIND_SCRIPTED,
+    BackendProfile,
+)
 
 CONFIG_ENV = "ORCH_CONFIG"
 
@@ -53,29 +60,19 @@ class ProfileConfig:
         return self.kind is not None
 
     def to_profile(self, channel: str) -> BackendProfile:
-        if self.kind == KIND_SCRIPTED:
-            if not self.session:
-                raise ValueError(f"config: {channel}.session required for scripted kind")
-            return BackendProfile.scripted(
-                session=self.session, model=self.model or "scripted",
-                temperature=self.temperature if self.temperature is not None
-                else (0.8 if channel == "cloud" else 0.2),
-                context=self.context or 32768)
-        if self.kind == KIND_CLOUD_HTTP:
-            if not self.endpoint:
-                raise ValueError(f"config: {channel}.endpoint required for cloud_http")
-            return BackendProfile.cloud(
-                self.endpoint, self.model or "",
-                temperature=0.8 if self.temperature is None else self.temperature,
-                context=self.context or 32768)
-        if self.kind == KIND_LOCAL_HTTP:
-            if not self.endpoint:
-                raise ValueError(f"config: {channel}.endpoint required for local_http")
-            return BackendProfile.local(
-                self.endpoint, self.model or "",
-                temperature=0.2 if self.temperature is None else self.temperature,
-                context=self.context or 32768)
-        raise ValueError(f"config: {channel}.kind is not configured")
+        scripted = self.kind == KIND_SCRIPTED
+        if not scripted and self.kind not in (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP):
+            raise ValueError(f"config: {channel}.kind is not configured")
+        if scripted and not self.session:
+            raise ValueError(f"config: {channel}.session required for scripted kind")
+        if not scripted and not self.endpoint:
+            raise ValueError(f"config: {channel}.endpoint required for {self.kind}")
+        return BackendProfile(
+            kind=self.kind, endpoint=self.endpoint, session=self.session,
+            model=self.model or ("scripted" if scripted else ""),
+            default_temperature=(DEFAULT_TEMPERATURE[channel] if self.temperature is None
+                                 else self.temperature),
+            default_context=DEFAULT_CONTEXT if self.context is None else self.context)
 
 
 @dataclass
@@ -103,6 +100,10 @@ class Config:
         if self.validation_repeats < 1:
             raise ValueError(
                 f"config: validation_repeats must be >= 1, got {self.validation_repeats}")
+        for channel in ("cloud", "local"):
+            context = getattr(self, channel).context
+            if context is not None and context < 1:
+                raise ValueError(f"config: {channel}.context must be >= 1, got {context}")
 
 
 def parse_config(text: str) -> Config:

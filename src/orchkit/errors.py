@@ -15,19 +15,30 @@ class OrchError(Exception):
 # --- gateway ---------------------------------------------------------------
 
 class ModelCallError(OrchError):
-    """A model call gave no usable completion (transport, truncation, refusal)."""
+    """A model call gave no usable completion (transport, truncation, refusal).
+
+    `failure` names the class in the reasons recorded for failed calls.
+    """
+
+    failure = "failed model call"
 
 
 class TransportError(ModelCallError):
     """Network or HTTP failure that survived the retry policy."""
 
+    failure = "transport failure"
+
 
 class TruncatedError(ModelCallError):
     """Request would overflow (or did overflow) the backend context window."""
 
+    failure = "truncation"
+
 
 class BackendRefusalError(ModelCallError):
     """Backend returned an empty or refused completion."""
+
+    failure = "empty reply"
 
 
 class UnseenRequestError(OrchError):

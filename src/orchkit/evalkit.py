@@ -11,13 +11,13 @@ intermediate arithmetic is exact rational; floats appear only in reports.
 from __future__ import annotations
 
 import csv
-import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import IdMismatchError
+from .jsonio import read_jsonl
 
 INDETERMINATE = "indeterminate"
 
@@ -224,44 +224,29 @@ def evaluate_report(pred: LabeledSet, gt: LabeledSet,
 # IO
 # ---------------------------------------------------------------------------
 
-def load_labeled_csv(path: str | Path, source: str | None = None) -> LabeledSet:
-    """CSV rows of id,label; a header row of exactly 'id,label' is skipped."""
+def load_labeled(path: str | Path, source: str | None = None) -> LabeledSet:
+    """A labeled set from any of its file forms; source defaults to the file stem.
+
+    A .csv holds id,label rows (a header row of exactly 'id,label' is
+    skipped); any other file is JSON lines of {"id", "label"} records or of
+    the executor's predictions ({"document_id", "final_label"}).
+    """
+    path = Path(path)
     pairs = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: row {row!r} needs id,label")
-            if row[0].strip().casefold() == "id" and row[1].strip().casefold() == "label":
-                continue
-            pairs.append((row[0].strip(), row[1].strip()))
-    return LabeledSet(source=source or Path(path).stem, pairs=tuple(pairs))
-
-
-def load_labeled_jsonl(path: str | Path, source: str | None = None) -> LabeledSet:
-    pairs = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            pairs.append((str(record["id"]), str(record["label"])))
-    return LabeledSet(source=source or Path(path).stem, pairs=tuple(pairs))
-
-
-def load_predictions_jsonl(path: str | Path, source: str = "system") -> LabeledSet:
-    """LabeledSet from the executor's predictions JSON-lines output."""
-    pairs = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            pairs.append((str(record["document_id"]), str(record["final_label"])))
-    return LabeledSet(source=source, pairs=tuple(pairs))
+    if path.suffix == ".csv":
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            for row in csv.reader(fh):
+                if not row or not row[0].strip():
+                    continue
+                if len(row) < 2:
+                    raise ValueError(f"{path}: row {row!r} needs id,label")
+                if row[0].strip().casefold() == "id" and row[1].strip().casefold() == "label":
+                    continue
+                pairs.append((row[0].strip(), row[1].strip()))
+    else:
+        pairs = [(r["document_id"], r["final_label"]) if "final_label" in r
+                 else (r["id"], r["label"]) for r in read_jsonl(path)]
+    return LabeledSet(source=source or path.stem, pairs=tuple(pairs))
 
 
 def confusion_to_csv(report: EvalReport, path: str | Path) -> None:

@@ -11,7 +11,6 @@ label through the rule program's unknown handling.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Sequence
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -20,6 +19,7 @@ from pathlib import Path
 
 from .errors import ModelCallError, OutputParseError, PhaseViolationError
 from .gateway import KIND_CLOUD_HTTP, PHASE_LOCAL, Gateway
+from .jsonio import jsonl_line, read_jsonl
 from .model import (
     Document,
     FeatureSet,
@@ -79,7 +79,7 @@ def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
     """Execute one refined prompt over one document.
 
     Parse failure gets one repair round-trip with the format contract
-    restated; a second failure (or transport exhaustion) yields an
+    restated; a second failure, or a failed model call, yields an
     all-unknown run marked unparseable rather than an exception.
     """
     _require_local(gateway)
@@ -100,7 +100,7 @@ def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
         pass
     except ModelCallError as exc:
         return SubtaskRun(subtask_id=subtask.id, document_id=doc.id,
-                          reasoning=f"transport failure: {exc}",
+                          reasoning=f"{exc.failure}: {exc}",
                           output=FeatureSet.all_unknown(schema),
                           parse_status="unparseable")
     repair_system = f"{prompt.system_prompt}\n\n{_REPAIR_NOTE}\n\n{format_block(schema)}"
@@ -194,15 +194,9 @@ def load_documents(path: str | Path) -> list[Document]:
         if not docs:
             raise ValueError(f"no *.txt documents in {p}")
         return docs
-    docs = []
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            docs.append(Document(id=str(record["id"]), body=record["body"],
-                                 format_tag=record.get("format_tag", "free_text")))
+    docs = [Document(id=str(record["id"]), body=record["body"],
+                     format_tag=record.get("format_tag", "free_text"))
+            for record in read_jsonl(p)]
     if not docs:
         raise ValueError(f"no documents in {p}")
     return docs
@@ -230,8 +224,7 @@ def prediction_to_dict(pred: DocumentPrediction) -> dict:
 def write_predictions(preds: Sequence[DocumentPrediction], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for pred in preds:
-            fh.write(json.dumps(prediction_to_dict(pred), sort_keys=True,
-                                ensure_ascii=False) + "\n")
+            fh.write(jsonl_line(prediction_to_dict(pred)))
 
 
 def summarize(preds: Sequence[DocumentPrediction], labels: Sequence[OutcomeLabel], *,

@@ -21,8 +21,6 @@ keyed by a content digest of the request.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import random
 import threading
@@ -38,6 +36,7 @@ from .errors import (
     TruncatedError,
     UnseenRequestError,
 )
+from .jsonio import digest, jsonl_line, read_jsonl
 from .model import FeatureSchema
 
 PHASE_CLOUD = "cloud"
@@ -50,6 +49,11 @@ KIND_SCRIPTED = "scripted"
 CLOUD_API_KEY_ENV = "ORCH_CLOUD_API_KEY"
 
 FINISH_REASONS = ("complete", "truncated", "error")
+
+# Operating defaults per channel: cloud runs hot to diversify planning
+# output, local runs cold for consistent extraction.
+DEFAULT_TEMPERATURE = {PHASE_CLOUD: 0.8, PHASE_LOCAL: 0.2}
+DEFAULT_CONTEXT = 32768
 
 
 @dataclass(frozen=True)
@@ -85,33 +89,33 @@ class ChatResponse:
                 f"got {self.finish_reason!r}")
 
 
+def _request_dict(request: ChatRequest) -> dict:
+    schema = request.response_schema.to_dict() if request.response_schema else None
+    return {"system_prompt": request.system_prompt,
+            "user_content": request.user_content,
+            "temperature": request.temperature,
+            "max_context_tokens": request.max_context_tokens,
+            "response_schema": schema}
+
+
 def request_digest(request: ChatRequest) -> str:
     """Stable content digest used to key scripted and recorded sessions."""
-    schema = request.response_schema.to_dict() if request.response_schema else None
-    payload = json.dumps(
-        {"system_prompt": request.system_prompt,
-         "user_content": request.user_content,
-         "temperature": request.temperature,
-         "max_context_tokens": request.max_context_tokens,
-         "response_schema": schema},
-        sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return digest(_request_dict(request))
 
 
 @dataclass(frozen=True)
 class BackendProfile:
     """Where and how a channel talks to a model.
 
-    Factory classmethods bake in the operating defaults: cloud runs hot
-    (temperature 0.8) to diversify planning output, local runs cold
-    (temperature 0.2) with a 32k context for consistent extraction.
+    Factory classmethods bake in the channel's DEFAULT_TEMPERATURE and
+    DEFAULT_CONTEXT.
     """
 
     kind: str
     endpoint: str | None = None
     model: str | None = None
-    default_temperature: float = 0.2
-    default_context: int = 32768
+    default_temperature: float = DEFAULT_TEMPERATURE[PHASE_LOCAL]
+    default_context: int = DEFAULT_CONTEXT
     session: str | None = None
     backend: object | None = field(default=None, compare=False, repr=False)
 
@@ -125,21 +129,24 @@ class BackendProfile:
             raise ValueError("BackendProfile: scripted profile needs a backend or a session path")
 
     @classmethod
-    def cloud(cls, endpoint: str, model: str, *, temperature: float = 0.8,
-              context: int = 32768) -> "BackendProfile":
+    def cloud(cls, endpoint: str, model: str, *,
+              temperature: float = DEFAULT_TEMPERATURE[PHASE_CLOUD],
+              context: int = DEFAULT_CONTEXT) -> "BackendProfile":
         return cls(kind=KIND_CLOUD_HTTP, endpoint=endpoint, model=model,
                    default_temperature=temperature, default_context=context)
 
     @classmethod
-    def local(cls, endpoint: str, model: str, *, temperature: float = 0.2,
-              context: int = 32768) -> "BackendProfile":
+    def local(cls, endpoint: str, model: str, *,
+              temperature: float = DEFAULT_TEMPERATURE[PHASE_LOCAL],
+              context: int = DEFAULT_CONTEXT) -> "BackendProfile":
         return cls(kind=KIND_LOCAL_HTTP, endpoint=endpoint, model=model,
                    default_temperature=temperature, default_context=context)
 
     @classmethod
     def scripted(cls, backend: object | None = None, *, session: str | None = None,
-                 model: str = "scripted", temperature: float = 0.2,
-                 context: int = 32768) -> "BackendProfile":
+                 model: str = "scripted",
+                 temperature: float = DEFAULT_TEMPERATURE[PHASE_LOCAL],
+                 context: int = DEFAULT_CONTEXT) -> "BackendProfile":
         return cls(kind=KIND_SCRIPTED, model=model, default_temperature=temperature,
                    default_context=context, session=session, backend=backend)
 
@@ -200,13 +207,8 @@ class ReplayBackend:
         if not self._path.exists():
             raise TransportError(f"replay session not found: {self._path}")
         self._entries: dict[str, list[dict]] = {}
-        with self._path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                self._entries.setdefault(record["digest"], []).append(record["response"])
+        for record in read_jsonl(self._path):
+            self._entries.setdefault(record["digest"], []).append(record["response"])
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -234,20 +236,15 @@ class RecordingBackend:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         response = self._inner.complete(request)
-        schema = request.response_schema.to_dict() if request.response_schema else None
         record = {
             "digest": request_digest(request),
-            "request": {"system_prompt": request.system_prompt,
-                        "user_content": request.user_content,
-                        "temperature": request.temperature,
-                        "max_context_tokens": request.max_context_tokens,
-                        "response_schema": schema},
+            "request": _request_dict(request),
             "response": {"raw_text": response.raw_text,
                          "finish_reason": response.finish_reason,
                          "latency_ms": response.latency_ms},
         }
         with self._lock, self._path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(jsonl_line(record))
         return response
 
 

@@ -14,7 +14,6 @@ to the exact prompts that produced it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from collections.abc import Callable, Mapping, Sequence
@@ -32,6 +31,7 @@ from .errors import (
     PhaseViolationError,
 )
 from .gateway import PHASE_CLOUD, Gateway
+from .jsonio import digest, sha256_text
 from .model import (
     FeatureSchema,
     FeatureSet,
@@ -78,23 +78,20 @@ class TemplateSet:
                       for name in ("decompose", "synthetic", "refine", "repair")})
 
     def digests(self) -> dict[str, str]:
-        return {name: hashlib.sha256(getattr(self, name).encode("utf-8")).hexdigest()
+        return {name: sha256_text(getattr(self, name))
                 for name in ("decompose", "synthetic", "refine", "repair")}
 
 
 def task_digest(task: TaskSpec) -> str:
     """Content hash of the task minus the guideline body."""
     prefs = task.preferences
-    payload = json.dumps(
-        {"task_description": task.task_description,
-         "output_labels": [lbl.name for lbl in prefs.output_labels],
-         "max_subtasks": prefs.max_subtasks,
-         "synthetic_cases_per_subtask": prefs.synthetic_cases_per_subtask,
-         "output_format_notes": prefs.output_format_notes,
-         "include_entities": list(prefs.include_entities),
-         "exclude_entities": list(prefs.exclude_entities)},
-        sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return digest({"task_description": task.task_description,
+                   "output_labels": [lbl.name for lbl in prefs.output_labels],
+                   "max_subtasks": prefs.max_subtasks,
+                   "synthetic_cases_per_subtask": prefs.synthetic_cases_per_subtask,
+                   "output_format_notes": prefs.output_format_notes,
+                   "include_entities": list(prefs.include_entities),
+                   "exclude_entities": list(prefs.exclude_entities)})
 
 
 def compose_system_prompt(task_description: str, draft_body: str,
@@ -138,11 +135,9 @@ class _Exchange:
     decides which terminal error the budget exhaustion maps to.
     """
 
-    def __init__(self, gateway: Gateway, templates: TemplateSet,
-                 max_repairs: int = DEFAULT_MAX_REPAIRS):
+    def __init__(self, gateway: Gateway, templates: TemplateSet):
         self.gateway = gateway
         self.templates = templates
-        self.max_repairs = max_repairs
 
     def run(self, system_prompt: str, interpret: Callable[[str], object],
             unparseable_error: type[Exception]):
@@ -150,7 +145,7 @@ class _Exchange:
         last_reply = ""
         last_parse_failure = True
         last_message = ""
-        for _ in range(1 + self.max_repairs):
+        for _ in range(1 + DEFAULT_MAX_REPAIRS):
             reply = self.gateway.chat(prompt, _REPLY_NUDGE)
             last_reply = reply.raw_text
             try:
@@ -166,9 +161,9 @@ class _Exchange:
             prompt = f"{system_prompt}\n\n{suffix}"
         if last_parse_failure:
             raise unparseable_error(
-                f"reply unusable after {self.max_repairs} repair round-trips: {last_message}")
+                f"reply unusable after {DEFAULT_MAX_REPAIRS} repair round-trips: {last_message}")
         raise BudgetExceededError(
-            f"reply still invalid after {self.max_repairs} repair round-trips: {last_message}")
+            f"reply still invalid after {DEFAULT_MAX_REPAIRS} repair round-trips: {last_message}")
 
 
 def _interpret_plan_reply(raw: str, task: TaskSpec) -> tuple[list[Subtask], list[PromptSpec], str]:
@@ -208,7 +203,6 @@ def _interpret_plan_reply(raw: str, task: TaskSpec) -> tuple[list[Subtask], list
 
 def decompose(task: TaskSpec, gateway: Gateway, *,
               templates: TemplateSet | None = None,
-              max_repairs: int = DEFAULT_MAX_REPAIRS,
               clock: Callable[[], str] | None = None) -> Plan:
     """Produce subtasks, draft prompts, and synthesis logic for a task.
 
@@ -226,14 +220,14 @@ def decompose(task: TaskSpec, gateway: Gateway, *,
         "max_subtasks": str(task.preferences.max_subtasks),
         "preferences": _preferences_text(task),
     })
-    exchange = _Exchange(gateway, templates, max_repairs)
+    exchange = _Exchange(gateway, templates)
     subtasks, prompts, logic_source = exchange.run(
         system, lambda raw: _interpret_plan_reply(raw, task), MalformedPlanError)
     provenance: dict[str, object] = {
         "planner_model": gateway.profile.model or "",
         "meta_prompt_digests": templates.digests(),
         "task_digest": task_digest(task),
-        "guideline_digest": hashlib.sha256(task.guideline.encode("utf-8")).hexdigest(),
+        "guideline_digest": sha256_text(task.guideline),
     }
     if clock is not None:
         provenance["created_at"] = clock()
@@ -273,8 +267,8 @@ def _uncovered_values(subtask: Subtask, cases: Sequence[SyntheticCase]) -> list[
 
 
 def generate_synthetic(subtask: Subtask, guideline: str, gateway: Gateway, *,
-                       count: int = 10, templates: TemplateSet | None = None,
-                       max_repairs: int = DEFAULT_MAX_REPAIRS) -> list[SyntheticCase]:
+                       count: int = 10,
+                       templates: TemplateSet | None = None) -> list[SyntheticCase]:
     """Generate exactly `count` schema-conforming synthetic cases.
 
     Value coverage is best-effort: one re-prompt when reachable coverage is
@@ -289,7 +283,7 @@ def generate_synthetic(subtask: Subtask, guideline: str, gateway: Gateway, *,
         "guideline": guideline,
         "count": str(count),
     })
-    exchange = _Exchange(gateway, templates, max_repairs)
+    exchange = _Exchange(gateway, templates)
     cases = exchange.run(
         system, lambda raw: _interpret_cases_reply(raw, subtask, count),
         MalformedCasesError)
@@ -337,8 +331,7 @@ def _failures_text(failures: Sequence[tuple[SyntheticCase, SubtaskRun]]) -> str:
 
 def refine_prompt(prompt: PromptSpec, failures: Sequence[tuple[SyntheticCase, SubtaskRun]],
                   gateway: Gateway, *, templates: TemplateSet | None = None,
-                  schema: FeatureSchema | None = None,
-                  max_repairs: int = DEFAULT_MAX_REPAIRS) -> PromptSpec:
+                  schema: FeatureSchema | None = None) -> PromptSpec:
     """Rewrite a failing prompt using the failing cases and reasoning traces.
 
     Returns a fresh draft at revision + 1. When the schema is supplied the
@@ -360,7 +353,7 @@ def refine_prompt(prompt: PromptSpec, failures: Sequence[tuple[SyntheticCase, Su
             raise OutputParseError('reply needs a non-empty "system_prompt"')
         return text
 
-    exchange = _Exchange(gateway, templates, max_repairs)
+    exchange = _Exchange(gateway, templates)
     new_text = exchange.run(system, interpret, MalformedPlanError)
     if schema is not None:
         contract = format_block(schema)
@@ -371,17 +364,15 @@ def refine_prompt(prompt: PromptSpec, failures: Sequence[tuple[SyntheticCase, Su
 
 def build_plan(task: TaskSpec, gateway: Gateway, *,
                templates: TemplateSet | None = None,
-               max_repairs: int = DEFAULT_MAX_REPAIRS,
                clock: Callable[[], str] | None = None) -> Plan:
     """Full planning pass: decompose, then synthetic sets for every subtask."""
     templates = templates or TemplateSet.load()
-    plan = decompose(task, gateway, templates=templates,
-                     max_repairs=max_repairs, clock=clock)
+    plan = decompose(task, gateway, templates=templates, clock=clock)
     sets = {
         subtask.id: generate_synthetic(
             subtask, task.guideline, gateway,
             count=task.preferences.synthetic_cases_per_subtask,
-            templates=templates, max_repairs=max_repairs)
+            templates=templates)
         for subtask in plan.subtasks
     }
     return plan.with_synthetic_sets(sets)

@@ -70,7 +70,7 @@ def _run_case(gateway: Gateway, prompt: PromptSpec, subtask: Subtask,
         run = SubtaskRun(subtask_id=subtask.id, document_id=VALIDATION_DOC_ID,
                          reasoning="", output=FeatureSet.all_unknown(schema),
                          parse_status="unparseable")
-        return CaseResult(index, case, run, passed=False, reason=f"transport: {exc}")
+        return CaseResult(index, case, run, passed=False, reason=f"{exc.failure}: {exc}")
     try:
         reasoning, predicted = parse_subtask_output(schema, response.raw_text)
     except OutputParseError as exc:

@@ -58,6 +58,8 @@ def test_invariants_rejected():
         parse_config("threshold = 1.5\n")
     with pytest.raises(ValueError, match="rounds"):
         parse_config("rounds = 0\n")
+    with pytest.raises(ValueError, match="context"):
+        parse_config("local.kind = scripted\nlocal.session = s.jsonl\nlocal.context = 0\n")
 
 
 def test_env_var_names_the_config(tmp_path, monkeypatch):

@@ -16,9 +16,7 @@ from orchkit.evalkit import (
     confusion,
     evaluate_report,
     kappa_from_matrix,
-    load_labeled_csv,
-    load_labeled_jsonl,
-    load_predictions_jsonl,
+    load_labeled,
     render_confusion,
     render_table,
 )
@@ -211,15 +209,15 @@ def test_evaluate_report_shape():
 def test_loaders_round_trip(tmp_path):
     csv_path = tmp_path / "gt.csv"
     csv_path.write_text("id,label\nd1,Resectable\nd2,indeterminate\n", encoding="utf-8")
-    gt = load_labeled_csv(csv_path, source="gt")
+    gt = load_labeled(csv_path, source="gt")
     assert gt.pairs == (("d1", "Resectable"), ("d2", "indeterminate"))
 
     jsonl_path = tmp_path / "gt.jsonl"
-    jsonl_path.write_text('{"id": "d1", "label": "Metastatic"}\n', encoding="utf-8")
-    assert load_labeled_jsonl(jsonl_path).pairs == (("d1", "Metastatic"),)
+    jsonl_path.write_text('\n{"id": "d1", "label": "Metastatic"}\n  \n', encoding="utf-8")
+    assert load_labeled(jsonl_path).pairs == (("d1", "Metastatic"),)
 
     preds_path = tmp_path / "preds.jsonl"
     preds_path.write_text(
         '{"document_id": "d1", "final_label": "Resectable", "rounds": []}\n',
         encoding="utf-8")
-    assert load_predictions_jsonl(preds_path).pairs == (("d1", "Resectable"),)
+    assert load_labeled(preds_path).pairs == (("d1", "Resectable"),)

@@ -113,7 +113,7 @@ def test_decompose_repairs_undeclared_logic_field(task):
 def test_decompose_unparseable_after_all_attempts(task):
     harness = Harness("", always_bad="I cannot answer in JSON, sorry.")
     with pytest.raises(MalformedPlanError, match="repair round-trips"):
-        decompose(task, harness.gateway(), max_repairs=2)
+        decompose(task, harness.gateway())
     assert len(harness.requests) == 3  # initial + 2 repairs
 
 

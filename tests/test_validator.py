@@ -159,6 +159,7 @@ def test_empty_reply_and_overlong_case_mark_cases_and_report_survives():
     assert [r.case_index for r in failed] == [2, 5]
     assert "empty completion" in failed[0].reason
     assert "token window" in failed[1].reason
+    assert not any("transport" in r.reason for r in failed)
     assert all(r.run.parse_status == "unparseable" for r in failed)
 
 
