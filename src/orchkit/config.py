@@ -56,9 +56,6 @@ class ProfileConfig:
     context: int | None = None
     session: str | None = None
 
-    def configured(self) -> bool:
-        return self.kind is not None
-
     def to_profile(self, channel: str) -> BackendProfile:
         scripted = self.kind == KIND_SCRIPTED
         if not scripted and self.kind not in (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP):

@@ -12,11 +12,14 @@ Backends:
                    API key read from ORCH_CLOUD_API_KEY.
   * local_http  -- Ollama-compatible /api/chat JSON over HTTP; temperature
                    and num_ctx passed as options.
-  * scripted    -- deterministic in-memory or recorded-session backend for
-                   tests and air-gap rehearsal.
+  * scripted    -- a handler callable (ScriptedBackend) or a recorded
+                   session (ReplayBackend), for tests and air-gap rehearsal.
 
-Record/replay sessions are JSON lines, one request/response pair per line,
-keyed by a content digest of the request.
+Every call enters through Gateway.chat, which builds the request from the
+profile's defaults. RecordingBackend wraps any backend and appends each
+request/response pair to a session file, JSON lines keyed by a content
+digest of the request; record_and_replay(session) builds the profile that
+replays it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import os
 import random
 import threading
 import time
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import (
@@ -54,6 +57,9 @@ FINISH_REASONS = ("complete", "truncated", "error")
 # output, local runs cold for consistent extraction.
 DEFAULT_TEMPERATURE = {PHASE_CLOUD: 0.8, PHASE_LOCAL: 0.2}
 DEFAULT_CONTEXT = 32768
+
+# Seconds an HTTP chat call may take, per channel.
+HTTP_TIMEOUT = {PHASE_CLOUD: 120.0, PHASE_LOCAL: 600.0}
 
 
 @dataclass(frozen=True)
@@ -156,37 +162,20 @@ class BackendProfile:
 # ---------------------------------------------------------------------------
 
 class ScriptedBackend:
-    """Deterministic backend for tests: responses come from a handler
-    callable or a digest-keyed mapping/sequence.
+    """Deterministic backend for tests: a handler callable maps each request
+    to its reply text.
 
-    Responses are pure (same request, same text). `fail_first` simulates
-    transient transport faults: each distinct request fails that many times
-    before succeeding, which exercises the retry policy.
+    `fail_first` simulates transient transport faults: each distinct request
+    fails that many times before succeeding, which exercises the retry policy.
     """
 
-    def __init__(self, script: Callable[[ChatRequest], str] | Mapping[str, object] | None = None,
-                 *, fail_first: int = 0):
+    def __init__(self, script: Callable[[ChatRequest], str], *, fail_first: int = 0):
+        if not callable(script):
+            raise TypeError("ScriptedBackend: script must be a handler callable")
         self._script = script
         self._fail_first = fail_first
         self._failures: dict[str, int] = {}
-        self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
-
-    def _lookup(self, request: ChatRequest) -> str:
-        if callable(self._script):
-            return self._script(request)
-        if self._script is None:
-            raise UnseenRequestError("scripted backend has no script")
-        digest = request_digest(request)
-        if digest not in self._script:
-            raise UnseenRequestError(f"no scripted response for request {digest[:12]}")
-        entry = self._script[digest]
-        if isinstance(entry, str):
-            return entry
-        with self._lock:  # sequence entry: serve in order, stick on the last
-            i = self._cursor.get(digest, 0)
-            self._cursor[digest] = min(i + 1, len(entry) - 1)
-        return entry[i]
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if self._fail_first:
@@ -196,7 +185,7 @@ class ScriptedBackend:
                 if n < self._fail_first:
                     self._failures[digest] = n + 1
                     raise TransportError(f"scripted transient failure {n + 1}/{self._fail_first}")
-        return ChatResponse(raw_text=self._lookup(request))
+        return ChatResponse(raw_text=self._script(request))
 
 
 class ReplayBackend:
@@ -268,39 +257,44 @@ def _schema_to_json_schema(schema: FeatureSchema) -> dict:
     }
 
 
+def _post(channel: str, url: str, payload: dict,
+          headers: dict[str, str] | None = None) -> tuple[dict, float]:
+    """POST a JSON payload; return the decoded reply and the call's latency
+    in ms. Every transport fault becomes a TransportError naming the channel."""
+    import requests
+
+    started = time.perf_counter()
+    try:
+        resp = requests.post(url, json=payload, headers=headers, timeout=HTTP_TIMEOUT[channel])
+        resp.raise_for_status()
+        body = resp.json()
+    except Exception as exc:  # noqa: BLE001 - every transport fault maps the same way
+        raise TransportError(f"{channel} chat call failed: {exc}") from exc
+    return body, (time.perf_counter() - started) * 1000.0
+
+
+def _messages(request: ChatRequest) -> list[dict]:
+    return [{"role": "system", "content": request.system_prompt},
+            {"role": "user", "content": request.user_content}]
+
+
 class OpenAIChatBackend:
     """OpenAI-compatible chat-completions adapter (the cloud channel)."""
 
-    def __init__(self, endpoint: str, model: str, *, timeout: float = 120.0,
-                 api_key: str | None = None):
-        self.endpoint = endpoint.rstrip("/")
+    def __init__(self, endpoint: str, model: str):
+        self.url = f"{endpoint.rstrip('/')}/chat/completions"
         self.model = model
-        self.timeout = timeout
-        self.api_key = api_key if api_key is not None else os.environ.get(CLOUD_API_KEY_ENV, "")
+        self.headers = {"Content-Type": "application/json"}
+        api_key = os.environ.get(CLOUD_API_KEY_ENV, "")
+        if api_key:
+            self.headers["Authorization"] = f"Bearer {api_key}"
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        import requests
-
-        payload: dict = {
-            "model": self.model,
-            "messages": [{"role": "system", "content": request.system_prompt},
-                         {"role": "user", "content": request.user_content}],
-            "temperature": request.temperature,
-        }
+        payload: dict = {"model": self.model, "messages": _messages(request),
+                         "temperature": request.temperature}
         if request.response_schema is not None:
             payload["response_format"] = {"type": "json_object"}
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        started = time.perf_counter()
-        try:
-            resp = requests.post(f"{self.endpoint}/chat/completions", json=payload,
-                                 headers=headers, timeout=self.timeout)
-            resp.raise_for_status()
-            body = resp.json()
-        except Exception as exc:  # noqa: BLE001 - every transport fault maps the same way
-            raise TransportError(f"cloud chat call failed: {exc}") from exc
-        latency = (time.perf_counter() - started) * 1000.0
+        body, latency = _post(PHASE_CLOUD, self.url, payload, self.headers)
         try:
             choice = body["choices"][0]
             text = choice["message"]["content"] or ""
@@ -313,33 +307,17 @@ class OpenAIChatBackend:
 class OllamaChatBackend:
     """Ollama-compatible /api/chat adapter (the local channel)."""
 
-    def __init__(self, endpoint: str, model: str, *, timeout: float = 600.0):
-        self.endpoint = endpoint.rstrip("/")
+    def __init__(self, endpoint: str, model: str):
+        self.url = f"{endpoint.rstrip('/')}/api/chat"
         self.model = model
-        self.timeout = timeout
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        import requests
-
-        payload: dict = {
-            "model": self.model,
-            "messages": [{"role": "system", "content": request.system_prompt},
-                         {"role": "user", "content": request.user_content}],
-            "stream": False,
-            "options": {"temperature": request.temperature,
-                        "num_ctx": request.max_context_tokens},
-        }
+        payload: dict = {"model": self.model, "messages": _messages(request), "stream": False,
+                         "options": {"temperature": request.temperature,
+                                     "num_ctx": request.max_context_tokens}}
         if request.response_schema is not None:
             payload["format"] = _schema_to_json_schema(request.response_schema)
-        started = time.perf_counter()
-        try:
-            resp = requests.post(f"{self.endpoint}/api/chat", json=payload,
-                                 timeout=self.timeout)
-            resp.raise_for_status()
-            body = resp.json()
-        except Exception as exc:  # noqa: BLE001
-            raise TransportError(f"local chat call failed: {exc}") from exc
-        latency = (time.perf_counter() - started) * 1000.0
+        body, latency = _post(PHASE_LOCAL, self.url, payload)
         try:
             text = body["message"]["content"] or ""
         except (KeyError, TypeError) as exc:
@@ -367,7 +345,7 @@ class RetryPolicy:
 
 
 def estimate_tokens(text: str) -> int:
-    """Default token estimator: characters / 4, rounded up."""
+    """Token estimate for the context-window check: characters / 4, rounded up."""
     return (len(text) + 3) // 4
 
 
@@ -379,7 +357,6 @@ class Gateway:
 
     def __init__(self, profile: BackendProfile, phase: str, *,
                  retry: RetryPolicy | None = None,
-                 token_estimator: Callable[[str], int] = estimate_tokens,
                  sleep: Callable[[float], None] = time.sleep):
         if phase not in (PHASE_CLOUD, PHASE_LOCAL):
             raise ValueError(f"Gateway.phase: must be cloud or local, got {phase!r}")
@@ -390,37 +367,27 @@ class Gateway:
         self.profile = profile
         self.phase = phase
         self.retry = retry or RetryPolicy()
-        self._estimate = token_estimator
         self._sleep = sleep
-        self._backend = self._resolve(profile)
-
-    @staticmethod
-    def _resolve(profile: BackendProfile):
-        if profile.kind == KIND_SCRIPTED:
-            if profile.backend is not None:
-                return profile.backend
-            return ReplayBackend(profile.session)  # type: ignore[arg-type]
         if profile.kind == KIND_CLOUD_HTTP:
-            return OpenAIChatBackend(profile.endpoint, profile.model or "")
-        return OllamaChatBackend(profile.endpoint, profile.model or "")
+            self._backend = OpenAIChatBackend(profile.endpoint, profile.model or "")
+        elif profile.kind == KIND_LOCAL_HTTP:
+            self._backend = OllamaChatBackend(profile.endpoint, profile.model or "")
+        elif profile.backend is not None:
+            self._backend = profile.backend
+        else:
+            self._backend = ReplayBackend(profile.session)
 
-    def request(self, system_prompt: str, user_content: str, *,
-                response_schema: FeatureSchema | None = None,
-                temperature: float | None = None,
-                max_context_tokens: int | None = None) -> ChatRequest:
-        return ChatRequest(
-            system_prompt=system_prompt,
-            user_content=user_content,
-            temperature=self.profile.default_temperature if temperature is None else temperature,
-            max_context_tokens=(self.profile.default_context
-                                if max_context_tokens is None else max_context_tokens),
-            response_schema=response_schema)
-
-    def chat(self, system_prompt: str, user_content: str, **kwargs) -> ChatResponse:
-        return self.complete(self.request(system_prompt, user_content, **kwargs))
+    def chat(self, system_prompt: str, user_content: str, *,
+             response_schema: FeatureSchema | None = None) -> ChatResponse:
+        """One model call, at the profile's temperature and context window."""
+        return self.complete(ChatRequest(
+            system_prompt=system_prompt, user_content=user_content,
+            temperature=self.profile.default_temperature,
+            max_context_tokens=self.profile.default_context,
+            response_schema=response_schema))
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        estimated = self._estimate(request.system_prompt) + self._estimate(request.user_content)
+        estimated = estimate_tokens(request.system_prompt) + estimate_tokens(request.user_content)
         if estimated > request.max_context_tokens:
             raise TruncatedError(
                 f"estimated {estimated} tokens exceeds the {request.max_context_tokens}-token window")
@@ -437,28 +404,12 @@ class Gateway:
                 raise TruncatedError("backend reported a truncated completion")
             if not response.raw_text.strip():
                 raise BackendRefusalError("backend returned an empty completion")
-            if attempt:
-                response = ChatResponse(raw_text=response.raw_text,
-                                        finish_reason=response.finish_reason,
-                                        latency_ms=response.latency_ms,
-                                        retries=attempt)
-            return response
+            return replace(response, retries=attempt) if attempt else response
         raise TransportError(
             f"gave up after {self.retry.attempts} attempts: {last_error}") from last_error
 
 
-def record_and_replay(session_path: str | Path,
-                      live: BackendProfile | None = None) -> BackendProfile:
-    """Build a scripted profile around a session file.
-
-    With `live` given, wraps that profile's backend and records every
-    request/response pair to the session file; without it, replays the
-    recorded session (unseen requests raise).
-    """
-    if live is not None:
-        inner = Gateway._resolve(live)
-        backend = RecordingBackend(inner, session_path)
-        return BackendProfile.scripted(backend, model=live.model or "recorded",
-                                       temperature=live.default_temperature,
-                                       context=live.default_context)
+def record_and_replay(session_path: str | Path) -> BackendProfile:
+    """A scripted profile that replays a recorded session; unseen requests
+    raise. Sessions are recorded by wrapping a backend in RecordingBackend."""
     return BackendProfile.scripted(session=str(session_path))

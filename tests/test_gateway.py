@@ -32,9 +32,9 @@ from orchkit.gateway import (
 NO_SLEEP = lambda _s: None  # noqa: E731
 
 
-def scripted_gateway(script, *, phase=PHASE_CLOUD, fail_first=0, retry=None):
+def scripted_gateway(script, *, phase=PHASE_CLOUD, fail_first=0, retry=None, context=32768):
     backend = ScriptedBackend(script, fail_first=fail_first)
-    profile = BackendProfile.scripted(backend)
+    profile = BackendProfile.scripted(backend, context=context)
     return Gateway(profile, phase, retry=retry or RetryPolicy(base_delay=0.0, jitter=0.0),
                    sleep=NO_SLEEP)
 
@@ -71,15 +71,6 @@ def test_scripted_echo_and_purity():
     assert first.raw_text == "echo:hello"
     assert first.raw_text == second.raw_text
     assert first.finish_reason == "complete"
-
-
-def test_scripted_digest_keyed_map():
-    req = ChatRequest("sys", "user", temperature=0.2, max_context_tokens=1000)
-    gw = scripted_gateway({request_digest(req): "canned"})
-    assert gw.complete(req).raw_text == "canned"
-    other = ChatRequest("sys", "different", temperature=0.2, max_context_tokens=1000)
-    with pytest.raises(UnseenRequestError):
-        gw.complete(other)
 
 
 def test_retry_twice_then_succeed_matches_loop_oracle():
@@ -128,9 +119,9 @@ def test_backoff_delays_grow():
 
 
 def test_context_overflow_is_truncated_error():
-    gw = scripted_gateway(lambda r: "text")
+    gw = scripted_gateway(lambda r: "text", context=10)
     with pytest.raises(TruncatedError, match="exceeds"):
-        gw.chat("s" * 100, "u" * 100, max_context_tokens=10)
+        gw.chat("s" * 100, "u" * 100)
 
 
 def test_empty_completion_is_refusal():
