@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .errors import (
     ChecksumMismatchError,
+    DslError,
     MalformedBundleError,
     PlanInvalidError,
     UnrefinedPromptsError,
@@ -280,6 +281,9 @@ def pack(plan: Plan, runtime: RuntimeDefaults | None = None, *,
     violations = validate_plan(plan, min_cases=min_cases)
     if violations:
         raise PlanInvalidError("; ".join(violations))
+    if guideline_body is not None and \
+            sha256_text(guideline_body) != plan.provenance.get("guideline_digest"):
+        raise PlanInvalidError("guideline body does not match the plan's guideline_digest")
     bad = [p.subtask_id for p in plan.prompts if p.status == "draft"
            or (p.status == "failed" and not allow_failed)]
     if bad:
@@ -301,7 +305,9 @@ def unpack(data: bytes) -> ArtifactBundle:
     """Verify every hash, then yield the bundle contents.
 
     Nothing is returned unless the whole-file trailer, the per-section
-    hashes, and the format major version all check out.
+    hashes, the format major version, and the digests written inside the
+    bundle (the parsed rule program's, and the guideline's when its body
+    rides along) all check out.
     """
     try:
         text = data.decode("utf-8")
@@ -340,7 +346,28 @@ def unpack(data: bytes) -> ArtifactBundle:
     if major != ours:
         raise VersionIncompatibleError(
             f"bundle format {version} is incompatible with reader {FORMAT_VERSION}")
-    return ArtifactBundle(sections=sections, raw=bytes(data))
+    bundle = ArtifactBundle(sections=sections, raw=bytes(data))
+    _check_written_digests(bundle)
+    return bundle
+
+
+def _check_written_digests(bundle: ArtifactBundle) -> None:
+    """Section hashes prove the bytes are as packed, not that the digests
+    written in them are true: a bundle re-rendered around a false claim
+    passes every hash."""
+    from .ruledsl import pretty
+
+    try:
+        logic = bundle.to_plan().parsed_logic()
+        claimed = bundle.sections["logic"]["parsed_digest"]
+    except (DslError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedBundleError(f"bundle does not hold a parseable plan: {exc}") from exc
+    if sha256_text(pretty(logic)) != claimed:
+        raise ChecksumMismatchError("rule program does not match logic.parsed_digest")
+    meta = bundle.sections["meta"]
+    body = meta.get("guideline_body")
+    if body is not None and sha256_text(body) != meta.get("guideline_digest"):
+        raise ChecksumMismatchError("guideline_body does not match meta.guideline_digest")
 
 
 def write_bundle(data: bytes, path: str | Path) -> None:

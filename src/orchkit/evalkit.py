@@ -244,8 +244,8 @@ def load_labeled(path: str | Path, source: str | None = None) -> LabeledSet:
                     continue
                 pairs.append((row[0].strip(), row[1].strip()))
     else:
-        pairs = [(r["document_id"], r["final_label"]) if "final_label" in r
-                 else (r["id"], r["label"]) for r in read_jsonl(path)]
+        pairs = read_jsonl(path, lambda r: (r["document_id"], r["final_label"])
+                           if "final_label" in r else (r["id"], r["label"]))
     return LabeledSet(source=source or path.stem, pairs=tuple(pairs))
 
 

@@ -108,11 +108,12 @@ def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
         reasoning, output = attempt(repair_system)
         return SubtaskRun(subtask_id=subtask.id, document_id=doc.id,
                           reasoning=reasoning, output=output, parse_status="repaired")
-    except (OutputParseError, ModelCallError) as exc:
-        return SubtaskRun(subtask_id=subtask.id, document_id=doc.id,
-                          reasoning=f"unparseable after repair: {exc}",
-                          output=FeatureSet.all_unknown(schema),
-                          parse_status="unparseable")
+    except OutputParseError as exc:
+        reason = f"unparseable after repair: {exc}"
+    except ModelCallError as exc:
+        reason = f"{exc.failure} after repair: {exc}"
+    return SubtaskRun(subtask_id=subtask.id, document_id=doc.id, reasoning=reason,
+                      output=FeatureSet.all_unknown(schema), parse_status="unparseable")
 
 
 def run_document(gateway: Gateway, plan: Plan, doc: Document, *,
@@ -194,9 +195,9 @@ def load_documents(path: str | Path) -> list[Document]:
         if not docs:
             raise ValueError(f"no *.txt documents in {p}")
         return docs
-    docs = [Document(id=str(record["id"]), body=record["body"],
-                     format_tag=record.get("format_tag", "free_text"))
-            for record in read_jsonl(p)]
+    docs = read_jsonl(p, lambda record: Document(
+        id=str(record["id"]), body=record["body"],
+        format_tag=record.get("format_tag", "free_text")))
     if not docs:
         raise ValueError(f"no documents in {p}")
     return docs

@@ -196,8 +196,8 @@ class ReplayBackend:
         if not self._path.exists():
             raise TransportError(f"replay session not found: {self._path}")
         self._entries: dict[str, list[dict]] = {}
-        for record in read_jsonl(self._path):
-            self._entries.setdefault(record["digest"], []).append(record["response"])
+        for digest, response in read_jsonl(self._path, lambda r: (r["digest"], r["response"])):
+            self._entries.setdefault(digest, []).append(response)
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -284,17 +284,17 @@ class OpenAIChatBackend:
     def __init__(self, endpoint: str, model: str):
         self.url = f"{endpoint.rstrip('/')}/chat/completions"
         self.model = model
-        self.headers = {"Content-Type": "application/json"}
+        self._headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(CLOUD_API_KEY_ENV, "")
         if api_key:
-            self.headers["Authorization"] = f"Bearer {api_key}"
+            self._headers["Authorization"] = f"Bearer {api_key}"
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         payload: dict = {"model": self.model, "messages": _messages(request),
                          "temperature": request.temperature}
         if request.response_schema is not None:
             payload["response_format"] = {"type": "json_object"}
-        body, latency = _post(PHASE_CLOUD, self.url, payload, self.headers)
+        body, latency = _post(PHASE_CLOUD, self.url, payload, self._headers)
         try:
             choice = body["choices"][0]
             text = choice["message"]["content"] or ""

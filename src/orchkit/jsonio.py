@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterator
+from collections.abc import Callable
 from pathlib import Path
+from typing import TypeVar
+
+T = TypeVar("T")
 
 
 def canonical_json(value: object) -> str:
@@ -43,12 +46,24 @@ def jsonl_line(record: object) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """One parsed record per non-blank line."""
+def read_jsonl(path: str | Path, build: Callable[[dict], T]) -> list[T]:
+    """`build` applied to the record on each non-blank line, in file order.
+
+    A line that is not JSON, or a record `build` rejects with KeyError,
+    TypeError or ValueError, raises ValueError naming the file and line.
+    """
+    values = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                values.append(build(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return values
 
 
 def write_json(path: str | Path, value: object) -> None:

@@ -24,6 +24,21 @@ def test_bench_tracer_installs():
     assert done.returncode == 0, done.stderr
 
 
+def test_bench_gen_builds_bundle_and_records_session(tmp_path):
+    """The benchmark builds its bundle and replay session through the
+    scripted and recording backends, the scripted profile and Gateway."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = ("import random, sys; from pathlib import Path; sys.path.insert(0, 'bench'); "
+              "import gen; tmp = Path(sys.argv[1]); "
+              "plan = gen.write_bundle(tmp / 'a.orchb'); "
+              "gen.record_session(plan, gen.make_documents(random.Random(0), 2), tmp / 's.jsonl')")
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "a.orchb").stat().st_size > 0
+    assert (tmp_path / "s.jsonl").read_text(encoding="utf-8").strip()
+
+
 # The tracer reads these arguments by position when not passed by keyword.
 @pytest.mark.parametrize("module, attr, index, name", [
     ("executor", "run_documents", 2, "docs"),

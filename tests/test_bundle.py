@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -27,6 +28,7 @@ from orchkit.errors import (
     UnrefinedPromptsError,
     VersionIncompatibleError,
 )
+from orchkit.cli import main
 from orchkit.model import FeatureSet, SyntheticCase
 
 from conftest import golden_plan, refined_plan
@@ -131,11 +133,44 @@ def test_bundle_logic_digest_matches_reparse():
 
 
 def test_guideline_body_inclusion_is_opt_in():
+    body = "full guideline text"
     plan = refined_plan()
+    plan = dataclasses.replace(plan, provenance={
+        **plan.provenance, "guideline_digest": hashlib.sha256(body.encode()).hexdigest()})
     lean = unpack(pack(plan))
     assert "guideline_body" not in lean.sections["meta"]
-    fat = unpack(pack(plan, guideline_body="full guideline text"))
-    assert fat.sections["meta"]["guideline_body"] == "full guideline text"
+    fat = unpack(pack(plan, guideline_body=body))
+    assert fat.sections["meta"]["guideline_body"] == body
+
+
+def test_pack_refuses_guideline_body_not_matching_digest():
+    with pytest.raises(PlanInvalidError, match="guideline_digest"):
+        pack(refined_plan(), guideline_body="full guideline text")
+
+
+def _rerendered(edit) -> bytes:
+    """A packed bundle with its sections edited and every hash recomputed,
+    so only the digests written inside it can show the edit."""
+    sections = json.loads(json.dumps(unpack(pack(refined_plan())).sections))
+    edit(sections)
+    return _render(sections)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda s: s["logic"].update(parsed_digest="0" * 64), ChecksumMismatchError),
+    (lambda s: s["logic"].update(source="default -> Metastatic"), ChecksumMismatchError),
+    (lambda s: s["logic"].update(source="when -> ;"), MalformedBundleError),
+    (lambda s: s["meta"].update(guideline_body="another guideline"), ChecksumMismatchError),
+    (lambda s: s.pop("labels"), MalformedBundleError),
+], ids=["parsed-digest", "logic-source", "unparseable-source", "guideline-body",
+        "missing-section"])
+def test_false_written_digest_rejected_exit_6(tmp_path, edit, error):
+    data = _rerendered(edit)
+    with pytest.raises(error):
+        unpack(data)
+    path = tmp_path / "rerendered.orchb"
+    path.write_bytes(data)
+    assert main(["unpack", "--bundle", str(path), "--out", str(tmp_path / "plan.json")]) == 6
 
 
 def test_created_at_defaults_to_epoch_and_is_overridable():

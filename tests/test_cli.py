@@ -7,7 +7,7 @@ import json
 import pytest
 
 from orchkit import executor
-from orchkit.bundle import load_plan, read_bundle
+from orchkit.bundle import load_plan, pack, read_bundle, write_bundle
 from orchkit.cli import main
 from orchkit.gateway import (
     PHASE_CLOUD,
@@ -17,7 +17,7 @@ from orchkit.gateway import (
     ScriptedBackend,
 )
 
-from conftest import build_e2e_workspace
+from conftest import build_e2e_workspace, refined_plan
 
 
 @pytest.fixture(scope="module")
@@ -323,3 +323,21 @@ def test_evaluate_missing_id_exit_2(workspace, tmp_path):
     assert run_cli("evaluate", "--pred", str(pred), "--gt", str(workspace["gt"]),
                    "--labels", "Resectable,Borderline Resectable,"
                                "Locally Advanced,Metastatic") == 2
+
+
+def test_evaluate_bad_gt_record_names_file_and_line(workspace, tmp_path, capsys):
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text('{"id": "d1", "label": "Metastatic"}\n\n{"id": "d2"}\n', encoding="utf-8")
+    assert run_cli("evaluate", "--pred", str(workspace["gt"]), "--gt", str(gt)) == 2
+    assert f"{gt}:3: missing key 'label'" in capsys.readouterr().err
+
+
+def test_infer_bad_docs_record_names_file_and_line(workspace, tmp_path, capsys):
+    bundle_file = tmp_path / "a.orchb"
+    write_bundle(pack(refined_plan()), bundle_file)
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"id": "d1", "body": "text"}\n{"id": "d2"}\n', encoding="utf-8")
+    assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(docs),
+                   "--out", str(tmp_path / "p.jsonl"),
+                   "--config", str(workspace["config"]), "--deterministic") == 2
+    assert f"{docs}:2: missing key 'body'" in capsys.readouterr().err

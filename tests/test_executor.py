@@ -150,6 +150,20 @@ def test_run_subtask_unparseable_twice_degrades_to_unknown():
     assert run.output.get("distant_metastasis") == "unknown"
 
 
+def test_run_subtask_failed_repair_call_names_its_class():
+    plan = refined_plan()
+    spread = plan.subtasks[0]
+
+    def empty_repair(request):
+        return "   " if "could not be parsed" in request.system_prompt else "prose"
+
+    run = run_subtask(local_gateway(empty_repair), spread, plan.prompt_for(spread.id),
+                      Document("d9", "text"))
+    assert run.parse_status == "unparseable"
+    assert run.reasoning == "empty reply after repair: backend returned an empty completion"
+    assert run.output.get("distant_metastasis") == "unknown"
+
+
 def test_run_subtask_transport_failure_degrades():
     plan = refined_plan()
     spread = plan.subtasks[0]
