@@ -1,10 +1,15 @@
 """The two HTTP backends against a local stdlib server: the exact wire
-payloads, the API-key header, and how replies and faults map to errors."""
+bytes, the API-key header, certificate verification, and how replies and
+faults map to errors."""
 
 from __future__ import annotations
 
 import json
+import shutil
+import ssl
+import subprocess
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -15,6 +20,7 @@ from orchkit.gateway import PHASE_CLOUD, PHASE_LOCAL, BackendProfile, Gateway, R
 
 PROXY_VARS = ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
               "http_proxy", "https_proxy", "all_proxy", "no_proxy")
+CA_VARS = ("SSL_CERT_FILE", "SSL_CERT_DIR", "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE")
 
 VESSEL_JSON_SCHEMA = {
     "type": "object",
@@ -37,8 +43,7 @@ MESSAGES = [{"role": "system", "content": "sys"}, {"role": "user", "content": "d
 class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 - http.server's method name
         length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        self.server.seen.append((self.path, dict(self.headers), body))
+        self.server.seen.append((self.path, dict(self.headers), self.rfile.read(length)))
         status, reply = self.server.reply
         data = json.dumps(reply).encode("utf-8")
         self.send_response(status)
@@ -51,24 +56,63 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def server(monkeypatch):
-    for name in PROXY_VARS:
+@contextmanager
+def _serving(monkeypatch, tls: tuple[str, str] | None = None):
+    for name in PROXY_VARS + CA_VARS:
         monkeypatch.delenv(name, raising=False)
     httpd = HTTPServer(("127.0.0.1", 0), _Handler)
+    httpd.base = f"http://127.0.0.1:{httpd.server_port}"
+    if tls is not None:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(*tls)
+        httpd.socket = context.wrap_socket(httpd.socket, server_side=True)
+        httpd.base = f"https://127.0.0.1:{httpd.server_port}"
     httpd.seen = []
     httpd.reply = (200, {})
     thread = threading.Thread(target=httpd.serve_forever, args=(0.01,), daemon=True)
     thread.start()
-    yield httpd
-    httpd.shutdown()
-    httpd.server_close()
-    thread.join(timeout=10)
+    try:
+        yield httpd
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
     assert not thread.is_alive()
 
 
+@pytest.fixture
+def server(monkeypatch):
+    with _serving(monkeypatch) as httpd:
+        yield httpd
+
+
+@pytest.fixture(scope="module")
+def self_signed(tmp_path_factory) -> tuple[str, str]:
+    """A throwaway certificate for 127.0.0.1 that no trust store holds."""
+    if shutil.which("openssl") is None:
+        pytest.skip("openssl is not on PATH")
+    folder = tmp_path_factory.mktemp("tls")
+    cert, key = str(folder / "cert.pem"), str(folder / "key.pem")
+    subprocess.run(["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes",
+                    "-keyout", key, "-out", cert, "-days", "1", "-subj", "/CN=127.0.0.1",
+                    "-addext", "subjectAltName=IP:127.0.0.1"],
+                   check=True, capture_output=True, timeout=60)
+    return cert, key
+
+
+@pytest.fixture
+def tls_server(monkeypatch, self_signed):
+    with _serving(monkeypatch, self_signed) as httpd:
+        yield httpd
+
+
+def _wire(payload: dict) -> bytes:
+    """The request body bytes for a JSON payload."""
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
+
+
 def _gateway(server, channel: str) -> Gateway:
-    base = f"http://127.0.0.1:{server.server_port}"
+    base = server.base
     if channel == "cloud":
         profile, phase = BackendProfile.cloud(f"{base}/v1/", "big-planner"), PHASE_CLOUD
     else:
@@ -100,7 +144,7 @@ def test_local_payload(server, with_schema):
                 "options": {"temperature": 0.2, "num_ctx": 32768}}
     if with_schema:
         expected["format"] = VESSEL_JSON_SCHEMA
-    assert body == expected
+    assert body == _wire(expected)
     assert "Authorization" not in headers
 
 
@@ -122,7 +166,7 @@ def test_cloud_payload_and_key(server, monkeypatch, with_schema, api_key):
     expected = {"model": "big-planner", "messages": MESSAGES, "temperature": 0.8}
     if with_schema:
         expected["response_format"] = {"type": "json_object"}
-    assert body == expected
+    assert body == _wire(expected)
     assert headers["Content-Type"] == "application/json"
     if api_key is None:
         assert "Authorization" not in headers
@@ -151,3 +195,10 @@ def test_reply_without_reply_field_is_malformed(server, channel):
     server.reply = (200, {"unexpected": True})
     with pytest.raises(TransportError, match="malformed"):
         _gateway(server, channel).chat("sys", "doc")
+
+
+def test_cloud_tls_verifies_the_certificate(tls_server):
+    tls_server.reply = (200, _reply("cloud", "planned"))
+    with pytest.raises(TransportError, match="cloud chat call failed"):
+        _gateway(tls_server, "cloud").chat("sys", "doc")
+    assert tls_server.seen == []
