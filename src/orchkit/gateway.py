@@ -24,6 +24,7 @@ replays it.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import threading
@@ -260,15 +261,22 @@ def _schema_to_json_schema(schema: FeatureSchema) -> dict:
 def _post(channel: str, url: str, payload: dict,
           headers: dict[str, str] | None = None) -> tuple[dict, float]:
     """POST a JSON payload; return the decoded reply and the call's latency
-    in ms. Every transport fault becomes a TransportError naming the channel."""
-    import requests
+    in ms. A non-2xx status, a connection fault or timeout and a reply that
+    is not JSON each become a TransportError naming the channel."""
+    import http.client
+    import urllib.error
+    import urllib.request
 
     started = time.perf_counter()
     try:
-        resp = requests.post(url, json=payload, headers=headers, timeout=HTTP_TIMEOUT[channel])
-        resp.raise_for_status()
-        body = resp.json()
-    except Exception as exc:  # noqa: BLE001 - every transport fault maps the same way
+        request = urllib.request.Request(
+            url, data=json.dumps(payload, allow_nan=False).encode("utf-8"),
+            headers={"Content-Type": "application/json", **(headers or {})})
+        with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT[channel]) as resp:
+            body = json.loads(resp.read())
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        if isinstance(exc, urllib.error.HTTPError):
+            exc.close()  # an HTTPError holds the open error reply
         raise TransportError(f"{channel} chat call failed: {exc}") from exc
     return body, (time.perf_counter() - started) * 1000.0
 
@@ -284,10 +292,8 @@ class OpenAIChatBackend:
     def __init__(self, endpoint: str, model: str):
         self.url = f"{endpoint.rstrip('/')}/chat/completions"
         self.model = model
-        self._headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(CLOUD_API_KEY_ENV, "")
-        if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
+        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         payload: dict = {"model": self.model, "messages": _messages(request),
