@@ -15,7 +15,7 @@ class OrchError(Exception):
 # --- gateway ---------------------------------------------------------------
 
 class ModelCallError(OrchError):
-    """A model call gave no usable completion (transport, truncation, refusal).
+    """A model call gave no usable completion (transport, malformed reply, truncation, refusal).
 
     `failure` names the class in the reasons recorded for failed calls.
     """
@@ -39,6 +39,12 @@ class BackendRefusalError(ModelCallError):
     """Backend returned an empty or refused completion."""
 
     failure = "empty reply"
+
+
+class MalformedReplyError(ModelCallError):
+    """Backend answered, but its reply lacks the completion text; not retried."""
+
+    failure = "malformed reply"
 
 
 class UnseenRequestError(OrchError):

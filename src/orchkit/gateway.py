@@ -35,6 +35,7 @@ from pathlib import Path
 
 from .errors import (
     BackendRefusalError,
+    MalformedReplyError,
     PhaseViolationError,
     TransportError,
     TruncatedError,
@@ -306,7 +307,7 @@ class OpenAIChatBackend:
             text = choice["message"]["content"] or ""
             finish = "truncated" if choice.get("finish_reason") == "length" else "complete"
         except (KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed chat-completions reply: {exc}") from exc
+            raise MalformedReplyError(f"malformed chat-completions reply: {exc}") from exc
         return ChatResponse(raw_text=text, finish_reason=finish, latency_ms=latency)
 
 
@@ -327,7 +328,7 @@ class OllamaChatBackend:
         try:
             text = body["message"]["content"] or ""
         except (KeyError, TypeError) as exc:
-            raise TransportError(f"malformed chat reply: {exc}") from exc
+            raise MalformedReplyError(f"malformed chat reply: {exc}") from exc
         finish = "truncated" if body.get("done_reason") == "length" else "complete"
         return ChatResponse(raw_text=text, finish_reason=finish, latency_ms=latency)
 

@@ -5,22 +5,26 @@ faults map to errors."""
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import ssl
 import subprocess
+import sys
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from conftest import vessel_schema
 
-from orchkit.errors import TransportError, TruncatedError
+from orchkit.errors import MalformedReplyError, TransportError, TruncatedError
 from orchkit.gateway import PHASE_CLOUD, PHASE_LOCAL, BackendProfile, Gateway, RetryPolicy
 
 PROXY_VARS = ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
               "http_proxy", "https_proxy", "all_proxy", "no_proxy")
 CA_VARS = ("SSL_CERT_FILE", "SSL_CERT_DIR", "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 VESSEL_JSON_SCHEMA = {
     "type": "object",
@@ -193,8 +197,9 @@ def test_server_error_on_every_attempt_names_channel(server, channel):
 @pytest.mark.parametrize("channel", ["cloud", "local"])
 def test_reply_without_reply_field_is_malformed(server, channel):
     server.reply = (200, {"unexpected": True})
-    with pytest.raises(TransportError, match="malformed"):
+    with pytest.raises(MalformedReplyError, match="malformed"):
         _gateway(server, channel).chat("sys", "doc")
+    assert len(server.seen) == 1
 
 
 def test_cloud_tls_verifies_the_certificate(tls_server):
@@ -202,3 +207,26 @@ def test_cloud_tls_verifies_the_certificate(tls_server):
     with pytest.raises(TransportError, match="cloud chat call failed"):
         _gateway(tls_server, "cloud").chat("sys", "doc")
     assert tls_server.seen == []
+
+
+def test_cloud_tls_trusts_ssl_cert_file(tls_server, monkeypatch, self_signed):
+    monkeypatch.setenv("SSL_CERT_FILE", self_signed[0])
+    tls_server.reply = (200, _reply("cloud", "planned"))
+    assert _gateway(tls_server, "cloud").chat("sys", "doc").raw_text == "planned"
+    assert len(tls_server.seen) == 1
+
+
+def test_http_backends_need_no_requests_package(server):
+    server.reply = (200, {**_reply("cloud", "planned"), **_reply("local", "extracted")})
+    script = ("import sys; sys.modules['requests'] = None\n"
+              "from orchkit.gateway import PHASE_CLOUD, PHASE_LOCAL, BackendProfile, Gateway\n"
+              "print(Gateway(BackendProfile.cloud(sys.argv[1], 'm'), PHASE_CLOUD)"
+              ".chat('sys', 'doc').raw_text)\n"
+              "print(Gateway(BackendProfile.local(sys.argv[1], 'm'), PHASE_LOCAL)"
+              ".chat('sys', 'doc').raw_text)\n")
+    done = subprocess.run([sys.executable, "-c", script, server.base],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["planned", "extracted"]
+    assert [path for path, _headers, _body in server.seen] == ["/chat/completions", "/api/chat"]
