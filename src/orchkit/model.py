@@ -109,11 +109,6 @@ class FieldSpec:
                 return legal
         return None
 
-    def normalize(self, raw: object) -> str:
-        """Lenient form: illegal values collapse to the unknown sentinel."""
-        canonical = self.normalize_strict(raw)
-        return UNKNOWN if canonical is None else canonical
-
 
 @dataclass(frozen=True)
 class FeatureSchema:
@@ -201,31 +196,24 @@ class FeatureSet:
         return issues
 
     @classmethod
-    def from_raw(cls, schema: FeatureSchema, raw: Mapping[str, object], *,
-                 strict: bool = False) -> "FeatureSet":
+    def from_raw(cls, schema: FeatureSchema, raw: Mapping[str, object]) -> "FeatureSet":
         """Build a conforming set from raw extracted values.
 
-        strict=True raises ValueError on undeclared fields, missing required
-        fields, or illegal values; otherwise those collapse to unknown.
+        Raises ValueError on undeclared fields, missing required fields, or
+        illegal values; a missing optional field is unknown.
         """
-        if strict:
-            for name in raw:
-                _require(schema.get(name) is not None, "FeatureSet",
-                         f"undeclared field {name!r}")
+        for name in raw:
+            _require(schema.get(name) is not None, "FeatureSet", f"undeclared field {name!r}")
         values: dict[str, str] = {}
         for f in schema.fields:
             if f.name not in raw:
-                _require(not (strict and f.required), "FeatureSet",
-                         f"required field {f.name!r} missing")
+                _require(not f.required, "FeatureSet", f"required field {f.name!r} missing")
                 values[f.name] = UNKNOWN
                 continue
-            if strict:
-                canonical = f.normalize_strict(raw[f.name])
-                _require(canonical is not None, "FeatureSet",
-                         f"field {f.name!r} has illegal value {raw[f.name]!r}")
-                values[f.name] = canonical  # type: ignore[assignment]
-            else:
-                values[f.name] = f.normalize(raw[f.name])
+            canonical = f.normalize_strict(raw[f.name])
+            _require(canonical is not None, "FeatureSet",
+                     f"field {f.name!r} has illegal value {raw[f.name]!r}")
+            values[f.name] = canonical  # type: ignore[assignment]
         return cls(values)
 
     @classmethod

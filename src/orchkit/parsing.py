@@ -104,7 +104,7 @@ def parse_subtask_output(schema: FeatureSchema, raw_text: str) -> tuple[str, Fea
     if not isinstance(values, dict):
         raise OutputParseError('"values" must be a JSON object')
     try:
-        features = FeatureSet.from_raw(schema, values, strict=True)
+        features = FeatureSet.from_raw(schema, values)
     except ValueError as exc:
         raise OutputParseError(str(exc)) from exc
     return reasoning, features

@@ -250,7 +250,7 @@ def _interpret_cases_reply(raw: str, subtask: Subtask, count: int) -> list[Synth
             raise OutputParseError(f'case {i} needs "input" and "expected"')
         if not isinstance(entry["expected"], dict):
             raise OutputParseError(f'case {i}: "expected" must be an object')
-        expected = FeatureSet.from_raw(subtask.output_schema, entry["expected"], strict=True)
+        expected = FeatureSet.from_raw(subtask.output_schema, entry["expected"])
         cases.append(SyntheticCase(subtask_id=subtask.id,
                                    input_text=str(entry["input"]), expected=expected))
     return cases

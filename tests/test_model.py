@@ -70,17 +70,16 @@ def test_fieldspec_alias_must_target_legal_value():
     with pytest.raises(ValueError, match="aliases"):
         FieldSpec("f", "categorical", ("a", "b"), aliases={"c": "nope"})
     spec = FieldSpec("f", "categorical", ("Present", "Absent"), aliases={"mets": "present"})
-    assert spec.normalize("METS") == "Present"
-    assert spec.normalize(" absent ") == "Absent"
-    assert spec.normalize("garbage") == UNKNOWN
+    assert spec.normalize_strict("METS") == "Present"
+    assert spec.normalize_strict(" absent ") == "Absent"
     assert spec.normalize_strict("garbage") is None
 
 
 def test_boolean_normalization():
     spec = FieldSpec("flag", "boolean", aliases={"yes": "true", "no": "false"})
-    assert spec.normalize(True) == "true"
-    assert spec.normalize("No") == "false"
-    assert spec.normalize("") == UNKNOWN
+    assert spec.normalize_strict(True) == "true"
+    assert spec.normalize_strict("No") == "false"
+    assert spec.normalize_strict("") == UNKNOWN
 
 
 def test_schema_rejects_duplicate_names():
@@ -119,22 +118,15 @@ def test_outcome_label_total_order():
 
 # --- feature sets --------------------------------------------------------------
 
-def test_featureset_from_raw_lenient_fills_unknown():
-    fs = FeatureSet.from_raw(vessel_schema(), {"smv_contact": "ENCASEMENT"})
-    assert fs.get("smv_contact") == "encasement"
-    assert fs.get("celiac_contact") == UNKNOWN
-
-
 def test_featureset_from_raw_strict_rejects():
     schema = vessel_schema()
     with pytest.raises(ValueError, match="smv_contact"):
-        FeatureSet.from_raw(schema, {"smv_contact": "total", "celiac_contact": "true"},
-                            strict=True)
+        FeatureSet.from_raw(schema, {"smv_contact": "total", "celiac_contact": "true"})
     with pytest.raises(ValueError, match="celiac_contact"):
-        FeatureSet.from_raw(schema, {"smv_contact": "none"}, strict=True)
+        FeatureSet.from_raw(schema, {"smv_contact": "none"})
     with pytest.raises(ValueError, match="extra"):
         FeatureSet.from_raw(schema, {"smv_contact": "none", "celiac_contact": "false",
-                                     "extra": "x"}, strict=True)
+                                     "extra": "x"})
 
 
 def test_featureset_conformance_reporting():
