@@ -9,7 +9,7 @@ Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
     0  success
     2  invalid input (missing/malformed files, id mismatches)
     3  planner failure (malformed or repeatedly invalid plan replies)
-    4  transport failure
+    4  failed model call (transport failure, malformed reply, truncation, empty reply)
     5  validation failure (a prompt or revalidation below threshold)
     6  bundle integrity failure (tamper, version, malformed)
     7  privacy refusal (cloud profile active during inference)
