@@ -274,7 +274,7 @@ def _post(channel: str, url: str, payload: dict,
             url, data=json.dumps(payload, allow_nan=False).encode("utf-8"),
             headers={"Content-Type": "application/json", **(headers or {})})
         with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT[channel]) as resp:
-            body = json.loads(resp.read())
+            body = json.load(resp)
     except (OSError, ValueError, http.client.HTTPException) as exc:
         if isinstance(exc, urllib.error.HTTPError):
             exc.close()  # an HTTPError holds the open error reply
