@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -130,32 +131,34 @@ def cmd_validate(args: argparse.Namespace) -> int:
     max_iters = args.max_iters if args.max_iters is not None else config.max_iters
 
     cloud_gateway: list[Gateway] = []  # built lazily: only refinement needs it
+    cloud_lock = threading.Lock()  # two loops may refine at the same moment
 
     def refine(prompt, failures, schema):
-        if not cloud_gateway:
-            cloud_gateway.append(Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD))
+        with cloud_lock:
+            if not cloud_gateway:
+                cloud_gateway.append(Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD))
         return planner.refine_prompt(prompt, failures, cloud_gateway[0],
                                      templates=templates, schema=schema)
 
-    new_prompts = []
-    histories: list[dict] = []
-    any_failed = False
-    for subtask in plan.subtasks:
-        prompt = plan.prompt_for(subtask.id)
-        cases = plan.synthetic_sets.get(subtask.id, ())
-        outcome = validator.run_refinement_loop(
-            subtask, prompt, list(cases), local_gateway,
-            lambda p, f, _s=subtask: refine(p, f, _s.output_schema),
+    def loop(subtask):
+        return validator.run_refinement_loop(
+            subtask, plan.prompt_for(subtask.id),
+            list(plan.synthetic_sets.get(subtask.id, ())), local_gateway,
+            lambda p, f: refine(p, f, subtask.output_schema),
             max_iters=max_iters, threshold=config.threshold,
-            repeats=config.validation_repeats)
-        new_prompts.append(outcome.prompt)
+            repeats=config.validation_repeats, workers=config.workers)
+
+    # One lane per subtask; stdout, history and plan follow plan order.
+    outcomes = executor.run_lanes(loop, plan.subtasks, width=len(plan.subtasks))
+    histories: list[dict] = []
+    for subtask, outcome in zip(plan.subtasks, outcomes):
         histories.extend(validator.history_to_dict(outcome.history))
         final = outcome.history[-1]
         print(f"{subtask.id}: {outcome.prompt.status} at revision "
               f"{outcome.prompt.revision} (pass rate {final.passes}/{final.total}, "
               f"{outcome.refinements_used} refinements)")
-        if outcome.prompt.status == "failed":
-            any_failed = True
+    new_prompts = [outcome.prompt for outcome in outcomes]
+    any_failed = any(prompt.status == "failed" for prompt in new_prompts)
     refined_plan = plan.with_prompts(new_prompts)
     bundlemod.save_plan(refined_plan, args.out)
     if args.emit_history:
@@ -216,15 +219,15 @@ def cmd_infer(args: argparse.Namespace) -> int:
     rounds = args.rounds if args.rounds is not None else runtime.rounds
 
     if args.revalidate:
+        checked = [s for s in plan.subtasks if plan.synthetic_sets.get(s.id)]
+        reports = executor.run_lanes(
+            lambda subtask: validator.validate_prompt(
+                plan.prompt_for(subtask.id), list(plan.synthetic_sets[subtask.id]),
+                gateway, subtask=subtask, threshold=runtime.threshold,
+                repeats=config.validation_repeats, workers=config.workers),
+            checked, width=len(checked))
         below = []
-        for subtask in plan.subtasks:
-            prompt = plan.prompt_for(subtask.id)
-            cases = plan.synthetic_sets.get(subtask.id, ())
-            if not cases:
-                continue
-            report = validator.validate_prompt(prompt, list(cases), gateway,
-                                               subtask=subtask,
-                                               threshold=runtime.threshold)
+        for subtask, report in zip(checked, reports):
             print(f"revalidate {subtask.id}: {report.passes}/{report.total} "
                   f"({report.verdict})")
             if report.verdict != "passed":

@@ -12,10 +12,11 @@ label through the rule program's unknown handling.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 from .errors import ModelCallError, OutputParseError, PhaseViolationError
 from .gateway import KIND_CLOUD_HTTP, PHASE_LOCAL, Gateway
@@ -33,6 +34,9 @@ from .parsing import format_block, parse_subtask_output
 from .ruledsl import SynthesisLogic, evaluate
 
 DEFAULT_ROUNDS = 5
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 _REPAIR_NOTE = (
     "Your previous reply could not be parsed against the output contract. "
@@ -145,15 +149,36 @@ def _predict(logic: SynthesisLogic, doc: Document,
                               tie=sum(1 for n in counts.values() if n == best) > 1)
 
 
+def run_lanes(fn: Callable[[T], R], items: Sequence[T], *, width: int) -> list[R]:
+    """`fn` over every item, up to `width` at once; results in input order.
+
+    Lanes start in input order. If a lane raises, lanes not yet started are
+    cancelled, lanes already running finish, and the error of the first
+    failed lane in input order is raised. At width 1, or with one item, the
+    lanes run in turn on the calling thread, which keeps that contract.
+    """
+    if width <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    pool = ThreadPoolExecutor(max_workers=width)
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # A failed lane started before every cancelled one, so its error is the
+    # first one reading the results in order meets.
+    return [f.result() for f in futures]
+
+
 def run_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
                   rounds: int = DEFAULT_ROUNDS, allow_failed: bool = False,
                   workers: int = 1) -> list[DocumentPrediction]:
     """T inference rounds over every document, majority-voted, in input order.
 
-    One pool runs a lane per (document, subtask); a lane issues that
-    subtask's T rounds in order, so repeated identical requests keep their
-    order at any `workers` (documents in flight). If a lane raises, lanes
-    not yet started are cancelled and its error is raised.
+    run_lanes runs a lane per (document, subtask), `workers` documents in
+    flight with their subtasks at once; a lane issues that subtask's T
+    rounds in order, so repeated identical requests keep their order at any
+    `workers`. A lane's error is raised as run_lanes raises it.
     """
     _require_local(gateway)
     if rounds < 1:
@@ -164,21 +189,16 @@ def run_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
         if prompt is None:
             raise ValueError(f"run_documents: no prompt for subtask {subtask.id!r}")
 
-    def lane(subtask: Subtask, prompt: PromptSpec, doc: Document) -> list[SubtaskRun]:
+    def lane(item: tuple[Document, Subtask, PromptSpec]) -> list[SubtaskRun]:
+        doc, subtask, prompt = item
         return [run_subtask(gateway, subtask, prompt, doc, allow_failed=allow_failed)
                 for _ in range(rounds)]
 
-    pool = ThreadPoolExecutor(max_workers=workers * len(pairs))
-    try:
-        by_doc = [[pool.submit(lane, subtask, prompt, doc) for subtask, prompt in pairs]
-                  for doc in docs]
-        wait([f for futures in by_doc for f in futures], return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    # Lanes start in submission order, so a failed lane comes before every
-    # cancelled one and its error is the one raised here.
-    return [_predict(logic, doc, [f.result() for f in futures])
-            for doc, futures in zip(docs, by_doc)]
+    runs = run_lanes(lane, [(doc, subtask, prompt) for doc in docs
+                            for subtask, prompt in pairs],
+                     width=workers * len(pairs))
+    n = len(pairs)
+    return [_predict(logic, doc, runs[i * n:(i + 1) * n]) for i, doc in enumerate(docs)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Prompt validation against synthetic test sets, and the refinement loop.
 
-A prompt revision is scored by running every synthetic case exactly once on
-the local channel and comparing the parsed extraction field-by-field after
-normalization (trim, case-fold, declared aliases). The loop refines while
+A prompt revision is scored by running every synthetic case on the local
+channel, `repeats` times in a row (once by default), and comparing the
+parsed extraction field-by-field after normalization (trim, case-fold,
+declared aliases). Cases run as lanes of executor.run_lanes, `workers` at
+once, and the report lists them in case order. The loop refines while
 the pass rate is strictly below the threshold — the comparison is exact
 rational arithmetic, so 8/10 against 0.80 passes — and stops after at most
 max_iters refinements, returning the best revision seen with status failed
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelCallError, OutputParseError
+from .executor import run_lanes
 from .gateway import Gateway
 from .model import FeatureSet, PromptSpec, Subtask, SubtaskRun, SyntheticCase
 from .parsing import parse_subtask_output
@@ -94,27 +97,31 @@ def _run_case(gateway: Gateway, prompt: PromptSpec, subtask: Subtask,
 def validate_prompt(prompt: PromptSpec, cases: Sequence[SyntheticCase],
                     gateway: Gateway, *, subtask: Subtask,
                     threshold: float | Fraction = DEFAULT_THRESHOLD,
-                    repeats: int = 1) -> ValidationReport:
-    """Score one prompt revision over its synthetic set, one case at a time.
+                    repeats: int = 1, workers: int = 1) -> ValidationReport:
+    """Score one prompt revision over its synthetic set, `workers` cases at
+    a time.
 
     A failed model call marks its case failed and never aborts the report.
     With repeats > 1 a case only counts as passed when every repeat passes
-    (a stricter reading of "consistently passes"); the default is a single
-    execution per case per revision.
+    (a stricter reading of "consistently passes"); a case's repeats run in
+    order in its lane and stop at the first that fails. The default is a
+    single execution per case per revision.
     """
     if not cases:
         raise ValueError("validate_prompt: cases must be non-empty")
     if repeats < 1:
         raise ValueError("validate_prompt: repeats must be >= 1")
 
-    results: list[CaseResult] = []
-    for index, case in enumerate(cases):
+    def lane(item: tuple[int, SyntheticCase]) -> CaseResult:
+        index, case = item
         result = _run_case(gateway, prompt, subtask, index, case)
         for _ in range(repeats - 1):
             if not result.passed:
                 break
             result = _run_case(gateway, prompt, subtask, index, case)
-        results.append(result)
+        return result
+
+    results = run_lanes(lane, list(enumerate(cases)), width=workers)
     passes = sum(1 for r in results if r.passed)
     verdict = ("passed"
                if Fraction(passes, len(results)) >= _as_fraction(threshold)
@@ -142,12 +149,13 @@ def run_refinement_loop(subtask: Subtask, draft: PromptSpec,
                         refine: RefineFn, *,
                         max_iters: int = DEFAULT_MAX_ITERS,
                         threshold: float | Fraction = DEFAULT_THRESHOLD,
-                        repeats: int = 1) -> RefinementOutcome:
+                        repeats: int = 1, workers: int = 1) -> RefinementOutcome:
     """Validate-refine until the threshold is met or the budget is spent.
 
     `refine` is the cloud-channel rewrite (planner.refine_prompt bound to
     its gateway); revisions are strictly sequential because each rewrite
-    depends on the previous report.
+    depends on the previous report. Each revision runs `workers` cases at a
+    time, as validate_prompt does.
     """
     if max_iters < 1:
         raise ValueError("run_refinement_loop: max_iters must be >= 1")
@@ -155,7 +163,7 @@ def run_refinement_loop(subtask: Subtask, draft: PromptSpec,
     history: list[ValidationReport] = []
     candidates: list[tuple[PromptSpec, ValidationReport]] = []
     report = validate_prompt(prompt, cases, gateway, subtask=subtask,
-                             threshold=threshold, repeats=repeats)
+                             threshold=threshold, repeats=repeats, workers=workers)
     history.append(report)
     candidates.append((prompt, report))
     refinements = 0
@@ -163,7 +171,7 @@ def run_refinement_loop(subtask: Subtask, draft: PromptSpec,
         prompt = refine(prompt, report.failures())
         refinements += 1
         report = validate_prompt(prompt, cases, gateway, subtask=subtask,
-                                 threshold=threshold, repeats=repeats)
+                                 threshold=threshold, repeats=repeats, workers=workers)
         history.append(report)
         candidates.append((prompt, report))
     if report.verdict == "passed":

@@ -1,10 +1,10 @@
-"""Validation through the CLI at several `workers`: the history, the refined
-plan, the predictions and stdout are the same bytes at any setting.
+"""Validation through the lane pool: `run_lanes` itself, and the CLI's
+`validate` and `infer --revalidate` running subtasks and cases as lanes.
 
 The CLI's channels are served by scripted handlers: the local model reads
-the fixture's token markers and flips the spread field on chosen sightings
-of a request, so the bytes depend on each request's sightings keeping
-their order.
+the fixture's token markers, can flip the spread field on chosen sightings
+of a request (so output bytes depend on each request's sightings keeping
+their order) and counts the calls in flight.
 """
 
 from __future__ import annotations
@@ -15,10 +15,20 @@ import threading
 import time
 from collections import Counter
 
+import pytest
+
 from orchkit import cli
 from orchkit.bundle import save_plan
 from orchkit.cli import main
-from orchkit.gateway import PHASE_LOCAL, BackendProfile, Gateway, ScriptedBackend
+from orchkit.errors import UnseenRequestError
+from orchkit.executor import run_lanes
+from orchkit.gateway import (
+    PHASE_CLOUD,
+    PHASE_LOCAL,
+    BackendProfile,
+    Gateway,
+    ScriptedBackend,
+)
 
 from conftest import fake_local_extractor, fixture_documents, golden_plan, refined_plan
 
@@ -136,3 +146,146 @@ def test_validation_bytes_do_not_depend_on_workers(tmp_path, monkeypatch, capsys
     assert "distant_spread: refined at revision 3 (pass rate 3/3, 3 refinements)" in stdout
     assert "vessel_involvement: refined at revision 0" in stdout
     assert [e["verdict"] for e in json.loads(history)] == ["refine"] * 3 + ["passed"] * 2
+
+
+def test_run_lanes_order_width_cancellation_and_error():
+    def slow_first(i):
+        time.sleep(0.01 * (4 - i))
+        return i * i
+
+    for width in (1, 2, 5):
+        assert run_lanes(slow_first, list(range(5)), width=width) == [0, 1, 4, 9, 16]
+    assert run_lanes(slow_first, [], width=3) == []
+
+    lock = threading.Lock()
+    inflight, peak = [0], [0]
+
+    def counted(i):
+        with lock:
+            inflight[0] += 1
+            peak[0] = max(peak[0], inflight[0])
+        time.sleep(0.01)
+        with lock:
+            inflight[0] -= 1
+        return i
+
+    assert run_lanes(counted, list(range(9)), width=3) == list(range(9))
+    assert 1 < peak[0] <= 3
+
+    started, finished = [], []
+
+    def lane(i):
+        with lock:
+            started.append(i)
+        if i == 1:
+            raise ValueError("lane 1")
+        time.sleep(0.05)  # keep started lanes busy while the error is handled
+        with lock:
+            finished.append(i)
+        return i
+
+    for width in (1, 2):
+        started.clear()
+        finished.clear()
+        with pytest.raises(ValueError, match="lane 1"):
+            run_lanes(lane, list(range(8)), width=width)
+        # Lane 2 may take the thread lane 1 freed; later lanes are cancelled,
+        # and every lane that started has finished when the error is raised.
+        assert set(started) <= {0, 1, 2}
+        assert sorted(finished) == sorted(set(started) - {1})
+        assert 0 in finished
+
+    def late_and_early(i):
+        if i == 1:
+            time.sleep(0.02)
+            raise ValueError("lane 1 fails last")
+        if i == 3:
+            raise ValueError("lane 3 fails first")
+        return i
+
+    with pytest.raises(ValueError, match="lane 1 fails last"):
+        run_lanes(late_and_early, list(range(4)), width=4)
+
+
+def test_validate_and_revalidate_run_subtasks_at_once(tmp_path, monkeypatch):
+    ws = write_inputs(tmp_path / "ws", workers=1)
+    model = LocalModel(delay=0.02)
+    scripted_channels(monkeypatch, model)
+    assert validate(ws) == 0
+    assert model.peak == 2
+
+    # Every case fails on its first sighting, so revalidation stops the run
+    # before any document is read and the peak is revalidation's alone.
+    model = LocalModel(flip_on=(1,), delay=0.02)
+    scripted_channels(monkeypatch, model)
+    assert pack(ws, "refined.json") == 0
+    assert infer(ws, "--revalidate") == 5
+    assert not (ws / "preds.jsonl").exists()
+    assert model.peak == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_calls_in_flight_stay_within_workers_times_subtasks(tmp_path, monkeypatch,
+                                                            workers):
+    ws = write_inputs(tmp_path / "ws", cases=6, workers=workers)
+    validating = LocalModel(delay=0.02)
+    scripted_channels(monkeypatch, validating)
+    assert validate(ws) == 0
+    inferring = LocalModel(delay=0.02)
+    scripted_channels(monkeypatch, inferring)
+    assert pack(ws, "validated.json") == 0
+    assert infer(ws, "--revalidate") == 0
+    for model in (validating, inferring):
+        assert 2 <= model.peak <= workers * 2
+    if workers > 1:
+        assert validating.peak > 2  # cases run as lanes too
+
+
+def test_case_lane_error_exits_4_and_writes_nothing(tmp_path, monkeypatch):
+    ws = write_inputs(tmp_path / "ws", workers=2)
+
+    def unseen_vessel_case(request):
+        if "vessel case 1" in request.user_content:
+            raise UnseenRequestError("no recorded response")
+        return fake_local_extractor(request)
+
+    scripted_channels(monkeypatch, unseen_vessel_case)
+    assert validate(ws, "--emit-history", str(ws / "history.json")) == 4
+    assert not (ws / "validated.json").exists()
+    assert not (ws / "history.json").exists()
+
+
+def test_cloud_gateway_built_once_and_only_for_refinement(tmp_path, monkeypatch, capsys):
+    def drafts_guess_unknown(request):
+        reply = json.loads(fake_local_extractor(request))
+        if request.system_prompt.startswith("Extract"):
+            reply["values"] = dict.fromkeys(reply["values"], "unknown")
+        return json.dumps(reply)
+
+    ws = write_inputs(tmp_path / "ws", workers=1)
+    built = scripted_channels(monkeypatch, drafts_guess_unknown)
+    make = cli.Gateway
+
+    def slow_make(profile, phase):
+        time.sleep(0.05)  # widen the window in which both loops could build one
+        return make(profile, phase)
+
+    monkeypatch.setattr(cli, "Gateway", slow_make)
+    assert validate(ws) == 0
+    assert "distant_spread: refined at revision 1" in capsys.readouterr().out
+    assert built.count(PHASE_CLOUD) == 1
+
+    built = scripted_channels(monkeypatch, fake_local_extractor)
+    assert validate(ws) == 0
+    assert built == [PHASE_LOCAL]
+
+
+def test_revalidate_honours_validation_repeats(tmp_path, monkeypatch):
+    ws = write_inputs(tmp_path / "ws", validation_repeats=2)
+    model = LocalModel()
+    scripted_channels(monkeypatch, model)
+    assert pack(ws, "refined.json") == 0
+    assert infer(ws, "--revalidate") == 0
+    case_sightings = [n for (_system, user), n in model.seen.items()
+                      if user.startswith("synthetic")]
+    assert case_sightings == [2] * 6
