@@ -165,8 +165,8 @@ def run_lanes(fn: Callable[[T], R], items: Sequence[T], *, width: int) -> list[R
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         pool.shutdown(cancel_futures=True)
-    # A failed lane started before every cancelled one, so its error is the
-    # first one reading the results in order meets.
+    # Lanes start in input order, so every cancelled lane comes after every
+    # failed one, and reading the results in order raises the first failure.
     return [f.result() for f in futures]
 
 
