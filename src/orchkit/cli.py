@@ -123,6 +123,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _LaneStopped(Exception):
+    """Another refinement loop of the same `validate` raised."""
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     plan = bundlemod.load_plan(args.plan)
@@ -132,8 +136,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     cloud_gateway: list[Gateway] = []  # built lazily: only refinement needs it
     cloud_lock = threading.Lock()  # two loops may refine at the same moment
+    stop = threading.Event()  # set when a loop raises: the others rewrite no more
 
     def refine(prompt, failures, schema):
+        if stop.is_set():
+            raise _LaneStopped
         with cloud_lock:
             if not cloud_gateway:
                 cloud_gateway.append(Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD))
@@ -141,12 +148,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
                                      templates=templates, schema=schema)
 
     def loop(subtask):
-        return validator.run_refinement_loop(
-            subtask, plan.prompt_for(subtask.id),
-            list(plan.synthetic_sets.get(subtask.id, ())), local_gateway,
-            lambda p, f: refine(p, f, subtask.output_schema),
-            max_iters=max_iters, threshold=config.threshold,
-            repeats=config.validation_repeats, workers=config.workers)
+        try:
+            return validator.run_refinement_loop(
+                subtask, plan.prompt_for(subtask.id),
+                list(plan.synthetic_sets.get(subtask.id, ())), local_gateway,
+                lambda p, f: refine(p, f, subtask.output_schema),
+                max_iters=max_iters, threshold=config.threshold,
+                repeats=config.validation_repeats, workers=config.workers)
+        except _LaneStopped:
+            return None  # never read: run_lanes raises the failed loop's error
+        except Exception:
+            stop.set()
+            raise
 
     # One lane per subtask; stdout, history and plan follow plan order.
     outcomes = executor.run_lanes(loop, plan.subtasks, width=len(plan.subtasks))

@@ -154,12 +154,9 @@ def run_lanes(fn: Callable[[T], R], items: Sequence[T], *, width: int) -> list[R
 
     Lanes start in input order. If a lane raises, lanes not yet started are
     cancelled, lanes already running finish, and the error of the first
-    failed lane in input order is raised. At width 1, or with one item, the
-    lanes run in turn on the calling thread, which keeps that contract.
+    failed lane in input order is raised.
     """
-    if width <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    pool = ThreadPoolExecutor(max_workers=width)
+    pool = ThreadPoolExecutor(max_workers=max(width, 1))  # width 0: no items
     try:
         futures = [pool.submit(fn, item) for item in items]
         wait(futures, return_when=FIRST_EXCEPTION)

@@ -255,6 +255,29 @@ def test_case_lane_error_exits_4_and_writes_nothing(tmp_path, monkeypatch):
     assert not (ws / "history.json").exists()
 
 
+def test_failed_loop_stops_the_other_loops_rewrites(tmp_path, monkeypatch):
+    # Spread never passes, so alone it would spend all five rewrites; its
+    # first revision's cases outlast the vessel lane's error.
+    ws = write_inputs(tmp_path / "ws", workers=1, max_iters=5)
+    stuck = LocalModel(flip_on=range(1, 100), delay=0.05)
+
+    def local(request):
+        if "vessel case 1" in request.user_content:
+            raise UnseenRequestError("no recorded response")
+        return stuck(request)
+
+    rewrites = []
+
+    def cloud(request):
+        rewrites.append(request)
+        return cloud_rewrite(request)
+
+    scripted_channels(monkeypatch, local, cloud)
+    assert validate(ws) == 4
+    assert not (ws / "validated.json").exists()
+    assert rewrites == []
+
+
 def test_cloud_gateway_built_once_and_only_for_refinement(tmp_path, monkeypatch, capsys):
     def drafts_guess_unknown(request):
         reply = json.loads(fake_local_extractor(request))
