@@ -20,7 +20,6 @@ from .gateway import (
     PHASE_LOCAL,
     RetryPolicy,
     ScriptedBackend,
-    record_and_replay,
 )
 from .model import (
     Document,
@@ -39,7 +38,7 @@ from .model import (
     make_labels,
     validate_plan,
 )
-from .ruledsl import SynthesisLogic, analyze, evaluate, parse_logic, pretty
+from .ruledsl import SynthesisLogic, evaluate, parse_logic, pretty
 from .validator import ValidationReport, run_refinement_loop, validate_prompt
 
 __version__ = "0.1.0"
@@ -50,7 +49,7 @@ __all__ = [
     "OrchError", "OutcomeLabel", "PHASE_CLOUD", "PHASE_LOCAL", "Plan",
     "PromptSpec", "RetryPolicy", "RuntimeDefaults", "ScriptedBackend",
     "Subtask", "SubtaskRun", "SyntheticCase", "SynthesisLogic", "TaskSpec",
-    "UNKNOWN", "UserPrefs", "ValidationReport", "analyze", "evaluate",
-    "make_labels", "pack", "parse_logic", "pretty", "record_and_replay",
-    "run_refinement_loop", "unpack", "validate_plan", "validate_prompt",
+    "UNKNOWN", "UserPrefs", "ValidationReport", "evaluate", "make_labels",
+    "pack", "parse_logic", "pretty", "run_refinement_loop", "unpack",
+    "validate_plan", "validate_prompt",
 ]

@@ -207,7 +207,6 @@ class ArtifactBundle:
     """Verified view over unpacked bundle sections."""
 
     sections: Mapping[str, object]
-    raw: bytes
 
     @property
     def format_version(self) -> str:
@@ -296,11 +295,6 @@ def pack(plan: Plan, runtime: RuntimeDefaults | None = None, *,
     return _render(sections)
 
 
-def repack(bundle: ArtifactBundle) -> bytes:
-    """Re-render an unpacked bundle; canonical form makes this the identity."""
-    return _render(dict(bundle.sections))
-
-
 def unpack(data: bytes) -> ArtifactBundle:
     """Verify every hash, then yield the bundle contents.
 
@@ -346,7 +340,7 @@ def unpack(data: bytes) -> ArtifactBundle:
     if major != ours:
         raise VersionIncompatibleError(
             f"bundle format {version} is incompatible with reader {FORMAT_VERSION}")
-    bundle = ArtifactBundle(sections=sections, raw=bytes(data))
+    bundle = ArtifactBundle(sections=sections)
     _check_written_digests(bundle)
     return bundle
 

@@ -130,6 +130,9 @@ class _LaneStopped(Exception):
 def cmd_validate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     plan = bundlemod.load_plan(args.plan)
+    for subtask in plan.subtasks:
+        if plan.prompt_for(subtask.id) is None:
+            raise ValueError(f"validate: no prompt for subtask {subtask.id!r}")
     local_gateway = Gateway(config.local.to_profile("local"), PHASE_LOCAL)
     templates = _templates(config)
     max_iters = args.max_iters if args.max_iters is not None else config.max_iters

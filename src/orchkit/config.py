@@ -127,21 +127,30 @@ def _apply(config: Config, key: str, value: str, lineno: int) -> None:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         profile = getattr(config, channel)
         if attr == "temperature":
-            setattr(profile, attr, float(value))
+            setattr(profile, attr, _number(float, key, value, lineno))
         elif attr == "context":
-            setattr(profile, attr, int(value))
+            setattr(profile, attr, _number(int, key, value, lineno))
         else:
             setattr(profile, attr, value)
         return
     if key in ("rounds", "max_iters", "synthetic_cases_per_subtask",
                "min_synthetic_cases", "validation_repeats", "workers"):
-        setattr(config, key, int(value))
+        setattr(config, key, _number(int, key, value, lineno))
     elif key == "threshold":
-        config.threshold = float(value)
+        config.threshold = _number(float, key, value, lineno)
     elif key == "templates_dir":
         config.templates_dir = value
     else:
         raise ValueError(f"config line {lineno}: unknown key {key!r}")
+
+
+def _number(kind: type, key: str, value: str, lineno: int) -> int | float:
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(
+            f"config line {lineno}: {key} must be {what}, got {value!r}") from None
 
 
 def load_config(path: str | Path | None = None) -> Config:

@@ -114,13 +114,6 @@ def kappa_from_matrix(matrix: Sequence[Sequence[int]]) -> KappaResult:
     return KappaResult(kappa=float((p_o - p_e) / (1 - p_e)), degenerate=False)
 
 
-def cohen_kappa(pred: LabeledSet, gt: LabeledSet,
-                labels: Sequence[str] | None = None) -> KappaResult:
-    """Chance-corrected agreement over scored documents."""
-    result = confusion(pred, gt, labels)
-    return kappa_from_matrix(result.matrix)
-
-
 @dataclass(frozen=True)
 class ConfusionResult:
     labels: tuple[str, ...]

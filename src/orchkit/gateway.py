@@ -18,8 +18,8 @@ Backends:
 Every call enters through Gateway.chat, which builds the request from the
 profile's defaults. RecordingBackend wraps any backend and appends each
 request/response pair to a session file, JSON lines keyed by a content
-digest of the request; record_and_replay(session) builds the profile that
-replays it.
+digest of the request; BackendProfile.scripted(session=...) builds the
+profile that replays it.
 """
 
 from __future__ import annotations
@@ -415,8 +415,3 @@ class Gateway:
         raise TransportError(
             f"gave up after {self.retry.attempts} attempts: {last_error}") from last_error
 
-
-def record_and_replay(session_path: str | Path) -> BackendProfile:
-    """A scripted profile that replays a recorded session; unseen requests
-    raise. Sessions are recorded by wrapping a backend in RecordingBackend."""
-    return BackendProfile.scripted(session=str(session_path))

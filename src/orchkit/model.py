@@ -277,13 +277,6 @@ class UserPrefs:
         object.__setattr__(self, "include_entities", tuple(self.include_entities))
         object.__setattr__(self, "exclude_entities", tuple(self.exclude_entities))
 
-    def label_named(self, name: str) -> OutcomeLabel | None:
-        folded = name.strip().casefold()
-        for lbl in self.output_labels:
-            if lbl.name.casefold() == folded:
-                return lbl
-        return None
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -459,9 +452,6 @@ class Plan:
             if p.subtask_id == subtask_id:
                 return p
         return None
-
-    def union_schema(self) -> FeatureSchema:
-        return merge_schemas([s.output_schema for s in self.subtasks])
 
     def parsed_logic(self):
         """Parse logic_source against this plan's schemas and labels."""

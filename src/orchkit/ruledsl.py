@@ -1,4 +1,4 @@
-"""Synthesis-logic DSL: parse, statically check, evaluate, and analyze the
+"""Synthesis-logic DSL: parse, statically check, and evaluate the
 deterministic ordered-rule program that maps merged subtask outputs onto a
 final outcome label.
 
@@ -30,7 +30,6 @@ severity rules.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -42,11 +41,6 @@ from .errors import (
     UnknownFieldError,
 )
 from .model import UNKNOWN, FeatureSchema, FeatureSet, OutcomeLabel, merge_schemas
-
-# Internal stand-in for "any text value other than the constants the program
-# mentions"; sound because atoms only test equality against constants.
-_OTHER = "\x00other\x00"
-
 
 # ---------------------------------------------------------------------------
 # AST
@@ -422,124 +416,3 @@ def pretty(logic: SynthesisLogic) -> str:
              for rule in logic.rules]
     lines.append(f"default -> {_quote_if_needed(logic.default_label.name)}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Static analysis
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    unreachable_rules: tuple[int, ...]
-    unread_fields: tuple[str, ...]
-    unknown_sensitive_fields: tuple[str, ...]
-    exhaustive: bool
-    space_size: int
-
-
-def _referenced_fields(logic: SynthesisLogic) -> list[str]:
-    seen: list[str] = []
-
-    def walk(node: object) -> None:
-        if isinstance(node, (Eq, Ne, In, IsUnknown)):
-            if node.field not in seen:
-                seen.append(node.field)
-        elif isinstance(node, Not):
-            walk(node.inner)
-        elif isinstance(node, (And, Or)):
-            for p in node.parts:
-                walk(p)
-
-    for rule in logic.rules:
-        walk(rule.condition)
-    return seen
-
-
-def _text_constants(logic: SynthesisLogic, field: str) -> list[str]:
-    constants: list[str] = []
-
-    def walk(node: object) -> None:
-        if isinstance(node, (Eq, Ne)) and node.field == field:
-            if node.value not in constants:
-                constants.append(node.value)
-        elif isinstance(node, In) and node.field == field:
-            for v in node.values:
-                if v not in constants:
-                    constants.append(v)
-        elif isinstance(node, Not):
-            walk(node.inner)
-        elif isinstance(node, (And, Or)):
-            for p in node.parts:
-                walk(p)
-
-    for rule in logic.rules:
-        walk(rule.condition)
-    return constants
-
-
-def _domain(logic: SynthesisLogic, spec) -> list[str]:
-    if spec.kind == "categorical":
-        return list(spec.values) + [UNKNOWN]
-    if spec.kind == "boolean":
-        return ["true", "false", UNKNOWN]
-    # Text: equality against mentioned constants plus an "anything else"
-    # stand-in is a sound finite abstraction for this predicate language.
-    return _text_constants(logic, spec.name) + [_OTHER, UNKNOWN]
-
-
-def _first_match(logic: SynthesisLogic, features: Mapping[str, str]) -> int:
-    for i, rule in enumerate(logic.rules):
-        if _holds(rule.condition, features):
-            return i
-    return len(logic.rules)  # default
-
-
-def analyze(logic: SynthesisLogic, *, max_space: int = 10_000) -> AnalysisReport:
-    """Report unreachable rules, never-read fields, and per-field unknown
-    sensitivity.
-
-    Exact (exhaustive over the finite abstract input space) when that space
-    is within max_space; otherwise falls back to a conservative heuristic
-    and says so via `exhaustive=False`.
-    """
-    referenced = _referenced_fields(logic)
-    unread = tuple(n for n in logic.schema.field_names() if n not in referenced)
-
-    domains = {name: _domain(logic, logic.schema.get(name)) for name in referenced}
-    space = 1
-    for d in domains.values():
-        space *= len(d)
-
-    if space > max_space:
-        # Heuristic: only literal duplicate conditions are flagged, and every
-        # referenced field is conservatively reported unknown-sensitive.
-        unreachable = []
-        seen_conditions: list[object] = []
-        for i, rule in enumerate(logic.rules):
-            if rule.condition in seen_conditions:
-                unreachable.append(i)
-            seen_conditions.append(rule.condition)
-        return AnalysisReport(tuple(unreachable), unread, tuple(referenced),
-                              exhaustive=False, space_size=space)
-
-    names = list(domains)
-    first_hits: set[int] = set()
-    sensitive: set[str] = set()
-    for combo in itertools.product(*(domains[n] for n in names)):
-        features = dict(zip(names, combo))
-        hit = _first_match(logic, features)
-        first_hits.add(hit)
-        outcome = logic.rules[hit].label if hit < len(logic.rules) else logic.default_label
-        for name in names:
-            if name in sensitive or features[name] == UNKNOWN:
-                continue
-            flipped = dict(features)
-            flipped[name] = UNKNOWN
-            hit2 = _first_match(logic, flipped)
-            outcome2 = logic.rules[hit2].label if hit2 < len(logic.rules) else logic.default_label
-            if outcome2 != outcome:
-                sensitive.add(name)
-    unreachable = tuple(i for i in range(len(logic.rules)) if i not in first_hits)
-    return AnalysisReport(unreachable, unread,
-                          tuple(n for n in referenced if n in sensitive),
-                          exhaustive=True, space_size=space)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from orchkit import executor
-from orchkit.bundle import load_plan, pack, read_bundle, write_bundle
+from orchkit.bundle import load_plan, pack, read_bundle, save_plan, write_bundle
 from orchkit.cli import main
 from orchkit.gateway import (
     PHASE_CLOUD,
@@ -17,7 +18,7 @@ from orchkit.gateway import (
     ScriptedBackend,
 )
 
-from conftest import build_e2e_workspace, refined_plan
+from conftest import build_e2e_workspace, golden_plan, refined_plan
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +213,28 @@ def test_validate_stuck_prompt_exit_5(tmp_path):
                    "--config", str(ws["config"]), "--deterministic",
                    "--allow-failed") == 0
     assert read_bundle(bundle_file).allow_failed is True
+
+
+def test_validate_subtask_without_prompt_exit_2(tmp_path, monkeypatch, capsys):
+    plan = golden_plan()
+    first, second = plan.subtasks
+    plan_file = tmp_path / "plan.json"
+    save_plan(dataclasses.replace(plan, prompts=(
+        dataclasses.replace(plan.prompts[0], subtask_id=second.id), plan.prompts[1])),
+        plan_file)
+    session = tmp_path / "empty.jsonl"
+    session.write_text("", encoding="utf-8")
+    config = tmp_path / "orch.cfg"
+    config.write_text(f"cloud.kind = scripted\ncloud.session = {session}\n"
+                      f"local.kind = scripted\nlocal.session = {session}\n", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(Gateway, "complete", lambda gw, request: calls.append(request))
+    code = run_cli("validate", "--plan", str(plan_file), "--out", str(tmp_path / "v.json"),
+                   "--config", str(config))
+    assert code == 2
+    assert repr(first.id) in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_infer_privacy_guard_exit_7(workspace, tmp_path):

@@ -69,3 +69,15 @@ def test_env_var_names_the_config(tmp_path, monkeypatch):
     assert load_config().rounds == 9
     monkeypatch.delenv("ORCH_CONFIG")
     assert load_config().rounds == 5
+
+
+@pytest.mark.parametrize("line, message", [
+    ("workers = four", "config line 2: workers must be an integer, got 'four'"),
+    ("threshold = high", "config line 2: threshold must be a number, got 'high'"),
+    ("local.temperature = hot", "config line 2: local.temperature must be a number, got 'hot'"),
+    ("local.context = big", "config line 2: local.context must be an integer, got 'big'"),
+], ids=["workers", "threshold", "local.temperature", "local.context"])
+def test_non_numeric_value_names_its_line(line, message):
+    with pytest.raises(ValueError) as info:
+        parse_config(f"rounds = 3\n{line}\n")
+    assert str(info.value) == message

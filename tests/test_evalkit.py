@@ -12,7 +12,6 @@ from orchkit.evalkit import (
     INDETERMINATE,
     LabeledSet,
     accuracy,
-    cohen_kappa,
     confusion,
     evaluate_report,
     kappa_from_matrix,
@@ -88,7 +87,7 @@ def test_labeled_set_rejects_duplicate_ids():
 
 def test_kappa_perfect_agreement_is_one():
     pred, gt = build_sets(n_scored=20, n_correct=20)
-    assert cohen_kappa(pred, gt, STAGES).kappa == 1.0
+    assert kappa_from_matrix(confusion(pred, gt, STAGES).matrix).kappa == 1.0
 
 
 def test_kappa_uniform_2x2_is_zero():
@@ -115,17 +114,17 @@ def test_kappa_four_class_oracle_value():
 def test_kappa_degenerate_single_class():
     pred = LabeledSet("p", (("a", "x"), ("b", "x")))
     gt = LabeledSet("gt", (("a", "x"), ("b", "x")))
-    result = cohen_kappa(pred, gt, labels=("x",))
+    result = kappa_from_matrix(confusion(pred, gt, labels=("x",)).matrix)
     assert result.kappa == 1.0 and result.degenerate
 
 
 def test_kappa_invariant_under_consistent_relabeling():
     pred, gt = build_sets(n_scored=40, n_correct=23)
-    base = cohen_kappa(pred, gt, STAGES).kappa
+    base = kappa_from_matrix(confusion(pred, gt, STAGES).matrix).kappa
     mapping = dict(zip(STAGES, ("D", "C", "B", "A")))
     pred2 = LabeledSet("p", tuple((i, mapping[lbl]) for i, lbl in pred.pairs))
     gt2 = LabeledSet("gt", tuple((i, mapping[lbl]) for i, lbl in gt.pairs))
-    permuted = cohen_kappa(pred2, gt2, ("A", "B", "C", "D")).kappa
+    permuted = kappa_from_matrix(confusion(pred2, gt2, ("A", "B", "C", "D")).matrix).kappa
     assert permuted == pytest.approx(base, abs=1e-12)
 
 

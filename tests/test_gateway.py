@@ -25,7 +25,6 @@ from orchkit.gateway import (
     ReplayBackend,
     RetryPolicy,
     ScriptedBackend,
-    record_and_replay,
     request_digest,
 )
 
@@ -164,7 +163,7 @@ def _record_three(tmp_path):
 
 def test_record_then_replay_round_trip(tmp_path):
     session, recorded = _record_three(tmp_path)
-    replay_gw = Gateway(record_and_replay(session), PHASE_CLOUD, sleep=NO_SLEEP)
+    replay_gw = Gateway(BackendProfile.scripted(session=str(session)), PHASE_CLOUD, sleep=NO_SLEEP)
     for i, original in enumerate(recorded):
         again = replay_gw.chat("sys", f"call {i}")
         assert again.raw_text == original.raw_text
@@ -173,7 +172,7 @@ def test_record_then_replay_round_trip(tmp_path):
 
 def test_replay_unseen_request_errors(tmp_path):
     session, _ = _record_three(tmp_path)
-    replay_gw = Gateway(record_and_replay(session), PHASE_CLOUD, sleep=NO_SLEEP)
+    replay_gw = Gateway(BackendProfile.scripted(session=str(session)), PHASE_CLOUD, sleep=NO_SLEEP)
     with pytest.raises(UnseenRequestError):
         replay_gw.chat("sys", "call 3")
 
@@ -182,7 +181,7 @@ def test_replay_is_deterministic_across_runs(tmp_path):
     session, _ = _record_three(tmp_path)
 
     def transcript() -> str:
-        gw = Gateway(record_and_replay(session), PHASE_CLOUD, sleep=NO_SLEEP)
+        gw = Gateway(BackendProfile.scripted(session=str(session)), PHASE_CLOUD, sleep=NO_SLEEP)
         out = [gw.chat("sys", f"call {i}").raw_text for i in range(3)]
         return hashlib.sha256(json.dumps(out).encode()).hexdigest()
 
@@ -209,4 +208,4 @@ def test_replay_sequences_stick_on_last(tmp_path):
 
 def test_record_and_replay_requires_existing_session(tmp_path):
     with pytest.raises(TransportError, match="not found"):
-        Gateway(record_and_replay(tmp_path / "missing.jsonl"), PHASE_CLOUD)
+        Gateway(BackendProfile.scripted(session=str(tmp_path / "missing.jsonl")), PHASE_CLOUD)

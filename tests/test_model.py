@@ -52,7 +52,6 @@ def test_userprefs_needs_two_distinct_labels():
 def test_userprefs_accepts_plain_names():
     prefs = UserPrefs(output_labels=("low", "high"))
     assert prefs.output_labels[1] == OutcomeLabel("high", 1)
-    assert prefs.label_named(" HIGH ") == OutcomeLabel("high", 1)
 
 
 def test_fieldspec_categorical_needs_values():

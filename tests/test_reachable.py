@@ -1,0 +1,61 @@
+"""Every public function, class and method in orchkit is reached by the
+program itself: another orchkit module or a benchmark script names it.
+
+Tests and the package's own re-exports do not count, so code kept alive only
+by a test or by `__init__.py` fails here. The benchmark's tracer wraps
+functions by name, so string constants that are identifiers count as uses.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "orchkit"
+
+
+def _uses(tree: ast.AST) -> Counter[str]:
+    used: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name.rsplit(".", 1)[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            used[node.value] += 1
+    return used
+
+
+def _public_defs(module: ast.Module):
+    """Module-level public functions and classes, and public methods."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in module.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, kinds) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
+def test_every_public_name_is_reached_by_the_program():
+    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted((ROOT / "bench").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in sources}
+    used: Counter[str] = Counter()
+    for tree in trees.values():
+        used += _uses(tree)
+
+    unreached = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for qualname, node in _public_defs(tree):
+            if used[node.name] - _uses(node)[node.name] <= 0:
+                unreached.append(f"{path.stem}.{qualname}")
+    assert unreached == [], f"public names no program path reaches: {unreached}"

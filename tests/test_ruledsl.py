@@ -1,4 +1,4 @@
-"""Rule-DSL parser, evaluator, and analyzer against independent oracles."""
+"""Rule-DSL parser and evaluator against independent oracles."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from orchkit.errors import (
     UnknownFieldError,
 )
 from orchkit.model import UNKNOWN, FeatureSchema, FeatureSet, FieldSpec, make_labels
-from orchkit.ruledsl import Rule, analyze, evaluate, parse_logic, pretty
+from orchkit.ruledsl import Rule, evaluate, parse_logic, pretty
 
 from conftest import golden_plan
 from dslgen import LABELS, all_inputs, oracle_evaluate, random_program_source, random_schema
@@ -198,74 +198,6 @@ def test_pretty_round_trip():
                            [s.output_schema for s in golden_plan().subtasks],
                            golden_plan().labels)
     assert regolden.rules == golden.rules
-
-
-# --- analysis ---------------------------------------------------------------------
-
-def test_analyze_flags_duplicate_rule_unreachable():
-    logic = parse_logic(
-        "when distant_metastasis == present -> Metastatic;"
-        "when distant_metastasis == present -> Resectable;"
-        "default -> Resectable", [minimal_schema()], TWO_LABELS)
-    report = analyze(logic)
-    assert report.exhaustive
-    assert report.unreachable_rules == (1,)
-
-
-def test_analyze_flags_dead_field():
-    schema = FeatureSchema((FieldSpec("used", "boolean"), FieldSpec("dead", "boolean")))
-    logic = parse_logic("when used == true -> Metastatic; default -> Resectable",
-                        [schema], TWO_LABELS)
-    report = analyze(logic)
-    assert report.unread_fields == ("dead",)
-
-
-def test_analyze_unknown_sensitivity_matches_flip_oracle():
-    plan = golden_plan()
-    logic = plan.parsed_logic()
-    report = analyze(logic)
-    assert report.exhaustive
-
-    # Brute flip oracle over the full concrete space.
-    schema = plan.union_schema()
-    sensitive = set()
-    for features in all_inputs(schema):
-        base = oracle_evaluate(logic, features)
-        for name in schema.field_names():
-            if features[name] == UNKNOWN:
-                continue
-            flipped = dict(features)
-            flipped[name] = UNKNOWN
-            if oracle_evaluate(logic, flipped) != base:
-                sensitive.add(name)
-    assert set(report.unknown_sensitive_fields) == sensitive
-    assert sensitive  # the golden program is unknown-sensitive somewhere
-
-
-def test_analyze_heuristic_on_oversized_space():
-    schema = FeatureSchema((FieldSpec("t", "text"),))
-    labels = TWO_LABELS
-    logic = parse_logic('when t == "x" -> Metastatic; when t == "x" -> Metastatic; '
-                        "default -> Resectable", [schema], labels)
-    report = analyze(logic, max_space=1)
-    assert not report.exhaustive
-    assert 1 in report.unreachable_rules
-
-
-def test_analyze_text_fields_finite_abstraction():
-    schema = FeatureSchema((FieldSpec("t", "text"),))
-    logic = parse_logic('when t == "x" -> Metastatic; default -> Resectable',
-                        [schema], TWO_LABELS)
-    report = analyze(logic)
-    assert report.exhaustive
-    # t = "x" gives Metastatic, flipping to unknown falls to the default.
-    assert report.unknown_sensitive_fields == ("t",)
-
-    # Counterpoint: != matches unknown, so this pair covers every input and
-    # flipping to unknown cannot change the outcome.
-    covered = parse_logic('when t == "x" -> Metastatic; when t != "x" -> Metastatic; '
-                          "default -> Resectable", [schema], TWO_LABELS)
-    assert analyze(covered).unknown_sensitive_fields == ()
 
 
 def test_rule_ast_is_plain_data():
