@@ -254,16 +254,17 @@ def cmd_infer(args: argparse.Namespace) -> int:
                          + "; not touching documents")
 
     docs = executor.load_documents(args.docs)
-    preds = executor.run_documents(gateway, plan, docs, rounds=rounds,
-                                   allow_failed=artifact.allow_failed,
-                                   workers=config.workers)
-    executor.write_predictions(preds, args.out)
-    summary = executor.summarize(preds, plan.labels, rounds=rounds)
+    preds = executor.iter_documents(gateway, plan, docs, rounds=rounds,
+                                    allow_failed=artifact.allow_failed,
+                                    workers=config.workers)
+    tally = executor.Tally()
+    executor.write_predictions(tally.counted(preds), args.out)
+    summary = executor.summarize(tally, plan.labels, rounds=rounds)
     if not args.deterministic:
         summary["completed_at"] = _now_iso()
     if args.summary:
         write_json(args.summary, summary)
-    print(f"{len(preds)} predictions written to {args.out}")
+    print(f"{tally.documents} predictions written to {args.out}")
     return EXIT_OK
 
 

@@ -127,7 +127,11 @@ def _apply(config: Config, key: str, value: str, lineno: int) -> None:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         profile = getattr(config, channel)
         if attr == "temperature":
-            setattr(profile, attr, _number(float, key, value, lineno))
+            temperature = _number(float, key, value, lineno)
+            if not 0.0 <= temperature <= 2.0:  # also rejects nan
+                raise ValueError(
+                    f"config line {lineno}: {key} must be in [0, 2], got {value!r}")
+            profile.temperature = temperature
         elif attr == "context":
             setattr(profile, attr, _number(int, key, value, lineno))
         else:

@@ -11,10 +11,11 @@ label through the rule program's unknown handling.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from collections import Counter, deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import TypeVar
 
@@ -149,53 +150,82 @@ def _predict(logic: SynthesisLogic, doc: Document,
                               tie=sum(1 for n in counts.values() if n == best) > 1)
 
 
-def run_lanes(fn: Callable[[T], R], items: Sequence[T], *, width: int) -> list[R]:
-    """`fn` over every item, up to `width` at once; results in input order.
+def iter_lanes(fn: Callable[[T], R], items: Sequence[T], *, width: int) -> Iterator[R]:
+    """`fn` over every item, up to `width` at once; yields lane i's result
+    once lanes 0..i are done, and keeps no future it has yielded.
 
     Lanes start in input order. If a lane raises, lanes not yet started are
-    cancelled, lanes already running finish, and the error of the first
-    failed lane in input order is raised.
+    cancelled at once, lanes already running finish, and the error of the
+    first failed lane in input order is raised after the results before it
+    have been yielded. Closing the iterator early cancels and waits the same.
     """
     pool = ThreadPoolExecutor(max_workers=max(width, 1))  # width 0: no items
     try:
-        futures = [pool.submit(fn, item) for item in items]
-        wait(futures, return_when=FIRST_EXCEPTION)
+        futures = deque(pool.submit(fn, item) for item in items)
+
+        def stop_on_error(future: Future) -> None:
+            if not future.cancelled() and future.exception() is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+
+        # Registered after every submit: the pool takes no lane once shut down.
+        for future in futures:
+            future.add_done_callback(stop_on_error)
+        # Lanes start in input order, so every cancelled lane comes after every
+        # failed one, and reading the results in order raises the first failure.
+        while futures:
+            yield futures.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
-    # Lanes start in input order, so every cancelled lane comes after every
-    # failed one, and reading the results in order raises the first failure.
-    return [f.result() for f in futures]
 
 
-def run_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
-                  rounds: int = DEFAULT_ROUNDS, allow_failed: bool = False,
-                  workers: int = 1) -> list[DocumentPrediction]:
-    """T inference rounds over every document, majority-voted, in input order.
+def run_lanes(fn: Callable[[T], R], items: Sequence[T], *, width: int) -> list[R]:
+    """iter_lanes, collected: every result in input order, or the first
+    failed lane's error."""
+    return list(iter_lanes(fn, items, width=width))
 
-    run_lanes runs a lane per (document, subtask), `workers` documents in
-    flight with their subtasks at once; a lane issues that subtask's T
-    rounds in order, so repeated identical requests keep their order at any
-    `workers`. A lane's error is raised as run_lanes raises it.
+
+def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
+                   rounds: int = DEFAULT_ROUNDS, allow_failed: bool = False,
+                   workers: int = 1) -> Iterator[DocumentPrediction]:
+    """T inference rounds over every document, majority-voted; yields each
+    document's prediction in input order once it and every earlier document
+    are voted.
+
+    The gateway, rounds and prompts are checked, and the rule program parsed,
+    when this is called, before any lane starts. iter_lanes runs a lane per
+    (document, subtask), `workers` documents in flight with their subtasks at
+    once; a lane issues that subtask's T rounds in order, so repeated
+    identical requests keep their order at any `workers`. A lane's error is
+    raised as iter_lanes raises it, after the documents before its own.
     """
     _require_local(gateway)
     if rounds < 1:
-        raise ValueError("run_documents: rounds must be >= 1")
+        raise ValueError("iter_documents: rounds must be >= 1")
     logic = plan.parsed_logic()
     pairs = [(s, plan.prompt_for(s.id)) for s in plan.subtasks]
     for subtask, prompt in pairs:
         if prompt is None:
-            raise ValueError(f"run_documents: no prompt for subtask {subtask.id!r}")
+            raise ValueError(f"iter_documents: no prompt for subtask {subtask.id!r}")
 
     def lane(item: tuple[Document, Subtask, PromptSpec]) -> list[SubtaskRun]:
         doc, subtask, prompt = item
         return [run_subtask(gateway, subtask, prompt, doc, allow_failed=allow_failed)
                 for _ in range(rounds)]
 
-    runs = run_lanes(lane, [(doc, subtask, prompt) for doc in docs
-                            for subtask, prompt in pairs],
-                     width=workers * len(pairs))
-    n = len(pairs)
-    return [_predict(logic, doc, runs[i * n:(i + 1) * n]) for i, doc in enumerate(docs)]
+    lanes = iter_lanes(lane, [(doc, subtask, prompt) for doc in docs
+                              for subtask, prompt in pairs],
+                       width=workers * len(pairs))
+    return (_predict(logic, doc, [next(lanes) for _ in pairs]) for doc in docs)
+
+
+def run_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
+                  rounds: int = DEFAULT_ROUNDS, allow_failed: bool = False,
+                  workers: int = 1) -> list[DocumentPrediction]:
+    """iter_documents, collected: every document's prediction in input order,
+    held until the last document is voted. `infer` streams iter_documents
+    instead; this list form serves callers that need every prediction at once."""
+    return list(iter_documents(gateway, plan, docs, rounds=rounds,
+                               allow_failed=allow_failed, workers=workers))
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +269,46 @@ def prediction_to_dict(pred: DocumentPrediction) -> dict:
     }
 
 
-def write_predictions(preds: Sequence[DocumentPrediction], path: str | Path) -> None:
+def write_predictions(preds: Iterable[DocumentPrediction], path: str | Path) -> None:
+    """One JSON line per prediction, written and flushed as `preds` yields it,
+    so the file is always a well-formed prefix of the full output. The file
+    is created when the first prediction arrives (empty if there is none), so
+    an error raised before it leaves no file and an existing one untouched."""
+    lines = (jsonl_line(prediction_to_dict(pred)) for pred in preds)
+    first = next(lines, "")
     with Path(path).open("w", encoding="utf-8") as fh:
+        for line in chain((first,), lines):
+            fh.write(line)
+            fh.flush()
+
+
+class Tally:
+    """Running counts over the predictions `counted` passes through: all that
+    `summarize` needs, so no prediction is kept for the summary."""
+
+    def __init__(self) -> None:
+        self.documents = 0
+        self.finals: Counter[str] = Counter()
+        self.ties = 0
+        self.unparseable_runs = 0
+
+    def counted(self, preds: Iterable[DocumentPrediction]) -> Iterator[DocumentPrediction]:
         for pred in preds:
-            fh.write(jsonl_line(prediction_to_dict(pred)))
+            self.documents += 1
+            self.finals[pred.final.name] += 1
+            if pred.tie:
+                self.ties += 1
+            self.unparseable_runs += sum(1 for r in pred.rounds for run in r.runs
+                                         if run.parse_status == "unparseable")
+            yield pred
 
 
-def summarize(preds: Sequence[DocumentPrediction], labels: Sequence[OutcomeLabel], *,
-              rounds: int) -> dict:
-    histogram = {lbl.name: 0 for lbl in labels}
-    for pred in preds:
-        histogram[pred.final.name] = histogram.get(pred.final.name, 0) + 1
+def summarize(tally: Tally, labels: Sequence[OutcomeLabel], *, rounds: int) -> dict:
     return {
-        "documents": len(preds),
+        "documents": tally.documents,
         "rounds": rounds,
         "label_order": [lbl.name for lbl in labels],
-        "final_label_histogram": histogram,
-        "ties": sum(1 for p in preds if p.tie),
-        "unparseable_runs": sum(
-            1 for p in preds for r in p.rounds for run in r.runs
-            if run.parse_status == "unparseable"),
+        "final_label_histogram": {lbl.name: 0 for lbl in labels} | dict(tally.finals),
+        "ties": tally.ties,
+        "unparseable_runs": tally.unparseable_runs,
     }

@@ -287,7 +287,7 @@ def test_infer_local_settings_from_bundle_unless_configured(workspace, tmp_path,
         profiles.append(gateway.profile)
         return []
 
-    monkeypatch.setattr(executor, "run_documents", capture)
+    monkeypatch.setattr(executor, "iter_documents", capture)
     overriding = tmp_path / "overriding.cfg"
     overriding.write_text(base_config + "local.temperature = 0.5\n", encoding="utf-8")
     for config in (workspace["config"], overriding):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from orchkit.cli import main
 from orchkit.config import Config, load_config, parse_config
 
 
@@ -81,3 +82,24 @@ def test_non_numeric_value_names_its_line(line, message):
     with pytest.raises(ValueError) as info:
         parse_config(f"rounds = 3\n{line}\n")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("channel", ["local", "cloud"])
+@pytest.mark.parametrize("value", ["nan", "-nan", "inf", "-0.1", "2.5"])
+def test_temperature_outside_0_to_2_names_its_line(channel, value, tmp_path):
+    text = f"rounds = 3\n{channel}.temperature = {value}\n"
+    message = f"config line 2: {channel}.temperature must be in [0, 2], got {value!r}"
+    with pytest.raises(ValueError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+    path = tmp_path / "orch.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "preds.jsonl"
+    assert main(["infer", "--bundle", str(tmp_path / "a.orchb"), "--docs",
+                 str(tmp_path / "docs.jsonl"), "--out", str(out), "--config", str(path)]) == 2
+    assert not out.exists()
+
+
+def test_temperature_bounds_are_accepted():
+    config = parse_config("local.temperature = 0\ncloud.temperature = 2\n")
+    assert (config.local.temperature, config.cloud.temperature) == (0.0, 2.0)

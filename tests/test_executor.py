@@ -14,6 +14,7 @@ import pytest
 
 from orchkit.errors import PhaseViolationError, TransportError, UnseenRequestError
 from orchkit.executor import (
+    Tally,
     load_documents,
     majority_vote,
     prediction_to_dict,
@@ -394,12 +395,13 @@ def test_write_predictions_and_summary(tmp_path):
     gw = local_gateway(fake_local_extractor)
     preds = run_documents(gw, plan, fixture_documents(), rounds=2)
     out = tmp_path / "preds.jsonl"
-    write_predictions(preds, out)
+    tally = Tally()
+    write_predictions(tally.counted(preds), out)
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(lines) == 5
     assert lines[0]["final_label"] == "Metastatic"
     assert lines[0]["rounds"][0]["runs"][0]["subtask_id"] == "distant_spread"
-    summary = summarize(preds, plan.labels, rounds=2)
+    summary = summarize(tally, plan.labels, rounds=2)
     assert summary["documents"] == 5
     assert summary["final_label_histogram"]["Locally Advanced"] == 2
     assert summary["label_order"][0] == "Resectable"
