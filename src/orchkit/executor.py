@@ -1,6 +1,6 @@
-"""Local-phase inference: run refined prompts over documents, repeat for T
-rounds, majority-vote the per-round labels, and synthesize outcomes through
-the rule program.
+"""Local-phase inference: run refined prompts over documents for T rounds,
+each round a distinct seeded sample, majority-vote the per-round labels, and
+synthesize outcomes through the rule program.
 
 This module is the only place documents meet a model, and it refuses cloud
 profiles outright: a gateway must be local-phase and must not be cloud_http,
@@ -80,12 +80,14 @@ def majority_vote(labels: Sequence[OutcomeLabel]) -> OutcomeLabel:
 
 
 def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
-                doc: Document, *, allow_failed: bool = False) -> SubtaskRun:
-    """Execute one refined prompt over one document.
+                doc: Document, *, allow_failed: bool = False,
+                seed: int | None = None) -> SubtaskRun:
+    """Execute one refined prompt over one document, sending `seed` (an
+    inference round's number; validation sends none) with every call.
 
-    Parse failure gets one repair round-trip with the format contract
-    restated; a second failure, or a failed model call, yields an
-    all-unknown run marked unparseable rather than an exception.
+    Parse failure gets one repair round-trip, with the same seed and the
+    format contract restated; a second failure, or a failed model call,
+    yields an all-unknown run marked unparseable rather than an exception.
     """
     _require_local(gateway)
     schema = subtask.output_schema
@@ -94,7 +96,7 @@ def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
             f"run_subtask: prompt for {subtask.id!r} has status {prompt.status!r}")
 
     def attempt(system_prompt: str) -> tuple[str, FeatureSet]:
-        response = gateway.chat(system_prompt, doc.body, response_schema=schema)
+        response = gateway.chat(system_prompt, doc.body, response_schema=schema, seed=seed)
         return parse_subtask_output(schema, response.raw_text)
 
     try:
@@ -129,11 +131,11 @@ def run_document(gateway: Gateway, plan: Plan, doc: Document, *,
 
 
 def _predict(logic: SynthesisLogic, doc: Document,
-             lanes: Sequence[list[SubtaskRun]]) -> DocumentPrediction:
-    """Round r is entry r of each lane, in subtask order. Plan validation
+             rounds: Sequence[tuple[SubtaskRun, ...]]) -> DocumentPrediction:
+    """Entry r of `rounds` holds round r's runs, in subtask order. Plan validation
     rejects cross-subtask field collisions, so the merge is a disjoint union."""
     round_records: list[RoundRecord] = []
-    for index, runs in enumerate(zip(*lanes), start=1):
+    for index, runs in enumerate(rounds, start=1):
         merged: dict[str, str] = {}
         for run in runs:
             merged.update(run.output.values)
@@ -193,10 +195,11 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
 
     The gateway, rounds and prompts are checked, and the rule program parsed,
     when this is called, before any lane starts. iter_lanes runs a lane per
-    (document, subtask), `workers` documents in flight with their subtasks at
-    once; a lane issues that subtask's T rounds in order, so repeated
-    identical requests keep their order at any `workers`. A lane's error is
-    raised as iter_lanes raises it, after the documents before its own.
+    (document, round, subtask), `workers` documents in flight with all their
+    subtasks' rounds at once. Round r sends seed r, so each round is a
+    distinct request and its reply cannot land in another round; only
+    documents with identical text repeat a request. A lane's error is raised
+    as iter_lanes raises it, after the documents before its own.
     """
     _require_local(gateway)
     if rounds < 1:
@@ -207,15 +210,17 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
         if prompt is None:
             raise ValueError(f"iter_documents: no prompt for subtask {subtask.id!r}")
 
-    def lane(item: tuple[Document, Subtask, PromptSpec]) -> list[SubtaskRun]:
-        doc, subtask, prompt = item
-        return [run_subtask(gateway, subtask, prompt, doc, allow_failed=allow_failed)
-                for _ in range(rounds)]
+    def lane(item: tuple[Document, int, Subtask, PromptSpec]) -> SubtaskRun:
+        doc, seed, subtask, prompt = item
+        return run_subtask(gateway, subtask, prompt, doc, allow_failed=allow_failed,
+                           seed=seed)
 
-    lanes = iter_lanes(lane, [(doc, subtask, prompt) for doc in docs
-                              for subtask, prompt in pairs],
-                       width=workers * len(pairs))
-    return (_predict(logic, doc, [next(lanes) for _ in pairs]) for doc in docs)
+    seeds = range(1, rounds + 1)
+    lanes = iter_lanes(lane, [(doc, seed, subtask, prompt) for doc in docs
+                              for seed in seeds for subtask, prompt in pairs],
+                       width=workers * rounds * len(pairs))
+    return (_predict(logic, doc, [tuple(next(lanes) for _ in pairs) for _ in seeds])
+            for doc in docs)
 
 
 def run_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,

@@ -10,8 +10,8 @@ accident.
 Backends:
   * cloud_http  -- OpenAI-compatible chat-completions JSON over HTTP(S);
                    API key read from ORCH_CLOUD_API_KEY.
-  * local_http  -- Ollama-compatible /api/chat JSON over HTTP; temperature
-                   and num_ctx passed as options.
+  * local_http  -- Ollama-compatible /api/chat JSON over HTTP; temperature,
+                   num_ctx and the request's seed, if any, passed as options.
   * scripted    -- a handler callable (ScriptedBackend) or a recorded
                    session (ReplayBackend), for tests and air-gap rehearsal.
 
@@ -73,6 +73,7 @@ class ChatRequest:
     temperature: float
     max_context_tokens: int
     response_schema: FeatureSchema | None = None
+    seed: int | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.temperature <= 2.0):
@@ -98,12 +99,17 @@ class ChatResponse:
 
 
 def _request_dict(request: ChatRequest) -> dict:
+    """The canonical request. `seed` appears only when set, so an unseeded
+    request keeps the digest it had before requests carried seeds."""
     schema = request.response_schema.to_dict() if request.response_schema else None
-    return {"system_prompt": request.system_prompt,
-            "user_content": request.user_content,
-            "temperature": request.temperature,
-            "max_context_tokens": request.max_context_tokens,
-            "response_schema": schema}
+    record = {"system_prompt": request.system_prompt,
+              "user_content": request.user_content,
+              "temperature": request.temperature,
+              "max_context_tokens": request.max_context_tokens,
+              "response_schema": schema}
+    if request.seed is not None:
+        record["seed"] = request.seed
+    return record
 
 
 def request_digest(request: ChatRequest) -> str:
@@ -191,15 +197,24 @@ class ScriptedBackend:
 
 
 class ReplayBackend:
-    """Serves recorded responses byte-identically; unseen requests error."""
+    """Serves recorded responses byte-identically; unseen requests error.
+
+    A request recorded more than once (validation repeats, documents with
+    identical text) is served its recordings in turn, then the last again.
+    """
 
     def __init__(self, session_path: str | Path):
         self._path = Path(session_path)
         if not self._path.exists():
             raise TransportError(f"replay session not found: {self._path}")
         self._entries: dict[str, list[dict]] = {}
-        for digest, response in read_jsonl(self._path, lambda r: (r["digest"], r["response"])):
+        seeds: set[bool] = set()  # whether each recorded request carries a seed
+        for digest, response, request in read_jsonl(self._path, lambda r: (
+                r["digest"], r["response"], r.get("request"))):
             self._entries.setdefault(digest, []).append(response)
+            if request is not None:
+                seeds.add("seed" in request)
+        self._predates_seeds = seeds == {False}
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -207,6 +222,11 @@ class ReplayBackend:
         digest = request_digest(request)
         responses = self._entries.get(digest)
         if not responses:
+            if request.seed is not None and self._predates_seeds:
+                raise UnseenRequestError(
+                    f"no recorded response for request {digest[:12]}: replay session "
+                    f"{self._path} records no seeded request; a session recorded "
+                    f"before per-round seeds must be re-recorded")
             raise UnseenRequestError(f"no recorded response for request {digest[:12]}")
         with self._lock:
             i = self._cursor.get(digest, 0)
@@ -319,9 +339,12 @@ class OllamaChatBackend:
         self.model = model
 
     def complete(self, request: ChatRequest) -> ChatResponse:
+        options: dict = {"temperature": request.temperature,
+                         "num_ctx": request.max_context_tokens}
+        if request.seed is not None:
+            options["seed"] = request.seed
         payload: dict = {"model": self.model, "messages": _messages(request), "stream": False,
-                         "options": {"temperature": request.temperature,
-                                     "num_ctx": request.max_context_tokens}}
+                         "options": options}
         if request.response_schema is not None:
             payload["format"] = _schema_to_json_schema(request.response_schema)
         body, latency = _post(PHASE_LOCAL, self.url, payload)
@@ -385,13 +408,15 @@ class Gateway:
             self._backend = ReplayBackend(profile.session)
 
     def chat(self, system_prompt: str, user_content: str, *,
-             response_schema: FeatureSchema | None = None) -> ChatResponse:
-        """One model call, at the profile's temperature and context window."""
+             response_schema: FeatureSchema | None = None,
+             seed: int | None = None) -> ChatResponse:
+        """One model call, at the profile's temperature and context window;
+        a `seed`, when given, is part of the request and is sent with it."""
         return self.complete(ChatRequest(
             system_prompt=system_prompt, user_content=user_content,
             temperature=self.profile.default_temperature,
             max_context_tokens=self.profile.default_context,
-            response_schema=response_schema))
+            response_schema=response_schema, seed=seed))
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         estimated = estimate_tokens(request.system_prompt) + estimate_tokens(request.user_content)

@@ -36,7 +36,7 @@ CLI_FILES = {
     "confusion.csv": "a26dd6fb8e03fe760cbdaeea77aa90ca9960ba8ad532f92bed5b10c42691f4ad",
     "cloud.jsonl": "3bd7c1e4f7092e6856b616faab035d877daf0c6f717f9f09508f0ac2375a2822",
     # Recorded from concurrent lanes, so only the set of lines is stable.
-    "local.jsonl (sorted lines)": "f4d194b423741c4125cd9105caa1df07bf0b2d3cd576ac29d7cb44aee5076488",
+    "local.jsonl (sorted lines)": "9a4c3156f988061302a24afb58d8ce913f4d58f9d764cc532bb3223ad0658399",
 }
 
 

@@ -17,6 +17,7 @@ from orchkit.gateway import (
     RecordingBackend,
     ScriptedBackend,
 )
+from orchkit.jsonio import digest
 
 from conftest import build_e2e_workspace, golden_plan, refined_plan
 
@@ -338,6 +339,38 @@ def test_infer_unseen_replay_request_exit_4(workspace, tmp_path):
                    "--out", str(tmp_path / "p.jsonl"),
                    "--config", str(config), "--deterministic")
     assert code == 4
+
+
+def test_infer_over_session_recorded_before_seeds_exit_4(workspace, tmp_path, capsys):
+    # The recorded local session as it was written before requests carried
+    # seeds: each inference round's request unseeded and keyed without one.
+    old_session = tmp_path / "pre-seed.jsonl"
+    with old_session.open("w", encoding="utf-8") as fh:
+        for line in workspace["local_session"].read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            record["request"].pop("seed", None)
+            record["digest"] = digest(record["request"])
+            fh.write(json.dumps(record) + "\n")
+    config = tmp_path / "pre-seed.cfg"
+    config.write_text(workspace["config"].read_text(encoding="utf-8").replace(
+        str(workspace["local_session"]), str(old_session)), encoding="utf-8")
+    plan_file = tmp_path / "plan.json"
+    validated = tmp_path / "validated.json"
+    bundle_file = tmp_path / "a.orchb"
+    assert plan_cmd(workspace, plan_file) == 0
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated),
+                   "--config", str(config)) == 0  # validation sends no seed
+    assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file),
+                   "--config", str(config), "--deterministic") == 0
+    capsys.readouterr()
+    code = run_cli("infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
+                   "--out", str(tmp_path / "p.jsonl"), "--config", str(config),
+                   "--deterministic")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"replay session {old_session} records no seeded request" in err
+    assert "recorded before per-round seeds must be re-recorded" in err
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 def test_evaluate_missing_id_exit_2(workspace, tmp_path):

@@ -142,6 +142,21 @@ def test_run_subtask_repair_includes_format_contract():
     assert format_block(spread.output_schema) in seen[1]
 
 
+def test_run_subtask_sends_its_seed_on_the_repair_too():
+    plan = refined_plan()
+    spread = plan.subtasks[0]
+    seeds = []
+
+    def flaky(request):
+        seeds.append(request.seed)
+        return "prose" if len(seeds) == 1 else fake_local_extractor(request)
+
+    run = run_subtask(local_gateway(flaky), spread, plan.prompt_for(spread.id),
+                      Document("d9", "text mets=absent"), seed=3)
+    assert run.parse_status == "repaired"
+    assert seeds == [3, 3]
+
+
 def test_run_subtask_unparseable_twice_degrades_to_unknown():
     plan = refined_plan()
     spread = plan.subtasks[0]
@@ -238,12 +253,10 @@ def test_run_document_deterministic_backend_unanimous():
 
 def test_run_document_votes_across_varying_rounds():
     plan = refined_plan()
-    flips = {"n": 0}
 
     def wobbling(request):
         if "Distant spread" in request.system_prompt:
-            flips["n"] += 1
-            value = "present" if flips["n"] in (1, 4) else "absent"
+            value = "present" if request.seed in (1, 4) else "absent"
             return json.dumps({"reasoning": "wobble",
                                "values": {"distant_metastasis": value}})
         return fake_local_extractor(request)
@@ -260,12 +273,10 @@ def test_run_document_votes_across_varying_rounds():
 
 def test_run_document_tie_flag_and_upward_resolution():
     plan = refined_plan()
-    flips = {"n": 0}
 
     def alternating(request):
         if "Distant spread" in request.system_prompt:
-            flips["n"] += 1
-            value = "present" if flips["n"] % 2 else "absent"
+            value = "present" if request.seed % 2 else "absent"
             return json.dumps({"reasoning": "alt",
                                "values": {"distant_metastasis": value}})
         return fake_local_extractor(request)
@@ -276,24 +287,16 @@ def test_run_document_tie_flag_and_upward_resolution():
     assert pred.final.name == "Metastatic"  # tie resolves to the higher stage
 
 
-class OccurrenceWobble:
-    """Flips distant_metastasis on the 2nd and 4th time the same request is
-    seen, like a sequence-keyed scripted session, so the output bytes depend
-    on each (document, subtask) seeing its rounds in order."""
-
-    def __init__(self):
-        self.seen: Counter = Counter()
-        self.lock = threading.Lock()
+class RoundWobble:
+    """Flips distant_metastasis in the requests seeded 2 and 4, so the output
+    bytes depend on each round's reply landing in its own round."""
 
     def __call__(self, request):
-        with self.lock:
-            self.seen[request.system_prompt, request.user_content] += 1
-            n = self.seen[request.system_prompt, request.user_content]
         reply = fake_local_extractor(request)
-        if "Distant spread" in request.system_prompt and n in (2, 4):
+        if "Distant spread" in request.system_prompt and request.seed in (2, 4):
             value = json.loads(reply)["values"]["distant_metastasis"]
             flipped = "absent" if value == "present" else "present"
-            reply = json.dumps({"reasoning": f"wobble {n}",
+            reply = json.dumps({"reasoning": f"wobble {request.seed}",
                                 "values": {"distant_metastasis": flipped}})
         return reply
 
@@ -319,10 +322,13 @@ def test_run_documents_order_and_labels(tmp_path, monkeypatch):
     try:
         for workers in (1, 2, 3, 8, 16):
             started.clear()
-            preds = run_documents(local_gateway(OccurrenceWobble()), plan,
+            preds = run_documents(local_gateway(RoundWobble()), plan,
                                   fixture_documents(), rounds=5, workers=workers)
-            assert started["threads"] <= workers * len(plan.subtasks)
+            assert started["threads"] <= workers * len(plan.subtasks) * 5
             assert tuple(p.final.name for p in preds) == FIXTURE_DOC_LABELS
+            assert [run.reasoning.startswith("wobble") for r in preds[0].rounds
+                    for run in r.runs if run.subtask_id == "distant_spread"] == [
+                False, True, False, True, False]
             out = tmp_path / f"preds-{workers}.jsonl"
             write_predictions(preds, out)
             outputs.add(out.read_bytes())
@@ -347,7 +353,9 @@ def test_run_documents_raises_lane_error_and_cancels_unstarted_lanes():
     gw = local_gateway(first_document_unseen)
     with pytest.raises(UnseenRequestError):
         run_documents(gw, plan, docs, rounds=5, workers=2)
-    # Four lanes start at once; the two freed by d1's failure take d3.
+    # Twenty lanes (2 documents x 2 subtasks x 5 rounds) start at once; the
+    # ten freed by d1's failures can take only d3's ten before the rest are
+    # cancelled.
     assert seen <= {"d1", "d2", "d3"}
 
 

@@ -206,6 +206,35 @@ def test_replay_sequences_stick_on_last(tmp_path):
         ["first", "second", "second", "second"]
 
 
+def test_seed_is_part_of_the_request_only_when_set(tmp_path):
+    session = tmp_path / "seeded.jsonl"
+    gw = Gateway(BackendProfile.scripted(RecordingBackend(
+        ScriptedBackend(lambda req: f"round {req.seed}"), session)), PHASE_LOCAL,
+        sleep=NO_SLEEP)
+    assert [gw.chat("s", "u", seed=n).raw_text for n in (1, 2, None)] == [
+        "round 1", "round 2", "round None"]
+    records = [json.loads(line) for line in session.read_text(encoding="utf-8").splitlines()]
+    assert [r["request"].get("seed", "absent") for r in records] == [1, 2, "absent"]
+    assert len({r["digest"] for r in records}) == 3
+    replay = Gateway(BackendProfile.scripted(session=str(session)), PHASE_LOCAL,
+                     sleep=NO_SLEEP)
+    assert [replay.chat("s", "u", seed=n).raw_text for n in (2, 1)] == ["round 2", "round 1"]
+    with pytest.raises(UnseenRequestError) as unseen:
+        replay.chat("s", "u", seed=3)
+    assert "re-recorded" not in str(unseen.value)
+
+
+def test_replay_names_a_session_recorded_before_seeds(tmp_path):
+    session, _ = _record_three(tmp_path)
+    replay_gw = Gateway(BackendProfile.scripted(session=str(session)), PHASE_CLOUD, sleep=NO_SLEEP)
+    assert replay_gw.chat("sys", "call 1").raw_text == "reply:call 1"
+    with pytest.raises(UnseenRequestError, match="before per-round seeds must be re-recorded"):
+        replay_gw.chat("sys", "call 1", seed=1)
+    with pytest.raises(UnseenRequestError) as unseen:
+        replay_gw.chat("sys", "call 3")  # unseeded: the bare message
+    assert "re-recorded" not in str(unseen.value)
+
+
 def test_record_and_replay_requires_existing_session(tmp_path):
     with pytest.raises(TransportError, match="not found"):
         Gateway(BackendProfile.scripted(session=str(tmp_path / "missing.jsonl")), PHASE_CLOUD)

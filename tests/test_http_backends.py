@@ -152,6 +152,17 @@ def test_local_payload(server, with_schema):
     assert "Authorization" not in headers
 
 
+def test_seeded_local_payload_sends_options_seed(server):
+    server.reply = (200, _reply("local", "extracted"))
+    assert _gateway(server, "local").chat("sys", "doc", seed=3).raw_text == "extracted"
+    [(path, _headers, body)] = server.seen
+    assert path == "/api/chat"
+    assert body == (b'{"model": "small-extractor", "messages": [{"role": "system", '
+                    b'"content": "sys"}, {"role": "user", "content": "doc"}], '
+                    b'"stream": false, "options": {"temperature": 0.2, '
+                    b'"num_ctx": 32768, "seed": 3}}')
+
+
 @pytest.mark.parametrize("with_schema", [False, True])
 @pytest.mark.parametrize("api_key", [None, "sk-test"])
 def test_cloud_payload_and_key(server, monkeypatch, with_schema, api_key):

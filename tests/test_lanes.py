@@ -3,8 +3,9 @@
 
 The CLI's channels are served by scripted handlers: the local model reads
 the fixture's token markers, can flip the spread field on chosen sightings
-of a request (so output bytes depend on each request's sightings keeping
-their order) and counts the calls in flight.
+of an unseeded request or on chosen seeds (so output bytes depend on each
+request's sightings keeping their order, and on each round's reply landing
+in its own round) and counts the calls in flight.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from conftest import fake_local_extractor, fixture_documents, golden_plan, refin
 
 
 class LocalModel:
-    """The fixture's perfect extractor, with `distant_metastasis` flipped on
-    the sightings of a request listed in `flip_on`. Counts each request's
-    sightings, the calls in flight and their peak."""
+    """The fixture's perfect extractor, with `distant_metastasis` flipped in
+    a seeded request whose seed is in `flip_on`, and on the sightings of an
+    unseeded request listed there. Counts each request's sightings, the calls
+    in flight and their peak."""
 
     def __init__(self, *, flip_on=(), delay: float = 0.0):
         self.flip_on = frozenset(flip_on)
@@ -47,7 +49,7 @@ class LocalModel:
         self.lock = threading.Lock()
 
     def __call__(self, request) -> str:
-        key = request.system_prompt, request.user_content
+        key = request.system_prompt, request.user_content, request.seed
         with self.lock:
             self.seen[key] += 1
             n = self.seen[key]
@@ -56,7 +58,8 @@ class LocalModel:
         try:
             time.sleep(self.delay)
             values = json.loads(fake_local_extractor(request))["values"]
-            if n in self.flip_on and "distant_metastasis" in values:
+            flip = n if request.seed is None else request.seed
+            if flip in self.flip_on and "distant_metastasis" in values:
                 values["distant_metastasis"] = (
                     "absent" if values["distant_metastasis"] == "present" else "present")
             return json.dumps({"reasoning": f"sighting {n}", "values": values})
@@ -235,10 +238,20 @@ def test_calls_in_flight_stay_within_workers_times_subtasks(tmp_path, monkeypatc
     scripted_channels(monkeypatch, inferring)
     assert pack(ws, "validated.json") == 0
     assert infer(ws, "--revalidate") == 0
-    for model in (validating, inferring):
-        assert 2 <= model.peak <= workers * 2
+    assert 2 <= validating.peak <= workers * 2
     if workers > 1:
         assert validating.peak > 2  # cases run as lanes too
+    assert 2 < inferring.peak <= workers * 2 * 3  # rounds run as lanes too
+
+
+def test_infer_issues_a_documents_rounds_at_once(tmp_path, monkeypatch):
+    ws = write_inputs(tmp_path / "ws", workers=1)
+    model = LocalModel(delay=0.02)
+    scripted_channels(monkeypatch, model)
+    assert pack(ws, "refined.json") == 0
+    assert infer(ws) == 0
+    assert model.peak == 2 * 3  # subtasks x rounds, one document in flight
+    assert {seed for (_system, _user, seed) in model.seen} == {1, 2, 3}
 
 
 def test_case_lane_error_exits_4_and_writes_nothing(tmp_path, monkeypatch):
@@ -309,6 +322,6 @@ def test_revalidate_honours_validation_repeats(tmp_path, monkeypatch):
     scripted_channels(monkeypatch, model)
     assert pack(ws, "refined.json") == 0
     assert infer(ws, "--revalidate") == 0
-    case_sightings = [n for (_system, user), n in model.seen.items()
+    case_sightings = [n for (_system, user, _seed), n in model.seen.items()
                       if user.startswith("synthetic")]
     assert case_sightings == [2] * 6
