@@ -18,7 +18,6 @@ from .gateway import (
     Gateway,
     PHASE_CLOUD,
     PHASE_LOCAL,
-    RetryPolicy,
     ScriptedBackend,
 )
 from .model import (
@@ -47,7 +46,7 @@ __all__ = [
     "ArtifactBundle", "BackendProfile", "ChatRequest", "ChatResponse",
     "Document", "FeatureSchema", "FeatureSet", "FieldSpec", "Gateway",
     "OrchError", "OutcomeLabel", "PHASE_CLOUD", "PHASE_LOCAL", "Plan",
-    "PromptSpec", "RetryPolicy", "RuntimeDefaults", "ScriptedBackend",
+    "PromptSpec", "RuntimeDefaults", "ScriptedBackend",
     "Subtask", "SubtaskRun", "SyntheticCase", "SynthesisLogic", "TaskSpec",
     "UNKNOWN", "UserPrefs", "ValidationReport", "evaluate", "make_labels",
     "pack", "parse_logic", "pretty", "run_refinement_loop", "unpack",

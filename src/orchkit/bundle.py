@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
+    BundleError,
     ChecksumMismatchError,
     DslError,
     MalformedBundleError,
@@ -31,7 +32,7 @@ from .errors import (
     VersionIncompatibleError,
 )
 from .gateway import DEFAULT_CONTEXT, DEFAULT_TEMPERATURE, PHASE_LOCAL
-from .jsonio import canonical_json, digest, sha256_text, write_json
+from .jsonio import canonical_json, digest, read_json, sha256_text, write_json
 from .model import (
     FeatureSchema,
     FeatureSet,
@@ -164,13 +165,15 @@ def save_plan(plan: Plan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> Plan:
+    def build(payload: object) -> Plan:
+        if not isinstance(payload, dict) or payload.get("format") != _PLAN_FORMAT:
+            raise ValueError(f"not a plan file (expected format {_PLAN_FORMAT})")
+        return plan_from_dict(payload["plan"])
+
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        return read_json(path, build)
+    except OSError as exc:
         raise ValueError(f"cannot read plan file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != _PLAN_FORMAT:
-        raise ValueError(f"{path} is not a plan file (expected format {_PLAN_FORMAT})")
-    return plan_from_dict(payload["plan"])
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +190,16 @@ class RuntimeDefaults:
     threshold: float = 0.80
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("RuntimeDefaults.rounds: must be >= 1")
-        if not (0.0 < self.threshold <= 1.0):
-            raise ValueError("RuntimeDefaults.threshold: must be in (0, 1]")
+        # The config's bounds; a bool is not a number here, as in JSON.
+        for name, kinds, holds, bounds in (
+                ("rounds", int, lambda v: v >= 1, "an integer >= 1"),
+                ("local_temperature", (int, float), lambda v: 0.0 <= v <= 2.0,
+                 "a number in [0, 2]"),
+                ("local_context", int, lambda v: v >= 1, "an integer >= 1"),
+                ("threshold", (int, float), lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds) or not holds(value):
+                raise ValueError(f"RuntimeDefaults.{name}: must be {bounds}, got {value!r}")
 
     def to_dict(self) -> dict:
         return {"rounds": self.rounds, "local_temperature": self.local_temperature,
@@ -218,7 +227,7 @@ class ArtifactBundle:
 
     @property
     def allow_failed(self) -> bool:
-        return bool(self.sections["meta"].get("allow_failed", False))  # type: ignore[union-attr]
+        return self.sections["meta"].get("allow_failed", False)  # type: ignore[union-attr]
 
     def runtime(self) -> RuntimeDefaults:
         return RuntimeDefaults.from_dict(self.sections["runtime"])  # type: ignore[arg-type]
@@ -354,8 +363,12 @@ def _check_written_digests(bundle: ArtifactBundle) -> None:
     try:
         logic = bundle.to_plan().parsed_logic()
         claimed = bundle.sections["logic"]["parsed_digest"]
+        bundle.runtime()
+        if not isinstance(bundle.allow_failed, bool):
+            raise ValueError(f"meta.allow_failed: must be true or false, "
+                             f"got {bundle.allow_failed!r}")
     except (DslError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedBundleError(f"bundle does not hold a parseable plan: {exc}") from exc
+        raise MalformedBundleError(f"bundle does not hold a usable plan: {exc}") from exc
     if sha256_text(pretty(logic)) != claimed:
         raise ChecksumMismatchError("rule program does not match logic.parsed_digest")
     meta = bundle.sections["meta"]
@@ -369,4 +382,8 @@ def write_bundle(data: bytes, path: str | Path) -> None:
 
 
 def read_bundle(path: str | Path) -> ArtifactBundle:
-    return unpack(Path(path).read_bytes())
+    """unpack over a bundle file; a BundleError names the file."""
+    try:
+        return unpack(Path(path).read_bytes())
+    except BundleError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

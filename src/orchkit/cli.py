@@ -18,7 +18,6 @@ Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
 from datetime import datetime, timezone
@@ -48,7 +47,7 @@ from .gateway import (
     PHASE_LOCAL,
     Gateway,
 )
-from .jsonio import write_json
+from .jsonio import read_json, write_json
 from .model import TaskSpec, UserPrefs, validate_plan
 from .planner import TemplateSet
 
@@ -86,15 +85,21 @@ def _now_iso() -> str:
 
 def _load_prefs(path: Path, config: Config) -> UserPrefs:
     """Preferences JSON; a case count it omits comes from the config."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return UserPrefs(
-        output_labels=tuple(data["output_labels"]),
-        max_subtasks=int(data.get("max_subtasks", 6)),
-        synthetic_cases_per_subtask=int(data.get("synthetic_cases_per_subtask",
-                                                 config.synthetic_cases_per_subtask)),
-        output_format_notes=str(data.get("output_format_notes", "")),
-        include_entities=tuple(data.get("include_entities", ())),
-        exclude_entities=tuple(data.get("exclude_entities", ())))
+    def build(data: object) -> UserPrefs:
+        if not isinstance(data, dict):
+            raise ValueError("preferences must be a JSON object")
+        if not isinstance(data["output_labels"], list):
+            raise ValueError("output_labels must be a list")
+        return UserPrefs(
+            output_labels=tuple(data["output_labels"]),
+            max_subtasks=int(data.get("max_subtasks", 6)),
+            synthetic_cases_per_subtask=int(data.get("synthetic_cases_per_subtask",
+                                                     config.synthetic_cases_per_subtask)),
+            output_format_notes=str(data.get("output_format_notes", "")),
+            include_entities=tuple(data.get("include_entities", ())),
+            exclude_entities=tuple(data.get("exclude_entities", ())))
+
+    return read_json(path, build)
 
 
 def _templates(config: Config) -> TemplateSet:
@@ -223,6 +228,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
             return _fail(EXIT_PRIVACY,
                          "a cloud profile is active; refusing to run inference "
                          "over documents in this environment")
+    if args.rounds is not None and args.rounds < 1:
+        raise ValueError(f"infer: --rounds must be >= 1, got {args.rounds}")
     artifact = bundlemod.read_bundle(args.bundle)
     plan = artifact.to_plan()
     runtime = artifact.runtime()
@@ -268,6 +275,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _label_order(summary: object) -> list[str]:
+    if not isinstance(summary, dict) or not isinstance(summary["label_order"], list):
+        raise ValueError("an infer summary must be an object with a label_order list")
+    return summary["label_order"]
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pred = evalkit.load_labeled(args.pred, source="system")
     gt = evalkit.load_labeled(args.gt, source="gt")
@@ -275,8 +288,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.labels:
         labels = [x.strip() for x in args.labels.split(",") if x.strip()]
     elif args.labels_from_summary:
-        summary = json.loads(Path(args.labels_from_summary).read_text(encoding="utf-8"))
-        labels = summary["label_order"]
+        labels = read_json(args.labels_from_summary, _label_order)
     report = evalkit.evaluate_report(pred, gt, labels)
     print(evalkit.render_table([report]))
     print()
@@ -373,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except OrchError as exc:
         return _fail(_exit_code_for(exc), str(exc))
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         return _fail(EXIT_INVALID_INPUT, str(exc))
 
 

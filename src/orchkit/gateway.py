@@ -16,10 +16,12 @@ Backends:
                    session (ReplayBackend), for tests and air-gap rehearsal.
 
 Every call enters through Gateway.chat, which builds the request from the
-profile's defaults. RecordingBackend wraps any backend and appends each
-request/response pair to a session file, JSON lines keyed by a content
-digest of the request; BackendProfile.scripted(session=...) builds the
-profile that replays it.
+profile's defaults. A TransportError is retried with a fixed policy: up
+to RETRY_ATTEMPTS attempts, waiting RETRY_BASE_DELAY * 2**attempt seconds
+plus up to RETRY_JITTER of that between them. RecordingBackend wraps any
+backend and appends each request/response pair to a session file, JSON
+lines keyed by a content digest of the request;
+BackendProfile.scripted(session=...) builds the profile that replays it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ KIND_SCRIPTED = "scripted"
 
 CLOUD_API_KEY_ENV = "ORCH_CLOUD_API_KEY"
 
-FINISH_REASONS = ("complete", "truncated", "error")
+FINISH_REASONS = ("complete", "truncated")
 
 # Operating defaults per channel: cloud runs hot to diversify planning
 # output, local runs cold for consistent extraction.
@@ -62,6 +64,12 @@ DEFAULT_CONTEXT = 32768
 
 # Seconds an HTTP chat call may take, per channel.
 HTTP_TIMEOUT = {PHASE_CLOUD: 120.0, PHASE_LOCAL: 600.0}
+
+# Transport retries: attempts per call, the first backoff in seconds (it
+# doubles per attempt) and the largest random fraction added to a backoff.
+RETRY_ATTEMPTS = 3
+RETRY_BASE_DELAY = 0.25
+RETRY_JITTER = 0.1
 
 
 @dataclass(frozen=True)
@@ -171,28 +179,16 @@ class BackendProfile:
 
 class ScriptedBackend:
     """Deterministic backend for tests: a handler callable maps each request
-    to its reply text.
-
-    `fail_first` simulates transient transport faults: each distinct request
-    fails that many times before succeeding, which exercises the retry policy.
+    to its reply text. A handler that raises TransportError scripts a
+    transport fault, which Gateway.complete retries like a real one.
     """
 
-    def __init__(self, script: Callable[[ChatRequest], str], *, fail_first: int = 0):
+    def __init__(self, script: Callable[[ChatRequest], str]):
         if not callable(script):
             raise TypeError("ScriptedBackend: script must be a handler callable")
         self._script = script
-        self._fail_first = fail_first
-        self._failures: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        if self._fail_first:
-            digest = request_digest(request)
-            with self._lock:
-                n = self._failures.get(digest, 0)
-                if n < self._fail_first:
-                    self._failures[digest] = n + 1
-                    raise TransportError(f"scripted transient failure {n + 1}/{self._fail_first}")
         return ChatResponse(raw_text=self._script(request))
 
 
@@ -360,20 +356,6 @@ class OllamaChatBackend:
 # Gateway
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Transient-transport retries: exponential backoff with jitter."""
-
-    attempts: int = 3
-    base_delay: float = 0.25
-    max_delay: float = 2.0
-    jitter: float = 0.1
-
-    def delay(self, attempt: int) -> float:
-        backoff = min(self.max_delay, self.base_delay * (2 ** attempt))
-        return backoff * (1.0 + self.jitter * random.random())
-
-
 def estimate_tokens(text: str) -> int:
     """Token estimate for the context-window check: characters / 4, rounded up."""
     return (len(text) + 3) // 4
@@ -386,7 +368,6 @@ class Gateway:
     """
 
     def __init__(self, profile: BackendProfile, phase: str, *,
-                 retry: RetryPolicy | None = None,
                  sleep: Callable[[float], None] = time.sleep):
         if phase not in (PHASE_CLOUD, PHASE_LOCAL):
             raise ValueError(f"Gateway.phase: must be cloud or local, got {phase!r}")
@@ -396,7 +377,6 @@ class Gateway:
             raise PhaseViolationError("local phase cannot use a cloud_http profile")
         self.profile = profile
         self.phase = phase
-        self.retry = retry or RetryPolicy()
         self._sleep = sleep
         if profile.kind == KIND_CLOUD_HTTP:
             self._backend = OpenAIChatBackend(profile.endpoint, profile.model or "")
@@ -424,13 +404,14 @@ class Gateway:
             raise TruncatedError(
                 f"estimated {estimated} tokens exceeds the {request.max_context_tokens}-token window")
         last_error: TransportError | None = None
-        for attempt in range(self.retry.attempts):
+        for attempt in range(RETRY_ATTEMPTS):
             try:
                 response = self._backend.complete(request)
             except TransportError as exc:
                 last_error = exc
-                if attempt + 1 < self.retry.attempts:
-                    self._sleep(self.retry.delay(attempt))
+                if attempt + 1 < RETRY_ATTEMPTS:
+                    backoff = RETRY_BASE_DELAY * 2 ** attempt
+                    self._sleep(backoff * (1.0 + RETRY_JITTER * random.random()))
                 continue
             if response.finish_reason == "truncated":
                 raise TruncatedError("backend reported a truncated completion")
@@ -438,5 +419,5 @@ class Gateway:
                 raise BackendRefusalError("backend returned an empty completion")
             return replace(response, retries=attempt) if attempt else response
         raise TransportError(
-            f"gave up after {self.retry.attempts} attempts: {last_error}") from last_error
+            f"gave up after {RETRY_ATTEMPTS} attempts: {last_error}") from last_error
 

@@ -13,6 +13,8 @@ files and digests, so these forms are the interface between them:
     sessions, predictions output, document and labeled-set inputs.
   * write_json -- indented, sorted keys, UTF-8, trailing newline. Plan
     files, validation history, inference summary, evaluation report.
+    read_json reads one JSON document back: a plan file, the planning
+    preferences or an inference summary.
 
 Imports nothing from orchkit, so any module can use it without a cycle.
 """
@@ -46,24 +48,32 @@ def jsonl_line(record: object) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _build(build: Callable[[object], T], text: str, where: str) -> T:
+    """`build` over the JSON in `text`; a failure raises ValueError naming `where`."""
+    try:
+        return build(json.loads(text))
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def read_jsonl(path: str | Path, build: Callable[[dict], T]) -> list[T]:
     """`build` applied to the record on each non-blank line, in file order.
 
     A line that is not JSON, or a record `build` rejects with KeyError,
-    TypeError or ValueError, raises ValueError naming the file and line.
+    AttributeError, TypeError or ValueError, raises ValueError naming the
+    file and line.
     """
-    values = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                values.append(build(json.loads(line)))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return values
+        return [_build(build, line, f"{path}:{lineno}")
+                for lineno, line in enumerate(fh, start=1) if line.strip()]
+
+
+def read_json(path: str | Path, build: Callable[[object], T]) -> T:
+    """`build` applied to the JSON document in a file; failures as in read_jsonl,
+    naming the file."""
+    return _build(build, Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def write_json(path: str | Path, value: object) -> None:

@@ -8,6 +8,8 @@ The wire contract for every subtask execution is one JSON object:
 for inclusion in system prompts; `parse_subtask_output` is the authoritative
 parser on the way back in. Transport-level constrained decoding is
 best-effort only, so parsing here is what actually decides conformance.
+`extract_json_object`, which the planner also uses on cloud replies, reads
+the reply's first JSON object with the standard library's decoder.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from .model import UNKNOWN, FeatureSchema, FeatureSet
 def extract_json_object(text: str) -> dict:
     """Pull the first JSON object out of a model reply.
 
-    Tolerates markdown fences and surrounding prose; raises OutputParseError
-    when no parseable object exists.
+    Tolerates markdown fences and surrounding prose: after the whole reply,
+    each `{` in turn is tried as the start of an object. Raises
+    OutputParseError when no parseable object exists.
     """
     stripped = text.strip()
     if stripped.startswith("```"):
@@ -35,35 +38,14 @@ def extract_json_object(text: str) -> dict:
             return parsed
     except json.JSONDecodeError:
         pass
+    decoder = json.JSONDecoder()
     start = stripped.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(stripped)):
-            ch = stripped[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        parsed = json.loads(stripped[start:i + 1])
-                        if isinstance(parsed, dict):
-                            return parsed
-                    except json.JSONDecodeError:
-                        break
-        start = stripped.find("{", start + 1)
+        try:
+            parsed, _ = decoder.raw_decode(stripped, start)
+            return parsed
+        except json.JSONDecodeError:
+            start = stripped.find("{", start + 1)
     raise OutputParseError("reply contains no parseable JSON object")
 
 

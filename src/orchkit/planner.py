@@ -330,12 +330,12 @@ def _failures_text(failures: Sequence[tuple[SyntheticCase, SubtaskRun]]) -> str:
 
 
 def refine_prompt(prompt: PromptSpec, failures: Sequence[tuple[SyntheticCase, SubtaskRun]],
-                  gateway: Gateway, *, templates: TemplateSet | None = None,
-                  schema: FeatureSchema | None = None) -> PromptSpec:
+                  gateway: Gateway, *, schema: FeatureSchema,
+                  templates: TemplateSet | None = None) -> PromptSpec:
     """Rewrite a failing prompt using the failing cases and reasoning traces.
 
-    Returns a fresh draft at revision + 1. When the schema is supplied the
-    format contract is re-appended if the rewrite dropped it.
+    Returns a fresh draft at revision + 1. The subtask's format contract is
+    re-appended if the rewrite dropped it.
     """
     if not failures:
         raise ValueError("refine_prompt: failures must be non-empty")
@@ -355,10 +355,9 @@ def refine_prompt(prompt: PromptSpec, failures: Sequence[tuple[SyntheticCase, Su
 
     exchange = _Exchange(gateway, templates)
     new_text = exchange.run(system, interpret, MalformedPlanError)
-    if schema is not None:
-        contract = format_block(schema)
-        if contract not in new_text:
-            new_text = f"{new_text.strip()}\n\n{contract}"
+    contract = format_block(schema)
+    if contract not in new_text:
+        new_text = f"{new_text.strip()}\n\n{contract}"
     return prompt.with_revision(new_text)
 
 

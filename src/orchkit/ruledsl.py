@@ -31,7 +31,7 @@ severity rules.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -337,32 +337,25 @@ def parse_logic(source: str, schemas: Sequence[FeatureSchema],
     given schemas; rule labels must come from `labels`, whose ordinals drive
     tie-breaking downstream.
     """
-    schema = merge_schemas(schemas) if len(schemas) != 1 else schemas[0]
-    return _Parser(source, schema, labels).parse_program(source)
+    return _Parser(source, merge_schemas(schemas), labels).parse_program(source)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _value_of(features, field: str) -> str:
-    if isinstance(features, FeatureSet):
-        return features.get(field)
-    return features.get(field, UNKNOWN)
-
-
-def _holds(node: object, features) -> bool:
+def _holds(node: object, features: FeatureSet) -> bool:
     if isinstance(node, Eq):
-        v = _value_of(features, node.field)
+        v = features.get(node.field)
         return v != UNKNOWN and v.casefold() == node.value.casefold()
     if isinstance(node, Ne):
-        v = _value_of(features, node.field)
+        v = features.get(node.field)
         return v == UNKNOWN or v.casefold() != node.value.casefold()
     if isinstance(node, In):
-        v = _value_of(features, node.field)
+        v = features.get(node.field)
         return v != UNKNOWN and any(v.casefold() == x.casefold() for x in node.values)
     if isinstance(node, IsUnknown):
-        return _value_of(features, node.field) == UNKNOWN
+        return features.get(node.field) == UNKNOWN
     if isinstance(node, Not):
         return not _holds(node.inner, features)
     if isinstance(node, And):
@@ -372,7 +365,7 @@ def _holds(node: object, features) -> bool:
     raise TypeError(f"not a condition node: {node!r}")
 
 
-def evaluate(logic: SynthesisLogic, features: FeatureSet | Mapping[str, str]) -> OutcomeLabel:
+def evaluate(logic: SynthesisLogic, features: FeatureSet) -> OutcomeLabel:
     """First-match evaluation; total by construction (default is mandatory)."""
     for rule in logic.rules:
         if _holds(rule.condition, features):

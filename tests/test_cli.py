@@ -397,3 +397,86 @@ def test_infer_bad_docs_record_names_file_and_line(workspace, tmp_path, capsys):
                    "--out", str(tmp_path / "p.jsonl"),
                    "--config", str(workspace["config"]), "--deterministic") == 2
     assert f"{docs}:2: missing key 'body'" in capsys.readouterr().err
+
+
+def _rerendered_bundle(path, edit):
+    """A bundle whose sections `edit` changed, with every hash recomputed."""
+    from orchkit import bundle
+
+    sections = json.loads(json.dumps(bundle.unpack(pack(refined_plan())).sections))
+    edit(sections)
+    path.write_bytes(bundle._render(sections))
+
+
+def _plan_file(path, edit):
+    from orchkit.bundle import plan_to_dict
+
+    payload = {"format": "orchkit-plan/1", "plan": plan_to_dict(refined_plan())}
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+_PREFS = {"output_labels": ["Resectable", "Metastatic"]}
+
+# (input file written by the case, how it is written, command, exit code)
+BAD_INPUTS = {
+    "prefs not an object": ("prefs.json", [_PREFS], "plan", 2),
+    "output_labels null": ("prefs.json", {"output_labels": None}, "plan", 2),
+    "output_labels a string": ("prefs.json", {"output_labels": "AB"}, "plan", 2),
+    "max_subtasks null": ("prefs.json", {**_PREFS, "max_subtasks": None}, "plan", 2),
+    "plan not an object": ("plan.json", lambda p: p.update(plan=[]), "validate", 2),
+    "subtasks not a list": ("plan.json", lambda p: p["plan"].update(subtasks=5),
+                            "validate", 2),
+    "labels not a list": ("plan.json", lambda p: p["plan"].update(labels=None),
+                          "validate", 2),
+    "synthetic sets not an object": (
+        "plan.json", lambda p: p["plan"].update(synthetic_sets=[]), "validate", 2),
+    "summary not an object": ("summary.json", ["Resectable"], "evaluate", 2),
+    "summary without label_order": ("summary.json", {"documents": 5}, "evaluate", 2),
+    "runtime rounds a string": ("a.orchb", lambda s: s["runtime"].update(rounds="5"),
+                                "infer", 6),
+    "runtime temperature above 2": (
+        "a.orchb", lambda s: s["runtime"].update(local_temperature=9.0), "infer", 6),
+    "runtime context 0": ("a.orchb", lambda s: s["runtime"].update(local_context=0),
+                          "infer", 6),
+    "allow_failed a string": ("a.orchb", lambda s: s["meta"].update(allow_failed="false"),
+                              "infer", 6),
+    "rounds 0": (None, None, "infer", 2),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_one_error_line_before_any_model_call(workspace, tmp_path, monkeypatch,
+                                                           capsys, case):
+    name, content, command, code = BAD_INPUTS[case]
+    bad = tmp_path / (name or "a.orchb")
+    if name is None:
+        write_bundle(pack(refined_plan()), bad)
+    elif name.endswith(".orchb"):
+        _rerendered_bundle(bad, content)
+    elif name == "plan.json":
+        _plan_file(bad, content)
+    else:
+        bad.write_text(json.dumps(content), encoding="utf-8")
+    calls = []
+    complete = Gateway.complete
+    monkeypatch.setattr(Gateway, "complete",
+                        lambda self, request: calls.append(request) or complete(self, request))
+    out = tmp_path / "out"
+    config = ["--config", str(workspace["config"])]
+    argv = {
+        "plan": ["plan", "--task", str(workspace["task"]),
+                 "--guideline", str(workspace["guideline"]), "--prefs", str(bad), *config],
+        "validate": ["validate", "--plan", str(bad), *config],
+        "evaluate": ["evaluate", "--pred", str(workspace["gt"]), "--gt", str(workspace["gt"]),
+                     "--labels-from-summary", str(bad)],
+        "infer": ["infer", "--bundle", str(bad), "--docs", str(workspace["docs"]),
+                  "--revalidate", *config, *(["--rounds", "0"] if name is None else [])],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(out)) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert ("--rounds" if name is None else str(bad)) in err[0]
+    assert calls == []
+    assert not out.exists()

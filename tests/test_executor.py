@@ -29,7 +29,6 @@ from orchkit.gateway import (
     PHASE_LOCAL,
     BackendProfile,
     Gateway,
-    RetryPolicy,
     ScriptedBackend,
 )
 from orchkit.model import Document, make_labels
@@ -47,7 +46,6 @@ LABELS4 = make_labels(("one", "two", "three", "four"))
 
 def local_gateway(handler) -> Gateway:
     return Gateway(BackendProfile.scripted(ScriptedBackend(handler)), PHASE_LOCAL,
-                   retry=RetryPolicy(attempts=2, base_delay=0.0, jitter=0.0),
                    sleep=lambda _s: None)
 
 

@@ -18,12 +18,12 @@ from orchkit.errors import (
 from orchkit.gateway import (
     PHASE_CLOUD,
     PHASE_LOCAL,
+    RETRY_ATTEMPTS,
     BackendProfile,
     ChatRequest,
     Gateway,
     RecordingBackend,
     ReplayBackend,
-    RetryPolicy,
     ScriptedBackend,
     request_digest,
 )
@@ -31,11 +31,22 @@ from orchkit.gateway import (
 NO_SLEEP = lambda _s: None  # noqa: E731
 
 
-def scripted_gateway(script, *, phase=PHASE_CLOUD, fail_first=0, retry=None, context=32768):
-    backend = ScriptedBackend(script, fail_first=fail_first)
-    profile = BackendProfile.scripted(backend, context=context)
-    return Gateway(profile, phase, retry=retry or RetryPolicy(base_delay=0.0, jitter=0.0),
-                   sleep=NO_SLEEP)
+def scripted_gateway(script, *, phase=PHASE_CLOUD, context=32768, sleep=NO_SLEEP):
+    profile = BackendProfile.scripted(ScriptedBackend(script), context=context)
+    return Gateway(profile, phase, sleep=sleep)
+
+
+def failing(times: int, reply: str = "eventually"):
+    """A handler that raises TransportError on its first `times` calls."""
+    calls = {"n": 0}
+
+    def handler(request):
+        calls["n"] += 1
+        if calls["n"] <= times:
+            raise TransportError(f"scripted transport fault {calls['n']}")
+        return reply
+
+    return handler, calls
 
 
 def test_chat_request_invariants():
@@ -73,48 +84,47 @@ def test_scripted_echo_and_purity():
 
 
 def test_retry_twice_then_succeed_matches_loop_oracle():
-    fail_times = 2
-    policy = RetryPolicy(attempts=3, base_delay=0.0, jitter=0.0)
-
     # Oracle: simulate the documented policy with a plain loop.
     def simulate(fails: int, attempts: int):
-        calls = retries = 0
+        calls = 0
         for attempt in range(attempts):
             calls += 1
             if calls > fails:
                 return calls, attempt
-            retries += 1
         return calls, None
 
-    expected_calls, expected_retry_counter = simulate(fail_times, policy.attempts)
-    assert (expected_calls, expected_retry_counter) == (3, 2)
-
-    calls = {"n": 0}
-
-    def handler(req):
-        calls["n"] += 1
-        return "eventually"
-
-    gw = scripted_gateway(handler, fail_first=fail_times, retry=policy)
-    response = gw.chat("s", "u")
-    assert response.raw_text == "eventually"
-    assert response.retries == expected_retry_counter
-    assert calls["n"] == expected_calls - fail_times  # handler runs after the failures
+    assert simulate(2, RETRY_ATTEMPTS) == (3, 2)
+    for fail_times in range(RETRY_ATTEMPTS):  # a handler that raises k times: k retries
+        expected_calls, expected_retries = simulate(fail_times, RETRY_ATTEMPTS)
+        handler, calls = failing(fail_times)
+        response = scripted_gateway(handler).chat("s", "u")
+        assert response.raw_text == "eventually"
+        assert response.retries == expected_retries == fail_times
+        assert calls["n"] == expected_calls
 
 
 def test_retries_exhausted_raises_transport():
-    gw = scripted_gateway(lambda r: "never", fail_first=99,
-                          retry=RetryPolicy(attempts=3, base_delay=0.0, jitter=0.0))
+    handler, calls = failing(99)
     with pytest.raises(TransportError, match="3 attempts"):
-        gw.chat("s", "u")
+        scripted_gateway(handler).chat("s", "u")
+    assert calls["n"] == RETRY_ATTEMPTS == 3
 
 
-def test_backoff_delays_grow():
-    policy = RetryPolicy(attempts=4, base_delay=0.1, max_delay=10.0, jitter=0.0)
-    delays = [policy.delay(a) for a in range(3)]
-    assert delays == sorted(delays) and delays[0] == pytest.approx(0.1)
-    capped = RetryPolicy(attempts=4, base_delay=4.0, max_delay=5.0, jitter=0.0)
-    assert capped.delay(5) == 5.0
+def test_backoff_delays_grow(monkeypatch):
+    """0.25 s, then 0.5 s, each at most 10% higher; the sleep is the fake clock."""
+    def delays_with(draw):
+        if draw is not None:
+            monkeypatch.setattr("orchkit.gateway.random.random", lambda: draw)
+        delays = []
+        with pytest.raises(TransportError):
+            scripted_gateway(failing(99)[0], sleep=delays.append).chat("s", "u")
+        return delays
+
+    delays = delays_with(None)
+    assert len(delays) == RETRY_ATTEMPTS - 1 == 2
+    assert 0.25 <= delays[0] <= 0.25 * 1.1 and 0.5 <= delays[1] <= 0.5 * 1.1
+    assert delays_with(0.0) == [0.25, 0.5]
+    assert delays_with(0.999999) == pytest.approx([0.275, 0.55], abs=1e-5)
 
 
 def test_context_overflow_is_truncated_error():

@@ -19,7 +19,13 @@ import pytest
 from conftest import vessel_schema
 
 from orchkit.errors import MalformedReplyError, TransportError, TruncatedError
-from orchkit.gateway import PHASE_CLOUD, PHASE_LOCAL, BackendProfile, Gateway, RetryPolicy
+from orchkit.gateway import (
+    PHASE_CLOUD,
+    PHASE_LOCAL,
+    RETRY_ATTEMPTS,
+    BackendProfile,
+    Gateway,
+)
 
 PROXY_VARS = ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
               "http_proxy", "https_proxy", "all_proxy", "no_proxy")
@@ -121,8 +127,7 @@ def _gateway(server, channel: str) -> Gateway:
         profile, phase = BackendProfile.cloud(f"{base}/v1/", "big-planner"), PHASE_CLOUD
     else:
         profile, phase = BackendProfile.local(f"{base}/", "small-extractor"), PHASE_LOCAL
-    return Gateway(profile, phase, retry=RetryPolicy(attempts=2, base_delay=0.0, jitter=0.0),
-                   sleep=lambda _s: None)
+    return Gateway(profile, phase, sleep=lambda _s: None)
 
 
 def _reply(channel: str, text: str, *, length: bool = False) -> dict:
@@ -202,7 +207,7 @@ def test_server_error_on_every_attempt_names_channel(server, channel):
     server.reply = (500, {"error": "down"})
     with pytest.raises(TransportError, match=f"{channel} chat call failed"):
         _gateway(server, channel).chat("sys", "doc")
-    assert len(server.seen) == 2
+    assert len(server.seen) == RETRY_ATTEMPTS
 
 
 @pytest.mark.parametrize("channel", ["cloud", "local"])

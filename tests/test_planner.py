@@ -258,7 +258,7 @@ def test_refine_prompt_requires_failures(task):
     draft = PromptSpec.draft(spread.id, "p")
     harness = Harness(json.dumps({"system_prompt": "x"}))
     with pytest.raises(ValueError, match="non-empty"):
-        refine_prompt(draft, [], harness.gateway())
+        refine_prompt(draft, [], harness.gateway(), schema=spread.output_schema)
 
 
 # --- full planning pass -----------------------------------------------------------

@@ -77,7 +77,7 @@ def test_boolean_values_and_quoted_labels():
     labels = make_labels(("Low Risk", "High Risk"))
     logic = parse_logic('when flag == true -> "High Risk"; default -> "Low Risk"',
                         [schema], labels)
-    assert evaluate(logic, {"flag": "true"}).name == "High Risk"
+    assert evaluate(logic, FeatureSet({"flag": "true"})).name == "High Risk"
     with pytest.raises(IllegalValueError):
         parse_logic('when flag == maybe -> "High Risk"; default -> "Low Risk"',
                     [schema], labels)
@@ -88,15 +88,15 @@ def test_boolean_values_and_quoted_labels():
 def test_first_match_forced_by_first_rule():
     plan = golden_plan()
     logic = plan.parsed_logic()
-    features = {"distant_metastasis": "present", "smv_contact": "encasement",
-                "celiac_contact": "true"}
+    features = FeatureSet({"distant_metastasis": "present", "smv_contact": "encasement",
+                           "celiac_contact": "true"})
     assert evaluate(logic, features).name == "Metastatic"
 
 
 def test_default_path_when_no_rule_fires():
     logic = parse_logic(MINIMAL, [minimal_schema()], TWO_LABELS)
-    assert evaluate(logic, {"distant_metastasis": "absent"}).name == "Resectable"
-    assert evaluate(logic, {}).name == "Resectable"  # unknown everywhere
+    assert evaluate(logic, FeatureSet({"distant_metastasis": "absent"})).name == "Resectable"
+    assert evaluate(logic, FeatureSet({})).name == "Resectable"  # unknown everywhere
 
 
 def test_nested_condition_against_hand_truth_table():
@@ -116,8 +116,8 @@ def test_nested_condition_against_hand_truth_table():
                                                ("present", "absent")):
         expected = "LocallyAdvanced" if ((smv == "encasement" or celiac == "yes")
                                          and mets == "absent") else "Resectable"
-        got = evaluate(logic, {"smv_involvement": smv, "celiac_contact": celiac,
-                               "mets": mets})
+        got = evaluate(logic, FeatureSet({"smv_involvement": smv, "celiac_contact": celiac,
+                                          "mets": mets}))
         assert got.name == expected, (smv, celiac, mets)
 
 
@@ -133,7 +133,7 @@ def test_three_boolean_fields_exhaustive_against_brute_interpreter():
               for combo in itertools.product(("true", "false"), repeat=3)]
     assert len(inputs) == 8
     for features in inputs:
-        assert evaluate(logic, features) == oracle_evaluate(logic, features)
+        assert evaluate(logic, FeatureSet(features)) == oracle_evaluate(logic, features)
 
 
 def test_unknown_semantics():
@@ -141,14 +141,14 @@ def test_unknown_semantics():
         "when distant_metastasis != present -> Resectable;"
         "default -> Metastatic", [minimal_schema()], TWO_LABELS)
     # != matches unknown; == never does.
-    assert evaluate(logic, {}).name == "Resectable"
+    assert evaluate(logic, FeatureSet({})).name == "Resectable"
     eq_logic = parse_logic(MINIMAL, [minimal_schema()], TWO_LABELS)
-    assert evaluate(eq_logic, {"distant_metastasis": UNKNOWN}).name == "Resectable"
+    assert evaluate(eq_logic, FeatureSet({"distant_metastasis": UNKNOWN})).name == "Resectable"
     unk_logic = parse_logic(
         "when is_unknown(distant_metastasis) -> Metastatic; default -> Resectable",
         [minimal_schema()], TWO_LABELS)
-    assert evaluate(unk_logic, {}).name == "Metastatic"
-    assert evaluate(unk_logic, {"distant_metastasis": "absent"}).name == "Resectable"
+    assert evaluate(unk_logic, FeatureSet({})).name == "Metastatic"
+    assert evaluate(unk_logic, FeatureSet({"distant_metastasis": "absent"})).name == "Resectable"
 
 
 def test_evaluate_accepts_feature_sets_and_is_deterministic():
@@ -166,7 +166,7 @@ def test_random_programs_match_oracle_and_stay_total():
         source = random_program_source(rng, schema)
         logic = parse_logic(source, [schema], LABELS)
         for features in all_inputs(schema):
-            got = evaluate(logic, features)
+            got = evaluate(logic, FeatureSet(features))
             assert got == oracle_evaluate(logic, features)
             assert got.name in {lbl.name for lbl in LABELS}
 
@@ -182,6 +182,7 @@ def test_prepending_always_false_rule_changes_nothing():
         never = f"when {field.name} == {value} and not ({field.name} == {value}) -> L3;\n"
         shadowed = parse_logic(never + source, [schema], LABELS)
         for features in all_inputs(schema):
+            features = FeatureSet(features)
             assert evaluate(logic, features) == evaluate(shadowed, features)
 
 

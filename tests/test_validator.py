@@ -131,8 +131,6 @@ def test_transport_failure_marks_case_and_report_survives():
         return json.dumps({"reasoning": "ok", "values": {"distant_metastasis": expected}})
 
     gw = Gateway(BackendProfile.scripted(ScriptedBackend(script)), PHASE_LOCAL,
-                 retry=__import__("orchkit.gateway", fromlist=["RetryPolicy"]).RetryPolicy(
-                     attempts=2, base_delay=0.0, jitter=0.0),
                  sleep=lambda _s: None)
     report = validate_prompt(draft_prompt(), make_cases(10), gw, subtask=SPREAD)
     assert report.passes == 9
