@@ -22,15 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    BundleError,
-    ChecksumMismatchError,
-    DslError,
-    MalformedBundleError,
-    PlanInvalidError,
-    UnrefinedPromptsError,
-    VersionIncompatibleError,
-)
+from .errors import BundleError, DslError
 from .gateway import DEFAULT_CONTEXT, DEFAULT_TEMPERATURE, PHASE_LOCAL
 from .jsonio import canonical_json, digest, read_json, sha256_text, write_json
 from .model import (
@@ -288,14 +280,14 @@ def pack(plan: Plan, runtime: RuntimeDefaults | None = None, *,
     """
     violations = validate_plan(plan, min_cases=min_cases)
     if violations:
-        raise PlanInvalidError("; ".join(violations))
+        raise ValueError("; ".join(violations))
     if guideline_body is not None and \
             sha256_text(guideline_body) != plan.provenance.get("guideline_digest"):
-        raise PlanInvalidError("guideline body does not match the plan's guideline_digest")
+        raise ValueError("guideline body does not match the plan's guideline_digest")
     bad = [p.subtask_id for p in plan.prompts if p.status == "draft"
            or (p.status == "failed" and not allow_failed)]
     if bad:
-        raise UnrefinedPromptsError(
+        raise ValueError(
             f"prompts not refined for subtasks: {', '.join(sorted(bad))}"
             + ("" if allow_failed else " (use allow_failed to pack failed prompts)"))
     sections = _sections_for(plan, runtime or RuntimeDefaults(),
@@ -315,39 +307,43 @@ def unpack(data: bytes) -> ArtifactBundle:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedBundleError(f"bundle is not UTF-8: {exc}") from exc
+        raise BundleError(f"bundle is not UTF-8: {exc}") from exc
     marker = text.rfind(_TRAILER_PREFIX)
     if marker == -1 or (marker > 0 and text[marker - 1] != "\n"):
-        raise MalformedBundleError("bundle has no hash trailer")
+        raise BundleError("bundle has no hash trailer")
     body = text[:marker]
     trailer = text[marker + len(_TRAILER_PREFIX):]
     # Exactly 64 lowercase hex digits and a newline; anything else (stray
     # whitespace included) is a mutation, not a cosmetic difference.
     if not re.fullmatch(r"[0-9a-f]{64}\n", trailer):
-        raise MalformedBundleError("bundle hash trailer is malformed")
+        raise BundleError("bundle hash trailer is malformed")
     expected = trailer.strip()
     actual = sha256_text(body)
     if actual != expected:
-        raise ChecksumMismatchError(
+        raise BundleError(
             f"whole-file hash mismatch: trailer {expected[:12]}…, computed {actual[:12]}…")
     try:
         document = json.loads(body)
     except json.JSONDecodeError as exc:
-        raise MalformedBundleError(f"bundle body is not JSON: {exc}") from exc
-    if not isinstance(document, dict) or "sections" not in document or "integrity" not in document:
-        raise MalformedBundleError("bundle body lacks sections/integrity")
+        raise BundleError(f"bundle body is not JSON: {exc}") from exc
+    if not (isinstance(document, dict) and isinstance(document.get("sections"), dict)
+            and isinstance(document.get("integrity"), dict)):
+        raise BundleError("bundle body lacks sections/integrity objects")
     sections = document["sections"]
     recorded = document["integrity"].get("sections", {})
-    if set(recorded) != set(sections):
-        raise ChecksumMismatchError("integrity map does not cover the sections")
+    if not isinstance(recorded, dict) or set(recorded) != set(sections):
+        raise BundleError("integrity map does not cover the sections")
     for name, value in sections.items():
         if digest(value) != recorded[name]:
-            raise ChecksumMismatchError(f"section {name!r} hash mismatch")
-    version = str(sections.get("meta", {}).get("format_version", ""))
+            raise BundleError(f"section {name!r} hash mismatch")
+    meta = sections.get("meta", {})
+    if not isinstance(meta, dict):
+        raise BundleError("bundle meta section must be a JSON object")
+    version = str(meta.get("format_version", ""))
     major = version.split(".", 1)[0]
     ours = FORMAT_VERSION.split(".", 1)[0]
     if major != ours:
-        raise VersionIncompatibleError(
+        raise BundleError(
             f"bundle format {version} is incompatible with reader {FORMAT_VERSION}")
     bundle = ArtifactBundle(sections=sections)
     _check_written_digests(bundle)
@@ -367,14 +363,14 @@ def _check_written_digests(bundle: ArtifactBundle) -> None:
         if not isinstance(bundle.allow_failed, bool):
             raise ValueError(f"meta.allow_failed: must be true or false, "
                              f"got {bundle.allow_failed!r}")
-    except (DslError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedBundleError(f"bundle does not hold a usable plan: {exc}") from exc
+    except (AttributeError, DslError, KeyError, TypeError, ValueError) as exc:
+        raise BundleError(f"bundle does not hold a usable plan: {exc}") from exc
     if sha256_text(pretty(logic)) != claimed:
-        raise ChecksumMismatchError("rule program does not match logic.parsed_digest")
+        raise BundleError("rule program does not match logic.parsed_digest")
     meta = bundle.sections["meta"]
     body = meta.get("guideline_body")
     if body is not None and sha256_text(body) != meta.get("guideline_digest"):
-        raise ChecksumMismatchError("guideline_body does not match meta.guideline_digest")
+        raise BundleError("guideline_body does not match meta.guideline_digest")
 
 
 def write_bundle(data: bytes, path: str | Path) -> None:
@@ -386,4 +382,4 @@ def read_bundle(path: str | Path) -> ArtifactBundle:
     try:
         return unpack(Path(path).read_bytes())
     except BundleError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise BundleError(f"{path}: {exc}") from exc

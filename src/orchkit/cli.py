@@ -7,12 +7,21 @@ that guard (and any requested revalidation) has passed.
 
 Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
     0  success
-    2  invalid input (missing/malformed files, id mismatches)
-    3  planner failure (malformed or repeatedly invalid plan replies)
-    4  failed model call (transport failure, malformed reply, truncation, empty reply)
+    2  invalid input (missing/malformed files, id mismatches): OrchError,
+       OutputParseError, ValueError, OSError, KeyError
+    3  planner failure (unusable or repeatedly invalid plan replies, a bad
+       rule program): PlannerError, DslError
+    4  failed model call (transport failure, malformed reply, truncation,
+       empty reply, unrecorded replay request): ModelCallError,
+       TransportError, UnseenRequestError
     5  validation failure (a prompt or revalidation below threshold)
-    6  bundle integrity failure (tamper, version, malformed)
-    7  privacy refusal (cloud profile active during inference)
+    6  bundle integrity failure (tamper, version, malformed): BundleError
+    7  privacy refusal (cloud profile active during inference):
+       PhaseViolationError
+
+Every error class carries its code as `exit_code` and `main` exits with
+it; a class exists only where code branches on it or its code differs
+from its parent's (see errors.py). Exit 5 is a result, not an error.
 """
 
 from __future__ import annotations
@@ -26,19 +35,7 @@ from pathlib import Path
 from . import bundle as bundlemod
 from . import evalkit, executor, planner, validator
 from .config import Config, load_config
-from .errors import (
-    BudgetExceededError,
-    ChecksumMismatchError,
-    DslError,
-    MalformedBundleError,
-    MalformedCasesError,
-    MalformedPlanError,
-    ModelCallError,
-    OrchError,
-    PhaseViolationError,
-    UnseenRequestError,
-    VersionIncompatibleError,
-)
+from .errors import OrchError, PhaseViolationError, PlannerError
 from .gateway import (
     DEFAULT_CONTEXT,
     DEFAULT_TEMPERATURE,
@@ -53,30 +50,12 @@ from .planner import TemplateSet
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
-EXIT_PLANNER = 3
-EXIT_TRANSPORT = 4
 EXIT_VALIDATION = 5
-EXIT_TAMPER = 6
-EXIT_PRIVACY = 7
 
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, PhaseViolationError):
-        return EXIT_PRIVACY
-    if isinstance(exc, (ChecksumMismatchError, VersionIncompatibleError, MalformedBundleError)):
-        return EXIT_TAMPER
-    if isinstance(exc, (MalformedPlanError, BudgetExceededError, MalformedCasesError, DslError)):
-        return EXIT_PLANNER
-    if isinstance(exc, (ModelCallError, UnseenRequestError)):
-        return EXIT_TRANSPORT
-    # PlanInvalidError and UnrefinedPromptsError mean the input plan is not
-    # packable; everything else unclassified is also treated as bad input.
-    return EXIT_INVALID_INPUT
 
 
 def _now_iso() -> str:
@@ -121,7 +100,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     plan = planner.build_plan(task, gateway, templates=_templates(config), clock=clock)
     violations = validate_plan(plan, min_cases=config.min_synthetic_cases)
     if violations:
-        raise MalformedPlanError("planned artifact failed validation: " + "; ".join(violations))
+        raise PlannerError("planned artifact failed validation: " + "; ".join(violations))
     bundlemod.save_plan(plan, args.out)
     print(f"plan written to {args.out}: {len(plan.subtasks)} subtasks, "
           f"{sum(len(v) for v in plan.synthetic_sets.values())} synthetic cases")
@@ -223,11 +202,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
     # Privacy guard comes before anything else is even read.
     cloud_active = config.cloud.kind == KIND_CLOUD_HTTP or config.local.kind == KIND_CLOUD_HTTP
-    if cloud_active:
-        if not (args.i_know_this_is_scripted and config.local.kind == "scripted"):
-            return _fail(EXIT_PRIVACY,
-                         "a cloud profile is active; refusing to run inference "
-                         "over documents in this environment")
+    if cloud_active and not (args.i_know_this_is_scripted and config.local.kind == "scripted"):
+        raise PhaseViolationError("a cloud profile is active; refusing to run inference "
+                                  "over documents in this environment")
     if args.rounds is not None and args.rounds < 1:
         raise ValueError(f"infer: --rounds must be >= 1, got {args.rounds}")
     artifact = bundlemod.read_bundle(args.bundle)
@@ -384,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except OrchError as exc:
-        return _fail(_exit_code_for(exc), str(exc))
+        return _fail(exc.exit_code, str(exc))
     except (ValueError, OSError, KeyError) as exc:
         return _fail(EXIT_INVALID_INPUT, str(exc))
 

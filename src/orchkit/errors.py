@@ -1,72 +1,64 @@
 """Exception and warning types shared across the pipeline.
 
-Every failure mode that callers are expected to branch on gets its own
-class; everything inherits from OrchError so the CLI can map error
-classes onto its exit-code contract in one place.
+A failure gets its own class only where code branches on it (an `except`
+or `isinstance` names it) or where the CLI exit code differs from its
+parent's. Each class carries its exit code as `exit_code`, and `cli.main`
+exits with it, so the class is the only place that knows the code.
+Everything else is an OrchError (exit 2) or a ValueError (invalid input,
+also exit 2) with a message that says what went wrong.
 """
 
 from __future__ import annotations
 
 
 class OrchError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors: invalid input unless a subclass says otherwise."""
+
+    exit_code = 2
 
 
 # --- gateway ---------------------------------------------------------------
 
 class ModelCallError(OrchError):
-    """A model call gave no usable completion (transport, malformed reply, truncation, refusal).
+    """A model call gave no usable completion.
 
-    `failure` names the class in the reasons recorded for failed calls.
+    `failure` names the kind in the reasons recorded for failed calls:
+    transport failure, truncation, empty reply or malformed reply.
     """
 
-    failure = "failed model call"
+    exit_code = 4
+
+    def __init__(self, message: str, failure: str):
+        super().__init__(message)
+        self.failure = failure
 
 
 class TransportError(ModelCallError):
-    """Network or HTTP failure that survived the retry policy."""
+    """Network or HTTP failure; the gateway retries it."""
 
-    failure = "transport failure"
-
-
-class TruncatedError(ModelCallError):
-    """Request would overflow (or did overflow) the backend context window."""
-
-    failure = "truncation"
-
-
-class BackendRefusalError(ModelCallError):
-    """Backend returned an empty or refused completion."""
-
-    failure = "empty reply"
-
-
-class MalformedReplyError(ModelCallError):
-    """Backend answered, but its reply lacks the completion text; not retried."""
-
-    failure = "malformed reply"
+    def __init__(self, message: str):
+        super().__init__(message, "transport failure")
 
 
 class UnseenRequestError(OrchError):
     """Replay session has no recorded response for this request."""
 
+    exit_code = 4
+
 
 class PhaseViolationError(OrchError):
     """A cloud-phase call tried to reach a local profile, or vice versa."""
 
+    exit_code = 7
+
 
 # --- planner ---------------------------------------------------------------
 
-class MalformedPlanError(OrchError):
-    """Planner model reply stayed unparseable after all repair round-trips."""
+class PlannerError(OrchError):
+    """Planner reply stayed unusable or invalid after all repair round-trips,
+    or the planned artifact failed validation."""
 
-
-class BudgetExceededError(OrchError):
-    """Repair round-trip budget exhausted on semantically invalid replies."""
-
-
-class MalformedCasesError(OrchError):
-    """Synthetic-case reply stayed unusable after all repair round-trips."""
+    exit_code = 3
 
 
 class CoverageUnreachableWarning(UserWarning):
@@ -80,26 +72,16 @@ class CoverageIncompleteWarning(UserWarning):
 # --- rule DSL ---------------------------------------------------------------
 
 class DslError(OrchError):
-    """Base class for synthesis-logic parse and check failures."""
+    """Synthesis-logic parse or check failure, with its source position when known."""
 
+    exit_code = 3
 
-class DslSyntaxError(DslError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        if line is not None:
+            message = f"{message} (line {line}, column {column})"
+        super().__init__(message)
         self.line = line
         self.column = column
-
-
-class UnknownFieldError(DslError):
-    """Condition references a field no subtask schema declares."""
-
-
-class IllegalValueError(DslError):
-    """Comparison value or rule label is not legal for its position."""
-
-
-class MissingDefaultError(DslError):
-    """Program has no default rule, so it would not be total."""
 
 
 # --- executor / structured output -------------------------------------------
@@ -111,30 +93,6 @@ class OutputParseError(OrchError):
 # --- bundle ------------------------------------------------------------------
 
 class BundleError(OrchError):
-    """Base class for artifact-bundle failures."""
+    """Bundle bytes are malformed, fail a hash, or have an incompatible version."""
 
-
-class PlanInvalidError(BundleError):
-    """Plan failed validation and cannot be packed."""
-
-
-class UnrefinedPromptsError(BundleError):
-    """Plan contains non-refined prompts and no override was given."""
-
-
-class ChecksumMismatchError(BundleError):
-    """Whole-file or per-section hash did not verify."""
-
-
-class VersionIncompatibleError(BundleError):
-    """Bundle format major version differs from the reader's."""
-
-
-class MalformedBundleError(BundleError):
-    """Bundle bytes are not a well-formed bundle document."""
-
-
-# --- evalkit ------------------------------------------------------------------
-
-class IdMismatchError(OrchError):
-    """Prediction set is missing a document id that ground truth scores."""
+    exit_code = 6

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import IdMismatchError
 from .jsonio import read_jsonl
 
 INDETERMINATE = "indeterminate"
@@ -61,7 +60,7 @@ def _aligned(pred: LabeledSet, gt: LabeledSet) -> list[tuple[str, str, str]]:
             continue
         rows.append((doc_id, gt_label, lookup[doc_id]))
     if missing:
-        raise IdMismatchError(
+        raise ValueError(
             f"prediction set {pred.source!r} is missing scored ids: {sorted(missing)}")
     return rows
 

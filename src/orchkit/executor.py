@@ -11,9 +11,10 @@ label through the rule program's unknown handling.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -156,27 +157,34 @@ def iter_lanes(fn: Callable[[T], R], items: Sequence[T], *, width: int) -> Itera
     """`fn` over every item, up to `width` at once; yields lane i's result
     once lanes 0..i are done, and keeps no future it has yielded.
 
-    Lanes start in input order. If a lane raises, lanes not yet started are
-    cancelled at once, lanes already running finish, and the error of the
-    first failed lane in input order is raised after the results before it
-    have been yielded. Closing the iterator early cancels and waits the same.
+    Lanes start in input order. A lane that raises records its index before
+    its thread takes another lane, and a lane after the first failed one
+    returns without calling `fn`; lanes already running finish. The error
+    of the first failed lane in input order is raised after the results
+    before it have been yielded. Closing the iterator early stops every
+    lane not yet started the same way.
     """
+    stop_after = [len(items)]  # lanes after this index do not call fn
+    lock = threading.Lock()
+
+    def lane(index: int, item: T) -> R | None:
+        if index > stop_after[0]:
+            return None  # never read: the reader raises at a failed lane first
+        try:
+            return fn(item)
+        except BaseException:
+            with lock:
+                stop_after[0] = min(stop_after[0], index)
+            raise
+
     pool = ThreadPoolExecutor(max_workers=max(width, 1))  # width 0: no items
     try:
-        futures = deque(pool.submit(fn, item) for item in items)
-
-        def stop_on_error(future: Future) -> None:
-            if not future.cancelled() and future.exception() is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-        # Registered after every submit: the pool takes no lane once shut down.
-        for future in futures:
-            future.add_done_callback(stop_on_error)
-        # Lanes start in input order, so every cancelled lane comes after every
-        # failed one, and reading the results in order raises the first failure.
+        futures = deque(pool.submit(lane, i, item) for i, item in enumerate(items))
         while futures:
             yield futures.popleft().result()
     finally:
+        with lock:
+            stop_after[0] = -1
         pool.shutdown(cancel_futures=True)
 
 

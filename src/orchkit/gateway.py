@@ -35,14 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import (
-    BackendRefusalError,
-    MalformedReplyError,
-    PhaseViolationError,
-    TransportError,
-    TruncatedError,
-    UnseenRequestError,
-)
+from .errors import ModelCallError, PhaseViolationError, TransportError, UnseenRequestError
 from .jsonio import digest, jsonl_line, read_jsonl
 from .model import FeatureSchema
 
@@ -323,7 +316,8 @@ class OpenAIChatBackend:
             text = choice["message"]["content"] or ""
             finish = "truncated" if choice.get("finish_reason") == "length" else "complete"
         except (KeyError, IndexError, TypeError) as exc:
-            raise MalformedReplyError(f"malformed chat-completions reply: {exc}") from exc
+            raise ModelCallError(f"malformed chat-completions reply: {exc}",
+                                 "malformed reply") from exc
         return ChatResponse(raw_text=text, finish_reason=finish, latency_ms=latency)
 
 
@@ -347,7 +341,7 @@ class OllamaChatBackend:
         try:
             text = body["message"]["content"] or ""
         except (KeyError, TypeError) as exc:
-            raise MalformedReplyError(f"malformed chat reply: {exc}") from exc
+            raise ModelCallError(f"malformed chat reply: {exc}", "malformed reply") from exc
         finish = "truncated" if body.get("done_reason") == "length" else "complete"
         return ChatResponse(raw_text=text, finish_reason=finish, latency_ms=latency)
 
@@ -401,8 +395,8 @@ class Gateway:
     def complete(self, request: ChatRequest) -> ChatResponse:
         estimated = estimate_tokens(request.system_prompt) + estimate_tokens(request.user_content)
         if estimated > request.max_context_tokens:
-            raise TruncatedError(
-                f"estimated {estimated} tokens exceeds the {request.max_context_tokens}-token window")
+            raise ModelCallError(f"estimated {estimated} tokens exceeds the "
+                                 f"{request.max_context_tokens}-token window", "truncation")
         last_error: TransportError | None = None
         for attempt in range(RETRY_ATTEMPTS):
             try:
@@ -414,9 +408,9 @@ class Gateway:
                     self._sleep(backoff * (1.0 + RETRY_JITTER * random.random()))
                 continue
             if response.finish_reason == "truncated":
-                raise TruncatedError("backend reported a truncated completion")
+                raise ModelCallError("backend reported a truncated completion", "truncation")
             if not response.raw_text.strip():
-                raise BackendRefusalError("backend returned an empty completion")
+                raise ModelCallError("backend returned an empty completion", "empty reply")
             return replace(response, retries=attempt) if attempt else response
         raise TransportError(
             f"gave up after {RETRY_ATTEMPTS} attempts: {last_error}") from last_error

@@ -21,14 +21,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
-    BudgetExceededError,
     CoverageIncompleteWarning,
     CoverageUnreachableWarning,
     DslError,
-    MalformedCasesError,
-    MalformedPlanError,
     OutputParseError,
     PhaseViolationError,
+    PlannerError,
 )
 from .gateway import PHASE_CLOUD, Gateway
 from .jsonio import digest, sha256_text
@@ -131,39 +129,30 @@ class _Exchange:
     """One meta-prompt conversation with bounded repair round-trips.
 
     `interpret` raises OutputParseError for unparseable replies and
-    ValueError/DslError for parseable-but-invalid ones; the distinction
-    decides which terminal error the budget exhaustion maps to.
+    ValueError/DslError for parseable-but-invalid ones; the last reply's
+    kind decides the message of the PlannerError raised when the repair
+    budget runs out.
     """
 
     def __init__(self, gateway: Gateway, templates: TemplateSet):
         self.gateway = gateway
         self.templates = templates
 
-    def run(self, system_prompt: str, interpret: Callable[[str], object],
-            unparseable_error: type[Exception]):
+    def run(self, system_prompt: str, interpret: Callable[[str], object]):
         prompt = system_prompt
-        last_reply = ""
-        last_parse_failure = True
-        last_message = ""
         for _ in range(1 + DEFAULT_MAX_REPAIRS):
             reply = self.gateway.chat(prompt, _REPLY_NUDGE)
-            last_reply = reply.raw_text
             try:
                 return interpret(reply.raw_text)
             except OutputParseError as exc:
-                last_parse_failure = True
-                last_message = str(exc)
+                state, last_message = "unusable", str(exc)
             except (ValueError, DslError) as exc:
-                last_parse_failure = False
-                last_message = str(exc)
+                state, last_message = "still invalid", str(exc)
             suffix = render(self.templates.repair,
-                            {"error": last_message, "reply": last_reply})
+                            {"error": last_message, "reply": reply.raw_text})
             prompt = f"{system_prompt}\n\n{suffix}"
-        if last_parse_failure:
-            raise unparseable_error(
-                f"reply unusable after {DEFAULT_MAX_REPAIRS} repair round-trips: {last_message}")
-        raise BudgetExceededError(
-            f"reply still invalid after {DEFAULT_MAX_REPAIRS} repair round-trips: {last_message}")
+        raise PlannerError(
+            f"reply {state} after {DEFAULT_MAX_REPAIRS} repair round-trips: {last_message}")
 
 
 def _interpret_plan_reply(raw: str, task: TaskSpec) -> tuple[list[Subtask], list[PromptSpec], str]:
@@ -185,7 +174,12 @@ def _interpret_plan_reply(raw: str, task: TaskSpec) -> tuple[list[Subtask], list
         for key in ("id", "name", "description", "fields", "prompt"):
             if key not in entry:
                 raise OutputParseError(f"subtask entry is missing {key!r}")
-        schema = FeatureSchema.from_dict({"fields": entry["fields"]})
+        try:
+            schema = FeatureSchema.from_dict({"fields": entry["fields"]})
+        except (KeyError, TypeError) as exc:
+            raise OutputParseError(
+                f'subtask {entry["id"]!r}: "fields" must be a list of objects with '
+                f'"name" and "kind" ({type(exc).__name__}: {exc})') from exc
         subtask = Subtask(id=str(entry["id"]), name=str(entry["name"]),
                           description=str(entry["description"]), output_schema=schema)
         subtasks.append(subtask)
@@ -222,7 +216,7 @@ def decompose(task: TaskSpec, gateway: Gateway, *,
     })
     exchange = _Exchange(gateway, templates)
     subtasks, prompts, logic_source = exchange.run(
-        system, lambda raw: _interpret_plan_reply(raw, task), MalformedPlanError)
+        system, lambda raw: _interpret_plan_reply(raw, task))
     provenance: dict[str, object] = {
         "planner_model": gateway.profile.model or "",
         "meta_prompt_digests": templates.digests(),
@@ -284,9 +278,7 @@ def generate_synthetic(subtask: Subtask, guideline: str, gateway: Gateway, *,
         "count": str(count),
     })
     exchange = _Exchange(gateway, templates)
-    cases = exchange.run(
-        system, lambda raw: _interpret_cases_reply(raw, subtask, count),
-        MalformedCasesError)
+    cases = exchange.run(system, lambda raw: _interpret_cases_reply(raw, subtask, count))
 
     needed = max((len(f.legal_values()) for f in subtask.output_schema.fields), default=0)
     uncovered = _uncovered_values(subtask, cases)
@@ -301,9 +293,8 @@ def generate_synthetic(subtask: Subtask, guideline: str, gateway: Gateway, *,
                         f"{count} cases that covers them all.")
         try:
             retry_cases = exchange.run(
-                retry_system, lambda raw: _interpret_cases_reply(raw, subtask, count),
-                MalformedCasesError)
-        except (MalformedCasesError, BudgetExceededError):
+                retry_system, lambda raw: _interpret_cases_reply(raw, subtask, count))
+        except PlannerError:
             retry_cases = None
         if retry_cases is not None and not _uncovered_values(subtask, retry_cases):
             return retry_cases
@@ -354,7 +345,7 @@ def refine_prompt(prompt: PromptSpec, failures: Sequence[tuple[SyntheticCase, Su
         return text
 
     exchange = _Exchange(gateway, templates)
-    new_text = exchange.run(system, interpret, MalformedPlanError)
+    new_text = exchange.run(system, interpret)
     contract = format_block(schema)
     if contract not in new_text:
         new_text = f"{new_text.strip()}\n\n{contract}"

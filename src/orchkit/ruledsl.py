@@ -34,12 +34,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import (
-    DslSyntaxError,
-    IllegalValueError,
-    MissingDefaultError,
-    UnknownFieldError,
-)
+from .errors import DslError
 from .model import UNKNOWN, FeatureSchema, FeatureSet, OutcomeLabel, merge_schemas
 
 # ---------------------------------------------------------------------------
@@ -127,7 +122,7 @@ def _tokenize(source: str) -> list[_Token]:
     while pos < len(source):
         match = _TOKEN_RE.match(source, pos)
         if match is None:
-            raise DslSyntaxError(f"unexpected character {source[pos]!r}", line, col)
+            raise DslError(f"unexpected character {source[pos]!r}", line, col)
         text = match.group(0)
         kind = match.lastgroup or ""
         if kind == "ident" and text in _KEYWORDS:
@@ -181,8 +176,8 @@ class _Parser:
     def expect(self, text: str) -> _Token:
         tok = self.next()
         if tok.text != text:
-            raise DslSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                                 tok.line, tok.column)
+            raise DslError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
+                           tok.line, tok.column)
         return tok
 
     def parse_program(self, source: str) -> SynthesisLogic:
@@ -197,20 +192,20 @@ class _Parser:
             elif tok.text == "default":
                 self.expect("->")
                 if default is not None:
-                    raise DslSyntaxError("duplicate default rule", tok.line, tok.column)
+                    raise DslError("duplicate default rule", tok.line, tok.column)
                 default = self.parse_label()
             else:
-                raise DslSyntaxError(
+                raise DslError(
                     f"expected 'when' or 'default', found {tok.text or 'end of input'!r}",
                     tok.line, tok.column)
             if self.peek().text == ";":
                 self.next()
             elif self.peek().kind != "eof":
                 nxt = self.peek()
-                raise DslSyntaxError(f"expected ';' between statements, found {nxt.text!r}",
-                                     nxt.line, nxt.column)
+                raise DslError(f"expected ';' between statements, found {nxt.text!r}",
+                               nxt.line, nxt.column)
         if default is None:
-            raise MissingDefaultError("program has no default rule")
+            raise DslError("program has no default rule")
         return SynthesisLogic(tuple(rules), default, self.schema, source)
 
     def parse_label(self) -> OutcomeLabel:
@@ -220,13 +215,12 @@ class _Parser:
         elif tok.kind == "ident":
             name = tok.text
         else:
-            raise DslSyntaxError(f"expected a label, found {tok.text or 'end of input'!r}",
-                                 tok.line, tok.column)
+            raise DslError(f"expected a label, found {tok.text or 'end of input'!r}",
+                           tok.line, tok.column)
         label = self.labels.get(name.casefold())
         if label is None:
-            raise IllegalValueError(
-                f"label {name!r} is not in the declared label set "
-                f"(line {tok.line}, column {tok.column})")
+            raise DslError(f"label {name!r} is not in the declared label set",
+                           tok.line, tok.column)
         return label
 
     def parse_condition(self) -> object:
@@ -293,17 +287,16 @@ class _Parser:
                 values.append(self.parse_value(field))
             self.expect("}")
             return In(field.name, tuple(values))
-        raise DslSyntaxError(f"expected '==', '!=' or 'in', found {op.text or 'end of input'!r}",
-                             op.line, op.column)
+        raise DslError(f"expected '==', '!=' or 'in', found {op.text or 'end of input'!r}",
+                       op.line, op.column)
 
     def check_field(self, tok: _Token):
         if tok.kind != "ident":
-            raise DslSyntaxError(f"expected a field name, found {tok.text or 'end of input'!r}",
-                                 tok.line, tok.column)
+            raise DslError(f"expected a field name, found {tok.text or 'end of input'!r}",
+                           tok.line, tok.column)
         spec = self.schema.get(tok.text)
         if spec is None:
-            raise UnknownFieldError(
-                f"unknown field {tok.text!r} (line {tok.line}, column {tok.column})")
+            raise DslError(f"unknown field {tok.text!r}", tok.line, tok.column)
         return spec
 
     def parse_value(self, field) -> str:
@@ -313,19 +306,17 @@ class _Parser:
         elif tok.kind == "ident" or tok.text in ("true", "false"):
             raw = tok.text
         else:
-            raise DslSyntaxError(f"expected a value, found {tok.text or 'end of input'!r}",
-                                 tok.line, tok.column)
-        where = f"(line {tok.line}, column {tok.column})"
+            raise DslError(f"expected a value, found {tok.text or 'end of input'!r}",
+                           tok.line, tok.column)
         if raw.casefold() == UNKNOWN:
-            raise IllegalValueError(
-                f"{UNKNOWN!r} cannot be compared directly; use is_unknown({field.name}) {where}")
+            raise DslError(f"{UNKNOWN!r} cannot be compared directly; "
+                           f"use is_unknown({field.name})", tok.line, tok.column)
         if field.kind == "text":
             return raw.strip().casefold()
         canonical = field.normalize_strict(raw)
         if canonical is None or canonical == UNKNOWN:
-            raise IllegalValueError(
-                f"value {raw!r} is not legal for field {field.name!r} "
-                f"of kind {field.kind} {where}")
+            raise DslError(f"value {raw!r} is not legal for field {field.name!r} "
+                           f"of kind {field.kind}", tok.line, tok.column)
         return canonical
 
 

@@ -20,13 +20,7 @@ from orchkit.bundle import (
     save_plan,
     unpack,
 )
-from orchkit.errors import (
-    ChecksumMismatchError,
-    MalformedBundleError,
-    PlanInvalidError,
-    UnrefinedPromptsError,
-    VersionIncompatibleError,
-)
+from orchkit.errors import BundleError
 from orchkit.cli import main
 from orchkit.model import FeatureSet, SyntheticCase
 
@@ -57,12 +51,12 @@ def test_pack_rejects_invalid_plan():
     plan = golden_plan()
     sets = dict(plan.synthetic_sets)
     sets["ghost"] = (SyntheticCase("ghost", "text", FeatureSet({"x": "y"})),)
-    with pytest.raises(PlanInvalidError, match="ghost"):
+    with pytest.raises(ValueError, match="ghost"):
         pack(plan.with_synthetic_sets(sets))
 
 
 def test_pack_rejects_unrefined_prompts():
-    with pytest.raises(UnrefinedPromptsError):
+    with pytest.raises(ValueError, match="prompts not refined for subtasks"):
         pack(golden_plan())  # drafts only
 
 
@@ -71,7 +65,7 @@ def test_pack_allow_failed_gate():
     failed = plan.prompts[0].report
     prompts = (plan.prompts[0].failed(failed), *plan.prompts[1:])
     half_failed = plan.with_prompts(prompts)
-    with pytest.raises(UnrefinedPromptsError, match="allow_failed"):
+    with pytest.raises(ValueError, match="prompts not refined .*allow_failed"):
         pack(half_failed)
     bundle = unpack(pack(half_failed, allow_failed=True))
     assert bundle.allow_failed is True
@@ -83,7 +77,7 @@ def test_single_byte_flip_detected_sampled():
     for pos in range(0, len(data), 97):  # sampled; acceptance covers every byte
         mutated = bytearray(data)
         mutated[pos] ^= 0x01
-        with pytest.raises((ChecksumMismatchError, MalformedBundleError)):
+        with pytest.raises(BundleError):
             unpack(bytes(mutated))
 
 
@@ -91,11 +85,11 @@ def test_version_gate():
     bundle = unpack(pack(refined_plan()))
     sections = json.loads(json.dumps(dict(bundle.sections)))
     sections["meta"]["format_version"] = "2.0.0"
-    with pytest.raises(VersionIncompatibleError, match="2.0.0"):
+    with pytest.raises(BundleError, match="bundle format 2.0.0 is incompatible"):
         unpack(_render(sections))
     sections["meta"]["format_version"] = FORMAT_VERSION.replace("0", "9", 1)
     # Same major: minor/patch drift is tolerated.
-    with pytest.raises(VersionIncompatibleError):
+    with pytest.raises(BundleError, match="bundle format 2.1.3 is incompatible"):
         unpack(_render({**sections, "meta": {**sections["meta"],
                                              "format_version": "2.1.3"}}))
 
@@ -107,7 +101,7 @@ def test_section_hash_mismatch_detected():
     document["sections"]["runtime"]["rounds"] = 99  # stale integrity map
     new_body = canonical_json(document) + "\n"
     new_trailer = "#sha256:" + hashlib.sha256(new_body.encode()).hexdigest() + "\n"
-    with pytest.raises(ChecksumMismatchError, match="runtime"):
+    with pytest.raises(BundleError, match="section 'runtime' hash mismatch"):
         unpack((new_body + new_trailer).encode("utf-8"))
 
 
@@ -117,7 +111,7 @@ def test_section_hash_mismatch_detected():
     b"not json\n#sha256:" + hashlib.sha256(b"not json\n").hexdigest().encode() + b"\n",
 ])
 def test_malformed_bundles_rejected(raw):
-    with pytest.raises(MalformedBundleError):
+    with pytest.raises(BundleError, match="not UTF-8|no hash trailer|body is not JSON"):
         unpack(raw)
 
 
@@ -146,7 +140,8 @@ def test_guideline_body_inclusion_is_opt_in():
 
 
 def test_pack_refuses_guideline_body_not_matching_digest():
-    with pytest.raises(PlanInvalidError, match="guideline_digest"):
+    with pytest.raises(ValueError,
+                       match="guideline body does not match the plan's guideline_digest"):
         pack(refined_plan(), guideline_body="full guideline text")
 
 
@@ -158,21 +153,54 @@ def _rerendered(edit) -> bytes:
     return _render(sections)
 
 
-@pytest.mark.parametrize("edit, error", [
-    (lambda s: s["logic"].update(parsed_digest="0" * 64), ChecksumMismatchError),
-    (lambda s: s["logic"].update(source="default -> Metastatic"), ChecksumMismatchError),
-    (lambda s: s["logic"].update(source="when -> ;"), MalformedBundleError),
-    (lambda s: s["meta"].update(guideline_body="another guideline"), ChecksumMismatchError),
-    (lambda s: s.pop("labels"), MalformedBundleError),
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda s: s["logic"].update(parsed_digest="0" * 64),
+     "rule program does not match logic.parsed_digest"),
+    (lambda s: s["logic"].update(source="default -> Metastatic"),
+     "rule program does not match logic.parsed_digest"),
+    (lambda s: s["logic"].update(source="when -> ;"), "does not hold a usable plan"),
+    (lambda s: s["meta"].update(guideline_body="another guideline"),
+     "guideline_body does not match meta.guideline_digest"),
+    (lambda s: s.pop("labels"), "does not hold a usable plan"),
 ], ids=["parsed-digest", "logic-source", "unparseable-source", "guideline-body",
         "missing-section"])
-def test_false_written_digest_rejected_exit_6(tmp_path, edit, error):
+def test_false_written_digest_rejected_exit_6(tmp_path, edit, fragment):
     data = _rerendered(edit)
-    with pytest.raises(error):
+    with pytest.raises(BundleError, match=fragment):
         unpack(data)
     path = tmp_path / "rerendered.orchb"
     path.write_bytes(data)
     assert main(["unpack", "--bundle", str(path), "--out", str(tmp_path / "plan.json")]) == 6
+
+
+def _restructured(edit) -> bytes:
+    """A rendered bundle with its whole document edited and its trailer
+    recomputed, so only the structure checks can show the edit."""
+    body = _rerendered(lambda s: None).decode("utf-8").rsplit("#sha256:", 1)[0]
+    document = json.loads(body)
+    edit(document)
+    body = canonical_json(document) + "\n"
+    return (body + "#sha256:" + hashlib.sha256(body.encode()).hexdigest() + "\n").encode()
+
+
+@pytest.mark.parametrize("data, fragment", [
+    (lambda: _rerendered(lambda s: s.update(meta=[])),
+     "bundle meta section must be a JSON object"),
+    (lambda: _restructured(lambda d: d.update(integrity=[])),
+     "bundle body lacks sections/integrity objects"),
+    # Its names match the integrity map, so only the type check can catch it.
+    (lambda: _restructured(lambda d: d.update(sections=sorted(d["sections"]))),
+     "bundle body lacks sections/integrity objects"),
+    (lambda: _rerendered(lambda s: s.update(synthetic=[])),
+     "bundle does not hold a usable plan: 'list' object has no attribute 'items'"),
+], ids=["meta a list", "integrity a list", "sections a list", "synthetic a list"])
+def test_non_object_bundle_structure_exits_6_with_one_error_line(tmp_path, capsys,
+                                                                 data, fragment):
+    path = tmp_path / "restructured.orchb"
+    path.write_bytes(data())
+    assert main(["unpack", "--bundle", str(path), "--out", str(tmp_path / "plan.json")]) == 6
+    assert capsys.readouterr().err == f"error: {path}: {fragment}\n"
+    assert not (tmp_path / "plan.json").exists()
 
 
 def test_created_at_defaults_to_epoch_and_is_overridable():

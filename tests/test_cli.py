@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from orchkit import executor
+from orchkit import cli, errors, executor
 from orchkit.bundle import load_plan, pack, read_bundle, save_plan, write_bundle
 from orchkit.cli import main
 from orchkit.gateway import (
@@ -19,7 +19,13 @@ from orchkit.gateway import (
 )
 from orchkit.jsonio import digest
 
-from conftest import build_e2e_workspace, golden_plan, refined_plan
+from conftest import (
+    E2E_PLAN_REPLY,
+    build_e2e_workspace,
+    e2e_cloud_handler,
+    golden_plan,
+    refined_plan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +88,7 @@ def test_plan_scripted_failure_is_exit_3(workspace, tmp_path):
     gw = Gateway(BackendProfile.scripted(backend, model="scripted-cloud",
                                          temperature=0.8), PHASE_CLOUD,
                  sleep=lambda _s: None)
-    from orchkit.errors import MalformedPlanError
+    from orchkit.errors import PlannerError
     from orchkit.planner import decompose
     from conftest import golden_task
     import orchkit.model as m
@@ -94,7 +100,7 @@ def test_plan_scripted_failure_is_exit_3(workspace, tmp_path):
                       preferences=m.UserPrefs(
                           output_labels=base.preferences.output_labels,
                           max_subtasks=4, synthetic_cases_per_subtask=3))
-    with pytest.raises(MalformedPlanError):
+    with pytest.raises(PlannerError, match="reply unusable after"):
         decompose(task, gw)  # records the failing exchange
 
     config = tmp_path / "bad.cfg"
@@ -109,6 +115,88 @@ def test_plan_scripted_failure_is_exit_3(workspace, tmp_path):
                    "--out", str(tmp_path / "plan.json"),
                    "--config", str(config), "--deterministic")
     assert code == 3
+
+
+MALFORMED_FIELDS = {
+    "fields a string": "oops",
+    "field without kind": [{"name": "distant_metastasis", "values": ["present", "absent"]}],
+}
+
+
+def _plan_with_malformed_fields(workspace, tmp_path, monkeypatch, fields, bad_replies):
+    """`orchkit plan` with a cloud model whose first `bad_replies` decompose
+    replies carry `fields` in their first subtask. Returns the exit code and
+    the decompose requests."""
+    bad = json.loads(json.dumps(E2E_PLAN_REPLY))
+    bad["subtasks"][0]["fields"] = fields
+    decompose_requests = []
+
+    def cloud(request):
+        if "Decompose the task" not in request.system_prompt:
+            return e2e_cloud_handler(request)
+        decompose_requests.append(request)
+        return json.dumps(bad if len(decompose_requests) <= bad_replies else E2E_PLAN_REPLY)
+
+    monkeypatch.setattr(cli, "Gateway", lambda profile, phase: Gateway(
+        BackendProfile.scripted(ScriptedBackend(cloud), model=profile.model), phase))
+    code = plan_cmd(workspace, tmp_path / "plan.json")
+    return code, decompose_requests
+
+
+@pytest.mark.parametrize("fields", list(MALFORMED_FIELDS.values()), ids=list(MALFORMED_FIELDS))
+def test_plan_reply_with_malformed_fields_exits_3_after_every_repair(workspace, tmp_path,
+                                                                     monkeypatch, capsys,
+                                                                     fields):
+    capsys.readouterr()
+    code, requests = _plan_with_malformed_fields(workspace, tmp_path, monkeypatch, fields, 3)
+    assert code == 3 and len(requests) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: reply unusable after 2 repair round-trips: "
+                             "subtask 'distant_spread': \"fields\" must be a list")
+    assert not (tmp_path / "plan.json").exists()
+
+
+@pytest.mark.parametrize("fields", list(MALFORMED_FIELDS.values()), ids=list(MALFORMED_FIELDS))
+def test_plan_reply_with_malformed_fields_is_repaired(workspace, tmp_path, monkeypatch,
+                                                      fields):
+    code, requests = _plan_with_malformed_fields(workspace, tmp_path, monkeypatch, fields, 1)
+    assert code == 0 and len(requests) == 2
+    assert '"fields" must be a list' in requests[1].system_prompt
+    assert [s.id for s in load_plan(tmp_path / "plan.json").subtasks] == [
+        "distant_spread", "vessel_involvement"]
+
+
+# The README's exit-code table, one row per error class.
+EXIT_CODES = [
+    (errors.PhaseViolationError("refused"), 7),
+    (errors.BundleError("tampered"), 6),
+    (errors.ModelCallError("cut off", "truncation"), 4),
+    (errors.TransportError("down"), 4),
+    (errors.UnseenRequestError("not recorded"), 4),
+    (errors.PlannerError("reply unusable"), 3),
+    (errors.DslError("unknown field 'x'", 1, 6), 3),
+    (errors.OutputParseError("no JSON"), 2),
+    (errors.OrchError("bad input"), 2),
+    (ValueError("bad value"), 2),
+]
+
+
+def test_exit_code_table_names_every_error_class():
+    defined = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.OrchError)}
+    assert defined == {type(exc) for exc, _ in EXIT_CODES if isinstance(exc, errors.OrchError)}
+
+
+@pytest.mark.parametrize("exc, code", EXIT_CODES, ids=[type(e).__name__ for e, _ in EXIT_CODES])
+def test_each_error_class_exits_with_its_code(tmp_path, monkeypatch, capsys, exc, code):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_unpack", failing)
+    assert main(["unpack", "--bundle", str(tmp_path / "a.orchb"),
+                 "--out", str(tmp_path / "plan.json")]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_validate_pack_infer_evaluate_chain(workspace, tmp_path, capsys):

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from orchkit.errors import IdMismatchError
 from orchkit.evalkit import (
     INDETERMINATE,
     LabeledSet,
@@ -74,7 +73,7 @@ def test_accuracy_id_mismatch_only_for_scored_ids():
     trimmed = LabeledSet("system", tuple(p for p in pred.pairs if p[0] != "x000"))
     assert accuracy(trimmed, gt).n_scored == 5  # indeterminate id not required
     broken = LabeledSet("system", pred.pairs[1:])
-    with pytest.raises(IdMismatchError, match="r000"):
+    with pytest.raises(ValueError, match=r"is missing scored ids: \['r000'\]"):
         accuracy(broken, gt)
 
 

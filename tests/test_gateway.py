@@ -9,10 +9,9 @@ import json
 import pytest
 
 from orchkit.errors import (
-    BackendRefusalError,
+    ModelCallError,
     PhaseViolationError,
     TransportError,
-    TruncatedError,
     UnseenRequestError,
 )
 from orchkit.gateway import (
@@ -129,14 +128,16 @@ def test_backoff_delays_grow(monkeypatch):
 
 def test_context_overflow_is_truncated_error():
     gw = scripted_gateway(lambda r: "text", context=10)
-    with pytest.raises(TruncatedError, match="exceeds"):
+    with pytest.raises(ModelCallError, match="exceeds") as err:
         gw.chat("s" * 100, "u" * 100)
+    assert err.value.failure == "truncation"
 
 
 def test_empty_completion_is_refusal():
     gw = scripted_gateway(lambda r: "   ")
-    with pytest.raises(BackendRefusalError):
+    with pytest.raises(ModelCallError) as err:
         gw.chat("s", "u")
+    assert err.value.failure == "empty reply"
 
 
 # --- phase separation -----------------------------------------------------------

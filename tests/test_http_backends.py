@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from conftest import vessel_schema
 
-from orchkit.errors import MalformedReplyError, TransportError, TruncatedError
+from orchkit.errors import ModelCallError, TransportError
 from orchkit.gateway import (
     PHASE_CLOUD,
     PHASE_LOCAL,
@@ -197,8 +197,9 @@ def test_cloud_payload_and_key(server, monkeypatch, with_schema, api_key):
 @pytest.mark.parametrize("channel", ["cloud", "local"])
 def test_length_stop_is_truncated(server, channel):
     server.reply = (200, _reply(channel, "cut off", length=True))
-    with pytest.raises(TruncatedError):
+    with pytest.raises(ModelCallError) as err:
         _gateway(server, channel).chat("sys", "doc")
+    assert err.value.failure == "truncation"
     assert len(server.seen) == 1
 
 
@@ -213,8 +214,9 @@ def test_server_error_on_every_attempt_names_channel(server, channel):
 @pytest.mark.parametrize("channel", ["cloud", "local"])
 def test_reply_without_reply_field_is_malformed(server, channel):
     server.reply = (200, {"unexpected": True})
-    with pytest.raises(MalformedReplyError, match="malformed"):
+    with pytest.raises(ModelCallError, match="malformed") as err:
         _gateway(server, channel).chat("sys", "doc")
+    assert err.value.failure == "malformed reply"
     assert len(server.seen) == 1
 
 

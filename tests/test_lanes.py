@@ -11,6 +11,7 @@ in its own round) and counts the calls in flight.
 from __future__ import annotations
 
 import json
+import random
 import sys
 import threading
 import time
@@ -22,7 +23,7 @@ from orchkit import cli
 from orchkit.bundle import save_plan
 from orchkit.cli import main
 from orchkit.errors import UnseenRequestError
-from orchkit.executor import run_lanes
+from orchkit.executor import iter_lanes, run_lanes
 from orchkit.gateway import (
     PHASE_CLOUD,
     PHASE_LOCAL,
@@ -208,6 +209,66 @@ def test_run_lanes_order_width_cancellation_and_error():
 
     with pytest.raises(ValueError, match="lane 1 fails last"):
         run_lanes(late_and_early, list(range(4)), width=4)
+
+
+def test_a_failed_lane_at_width_1_stops_every_later_lane():
+    calls = []
+
+    def lane(i):
+        calls.append(i)
+        if i == 0:
+            raise ValueError("lane 0")
+        return i
+
+    with pytest.raises(ValueError, match="lane 0"):
+        list(iter_lanes(lane, list(range(10)), width=1))
+    assert calls == [0]
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_lanes_failing_together_start_no_later_lane(width):
+    # Lanes 0..width-1 hold every thread until all of them raise, so each
+    # later lane is taken by a thread whose lane has already failed.
+    barrier = threading.Barrier(width, timeout=10)
+    lock = threading.Lock()
+    calls = []
+
+    def lane(i):
+        with lock:
+            calls.append(i)
+        if i < width:
+            barrier.wait()
+            raise ValueError(f"lane {i}")
+        return i
+
+    with pytest.raises(ValueError, match="^lane 0$"):
+        list(iter_lanes(lane, list(range(3 * width)), width=width))
+    assert sorted(calls) == list(range(width))
+
+
+def test_lane_results_and_first_error_hold_under_thread_switch_stress():
+    # More threads than cores, switching as often as the interpreter allows:
+    # every lane before the first failure is yielded, in order, and the
+    # first failure's error is raised, wherever the other failures fall.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(30):
+            failing = set(random.Random(trial).sample(range(200), 3))
+            first = min(failing)
+
+            def lane(i):
+                if i in failing:
+                    raise ValueError(f"lane {i}")
+                return i
+
+            yielded = []
+            with pytest.raises(ValueError, match=f"^lane {first}$"):
+                for result in iter_lanes(lane, list(range(200)), width=8):
+                    yielded.append(result)
+            assert yielded == list(range(first))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_validate_and_revalidate_run_subtasks_at_once(tmp_path, monkeypatch):

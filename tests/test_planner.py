@@ -7,12 +7,10 @@ import json
 import pytest
 
 from orchkit.errors import (
-    BudgetExceededError,
     CoverageIncompleteWarning,
     CoverageUnreachableWarning,
-    MalformedCasesError,
-    MalformedPlanError,
     PhaseViolationError,
+    PlannerError,
 )
 from orchkit.gateway import PHASE_CLOUD, PHASE_LOCAL, BackendProfile, Gateway, ScriptedBackend
 from orchkit.model import FeatureSet, SubtaskRun, validate_plan
@@ -112,7 +110,7 @@ def test_decompose_repairs_undeclared_logic_field(task):
 
 def test_decompose_unparseable_after_all_attempts(task):
     harness = Harness("", always_bad="I cannot answer in JSON, sorry.")
-    with pytest.raises(MalformedPlanError, match="repair round-trips"):
+    with pytest.raises(PlannerError, match="reply unusable after 2 repair round-trips"):
         decompose(task, harness.gateway())
     assert len(harness.requests) == 3  # initial + 2 repairs
 
@@ -121,7 +119,7 @@ def test_decompose_semantic_failure_exhausts_budget(task):
     too_many = dict(PLAN_REPLY)
     too_many["subtasks"] = PLAN_REPLY["subtasks"] * 3  # duplicates, over limit
     harness = Harness("", always_bad=json.dumps(too_many))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(PlannerError, match="reply still invalid after 2 repair round-trips"):
         decompose(task, harness.gateway())
 
 
@@ -218,7 +216,7 @@ def test_generate_synthetic_coverage_gap_warns_after_retry(task):
 def test_generate_synthetic_malformed_everywhere(task):
     spread = golden_subtasks()[0]
     harness = Harness("", always_bad="no json here")
-    with pytest.raises(MalformedCasesError):
+    with pytest.raises(PlannerError, match="reply unusable after"):
         generate_synthetic(spread, task.guideline, harness.gateway(), count=10)
 
 

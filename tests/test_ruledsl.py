@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
-from orchkit.errors import (
-    DslSyntaxError,
-    IllegalValueError,
-    MissingDefaultError,
-    UnknownFieldError,
-)
+from orchkit.errors import DslError
 from orchkit.model import UNKNOWN, FeatureSchema, FeatureSet, FieldSpec, make_labels
 from orchkit.ruledsl import Rule, evaluate, parse_logic, pretty
 
@@ -41,34 +37,42 @@ def test_minimal_program_parses():
 
 def test_misspelled_field_is_reported_at_token():
     source = "when distant_metastases == present -> Metastatic; default -> Resectable"
-    with pytest.raises(UnknownFieldError, match=r"distant_metastases.*line 1, column 6"):
+    with pytest.raises(DslError,
+                       match=r"^unknown field 'distant_metastases' \(line 1, column 6\)$"):
         parse_logic(source, [minimal_schema()], TWO_LABELS)
 
 
 def test_missing_default_rejected():
-    with pytest.raises(MissingDefaultError):
+    with pytest.raises(DslError, match="^program has no default rule$"):
         parse_logic("when distant_metastasis == present -> Metastatic",
                     [minimal_schema()], TWO_LABELS)
 
 
 def test_syntax_error_carries_position():
-    with pytest.raises(DslSyntaxError) as err:
+    with pytest.raises(DslError, match=r"^unexpected character '=' \(line 1, column 25\)$") as err:
         parse_logic("when distant_metastasis = present -> Metastatic; default -> Resectable",
                     [minimal_schema()], TWO_LABELS)
     assert err.value.line == 1 and err.value.column > 1
 
 
-@pytest.mark.parametrize("source,error", [
-    ("when distant_metastasis == someday -> Metastatic; default -> Resectable",
-     IllegalValueError),      # value not in the categorical menu
-    ("when distant_metastasis == unknown -> Metastatic; default -> Resectable",
-     IllegalValueError),      # unknown is only reachable via is_unknown
-    ("when distant_metastasis == present -> Cured; default -> Resectable",
-     IllegalValueError),      # label outside the declared set
-    ("default -> Resectable; default -> Metastatic", DslSyntaxError),
-])
-def test_static_checks(source, error):
-    with pytest.raises(error):
+# Each case's id ends with the kind of failure it checks for.
+@pytest.mark.parametrize("source,fragment", [
+    pytest.param(source, fragment, id=f"{source}-{kind}")
+    for source, kind, fragment in [
+        ("when distant_metastasis == someday -> Metastatic; default -> Resectable",
+         "IllegalValueError",     # value not in the categorical menu
+         "value 'someday' is not legal for field 'distant_metastasis'"),
+        ("when distant_metastasis == unknown -> Metastatic; default -> Resectable",
+         "IllegalValueError",     # unknown is only reachable via is_unknown
+         "'unknown' cannot be compared directly"),
+        ("when distant_metastasis == present -> Cured; default -> Resectable",
+         "IllegalValueError",     # label outside the declared set
+         "label 'Cured' is not in the declared label set"),
+        ("default -> Resectable; default -> Metastatic",
+         "DslSyntaxError", "duplicate default rule"),
+    ]])
+def test_static_checks(source, fragment):
+    with pytest.raises(DslError, match=re.escape(fragment) + r".* \(line 1, column \d+\)$"):
         parse_logic(source, [minimal_schema()], TWO_LABELS)
 
 
@@ -78,7 +82,7 @@ def test_boolean_values_and_quoted_labels():
     logic = parse_logic('when flag == true -> "High Risk"; default -> "Low Risk"',
                         [schema], labels)
     assert evaluate(logic, FeatureSet({"flag": "true"})).name == "High Risk"
-    with pytest.raises(IllegalValueError):
+    with pytest.raises(DslError, match="value 'maybe' is not legal for field 'flag'"):
         parse_logic('when flag == maybe -> "High Risk"; default -> "Low Risk"',
                     [schema], labels)
 
