@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import BundleError, DslError
 from .gateway import DEFAULT_CONTEXT, DEFAULT_TEMPERATURE, PHASE_LOCAL
-from .jsonio import canonical_json, digest, read_json, sha256_text, write_json
+from .jsonio import canonical_json, decode, digest, read_json, sha256_text, write_json
 from .model import (
     FeatureSchema,
     FeatureSet,
@@ -136,13 +136,19 @@ def plan_to_dict(plan: Plan) -> dict:
 
 
 def plan_from_dict(data: Mapping) -> Plan:
+    """The plan a plan file or bundle holds; one with a subtask that has no
+    prompt is refused, so no command reaches a model call without one."""
     labels = tuple(OutcomeLabel(name, i) for i, name in enumerate(data["labels"]))
     sets = {sid: tuple(_case_from_dict(c, sid) for c in cases)
             for sid, cases in data["synthetic_sets"].items()}
-    return Plan(subtasks=tuple(_subtask_from_dict(s) for s in data["subtasks"]),
+    plan = Plan(subtasks=tuple(_subtask_from_dict(s) for s in data["subtasks"]),
                 prompts=tuple(_prompt_from_dict(p) for p in data["prompts"]),
                 logic_source=data["logic_source"], labels=labels,
                 synthetic_sets=sets, provenance=dict(data["provenance"]))
+    for subtask in plan.subtasks:
+        if plan.prompt_for(subtask.id) is None:
+            raise ValueError(f"no prompt for subtask {subtask.id!r}")
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +362,26 @@ def _check_written_digests(bundle: ArtifactBundle) -> None:
     passes every hash."""
     from .ruledsl import pretty
 
-    try:
-        logic = bundle.to_plan().parsed_logic()
-        claimed = bundle.sections["logic"]["parsed_digest"]
-        bundle.runtime()
-        if not isinstance(bundle.allow_failed, bool):
+    def check(artifact: ArtifactBundle) -> None:
+        logic = artifact.to_plan().parsed_logic()
+        artifact.runtime()
+        if not isinstance(artifact.allow_failed, bool):
             raise ValueError(f"meta.allow_failed: must be true or false, "
-                             f"got {bundle.allow_failed!r}")
-    except (AttributeError, DslError, KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"bundle does not hold a usable plan: {exc}") from exc
-    if sha256_text(pretty(logic)) != claimed:
-        raise BundleError("rule program does not match logic.parsed_digest")
-    meta = bundle.sections["meta"]
-    body = meta.get("guideline_body")
-    if body is not None and sha256_text(body) != meta.get("guideline_digest"):
-        raise BundleError("guideline_body does not match meta.guideline_digest")
+                             f"got {artifact.allow_failed!r}")
+        if sha256_text(pretty(logic)) != artifact.sections["logic"]["parsed_digest"]:
+            raise BundleError("rule program does not match logic.parsed_digest")
+        meta = artifact.sections["meta"]
+        body = meta.get("guideline_body")
+        if body is not None and sha256_text(body) != meta.get("guideline_digest"):
+            raise BundleError("guideline_body does not match meta.guideline_digest")
+
+    def unusable(message: str) -> BundleError:
+        return BundleError(f"bundle does not hold a usable plan: {message}")
+
+    try:
+        decode(check, bundle, unusable)
+    except (DslError, ValueError) as exc:
+        raise unusable(str(exc)) from exc
 
 
 def write_bundle(data: bytes, path: str | Path) -> None:

@@ -7,13 +7,14 @@ that guard (and any requested revalidation) has passed.
 
 Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
     0  success
-    2  invalid input (missing/malformed files, id mismatches): OrchError,
-       OutputParseError, ValueError, OSError, KeyError
+    2  invalid input (missing/malformed files, a malformed replay-session
+       line, id mismatches): OrchError, OutputParseError, ValueError,
+       OSError; a file's error names it, and a JSON-lines file's its line
     3  planner failure (unusable or repeatedly invalid plan replies, a bad
        rule program): PlannerError, DslError
-    4  failed model call (transport failure, malformed reply, truncation,
-       empty reply, unrecorded replay request): ModelCallError,
-       TransportError, UnseenRequestError
+    4  failed model call (transport failure, malformed reply or completion
+       text that is not a string, truncation, empty reply, unrecorded
+       replay request): ModelCallError, TransportError, UnseenRequestError
     5  validation failure (a prompt or revalidation below threshold)
     6  bundle integrity failure (tamper, version, malformed): BundleError
     7  privacy refusal (cloud profile active during inference):
@@ -64,19 +65,15 @@ def _now_iso() -> str:
 
 def _load_prefs(path: Path, config: Config) -> UserPrefs:
     """Preferences JSON; a case count it omits comes from the config."""
-    def build(data: object) -> UserPrefs:
-        if not isinstance(data, dict):
-            raise ValueError("preferences must be a JSON object")
-        if not isinstance(data["output_labels"], list):
-            raise ValueError("output_labels must be a list")
+    def build(data: dict) -> UserPrefs:
         return UserPrefs(
-            output_labels=tuple(data["output_labels"]),
-            max_subtasks=int(data.get("max_subtasks", 6)),
-            synthetic_cases_per_subtask=int(data.get("synthetic_cases_per_subtask",
-                                                     config.synthetic_cases_per_subtask)),
-            output_format_notes=str(data.get("output_format_notes", "")),
-            include_entities=tuple(data.get("include_entities", ())),
-            exclude_entities=tuple(data.get("exclude_entities", ())))
+            output_labels=data["output_labels"],
+            max_subtasks=data.get("max_subtasks", 6),
+            synthetic_cases_per_subtask=data.get("synthetic_cases_per_subtask",
+                                                 config.synthetic_cases_per_subtask),
+            output_format_notes=data.get("output_format_notes", ""),
+            include_entities=data.get("include_entities", ()),
+            exclude_entities=data.get("exclude_entities", ()))
 
     return read_json(path, build)
 
@@ -114,9 +111,6 @@ class _LaneStopped(Exception):
 def cmd_validate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     plan = bundlemod.load_plan(args.plan)
-    for subtask in plan.subtasks:
-        if plan.prompt_for(subtask.id) is None:
-            raise ValueError(f"validate: no prompt for subtask {subtask.id!r}")
     local_gateway = Gateway(config.local.to_profile("local"), PHASE_LOCAL)
     templates = _templates(config)
     max_iters = args.max_iters if args.max_iters is not None else config.max_iters
@@ -252,10 +246,11 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _label_order(summary: object) -> list[str]:
-    if not isinstance(summary, dict) or not isinstance(summary["label_order"], list):
-        raise ValueError("an infer summary must be an object with a label_order list")
-    return summary["label_order"]
+def _label_order(summary: dict) -> list[str]:
+    labels = summary["label_order"]
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ValueError("an infer summary's label_order must be a list of strings")
+    return labels
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -362,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except OrchError as exc:
         return _fail(exc.exit_code, str(exc))
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(EXIT_INVALID_INPUT, str(exc))
 
 

@@ -88,15 +88,11 @@ class Config:
     def __post_init__(self):
         if not (0.0 < self.threshold <= 1.0):
             raise ValueError(f"config: threshold must be in (0, 1], got {self.threshold}")
-        if self.rounds < 1:
-            raise ValueError(f"config: rounds must be >= 1, got {self.rounds}")
-        if self.max_iters < 1:
-            raise ValueError(f"config: max_iters must be >= 1, got {self.max_iters}")
-        if self.workers < 1:
-            raise ValueError(f"config: workers must be >= 1, got {self.workers}")
-        if self.validation_repeats < 1:
-            raise ValueError(
-                f"config: validation_repeats must be >= 1, got {self.validation_repeats}")
+        for name, least in (("rounds", 1), ("max_iters", 1), ("workers", 1),
+                            ("validation_repeats", 1), ("synthetic_cases_per_subtask", 1),
+                            ("min_synthetic_cases", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"config: {name} must be >= {least}, got {getattr(self, name)}")
         for channel in ("cloud", "local"):
             context = getattr(self, channel).context
             if context is not None and context < 1:

@@ -247,7 +247,8 @@ def run_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
 
 def load_documents(path: str | Path) -> list[Document]:
     """Directory of *.txt files (id = stem) or a JSON-lines file with
-    {"id", "body", "format_tag"} per line."""
+    {"id", "body", "format_tag"} per line; a line repeating an earlier
+    line's id raises ValueError naming the file, the line and the id."""
     p = Path(path)
     if p.is_dir():
         docs = [Document(id=f.stem, body=f.read_text(encoding="utf-8"))
@@ -255,9 +256,17 @@ def load_documents(path: str | Path) -> list[Document]:
         if not docs:
             raise ValueError(f"no *.txt documents in {p}")
         return docs
-    docs = read_jsonl(p, lambda record: Document(
-        id=str(record["id"]), body=record["body"],
-        format_tag=record.get("format_tag", "free_text")))
+    seen: set[str] = set()
+
+    def document(record: dict) -> Document:
+        doc = Document(id=str(record["id"]), body=record["body"],
+                       format_tag=record.get("format_tag", "free_text"))
+        if doc.id in seen:
+            raise ValueError(f"duplicate document id {doc.id!r}")
+        seen.add(doc.id)
+        return doc
+
+    docs = read_jsonl(p, document)
     if not docs:
         raise ValueError(f"no documents in {p}")
     return docs

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ModelCallError, PhaseViolationError, TransportError, UnseenRequestError
-from .jsonio import digest, jsonl_line, read_jsonl
+from .jsonio import decode, digest, jsonl_line, read_jsonl
 from .model import FeatureSchema
 
 PHASE_CLOUD = "cloud"
@@ -93,6 +93,9 @@ class ChatResponse:
     retries: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.raw_text, str):
+            raise TypeError(f"ChatResponse.raw_text: must be a string, not "
+                            f"{type(self.raw_text).__name__}")
         if self.finish_reason not in FINISH_REASONS:
             raise ValueError(
                 f"ChatResponse.finish_reason: must be one of {FINISH_REASONS}, "
@@ -190,19 +193,26 @@ class ReplayBackend:
 
     A request recorded more than once (validation repeats, documents with
     identical text) is served its recordings in turn, then the last again.
+    Every line is read into its ChatResponse when the backend is built, so
+    a malformed line fails there, naming the file and line.
     """
 
     def __init__(self, session_path: str | Path):
         self._path = Path(session_path)
         if not self._path.exists():
             raise TransportError(f"replay session not found: {self._path}")
-        self._entries: dict[str, list[dict]] = {}
+        self._entries: dict[str, list[ChatResponse]] = {}
         seeds: set[bool] = set()  # whether each recorded request carries a seed
-        for digest, response, request in read_jsonl(self._path, lambda r: (
-                r["digest"], r["response"], r.get("request"))):
-            self._entries.setdefault(digest, []).append(response)
-            if request is not None:
-                seeds.add("seed" in request)
+
+        def add(record: dict) -> None:
+            data = record["response"]
+            self._entries.setdefault(record["digest"], []).append(ChatResponse(
+                raw_text=data["raw_text"], latency_ms=data.get("latency_ms", 0.0),
+                finish_reason=data.get("finish_reason", "complete")))
+            if record.get("request") is not None:
+                seeds.add("seed" in record["request"])
+
+        read_jsonl(self._path, add)
         self._predates_seeds = seeds == {False}
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -220,10 +230,7 @@ class ReplayBackend:
         with self._lock:
             i = self._cursor.get(digest, 0)
             self._cursor[digest] = min(i + 1, len(responses) - 1)
-        data = responses[i]
-        return ChatResponse(raw_text=data["raw_text"],
-                            finish_reason=data.get("finish_reason", "complete"),
-                            latency_ms=data.get("latency_ms", 0.0))
+        return responses[i]
 
 
 class RecordingBackend:
@@ -269,10 +276,13 @@ def _schema_to_json_schema(schema: FeatureSchema) -> dict:
 
 
 def _post(channel: str, url: str, payload: dict,
-          headers: dict[str, str] | None = None) -> tuple[dict, float]:
-    """POST a JSON payload; return the decoded reply and the call's latency
-    in ms. A non-2xx status, a connection fault or timeout and a reply that
-    is not JSON each become a TransportError naming the channel."""
+          reply: Callable[[dict], tuple[str | None, bool]],
+          headers: dict[str, str] | None = None) -> ChatResponse:
+    """POST a JSON payload; `reply` reads the decoded reply's completion text
+    (null when there is none) and whether it was cut off. A non-2xx status,
+    a connection fault or timeout and a reply that is not JSON each become a
+    TransportError naming the channel; a reply of the wrong shape, its text
+    not a string included, is a malformed reply."""
     import http.client
     import urllib.error
     import urllib.request
@@ -288,7 +298,15 @@ def _post(channel: str, url: str, payload: dict,
         if isinstance(exc, urllib.error.HTTPError):
             exc.close()  # an HTTPError holds the open error reply
         raise TransportError(f"{channel} chat call failed: {exc}") from exc
-    return body, (time.perf_counter() - started) * 1000.0
+    latency = (time.perf_counter() - started) * 1000.0
+
+    def build(body: dict) -> ChatResponse:
+        text, truncated = reply(body)
+        return ChatResponse(raw_text="" if text is None else text, latency_ms=latency,
+                            finish_reason="truncated" if truncated else "complete")
+
+    return decode(build, body, lambda message: ModelCallError(
+        f"malformed {channel} chat reply: {message}", "malformed reply"))
 
 
 def _messages(request: ChatRequest) -> list[dict]:
@@ -310,15 +328,9 @@ class OpenAIChatBackend:
                          "temperature": request.temperature}
         if request.response_schema is not None:
             payload["response_format"] = {"type": "json_object"}
-        body, latency = _post(PHASE_CLOUD, self.url, payload, self._headers)
-        try:
-            choice = body["choices"][0]
-            text = choice["message"]["content"] or ""
-            finish = "truncated" if choice.get("finish_reason") == "length" else "complete"
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ModelCallError(f"malformed chat-completions reply: {exc}",
-                                 "malformed reply") from exc
-        return ChatResponse(raw_text=text, finish_reason=finish, latency_ms=latency)
+        return _post(PHASE_CLOUD, self.url, payload, lambda body: (
+            body["choices"][0]["message"]["content"],
+            body["choices"][0].get("finish_reason") == "length"), self._headers)
 
 
 class OllamaChatBackend:
@@ -337,13 +349,8 @@ class OllamaChatBackend:
                          "options": options}
         if request.response_schema is not None:
             payload["format"] = _schema_to_json_schema(request.response_schema)
-        body, latency = _post(PHASE_LOCAL, self.url, payload)
-        try:
-            text = body["message"]["content"] or ""
-        except (KeyError, TypeError) as exc:
-            raise ModelCallError(f"malformed chat reply: {exc}", "malformed reply") from exc
-        finish = "truncated" if body.get("done_reason") == "length" else "complete"
-        return ChatResponse(raw_text=text, finish_reason=finish, latency_ms=latency)
+        return _post(PHASE_LOCAL, self.url, payload, lambda body: (
+            body["message"]["content"], body.get("done_reason") == "length"))
 
 
 # ---------------------------------------------------------------------------

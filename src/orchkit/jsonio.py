@@ -16,7 +16,8 @@ files and digests, so these forms are the interface between them:
     read_json reads one JSON document back: a plan file, the planning
     preferences or an inference summary.
 
-Imports nothing from orchkit, so any module can use it without a cycle.
+decode is the one reader of JSON orchkit did not write. Imports nothing
+from orchkit, so any module can use it without a cycle.
 """
 
 from __future__ import annotations
@@ -48,22 +49,33 @@ def jsonl_line(record: object) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def _build(build: Callable[[object], T], text: str, where: str) -> T:
-    """`build` over the JSON in `text`; a failure raises ValueError naming `where`."""
+def decode(build: Callable[[object], T], value: object,
+           error: Callable[[str], Exception]) -> T:
+    """`build` over an untrusted JSON value. The KeyError, IndexError,
+    TypeError or AttributeError a wrong shape raises becomes `error(message)`;
+    other errors pass through, so value types check themselves, uncoerced."""
     try:
-        return build(json.loads(text))
+        return build(value)
     except KeyError as exc:
-        raise ValueError(f"{where}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+        raise error(f"missing key {exc}") from exc
+    except (IndexError, TypeError, AttributeError) as exc:
+        raise error(str(exc)) from exc
+
+
+def _build(build: Callable[[object], T], text: str, where: str) -> T:
+    """decode over the JSON in `text`; any failure raises ValueError naming `where`."""
+    try:
+        return decode(build, json.loads(text), ValueError)
+    except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
 
 def read_jsonl(path: str | Path, build: Callable[[dict], T]) -> list[T]:
     """`build` applied to the record on each non-blank line, in file order.
 
-    A line that is not JSON, or a record `build` rejects with KeyError,
-    AttributeError, TypeError or ValueError, raises ValueError naming the
-    file and line.
+    A line that is not JSON, a record of the wrong shape (see decode) or one
+    `build` rejects with ValueError raises ValueError naming the file and
+    line, e.g. `gt.jsonl:3: missing key 'label'`.
     """
     with Path(path).open("r", encoding="utf-8") as fh:
         return [_build(build, line, f"{path}:{lineno}")

@@ -37,6 +37,17 @@ def _nonempty_text(value: object, where: str) -> str:
     return value  # type: ignore[return-value]
 
 
+def _strings(value: object, where: str) -> tuple[str, ...]:
+    _require(isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value),
+             where, "must be a list of strings")
+    return tuple(value)  # type: ignore[arg-type]
+
+
+def _count(value: object, where: str, least: int) -> None:
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= least,
+             where, f"must be an integer >= {least}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Feature schemas and feature sets
 # ---------------------------------------------------------------------------
@@ -60,7 +71,9 @@ class FieldSpec:
         _nonempty_text(self.name, "FieldSpec.name")
         _require(self.kind in FIELD_KINDS, "FieldSpec.kind",
                  f"must be one of {FIELD_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", _strings(self.values, "FieldSpec.values"))
+        _require(isinstance(self.required, bool), "FieldSpec.required",
+                 f"must be true or false, got {self.required!r}")
         if self.kind == "categorical":
             _require(len(self.values) >= 1, "FieldSpec.values",
                      f"categorical field {self.name!r} needs at least one allowed value")
@@ -72,7 +85,7 @@ class FieldSpec:
         else:
             _require(not self.values, "FieldSpec.values",
                      f"only categorical fields list values (field {self.name!r})")
-        aliases = {str(k).strip().casefold(): str(v).strip() for k, v in dict(self.aliases).items()}
+        aliases = {k.strip().casefold(): v.strip() for k, v in self.aliases.items()}
         legal = {v.casefold() for v in self.legal_values()} | {UNKNOWN}
         if self.kind != "text":
             for alias, target in aliases.items():
@@ -142,9 +155,9 @@ class FeatureSchema:
     def from_dict(cls, data: Mapping) -> "FeatureSchema":
         return cls(tuple(
             FieldSpec(name=entry["name"], kind=entry["kind"],
-                      values=tuple(entry.get("values", ())),
-                      required=bool(entry.get("required", True)),
-                      aliases=dict(entry.get("aliases", {})))
+                      values=entry.get("values", ()),
+                      required=entry.get("required", True),
+                      aliases=entry.get("aliases", {}))
             for entry in data["fields"]))
 
 
@@ -199,9 +212,11 @@ class FeatureSet:
     def from_raw(cls, schema: FeatureSchema, raw: Mapping[str, object]) -> "FeatureSet":
         """Build a conforming set from raw extracted values.
 
-        Raises ValueError on undeclared fields, missing required fields, or
-        illegal values; a missing optional field is unknown.
+        Raises ValueError on raw values that are not a mapping, undeclared
+        fields, missing required fields, or illegal values; a missing
+        optional field is unknown.
         """
+        _require(isinstance(raw, Mapping), "FeatureSet", '"values" must be a JSON object')
         for name in raw:
             _require(schema.get(name) is not None, "FeatureSet", f"undeclared field {name!r}")
         values: dict[str, str] = {}
@@ -236,8 +251,7 @@ class OutcomeLabel:
 
     def __post_init__(self):
         _nonempty_text(self.name, "OutcomeLabel.name")
-        _require(isinstance(self.ordinal, int) and self.ordinal >= 0,
-                 "OutcomeLabel.ordinal", "must be a non-negative integer")
+        _count(self.ordinal, "OutcomeLabel.ordinal", 0)
 
     def __lt__(self, other: "OutcomeLabel") -> bool:
         return (self.ordinal, self.name) < (other.ordinal, other.name)
@@ -259,8 +273,10 @@ class UserPrefs:
     exclude_entities: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _require(isinstance(self.output_labels, (list, tuple)), "UserPrefs.output_labels",
+                 "must be a list")
         labels = tuple(
-            lbl if isinstance(lbl, OutcomeLabel) else OutcomeLabel(str(lbl), i)
+            lbl if isinstance(lbl, OutcomeLabel) else OutcomeLabel(lbl, i)
             for i, lbl in enumerate(self.output_labels))
         _require(len(labels) >= 2, "UserPrefs.output_labels",
                  "needs at least two labels")
@@ -271,11 +287,12 @@ class UserPrefs:
             _require(lbl.ordinal == i, "UserPrefs.output_labels",
                      f"label {lbl.name!r} has ordinal {lbl.ordinal}, expected {i}")
         object.__setattr__(self, "output_labels", labels)
-        _require(self.max_subtasks >= 1, "UserPrefs.max_subtasks", "must be positive")
-        _require(self.synthetic_cases_per_subtask >= 1,
-                 "UserPrefs.synthetic_cases_per_subtask", "must be positive")
-        object.__setattr__(self, "include_entities", tuple(self.include_entities))
-        object.__setattr__(self, "exclude_entities", tuple(self.exclude_entities))
+        _count(self.max_subtasks, "UserPrefs.max_subtasks", 1)
+        _count(self.synthetic_cases_per_subtask, "UserPrefs.synthetic_cases_per_subtask", 1)
+        _require(isinstance(self.output_format_notes, str), "UserPrefs.output_format_notes",
+                 "must be a string")
+        for name in ("include_entities", "exclude_entities"):
+            object.__setattr__(self, name, _strings(getattr(self, name), f"UserPrefs.{name}"))
 
 
 @dataclass(frozen=True)
@@ -309,6 +326,7 @@ class Subtask:
     def __post_init__(self):
         _nonempty_text(self.id, "Subtask.id")
         _nonempty_text(self.name, "Subtask.name")
+        _require(isinstance(self.description, str), "Subtask.description", "must be a string")
         _require(isinstance(self.output_schema, FeatureSchema),
                  "Subtask.output_schema", "must be a FeatureSchema")
 
@@ -331,8 +349,7 @@ class PromptSpec:
     def __post_init__(self):
         _nonempty_text(self.subtask_id, "PromptSpec.subtask_id")
         _nonempty_text(self.system_prompt, "PromptSpec.system_prompt")
-        _require(isinstance(self.revision, int) and self.revision >= 0,
-                 "PromptSpec.revision", "must be a non-negative integer")
+        _count(self.revision, "PromptSpec.revision", 0)
         _require(self.status in PROMPT_STATUSES, "PromptSpec.status",
                  f"must be one of {PROMPT_STATUSES}, got {self.status!r}")
         if self.status == "refined":

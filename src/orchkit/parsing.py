@@ -83,8 +83,6 @@ def parse_subtask_output(schema: FeatureSchema, raw_text: str) -> tuple[str, Fea
     if values is None:
         # Lenient placement: bare field map at the top level.
         values = {k: v for k, v in obj.items() if k != "reasoning"}
-    if not isinstance(values, dict):
-        raise OutputParseError('"values" must be a JSON object')
     try:
         features = FeatureSet.from_raw(schema, values)
     except ValueError as exc:

@@ -29,7 +29,7 @@ from .errors import (
     PlannerError,
 )
 from .gateway import PHASE_CLOUD, Gateway
-from .jsonio import digest, sha256_text
+from .jsonio import decode, digest, sha256_text
 from .model import (
     FeatureSchema,
     FeatureSet,
@@ -128,10 +128,10 @@ def _schema_text(schema: FeatureSchema) -> str:
 class _Exchange:
     """One meta-prompt conversation with bounded repair round-trips.
 
-    `interpret` raises OutputParseError for unparseable replies and
-    ValueError/DslError for parseable-but-invalid ones; the last reply's
-    kind decides the message of the PlannerError raised when the repair
-    budget runs out.
+    `interpret` runs through jsonio.decode, so a reply of the wrong shape
+    raises OutputParseError like an unparseable one; ValueError/DslError
+    mark parseable-but-invalid replies. The last reply's kind decides the
+    message of the PlannerError raised when the repair budget runs out.
     """
 
     def __init__(self, gateway: Gateway, templates: TemplateSet):
@@ -143,7 +143,7 @@ class _Exchange:
         for _ in range(1 + DEFAULT_MAX_REPAIRS):
             reply = self.gateway.chat(prompt, _REPLY_NUDGE)
             try:
-                return interpret(reply.raw_text)
+                return decode(interpret, reply.raw_text, OutputParseError)
             except OutputParseError as exc:
                 state, last_message = "unusable", str(exc)
             except (ValueError, DslError) as exc:
@@ -169,23 +169,16 @@ def _interpret_plan_reply(raw: str, task: TaskSpec) -> tuple[list[Subtask], list
     subtasks: list[Subtask] = []
     prompts: list[PromptSpec] = []
     for entry in raw_subtasks:
-        if not isinstance(entry, dict):
-            raise OutputParseError("each subtask must be a JSON object")
-        for key in ("id", "name", "description", "fields", "prompt"):
-            if key not in entry:
-                raise OutputParseError(f"subtask entry is missing {key!r}")
-        try:
-            schema = FeatureSchema.from_dict({"fields": entry["fields"]})
-        except (KeyError, TypeError) as exc:
-            raise OutputParseError(
-                f'subtask {entry["id"]!r}: "fields" must be a list of objects with '
-                f'"name" and "kind" ({type(exc).__name__}: {exc})') from exc
-        subtask = Subtask(id=str(entry["id"]), name=str(entry["name"]),
-                          description=str(entry["description"]), output_schema=schema)
+        sid = entry["id"]
+        schema = decode(lambda fields: FeatureSchema.from_dict({"fields": fields}),
+                        entry["fields"], lambda message: OutputParseError(
+                            f'subtask {sid!r}: "fields" must be a list of objects with '
+                            f'"name" and "kind" ({message})'))
+        subtask = Subtask(id=sid, name=entry["name"], description=entry["description"],
+                          output_schema=schema)
         subtasks.append(subtask)
         prompts.append(PromptSpec.draft(
-            subtask.id,
-            compose_system_prompt(task.task_description, str(entry["prompt"]), schema)))
+            subtask.id, compose_system_prompt(task.task_description, entry["prompt"], schema)))
     ids = [s.id for s in subtasks]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate subtask ids in reply: {ids}")
@@ -238,16 +231,9 @@ def _interpret_cases_reply(raw: str, subtask: Subtask, count: int) -> list[Synth
         raise OutputParseError('reply needs a non-empty "cases" list')
     if len(raw_cases) < count:
         raise ValueError(f"got {len(raw_cases)} cases, need {count}")
-    cases: list[SyntheticCase] = []
-    for i, entry in enumerate(raw_cases[:count]):
-        if not isinstance(entry, dict) or "input" not in entry or "expected" not in entry:
-            raise OutputParseError(f'case {i} needs "input" and "expected"')
-        if not isinstance(entry["expected"], dict):
-            raise OutputParseError(f'case {i}: "expected" must be an object')
-        expected = FeatureSet.from_raw(subtask.output_schema, entry["expected"])
-        cases.append(SyntheticCase(subtask_id=subtask.id,
-                                   input_text=str(entry["input"]), expected=expected))
-    return cases
+    return [SyntheticCase(subtask_id=subtask.id, input_text=entry["input"],
+                          expected=FeatureSet.from_raw(subtask.output_schema, entry["expected"]))
+            for entry in raw_cases[:count]]
 
 
 def _uncovered_values(subtask: Subtask, cases: Sequence[SyntheticCase]) -> list[str]:

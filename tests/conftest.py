@@ -22,6 +22,16 @@ from orchkit.model import (
     make_labels,
 )
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property-based modules skip themselves without it
+    pass
+else:
+    # Property-based tests replay the same examples on every run and keep no
+    # example database; each test sets its own max_examples.
+    settings.register_profile("orchkit", derandomize=True, database=None, deadline=None)
+    settings.load_profile("orchkit")
+
 LABEL_NAMES = ("Resectable", "Borderline Resectable", "Locally Advanced", "Metastatic")
 
 GOLDEN_LOGIC = (

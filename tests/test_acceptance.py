@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -304,7 +305,9 @@ assert main(["pack", "--plan", base + "/cvalidated.json",
 assert count["n"] == 0, f"process instantiated {{count['n']}} documents"
 print("documents-instantiated:", count["n"])
 """
+        src = Path(__file__).resolve().parents[1] / "src"
         result = subprocess.run([sys.executable, "-c", script],
+                                env={**os.environ, "PYTHONPATH": str(src)},
                                 capture_output=True, text=True, check=False)
         assert result.returncode == 0, result.stderr
         assert "documents-instantiated: 0" in result.stdout

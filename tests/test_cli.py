@@ -487,6 +487,55 @@ def test_infer_bad_docs_record_names_file_and_line(workspace, tmp_path, capsys):
     assert f"{docs}:2: missing key 'body'" in capsys.readouterr().err
 
 
+def test_infer_repeated_document_id_exits_2_before_any_model_call(workspace, tmp_path,
+                                                                 monkeypatch, capsys):
+    bundle_file = tmp_path / "a.orchb"
+    write_bundle(pack(refined_plan()), bundle_file)
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"id": "d1", "body": "one"}\n{"id": "d2", "body": "two"}\n'
+                    '{"id": "d1", "body": "three"}\n', encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(Gateway, "complete", lambda self, request: calls.append(request))
+    out = tmp_path / "p.jsonl"
+    capsys.readouterr()
+    assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(docs),
+                   "--out", str(out), "--config", str(workspace["config"])) == 2
+    assert capsys.readouterr().err == f"error: {docs}:3: duplicate document id 'd1'\n"
+    assert calls == [] and not out.exists()
+
+
+SESSION_LINE_EDITS = {
+    "raw_text a number": lambda r: r["response"].update(raw_text=5),
+    "response a list": lambda r: r.update(response=[1]),
+    "no raw_text": lambda r: r["response"].pop("raw_text"),
+}
+
+
+@pytest.mark.parametrize("edit", list(SESSION_LINE_EDITS.values()), ids=list(SESSION_LINE_EDITS))
+def test_malformed_session_line_exits_2_naming_it_before_documents_are_read(
+        workspace, tmp_path, monkeypatch, capsys, edit):
+    lines = workspace["local_session"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record)
+    session = tmp_path / "local.jsonl"
+    session.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = tmp_path / "orch.cfg"
+    config.write_text(workspace["config"].read_text(encoding="utf-8").replace(
+        str(workspace["local_session"]), str(session)), encoding="utf-8")
+    bundle_file = tmp_path / "a.orchb"
+    write_bundle(pack(refined_plan()), bundle_file)
+    read = []
+    monkeypatch.setattr(executor, "load_documents", read.append)
+    out = tmp_path / "p.jsonl"
+    capsys.readouterr()
+    assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
+                   "--out", str(out), "--config", str(config)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {session}:2: ")
+    assert read == [] and not out.exists()
+
+
 def _rerendered_bundle(path, edit):
     """A bundle whose sections `edit` changed, with every hash recomputed."""
     from orchkit import bundle
@@ -512,6 +561,11 @@ BAD_INPUTS = {
     "output_labels null": ("prefs.json", {"output_labels": None}, "plan", 2),
     "output_labels a string": ("prefs.json", {"output_labels": "AB"}, "plan", 2),
     "max_subtasks null": ("prefs.json", {**_PREFS, "max_subtasks": None}, "plan", 2),
+    "max_subtasks a fraction": ("prefs.json", {**_PREFS, "max_subtasks": 2.9}, "plan", 2),
+    "include_entities a string": ("prefs.json", {**_PREFS, "include_entities": "liver"},
+                                  "plan", 2),
+    "output_format_notes a list": ("prefs.json", {**_PREFS, "output_format_notes": ["x"]},
+                                   "plan", 2),
     "plan not an object": ("plan.json", lambda p: p.update(plan=[]), "validate", 2),
     "subtasks not a list": ("plan.json", lambda p: p["plan"].update(subtasks=5),
                             "validate", 2),
@@ -528,6 +582,8 @@ BAD_INPUTS = {
     "runtime context 0": ("a.orchb", lambda s: s["runtime"].update(local_context=0),
                           "infer", 6),
     "allow_failed a string": ("a.orchb", lambda s: s["meta"].update(allow_failed="false"),
+                              "infer", 6),
+    "prompt for no subtask": ("a.orchb", lambda s: s["prompts"][0].update(subtask_id="ghost"),
                               "infer", 6),
     "rounds 0": (None, None, "infer", 2),
 }

@@ -63,6 +63,17 @@ def test_invariants_rejected():
         parse_config("local.kind = scripted\nlocal.session = s.jsonl\nlocal.context = 0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("synthetic_cases_per_subtask = 0\n",
+     "config: synthetic_cases_per_subtask must be >= 1, got 0"),
+    ("min_synthetic_cases = -3\n", "config: min_synthetic_cases must be >= 0, got -3"),
+], ids=["synthetic_cases_per_subtask", "min_synthetic_cases"])
+def test_case_counts_bounded_at_load(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
 def test_env_var_names_the_config(tmp_path, monkeypatch):
     path = tmp_path / "orch.cfg"
     path.write_text("rounds = 9\n", encoding="utf-8")

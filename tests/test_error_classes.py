@@ -58,3 +58,32 @@ def test_every_error_class_is_branched_on_or_sets_its_exit_code():
     idle = [name for name in errors
             if name not in branched and not _sets_exit_code(classes[name])]
     assert idle == [], f"error classes nothing branches on and whose exit code is inherited: {idle}"
+
+
+SHAPE_ERRORS = {"KeyError", "IndexError", "TypeError", "AttributeError"}
+
+
+def _handlers(path: Path, function: str | None = None) -> list[ast.ExceptHandler]:
+    """Every except clause in a module, or in one of its top-level functions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    if function is not None:
+        [tree] = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == function]
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+
+
+def test_only_jsonio_decode_catches_the_errors_of_a_wrong_json_shape():
+    """One place turns a wrong JSON shape into a boundary's error; an except
+    naming KeyError, IndexError, TypeError or AttributeError anywhere else
+    would hide a shape error, or a bug, behind a per-site message."""
+    decode = _handlers(PACKAGE / "jsonio.py", "decode")
+    assert set().union(*(_names(h.type) for h in decode)) == SHAPE_ERRORS
+    catching = [f"{path.name}:{handler.lineno}"
+                for path in sorted(PACKAGE.glob("*.py")) for handler in _handlers(path)
+                if _names(handler.type) & SHAPE_ERRORS]
+    assert catching == [f"jsonio.py:{handler.lineno}" for handler in decode]
+
+
+def test_cli_main_catches_only_orch_value_and_os_errors():
+    caught = set().union(*(_names(h.type) for h in _handlers(PACKAGE / "cli.py", "main")))
+    assert caught == {"OrchError", "ValueError", "OSError"}

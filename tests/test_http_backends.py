@@ -16,9 +16,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
-from conftest import vessel_schema
+from conftest import refined_plan, vessel_schema
 
 from orchkit.errors import ModelCallError, TransportError
+from orchkit.executor import run_subtask
 from orchkit.gateway import (
     PHASE_CLOUD,
     PHASE_LOCAL,
@@ -26,6 +27,7 @@ from orchkit.gateway import (
     BackendProfile,
     Gateway,
 )
+from orchkit.model import Document
 
 PROXY_VARS = ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
               "http_proxy", "https_proxy", "all_proxy", "no_proxy")
@@ -217,6 +219,28 @@ def test_reply_without_reply_field_is_malformed(server, channel):
     with pytest.raises(ModelCallError, match="malformed") as err:
         _gateway(server, channel).chat("sys", "doc")
     assert err.value.failure == "malformed reply"
+    assert len(server.seen) == 1
+
+
+@pytest.mark.parametrize("content", [5, [], ["text"], {"text": "x"}, False],
+                         ids=["number", "empty-list", "list", "object", "false"])
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+def test_reply_content_not_a_string_is_malformed(server, channel, content):
+    server.reply = (200, _reply(channel, content))
+    with pytest.raises(ModelCallError, match="malformed") as err:
+        _gateway(server, channel).chat("sys", "doc")
+    assert err.value.failure == "malformed reply"
+    assert len(server.seen) == 1
+
+
+def test_local_reply_content_not_a_string_is_an_unparseable_run(server):
+    server.reply = (200, _reply("local", 5))
+    plan = refined_plan()
+    subtask = plan.subtasks[1]
+    run = run_subtask(_gateway(server, "local"), subtask, plan.prompt_for(subtask.id),
+                      Document("d1", "Report one."), seed=1)
+    assert run.parse_status == "unparseable"
+    assert run.reasoning.startswith("malformed reply: ")
     assert len(server.seen) == 1
 
 

@@ -86,7 +86,7 @@ def _outcome(extract, text: str):
         return "none", None
 
 
-@hypothesis.settings(max_examples=400, database=None, derandomize=True, deadline=None)
+@hypothesis.settings(max_examples=400)
 @hypothesis.given(_replies)
 def test_extract_json_object_matches_brace_scanner(reply):
     assert _outcome(extract_json_object, reply) == _outcome(reference_extract, reply)

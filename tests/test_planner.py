@@ -108,6 +108,22 @@ def test_decompose_repairs_undeclared_logic_field(task):
     assert validate_plan(plan, min_cases=0) == []
 
 
+@pytest.mark.parametrize("key, value", [
+    ("values", [1, 2]), ("values", "abc"), ("required", "no"), ("id", ["a"]),
+    ("name", 5), ("description", None), ("prompt", {"text": "x"}),
+], ids=["values-numbers", "values-a-string", "required-a-string", "id-a-list",
+        "name-a-number", "description-null", "prompt-an-object"])
+def test_decompose_repairs_a_mistyped_subtask_value(task, key, value):
+    """A wrongly typed value is reported to the repair loop, not coerced."""
+    bad = json.loads(json.dumps(PLAN_REPLY))
+    entry = bad["subtasks"][0]
+    (entry["fields"][0] if key in ("values", "required") else entry)[key] = value
+    harness = Harness(json.dumps(PLAN_REPLY), bad_first=json.dumps(bad))
+    plan = decompose(task, harness.gateway())
+    assert len(harness.requests) == 2  # one repair round-trip
+    assert plan == decompose(task, Harness(json.dumps(PLAN_REPLY)).gateway())
+
+
 def test_decompose_unparseable_after_all_attempts(task):
     harness = Harness("", always_bad="I cannot answer in JSON, sorry.")
     with pytest.raises(PlannerError, match="reply unusable after 2 repair round-trips"):
