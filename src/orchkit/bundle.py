@@ -345,7 +345,9 @@ def unpack(data: bytes) -> ArtifactBundle:
     meta = sections.get("meta", {})
     if not isinstance(meta, dict):
         raise BundleError("bundle meta section must be a JSON object")
-    version = str(meta.get("format_version", ""))
+    version = meta.get("format_version", "")
+    if not isinstance(version, str):
+        raise BundleError(f"meta.format_version must be a string, got {version!r}")
     major = version.split(".", 1)[0]
     ours = FORMAT_VERSION.split(".", 1)[0]
     if major != ours:

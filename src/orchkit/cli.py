@@ -36,7 +36,7 @@ from pathlib import Path
 from . import bundle as bundlemod
 from . import evalkit, executor, planner, validator
 from .config import Config, load_config
-from .errors import OrchError, PhaseViolationError, PlannerError
+from .errors import ModelCallError, OrchError, PhaseViolationError, PlannerError
 from .gateway import (
     DEFAULT_CONTEXT,
     DEFAULT_TEMPERATURE,
@@ -108,6 +108,22 @@ class _LaneStopped(Exception):
     """Another refinement loop of the same `validate` raised."""
 
 
+class _StopOnError:
+    """`validate`'s local gateway: a call raising anything but a failed model
+    call fails the run, so it sets `stop` at once, not when its revision ends."""
+
+    def __init__(self, gateway: Gateway, stop: threading.Event):
+        self.gateway, self.stop = gateway, stop
+
+    def chat(self, *args, **kwargs):
+        try:
+            return self.gateway.chat(*args, **kwargs)
+        except Exception as exc:
+            if not isinstance(exc, ModelCallError):
+                self.stop.set()
+            raise
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     plan = bundlemod.load_plan(args.plan)
@@ -117,7 +133,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     cloud_gateway: list[Gateway] = []  # built lazily: only refinement needs it
     cloud_lock = threading.Lock()  # two loops may refine at the same moment
-    stop = threading.Event()  # set when a loop raises: the others rewrite no more
+    stop = threading.Event()  # set when a loop fails: the others rewrite no more
 
     def refine(prompt, failures, schema):
         if stop.is_set():
@@ -132,10 +148,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         try:
             return validator.run_refinement_loop(
                 subtask, plan.prompt_for(subtask.id),
-                list(plan.synthetic_sets.get(subtask.id, ())), local_gateway,
+                list(plan.synthetic_sets.get(subtask.id, ())),
+                _StopOnError(local_gateway, stop),
                 lambda p, f: refine(p, f, subtask.output_schema),
                 max_iters=max_iters, threshold=config.threshold,
-                repeats=config.validation_repeats, workers=config.workers)
+                repeats=config.validation_repeats)
         except _LaneStopped:
             return None  # never read: run_lanes raises the failed loop's error
         except Exception:
@@ -218,7 +235,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
             lambda subtask: validator.validate_prompt(
                 plan.prompt_for(subtask.id), list(plan.synthetic_sets[subtask.id]),
                 gateway, subtask=subtask, threshold=runtime.threshold,
-                repeats=config.validation_repeats, workers=config.workers),
+                repeats=config.validation_repeats),
             checked, width=len(checked))
         below = []
         for subtask, report in zip(checked, reports):

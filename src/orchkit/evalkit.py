@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .jsonio import read_jsonl
+from .jsonio import read_jsonl, record_id
 
 INDETERMINATE = "indeterminate"
 
@@ -33,8 +33,6 @@ class LabeledSet:
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs",
-                           tuple((str(i), str(lbl)) for i, lbl in self.pairs))
         ids = [i for i, _ in self.pairs]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -216,6 +214,12 @@ def evaluate_report(pred: LabeledSet, gt: LabeledSet,
 # IO
 # ---------------------------------------------------------------------------
 
+def _pair(doc_id: object, label: object) -> tuple[str, str]:
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {label!r}")
+    return record_id(doc_id), label
+
+
 def load_labeled(path: str | Path, source: str | None = None) -> LabeledSet:
     """A labeled set from any of its file forms; source defaults to the file stem.
 
@@ -236,8 +240,8 @@ def load_labeled(path: str | Path, source: str | None = None) -> LabeledSet:
                     continue
                 pairs.append((row[0].strip(), row[1].strip()))
     else:
-        pairs = read_jsonl(path, lambda r: (r["document_id"], r["final_label"])
-                           if "final_label" in r else (r["id"], r["label"]))
+        pairs = read_jsonl(path, lambda r: _pair(r["document_id"], r["final_label"])
+                           if "final_label" in r else _pair(r["id"], r["label"]))
     return LabeledSet(source=source or path.stem, pairs=tuple(pairs))
 
 

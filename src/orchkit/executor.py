@@ -22,7 +22,7 @@ from typing import TypeVar
 
 from .errors import ModelCallError, OutputParseError, PhaseViolationError
 from .gateway import KIND_CLOUD_HTTP, PHASE_LOCAL, Gateway
-from .jsonio import jsonl_line, read_jsonl
+from .jsonio import jsonl_line, read_jsonl, record_id
 from .model import (
     Document,
     FeatureSet,
@@ -259,7 +259,7 @@ def load_documents(path: str | Path) -> list[Document]:
     seen: set[str] = set()
 
     def document(record: dict) -> Document:
-        doc = Document(id=str(record["id"]), body=record["body"],
+        doc = Document(id=record_id(record["id"]), body=record["body"],
                        format_tag=record.get("format_tag", "free_text"))
         if doc.id in seen:
             raise ValueError(f"duplicate document id {doc.id!r}")

@@ -16,8 +16,9 @@ files and digests, so these forms are the interface between them:
     read_json reads one JSON document back: a plan file, the planning
     preferences or an inference summary.
 
-decode is the one reader of JSON orchkit did not write. Imports nothing
-from orchkit, so any module can use it without a cycle.
+decode is the one reader of JSON orchkit did not write, and record_id the
+one reader of a document id in it. Imports nothing from orchkit, so any
+module can use it without a cycle.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ def decode(build: Callable[[object], T], value: object,
         raise error(f"missing key {exc}") from exc
     except (IndexError, TypeError, AttributeError) as exc:
         raise error(str(exc)) from exc
+
+
+def record_id(value: object) -> str:
+    """A document id read from a JSON record: a string, or an integer in its
+    decimal form. A bool or any other value raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"id must be a string or an integer, got {value!r}")
+    return str(value)
 
 
 def _build(build: Callable[[object], T], text: str, where: str) -> T:

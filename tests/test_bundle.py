@@ -193,7 +193,11 @@ def _restructured(edit) -> bytes:
      "bundle body lacks sections/integrity objects"),
     (lambda: _rerendered(lambda s: s.update(synthetic=[])),
      "bundle does not hold a usable plan: 'list' object has no attribute 'items'"),
-], ids=["meta a list", "integrity a list", "sections a list", "synthetic a list"])
+    # str() of 1 would be "1", whose major matches the reader's.
+    (lambda: _rerendered(lambda s: s["meta"].update(format_version=1)),
+     "meta.format_version must be a string, got 1"),
+], ids=["meta a list", "integrity a list", "sections a list", "synthetic a list",
+        "format_version a number"])
 def test_non_object_bundle_structure_exits_6_with_one_error_line(tmp_path, capsys,
                                                                  data, fragment):
     path = tmp_path / "restructured.orchb"

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from orchkit.cli import main
 from orchkit.evalkit import (
     INDETERMINATE,
     LabeledSet,
@@ -219,3 +222,22 @@ def test_loaders_round_trip(tmp_path):
         '{"document_id": "d1", "final_label": "Resectable", "rounds": []}\n',
         encoding="utf-8")
     assert load_labeled(preds_path).pairs == (("d1", "Resectable"),)
+
+
+@pytest.mark.parametrize("record, fragment", [
+    ({"id": ["d1"], "label": "Metastatic"}, "id must be a string or an integer, got ['d1']"),
+    ({"id": False, "label": "Metastatic"}, "id must be a string or an integer, got False"),
+    ({"id": "d1", "label": ["Metastatic"]}, "label must be a string, got ['Metastatic']"),
+    ({"document_id": "d1", "final_label": 3}, "label must be a string, got 3"),
+], ids=["list id", "bool id", "list label", "number label"])
+def test_labeled_set_takes_string_labels_and_string_or_integer_ids(tmp_path, capsys,
+                                                                   record, fragment):
+    path = tmp_path / "gt.jsonl"
+    path.write_text('{"id": 4, "label": "Resectable"}\n', encoding="utf-8")
+    assert load_labeled(path).pairs == (("4", "Resectable"),)
+    path.write_text('{"id": 4, "label": "Resectable"}\n' + json.dumps(record) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {fragment}")):
+        load_labeled(path)
+    assert main(["evaluate", "--pred", str(path), "--gt", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: {fragment}\n"

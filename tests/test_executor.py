@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -394,6 +395,19 @@ def test_load_documents_from_jsonl(tmp_path):
     docs = load_documents(path)
     assert len(docs) == 5
     assert docs[4].format_tag == "structured"
+
+
+@pytest.mark.parametrize("bad_id", [["d1"], True, 1.5, None, {"id": "d1"}],
+                         ids=["list", "bool", "float", "null", "object"])
+def test_load_documents_takes_string_and_integer_ids_only(tmp_path, bad_id):
+    path = tmp_path / "docs.jsonl"
+    path.write_text(json.dumps({"id": 7, "body": "seven"}) + "\n"
+                    + json.dumps({"id": bad_id, "body": "bad"}) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}:2: id must be a string or an integer")):
+        load_documents(path)
+    path.write_text(json.dumps({"id": 7, "body": "seven"}) + "\n", encoding="utf-8")
+    assert [d.id for d in load_documents(path)] == ["7"]
 
 
 def test_write_predictions_and_summary(tmp_path):

@@ -271,37 +271,43 @@ def test_lane_results_and_first_error_hold_under_thread_switch_stress():
         sys.setswitchinterval(interval)
 
 
-def test_validate_and_revalidate_run_subtasks_at_once(tmp_path, monkeypatch):
-    ws = write_inputs(tmp_path / "ws", workers=1)
-    model = LocalModel(delay=0.02)
+def revalidation_peak(monkeypatch, ws) -> int:
+    """Calls in flight at `infer --revalidate` over a packed bundle. Every
+    spread case fails on its first sighting, so revalidation stops the run
+    before any document is read and the peak is revalidation's alone."""
+    model = LocalModel(flip_on=(1,), delay=0.05)
     scripted_channels(monkeypatch, model)
-    assert validate(ws) == 0
-    assert model.peak == 2
-
-    # Every case fails on its first sighting, so revalidation stops the run
-    # before any document is read and the peak is revalidation's alone.
-    model = LocalModel(flip_on=(1,), delay=0.02)
-    scripted_channels(monkeypatch, model)
-    assert pack(ws, "refined.json") == 0
     assert infer(ws, "--revalidate") == 5
     assert not (ws / "preds.jsonl").exists()
-    assert model.peak == 2
+    return model.peak
+
+
+def test_validate_and_revalidate_run_subtasks_at_once(tmp_path, monkeypatch):
+    # Subtasks and their cases all run at once, even at `workers` = 1.
+    ws = write_inputs(tmp_path / "ws", workers=1)
+    model = LocalModel(delay=0.05)
+    scripted_channels(monkeypatch, model)
+    assert validate(ws) == 0
+    assert model.peak == 2 * 3  # subtasks x cases
+    assert pack(ws, "refined.json") == 0
+    assert revalidation_peak(monkeypatch, ws) == 2 * 3
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_calls_in_flight_stay_within_workers_times_subtasks(tmp_path, monkeypatch,
                                                             workers):
+    # Validation has subtasks x cases calls in flight whatever `workers` is;
+    # infer has at most `workers` documents' subtasks x rounds.
     ws = write_inputs(tmp_path / "ws", cases=6, workers=workers)
-    validating = LocalModel(delay=0.02)
+    validating = LocalModel(delay=0.05)
     scripted_channels(monkeypatch, validating)
     assert validate(ws) == 0
+    assert validating.peak == 2 * 6
+    assert pack(ws, "validated.json") == 0
+    assert revalidation_peak(monkeypatch, ws) == 2 * 6
     inferring = LocalModel(delay=0.02)
     scripted_channels(monkeypatch, inferring)
-    assert pack(ws, "validated.json") == 0
-    assert infer(ws, "--revalidate") == 0
-    assert 2 <= validating.peak <= workers * 2
-    if workers > 1:
-        assert validating.peak > 2  # cases run as lanes too
+    assert infer(ws) == 0
     assert 2 < inferring.peak <= workers * 2 * 3  # rounds run as lanes too
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import re
+import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -93,10 +95,12 @@ def test_threshold_is_exact_rational():
 
 def test_each_case_runs_exactly_once():
     calls = {"n": 0}
+    lock = threading.Lock()  # the cases run at once
 
     class Counting(LocalScript):
         def __call__(self, request):
-            calls["n"] += 1
+            with lock:
+                calls["n"] += 1
             return super().__call__(request)
 
     gw = local_gateway(Counting(lambda rev: 10))
@@ -179,6 +183,34 @@ def test_validation_repeats_demand_consistency():
     doubled = validate_prompt(draft_prompt(), [case], gw, subtask=SPREAD, repeats=2)
     assert doubled.passes == 0  # second run flips to a wrong answer
     assert doubled.total == 1   # repeats do not inflate the case count
+
+
+def test_repeats_run_in_order_in_each_case_lane_with_every_case_in_flight():
+    # Every case's first call waits at a barrier only all of them together
+    # can pass, so the test fails rather than passes if cases run in fewer
+    # lanes. Cases 1 and 4 answer wrongly on their first call.
+    cases = make_cases(6)
+    barrier = threading.Barrier(len(cases), timeout=10)
+    seen: Counter = Counter()
+    lock = threading.Lock()
+
+    def script(request):
+        idx = int(re.search(r"case (\d+)", request.user_content).group(1))
+        with lock:
+            seen[idx] += 1
+            first = seen[idx] == 1
+        if first:
+            barrier.wait()
+        expected = request.user_content.split("expects ")[1].strip()
+        value = expected if not (first and idx in (1, 4)) else (
+            "absent" if expected != "absent" else "present")
+        return json.dumps({"reasoning": "ok", "values": {"distant_metastasis": value}})
+
+    report = validate_prompt(draft_prompt(), cases, local_gateway(script),
+                             subtask=SPREAD, repeats=2)
+    assert seen == {0: 2, 1: 1, 2: 2, 3: 2, 4: 1, 5: 2}  # no second call after a failure
+    assert [r.passed for r in report.results] == [True, False, True, True, False, True]
+    assert (report.passes, report.total) == (4, 6)
 
 
 def test_normalization_accepts_alias_case_and_whitespace():
