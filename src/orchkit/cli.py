@@ -152,7 +152,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 _StopOnError(local_gateway, stop),
                 lambda p, f: refine(p, f, subtask.output_schema),
                 max_iters=max_iters, threshold=config.threshold,
-                repeats=config.validation_repeats)
+                repeats=config.validation_repeats,
+                width=config.workers * config.rounds)
         except _LaneStopped:
             return None  # never read: run_lanes raises the failed loop's error
         except Exception:
@@ -235,7 +236,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
             lambda subtask: validator.validate_prompt(
                 plan.prompt_for(subtask.id), list(plan.synthetic_sets[subtask.id]),
                 gateway, subtask=subtask, threshold=runtime.threshold,
-                repeats=config.validation_repeats),
+                repeats=config.validation_repeats, width=config.workers * rounds),
             checked, width=len(checked))
         below = []
         for subtask, report in zip(checked, reports):

@@ -283,12 +283,12 @@ def revalidation_peak(monkeypatch, ws) -> int:
 
 
 def test_validate_and_revalidate_run_subtasks_at_once(tmp_path, monkeypatch):
-    # Subtasks and their cases all run at once, even at `workers` = 1.
-    ws = write_inputs(tmp_path / "ws", workers=1)
+    # Both subtasks at once, each with workers x rounds = 3 of its 6 cases.
+    ws = write_inputs(tmp_path / "ws", cases=6, workers=1)
     model = LocalModel(delay=0.05)
     scripted_channels(monkeypatch, model)
     assert validate(ws) == 0
-    assert model.peak == 2 * 3  # subtasks x cases
+    assert model.peak == 2 * 3
     assert pack(ws, "refined.json") == 0
     assert revalidation_peak(monkeypatch, ws) == 2 * 3
 
@@ -296,18 +296,18 @@ def test_validate_and_revalidate_run_subtasks_at_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_calls_in_flight_stay_within_workers_times_subtasks(tmp_path, monkeypatch,
                                                             workers):
-    # Validation has subtasks x cases calls in flight whatever `workers` is;
-    # infer has at most `workers` documents' subtasks x rounds.
+    # Each command has at most workers x rounds calls of a subtask in flight:
+    # validation's cases (never more than the subtask's 6) and infer's rounds.
     ws = write_inputs(tmp_path / "ws", cases=6, workers=workers)
     validating = LocalModel(delay=0.05)
     scripted_channels(monkeypatch, validating)
     assert validate(ws) == 0
-    assert validating.peak == 2 * 6
+    assert validating.peak == 2 * min(6, workers * 3)
     assert pack(ws, "validated.json") == 0
-    assert revalidation_peak(monkeypatch, ws) == 2 * 6
+    assert revalidation_peak(monkeypatch, ws) == 2 * min(6, workers * 3)
     inferring = LocalModel(delay=0.02)
     scripted_channels(monkeypatch, inferring)
-    assert infer(ws) == 0
+    assert infer(ws, "--revalidate") == 0
     assert 2 < inferring.peak <= workers * 2 * 3  # rounds run as lanes too
 
 

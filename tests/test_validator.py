@@ -95,12 +95,10 @@ def test_threshold_is_exact_rational():
 
 def test_each_case_runs_exactly_once():
     calls = {"n": 0}
-    lock = threading.Lock()  # the cases run at once
 
     class Counting(LocalScript):
         def __call__(self, request):
-            with lock:
-                calls["n"] += 1
+            calls["n"] += 1
             return super().__call__(request)
 
     gw = local_gateway(Counting(lambda rev: 10))
@@ -207,7 +205,7 @@ def test_repeats_run_in_order_in_each_case_lane_with_every_case_in_flight():
         return json.dumps({"reasoning": "ok", "values": {"distant_metastasis": value}})
 
     report = validate_prompt(draft_prompt(), cases, local_gateway(script),
-                             subtask=SPREAD, repeats=2)
+                             subtask=SPREAD, repeats=2, width=len(cases))
     assert seen == {0: 2, 1: 1, 2: 2, 3: 2, 4: 1, 5: 2}  # no second call after a failure
     assert [r.passed for r in report.results] == [True, False, True, True, False, True]
     assert (report.passes, report.total) == (4, 6)
