@@ -36,7 +36,7 @@ from pathlib import Path
 from . import bundle as bundlemod
 from . import evalkit, executor, planner, validator
 from .config import Config, load_config
-from .errors import ModelCallError, OrchError, PhaseViolationError, PlannerError
+from .errors import OrchError, PhaseViolationError, PlannerError
 from .gateway import (
     DEFAULT_CONTEXT,
     DEFAULT_TEMPERATURE,
@@ -104,26 +104,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _LaneStopped(Exception):
-    """Another refinement loop of the same `validate` raised."""
-
-
-class _StopOnError:
-    """`validate`'s local gateway: a call raising anything but a failed model
-    call fails the run, so it sets `stop` at once, not when its revision ends."""
-
-    def __init__(self, gateway: Gateway, stop: threading.Event):
-        self.gateway, self.stop = gateway, stop
-
-    def chat(self, *args, **kwargs):
-        try:
-            return self.gateway.chat(*args, **kwargs)
-        except Exception as exc:
-            if not isinstance(exc, ModelCallError):
-                self.stop.set()
-            raise
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     plan = bundlemod.load_plan(args.plan)
@@ -132,36 +112,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
     max_iters = args.max_iters if args.max_iters is not None else config.max_iters
 
     cloud_gateway: list[Gateway] = []  # built lazily: only refinement needs it
-    cloud_lock = threading.Lock()  # two loops may refine at the same moment
-    stop = threading.Event()  # set when a loop fails: the others rewrite no more
+    cloud_lock = threading.Lock()  # a wave's rewrites run at once
 
-    def refine(prompt, failures, schema):
-        if stop.is_set():
-            raise _LaneStopped
+    def refine(subtask, prompt, failures):
         with cloud_lock:
             if not cloud_gateway:
                 cloud_gateway.append(Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD))
         return planner.refine_prompt(prompt, failures, cloud_gateway[0],
-                                     templates=templates, schema=schema)
+                                     templates=templates, schema=subtask.output_schema)
 
-    def loop(subtask):
-        try:
-            return validator.run_refinement_loop(
-                subtask, plan.prompt_for(subtask.id),
-                list(plan.synthetic_sets.get(subtask.id, ())),
-                _StopOnError(local_gateway, stop),
-                lambda p, f: refine(p, f, subtask.output_schema),
-                max_iters=max_iters, threshold=config.threshold,
-                repeats=config.validation_repeats,
-                width=config.workers * config.rounds)
-        except _LaneStopped:
-            return None  # never read: run_lanes raises the failed loop's error
-        except Exception:
-            stop.set()
-            raise
-
-    # One lane per subtask; stdout, history and plan follow plan order.
-    outcomes = executor.run_lanes(loop, plan.subtasks, width=len(plan.subtasks))
+    # stdout, history and plan follow plan order.
+    outcomes = validator.run_refinement_loops(
+        [(subtask, plan.prompt_for(subtask.id), plan.synthetic_sets.get(subtask.id, ()))
+         for subtask in plan.subtasks],
+        local_gateway, refine, max_iters=max_iters, threshold=config.threshold,
+        repeats=config.validation_repeats, width=config.workers * config.rounds)
     histories: list[dict] = []
     for subtask, outcome in zip(plan.subtasks, outcomes):
         histories.extend(validator.history_to_dict(outcome.history))
@@ -232,12 +197,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
     if args.revalidate:
         checked = [s for s in plan.subtasks if plan.synthetic_sets.get(s.id)]
-        reports = executor.run_lanes(
-            lambda subtask: validator.validate_prompt(
-                plan.prompt_for(subtask.id), list(plan.synthetic_sets[subtask.id]),
-                gateway, subtask=subtask, threshold=runtime.threshold,
-                repeats=config.validation_repeats, width=config.workers * rounds),
-            checked, width=len(checked))
+        reports = validator.validate_prompt(
+            [(s, plan.prompt_for(s.id), plan.synthetic_sets[s.id]) for s in checked],
+            gateway, threshold=runtime.threshold, repeats=config.validation_repeats,
+            width=config.workers * rounds)
         below = []
         for subtask, report in zip(checked, reports):
             print(f"revalidate {subtask.id}: {report.passes}/{report.total} "

@@ -214,34 +214,45 @@ def evaluate_report(pred: LabeledSet, gt: LabeledSet,
 # IO
 # ---------------------------------------------------------------------------
 
-def _pair(doc_id: object, label: object) -> tuple[str, str]:
-    if not isinstance(label, str):
-        raise ValueError(f"label must be a string, got {label!r}")
-    return record_id(doc_id), label
-
-
 def load_labeled(path: str | Path, source: str | None = None) -> LabeledSet:
     """A labeled set from any of its file forms; source defaults to the file stem.
 
     A .csv holds id,label rows (a header row of exactly 'id,label' is
     skipped); any other file is JSON lines of {"id", "label"} records or of
-    the executor's predictions ({"document_id", "final_label"}).
+    the executor's predictions ({"document_id", "final_label"}). A row or
+    line repeating an earlier one's id raises ValueError naming the file,
+    the line and the id.
     """
     path = Path(path)
+    seen: set[str] = set()
+
+    def pair(doc_id: object, label: object) -> tuple[str, str]:
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {label!r}")
+        doc_id = record_id(doc_id)
+        if doc_id in seen:
+            raise ValueError(f"duplicate document id {doc_id!r}")
+        seen.add(doc_id)
+        return doc_id, label
+
     pairs = []
     if path.suffix == ".csv":
         with path.open("r", encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
+            rows = csv.reader(fh)
+            for row in rows:
                 if not row or not row[0].strip():
                     continue
                 if len(row) < 2:
                     raise ValueError(f"{path}: row {row!r} needs id,label")
                 if row[0].strip().casefold() == "id" and row[1].strip().casefold() == "label":
                     continue
-                pairs.append((row[0].strip(), row[1].strip()))
+                try:
+                    pairs.append(pair(row[0].strip(), row[1].strip()))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{rows.line_num}: {exc}") from exc
     else:
-        pairs = read_jsonl(path, lambda r: _pair(r["document_id"], r["final_label"])
-                           if "final_label" in r else _pair(r["id"], r["label"]))
+        pairs = read_jsonl(path, lambda r: pair(r["document_id"], r["final_label"])
+                           if "final_label" in r else pair(r["id"], r["label"]))
     return LabeledSet(source=source or path.stem, pairs=tuple(pairs))
 
 

@@ -188,12 +188,6 @@ def iter_lanes(fn: Callable[[T], R], items: Sequence[T], *, width: int) -> Itera
         pool.shutdown(cancel_futures=True)
 
 
-def run_lanes(fn: Callable[[T], R], items: Sequence[T], *, width: int) -> list[R]:
-    """iter_lanes, collected: every result in input order, or the first
-    failed lane's error."""
-    return list(iter_lanes(fn, items, width=width))
-
-
 def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
                    rounds: int = DEFAULT_ROUNDS, allow_failed: bool = False,
                    workers: int = 1) -> Iterator[DocumentPrediction]:

@@ -123,11 +123,8 @@ def request_digest(request: ChatRequest) -> str:
 
 @dataclass(frozen=True)
 class BackendProfile:
-    """Where and how a channel talks to a model.
-
-    Factory classmethods bake in the channel's DEFAULT_TEMPERATURE and
-    DEFAULT_CONTEXT.
-    """
+    """Where and how a channel talks to a model. config.ProfileConfig.to_profile
+    builds the program's profiles; `scripted` builds a test or benchmark one."""
 
     kind: str
     endpoint: str | None = None
@@ -145,20 +142,6 @@ class BackendProfile:
             raise ValueError(f"BackendProfile.endpoint: required for kind {self.kind!r}")
         if self.kind == KIND_SCRIPTED and self.backend is None and not self.session:
             raise ValueError("BackendProfile: scripted profile needs a backend or a session path")
-
-    @classmethod
-    def cloud(cls, endpoint: str, model: str, *,
-              temperature: float = DEFAULT_TEMPERATURE[PHASE_CLOUD],
-              context: int = DEFAULT_CONTEXT) -> "BackendProfile":
-        return cls(kind=KIND_CLOUD_HTTP, endpoint=endpoint, model=model,
-                   default_temperature=temperature, default_context=context)
-
-    @classmethod
-    def local(cls, endpoint: str, model: str, *,
-              temperature: float = DEFAULT_TEMPERATURE[PHASE_LOCAL],
-              context: int = DEFAULT_CONTEXT) -> "BackendProfile":
-        return cls(kind=KIND_LOCAL_HTTP, endpoint=endpoint, model=model,
-                   default_temperature=temperature, default_context=context)
 
     @classmethod
     def scripted(cls, backend: object | None = None, *, session: str | None = None,

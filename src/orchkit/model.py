@@ -102,9 +102,12 @@ class FieldSpec:
         return ()
 
     def normalize_strict(self, raw: object) -> str | None:
-        """Canonicalize a raw extracted value; None when illegal for this kind."""
+        """Canonicalize a raw extracted value; None when illegal for this kind,
+        and for a JSON list or object, which no kind holds."""
         if raw is None:
             return UNKNOWN
+        if isinstance(raw, (list, dict)):
+            return None
         if isinstance(raw, bool):
             text = "true" if raw else "false"
         else:

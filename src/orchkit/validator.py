@@ -1,14 +1,20 @@
 """Prompt validation against synthetic test sets, and the refinement loop.
 
-A prompt revision is scored by running every synthetic case on the local
-channel, `repeats` times in a row (once by default), and comparing the
-parsed extraction field-by-field after normalization (trim, case-fold,
-declared aliases). Cases run as lanes of executor.run_lanes, `width` at
-once, and the report lists them in case order. The CLI sets `width` to
-workers x rounds, so each subtask's validation has as many local calls in
-flight as `infer` gives a subtask, and never more. The loop refines while
-the pass rate is strictly below the threshold — the comparison is exact
-rational arithmetic, so 8/10 against 0.80 passes — and stops after at most
+A check is one subtask's prompt revision with its synthetic cases. It is
+scored by running every case on the local channel, `repeats` times in a
+row (once by default), and comparing the parsed extraction field-by-field
+after normalization (trim, case-fold, declared aliases). validate_prompt
+runs every case of every check it is given as lanes of one
+executor.iter_lanes call, `width` x checks wide, and reports each check in
+check order with its cases in case order. The CLI sets `width` to
+workers x rounds, so validation has at most as many local calls in flight
+as `infer`: workers x rounds x subtasks in all.
+
+run_refinement_loops refines in waves: each wave validates every check
+still refining in one validate_prompt call, then rewrites the checks below
+the threshold as lanes together. A check refines while its pass rate is
+strictly below the threshold — the comparison is exact rational
+arithmetic, so 8/10 against 0.80 passes — and stops after at most
 max_iters refinements, returning the best revision seen with status failed
 when the budget runs out.
 """
@@ -18,9 +24,10 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ModelCallError, OutputParseError
-from .executor import run_lanes
+from .executor import iter_lanes
 from .gateway import Gateway
 from .model import FeatureSet, PromptSpec, Subtask, SubtaskRun, SyntheticCase
 from .parsing import parse_subtask_output
@@ -96,28 +103,32 @@ def _run_case(gateway: Gateway, prompt: PromptSpec, subtask: Subtask,
     return CaseResult(index, case, run, passed=True)
 
 
-def validate_prompt(prompt: PromptSpec, cases: Sequence[SyntheticCase],
-                    gateway: Gateway, *, subtask: Subtask,
-                    threshold: float | Fraction = DEFAULT_THRESHOLD,
-                    repeats: int = 1, width: int = 1) -> ValidationReport:
-    """Score one prompt revision over its synthetic set, `width` cases at
-    a time.
+Check = tuple[Subtask, PromptSpec, Sequence[SyntheticCase]]
 
-    A failed model call (ModelCallError) marks its case failed; any other
-    error, such as a replay miss (UnseenRequestError), aborts the report
-    once the cases in flight end; no later case starts.
-    With repeats > 1 a case only counts as passed when every repeat passes
-    (a stricter reading of "consistently passes"); a case's repeats run in
-    order in its lane and stop at the first that fails. The default is a
-    single execution per case per revision.
+
+def validate_prompt(checks: Sequence[Check], gateway: Gateway, *,
+                    threshold: float | Fraction = DEFAULT_THRESHOLD,
+                    repeats: int = 1, width: int = 1) -> list[ValidationReport]:
+    """Score each (subtask, prompt, cases) check over its synthetic set; one
+    report per check, in check order.
+
+    Every case of every check is a lane of one iter_lanes call, `width` x
+    len(checks) at once. A failed model call (ModelCallError) marks its case
+    failed; any other error, such as a replay miss (UnseenRequestError), is
+    raised once the cases in flight end, and no later case of any check
+    starts. With repeats > 1 a case only counts as passed when every repeat
+    passes (a stricter reading of "consistently passes"); a case's repeats
+    run in order in its lane and stop at the first that fails. The default
+    is a single execution per case per revision.
     """
-    if not cases:
-        raise ValueError("validate_prompt: cases must be non-empty")
+    for subtask, _prompt, cases in checks:
+        if not cases:
+            raise ValueError(f"validate_prompt: cases for {subtask.id!r} must be non-empty")
     if repeats < 1:
         raise ValueError("validate_prompt: repeats must be >= 1")
 
-    def lane(item: tuple[int, SyntheticCase]) -> CaseResult:
-        index, case = item
+    def lane(item: tuple[Subtask, PromptSpec, int, SyntheticCase]) -> CaseResult:
+        subtask, prompt, index, case = item
         result = _run_case(gateway, prompt, subtask, index, case)
         for _ in range(repeats - 1):
             if not result.passed:
@@ -125,14 +136,19 @@ def validate_prompt(prompt: PromptSpec, cases: Sequence[SyntheticCase],
             result = _run_case(gateway, prompt, subtask, index, case)
         return result
 
-    results = run_lanes(lane, list(enumerate(cases)), width=width)
-    passes = sum(1 for r in results if r.passed)
-    verdict = ("passed"
-               if Fraction(passes, len(results)) >= _as_fraction(threshold)
-               else "refine")
-    return ValidationReport(subtask_id=subtask.id, revision=prompt.revision,
-                            results=tuple(results), passes=passes,
-                            total=len(results), verdict=verdict)
+    lanes = [(subtask, prompt, index, case) for subtask, prompt, cases in checks
+             for index, case in enumerate(cases)]
+    done = iter(list(iter_lanes(lane, lanes, width=width * len(checks))))
+    bar = _as_fraction(threshold)
+    reports = []
+    for subtask, prompt, cases in checks:
+        results = tuple(islice(done, len(cases)))
+        passes = sum(1 for r in results if r.passed)
+        reports.append(ValidationReport(
+            subtask_id=subtask.id, revision=prompt.revision, results=results,
+            passes=passes, total=len(results),
+            verdict="passed" if Fraction(passes, len(results)) >= bar else "refine"))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -145,45 +161,69 @@ class RefinementOutcome:
         return len(self.history) - 1
 
 
-RefineFn = Callable[[PromptSpec, list[tuple[SyntheticCase, SubtaskRun]]], PromptSpec]
+Failures = list[tuple[SyntheticCase, SubtaskRun]]
+
+
+def run_refinement_loops(checks: Sequence[Check], gateway: Gateway,
+                         refine: Callable[[Subtask, PromptSpec, Failures], PromptSpec], *,
+                         max_iters: int = DEFAULT_MAX_ITERS,
+                         threshold: float | Fraction = DEFAULT_THRESHOLD,
+                         repeats: int = 1, width: int = 1) -> list[RefinementOutcome]:
+    """Validate-refine every check until it meets the threshold or spends
+    its budget; one outcome per check, in check order.
+
+    `refine(subtask, prompt, failures)` is the cloud-channel rewrite
+    (planner.refine_prompt bound to its gateway). Each wave validates the
+    checks still refining in one validate_prompt call, then runs the
+    rewrites of those below the threshold as lanes together; a check's
+    revisions are sequential because each rewrite reads its previous
+    report. An error raised while validating or rewriting ends every loop:
+    no later case or rewrite starts.
+    """
+    if max_iters < 1:
+        raise ValueError("run_refinement_loops: max_iters must be >= 1")
+    prompts = [prompt for _subtask, prompt, _cases in checks]
+    tried: list[list[tuple[PromptSpec, ValidationReport]]] = [[] for _ in checks]
+    refining = list(range(len(checks)))
+    while refining:
+        reports = validate_prompt(
+            [(checks[i][0], prompts[i], checks[i][2]) for i in refining], gateway,
+            threshold=threshold, repeats=repeats, width=width)
+        for i, report in zip(refining, reports):
+            tried[i].append((prompts[i], report))
+        refining = [i for i, report in zip(refining, reports)
+                    if report.verdict != "passed" and len(tried[i]) <= max_iters]
+        rewrites = list(iter_lanes(
+            lambda i: refine(checks[i][0], prompts[i], tried[i][-1][1].failures()),
+            refining, width=len(refining)))
+        for i, prompt in zip(refining, rewrites):
+            prompts[i] = prompt
+    return [_outcome(candidates) for candidates in tried]
+
+
+def _outcome(candidates: list[tuple[PromptSpec, ValidationReport]]) -> RefinementOutcome:
+    history = tuple(report for _prompt, report in candidates)
+    prompt, report = candidates[-1]
+    if report.verdict == "passed":
+        return RefinementOutcome(prompt.refined(report), history)
+    # Budget exhausted: best pass rate wins, earliest revision breaks ties.
+    best_prompt, best_report = max(
+        candidates, key=lambda pair: (pair[1].exact_rate(), -pair[1].revision))
+    return RefinementOutcome(best_prompt.failed(best_report), history)
 
 
 def run_refinement_loop(subtask: Subtask, draft: PromptSpec,
                         cases: Sequence[SyntheticCase], gateway: Gateway,
-                        refine: RefineFn, *,
+                        refine: Callable[[PromptSpec, Failures], PromptSpec], *,
                         max_iters: int = DEFAULT_MAX_ITERS,
                         threshold: float | Fraction = DEFAULT_THRESHOLD,
                         repeats: int = 1, width: int = 1) -> RefinementOutcome:
-    """Validate-refine until the threshold is met or the budget is spent.
-
-    `refine` is the cloud-channel rewrite (planner.refine_prompt bound to
-    its gateway); revisions are strictly sequential because each rewrite
-    depends on the previous report. Each revision runs `width` cases at a
-    time, as validate_prompt does.
-    """
-    if max_iters < 1:
-        raise ValueError("run_refinement_loop: max_iters must be >= 1")
-    prompt = draft
-    history: list[ValidationReport] = []
-    candidates: list[tuple[PromptSpec, ValidationReport]] = []
-    report = validate_prompt(prompt, cases, gateway, subtask=subtask,
-                             threshold=threshold, repeats=repeats, width=width)
-    history.append(report)
-    candidates.append((prompt, report))
-    refinements = 0
-    while report.verdict != "passed" and refinements < max_iters:
-        prompt = refine(prompt, report.failures())
-        refinements += 1
-        report = validate_prompt(prompt, cases, gateway, subtask=subtask,
-                                 threshold=threshold, repeats=repeats, width=width)
-        history.append(report)
-        candidates.append((prompt, report))
-    if report.verdict == "passed":
-        return RefinementOutcome(prompt.refined(report), tuple(history))
-    # Budget exhausted: best pass rate wins, earliest revision breaks ties.
-    best_prompt, best_report = max(
-        candidates, key=lambda pair: (pair[1].exact_rate(), -pair[1].revision))
-    return RefinementOutcome(best_prompt.failed(best_report), tuple(history))
+    """run_refinement_loops over the one check (subtask, draft, cases), with
+    `refine(prompt, failures)` as its rewrite."""
+    return run_refinement_loops(
+        [(subtask, draft, cases)], gateway,
+        lambda _subtask, prompt, failures: refine(prompt, failures),
+        max_iters=max_iters, threshold=threshold, repeats=repeats, width=width)[0]
 
 
 def history_to_dict(history: Sequence[ValidationReport]) -> list[dict]:

@@ -223,13 +223,18 @@ def test_loaders_round_trip(tmp_path):
         encoding="utf-8")
     assert load_labeled(preds_path).pairs == (("d1", "Resectable"),)
 
+    csv_path.write_text("id,label\nd1,Resectable\n\nd1,Metastatic\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{csv_path}:4: duplicate document id 'd1'")):
+        load_labeled(csv_path)
+
 
 @pytest.mark.parametrize("record, fragment", [
     ({"id": ["d1"], "label": "Metastatic"}, "id must be a string or an integer, got ['d1']"),
     ({"id": False, "label": "Metastatic"}, "id must be a string or an integer, got False"),
     ({"id": "d1", "label": ["Metastatic"]}, "label must be a string, got ['Metastatic']"),
     ({"document_id": "d1", "final_label": 3}, "label must be a string, got 3"),
-], ids=["list id", "bool id", "list label", "number label"])
+    ({"document_id": "4", "final_label": "Metastatic"}, "duplicate document id '4'"),
+], ids=["list id", "bool id", "list label", "number label", "repeated id"])
 def test_labeled_set_takes_string_labels_and_string_or_integer_ids(tmp_path, capsys,
                                                                    record, fragment):
     path = tmp_path / "gt.jsonl"

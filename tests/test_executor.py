@@ -26,6 +26,7 @@ from orchkit.executor import (
     write_predictions,
 )
 from orchkit.gateway import (
+    KIND_CLOUD_HTTP,
     PHASE_CLOUD,
     PHASE_LOCAL,
     BackendProfile,
@@ -224,7 +225,7 @@ def test_executor_refuses_cloud_phase_gateway():
 
 def test_executor_refuses_cloud_http_profile_regardless_of_phase():
     class Impostor:
-        profile = BackendProfile.cloud("https://elsewhere", "m")
+        profile = BackendProfile(KIND_CLOUD_HTTP, "https://elsewhere", "m")
         phase = PHASE_LOCAL
 
     plan = refined_plan()

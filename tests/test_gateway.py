@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from orchkit.config import ProfileConfig
 from orchkit.errors import (
     ModelCallError,
     PhaseViolationError,
@@ -15,6 +16,8 @@ from orchkit.errors import (
     UnseenRequestError,
 )
 from orchkit.gateway import (
+    KIND_CLOUD_HTTP,
+    KIND_LOCAL_HTTP,
     PHASE_CLOUD,
     PHASE_LOCAL,
     RETRY_ATTEMPTS,
@@ -58,12 +61,14 @@ def test_chat_request_invariants():
 
 
 def test_profile_factory_defaults():
-    cloud = BackendProfile.cloud("https://api.example", "bigmodel")
-    local = BackendProfile.local("http://127.0.0.1:11434", "smallmodel")
+    cloud = ProfileConfig(KIND_CLOUD_HTTP, "https://api.example", "bigmodel").to_profile("cloud")
+    local = ProfileConfig(KIND_LOCAL_HTTP, "http://127.0.0.1:11434", "smallmodel").to_profile(
+        "local")
     assert cloud.default_temperature == 0.8
     assert local.default_temperature == 0.2
     assert local.default_context == 32768
-    assert BackendProfile.local("http://x", "m", temperature=0.5).default_temperature == 0.5
+    warm = ProfileConfig(KIND_LOCAL_HTTP, "http://x", "m", temperature=0.5).to_profile("local")
+    assert warm.default_temperature == 0.5
 
 
 def test_profile_requires_endpoint_or_script():
@@ -143,13 +148,13 @@ def test_empty_completion_is_refusal():
 # --- phase separation -----------------------------------------------------------
 
 def test_cloud_phase_rejects_local_profile():
-    local = BackendProfile.local("http://127.0.0.1:11434", "m")
+    local = BackendProfile(KIND_LOCAL_HTTP, "http://127.0.0.1:11434", "m")
     with pytest.raises(PhaseViolationError):
         Gateway(local, PHASE_CLOUD)
 
 
 def test_local_phase_rejects_cloud_profile():
-    cloud = BackendProfile.cloud("https://api.example", "m")
+    cloud = BackendProfile(KIND_CLOUD_HTTP, "https://api.example", "m")
     with pytest.raises(PhaseViolationError):
         Gateway(cloud, PHASE_LOCAL)
 

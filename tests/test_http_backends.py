@@ -18,13 +18,15 @@ from pathlib import Path
 import pytest
 from conftest import refined_plan, vessel_schema
 
+from orchkit.config import ProfileConfig
 from orchkit.errors import ModelCallError, TransportError
 from orchkit.executor import run_subtask
 from orchkit.gateway import (
+    KIND_CLOUD_HTTP,
+    KIND_LOCAL_HTTP,
     PHASE_CLOUD,
     PHASE_LOCAL,
     RETRY_ATTEMPTS,
-    BackendProfile,
     Gateway,
 )
 from orchkit.model import Document
@@ -126,10 +128,10 @@ def _wire(payload: dict) -> bytes:
 def _gateway(server, channel: str) -> Gateway:
     base = server.base
     if channel == "cloud":
-        profile, phase = BackendProfile.cloud(f"{base}/v1/", "big-planner"), PHASE_CLOUD
+        config, phase = ProfileConfig(KIND_CLOUD_HTTP, f"{base}/v1/", "big-planner"), PHASE_CLOUD
     else:
-        profile, phase = BackendProfile.local(f"{base}/", "small-extractor"), PHASE_LOCAL
-    return Gateway(profile, phase, sleep=lambda _s: None)
+        config, phase = ProfileConfig(KIND_LOCAL_HTTP, f"{base}/", "small-extractor"), PHASE_LOCAL
+    return Gateway(config.to_profile(channel), phase, sleep=lambda _s: None)
 
 
 def _reply(channel: str, text: str, *, length: bool = False) -> dict:
@@ -261,11 +263,11 @@ def test_cloud_tls_trusts_ssl_cert_file(tls_server, monkeypatch, self_signed):
 def test_http_backends_need_no_requests_package(server):
     server.reply = (200, {**_reply("cloud", "planned"), **_reply("local", "extracted")})
     script = ("import sys; sys.modules['requests'] = None\n"
-              "from orchkit.gateway import PHASE_CLOUD, PHASE_LOCAL, BackendProfile, Gateway\n"
-              "print(Gateway(BackendProfile.cloud(sys.argv[1], 'm'), PHASE_CLOUD)"
-              ".chat('sys', 'doc').raw_text)\n"
-              "print(Gateway(BackendProfile.local(sys.argv[1], 'm'), PHASE_LOCAL)"
-              ".chat('sys', 'doc').raw_text)\n")
+              "from orchkit.config import ProfileConfig\n"
+              "from orchkit.gateway import PHASE_CLOUD, PHASE_LOCAL, Gateway\n"
+              "for kind, phase in (('cloud_http', PHASE_CLOUD), ('local_http', PHASE_LOCAL)):\n"
+              "    profile = ProfileConfig(kind, sys.argv[1], 'm').to_profile(phase)\n"
+              "    print(Gateway(profile, phase).chat('sys', 'doc').raw_text)\n")
     done = subprocess.run([sys.executable, "-c", script, server.base],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=60)

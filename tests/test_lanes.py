@@ -1,5 +1,6 @@
-"""Validation through the lane pool: `run_lanes` itself, and the CLI's
-`validate` and `infer --revalidate` running subtasks and cases as lanes.
+"""Validation through the lane pool: `iter_lanes` itself, and the CLI's
+`validate` and `infer --revalidate` running every subtask's cases as lanes
+of one pool, in waves.
 
 The CLI's channels are served by scripted handlers: the local model reads
 the fixture's token markers, can flip the spread field on chosen sightings
@@ -23,7 +24,7 @@ from orchkit import cli
 from orchkit.bundle import save_plan
 from orchkit.cli import main
 from orchkit.errors import UnseenRequestError
-from orchkit.executor import iter_lanes, run_lanes
+from orchkit.executor import iter_lanes
 from orchkit.gateway import (
     PHASE_CLOUD,
     PHASE_LOCAL,
@@ -152,14 +153,14 @@ def test_validation_bytes_do_not_depend_on_workers(tmp_path, monkeypatch, capsys
     assert [e["verdict"] for e in json.loads(history)] == ["refine"] * 3 + ["passed"] * 2
 
 
-def test_run_lanes_order_width_cancellation_and_error():
+def test_lanes_order_width_cancellation_and_error():
     def slow_first(i):
         time.sleep(0.01 * (4 - i))
         return i * i
 
     for width in (1, 2, 5):
-        assert run_lanes(slow_first, list(range(5)), width=width) == [0, 1, 4, 9, 16]
-    assert run_lanes(slow_first, [], width=3) == []
+        assert list(iter_lanes(slow_first, list(range(5)), width=width)) == [0, 1, 4, 9, 16]
+    assert list(iter_lanes(slow_first, [], width=3)) == []
 
     lock = threading.Lock()
     inflight, peak = [0], [0]
@@ -173,7 +174,7 @@ def test_run_lanes_order_width_cancellation_and_error():
             inflight[0] -= 1
         return i
 
-    assert run_lanes(counted, list(range(9)), width=3) == list(range(9))
+    assert list(iter_lanes(counted, list(range(9)), width=3)) == list(range(9))
     assert 1 < peak[0] <= 3
 
     started, finished = [], []
@@ -192,7 +193,7 @@ def test_run_lanes_order_width_cancellation_and_error():
         started.clear()
         finished.clear()
         with pytest.raises(ValueError, match="lane 1"):
-            run_lanes(lane, list(range(8)), width=width)
+            list(iter_lanes(lane, list(range(8)), width=width))
         # Lane 2 may take the thread lane 1 freed; later lanes are cancelled,
         # and every lane that started has finished when the error is raised.
         assert set(started) <= {0, 1, 2}
@@ -208,7 +209,7 @@ def test_run_lanes_order_width_cancellation_and_error():
         return i
 
     with pytest.raises(ValueError, match="lane 1 fails last"):
-        run_lanes(late_and_early, list(range(4)), width=4)
+        list(iter_lanes(late_and_early, list(range(4)), width=4))
 
 
 def test_a_failed_lane_at_width_1_stops_every_later_lane():
@@ -283,7 +284,8 @@ def revalidation_peak(monkeypatch, ws) -> int:
 
 
 def test_validate_and_revalidate_run_subtasks_at_once(tmp_path, monkeypatch):
-    # Both subtasks at once, each with workers x rounds = 3 of its 6 cases.
+    # Both subtasks' 12 cases are lanes of one pool, workers x rounds x subtasks
+    # = 6 wide; lanes start in check order, so six cases are in flight at once.
     ws = write_inputs(tmp_path / "ws", cases=6, workers=1)
     model = LocalModel(delay=0.05)
     scripted_channels(monkeypatch, model)
@@ -296,8 +298,8 @@ def test_validate_and_revalidate_run_subtasks_at_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_calls_in_flight_stay_within_workers_times_subtasks(tmp_path, monkeypatch,
                                                             workers):
-    # Each command has at most workers x rounds calls of a subtask in flight:
-    # validation's cases (never more than the subtask's 6) and infer's rounds.
+    # Each command has at most workers x rounds x subtasks calls in flight:
+    # validation's cases (never more than both subtasks' 12) and infer's rounds.
     ws = write_inputs(tmp_path / "ws", cases=6, workers=workers)
     validating = LocalModel(delay=0.05)
     scripted_channels(monkeypatch, validating)

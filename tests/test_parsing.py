@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from orchkit.errors import OutputParseError
+from orchkit.model import FeatureSchema, FieldSpec
 from orchkit.parsing import extract_json_object, format_block, parse_subtask_output
 
 from conftest import vessel_schema
@@ -64,3 +65,11 @@ def test_parse_subtask_output_strictness():
         parse_subtask_output(vessel_schema(),
                              '{"values": {"smv_contact": "none", '
                              '"celiac_contact": "true", "stray": 1}}')
+
+
+@pytest.mark.parametrize("value", ['["A", {"b": 1}]', '{"b": 1}'], ids=["list", "object"])
+def test_text_field_rejects_a_json_list_or_object(value):
+    schema = FeatureSchema((FieldSpec("note", "text"),))
+    with pytest.raises(OutputParseError, match="note"):
+        parse_subtask_output(schema, f'{{"values": {{"note": {value}}}}}')
+    assert parse_subtask_output(schema, '{"values": {"note": " A "}}')[1].get("note") == "a"

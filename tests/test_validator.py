@@ -8,6 +8,7 @@ so threshold arithmetic can be pinned exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import threading
@@ -16,16 +17,19 @@ from fractions import Fraction
 
 import pytest
 
+from orchkit.errors import UnseenRequestError
 from orchkit.gateway import PHASE_LOCAL, BackendProfile, Gateway, ScriptedBackend
 from orchkit.model import FeatureSet, PromptSpec, SyntheticCase
 from orchkit.validator import (
     run_refinement_loop,
+    run_refinement_loops,
     validate_prompt,
 )
 
 from conftest import golden_subtasks
 
 SPREAD = golden_subtasks()[0]
+OTHER = dataclasses.replace(SPREAD, id="other_spread")
 VALUES = ("present", "absent", "unknown")
 
 
@@ -79,7 +83,7 @@ def local_gateway(script) -> Gateway:
 @pytest.mark.parametrize("passes,verdict", [(9, "passed"), (7, "refine"), (8, "passed")])
 def test_threshold_examples(passes, verdict):
     gw = local_gateway(LocalScript(lambda rev: passes))
-    report = validate_prompt(draft_prompt(), make_cases(10), gw, subtask=SPREAD)
+    [report] = validate_prompt([(SPREAD, draft_prompt(), make_cases(10))], gw)
     assert report.passes == passes
     assert report.pass_rate == pytest.approx(passes / 10)
     assert report.verdict == verdict
@@ -87,8 +91,7 @@ def test_threshold_examples(passes, verdict):
 
 def test_threshold_is_exact_rational():
     gw = local_gateway(LocalScript(lambda rev: 4))
-    report = validate_prompt(draft_prompt(), make_cases(5), gw, subtask=SPREAD,
-                             threshold=0.8)
+    [report] = validate_prompt([(SPREAD, draft_prompt(), make_cases(5))], gw, threshold=0.8)
     assert report.exact_rate() == Fraction(4, 5)
     assert report.verdict == "passed"  # 4/5 == 0.8 exactly, loop is strictly <
 
@@ -102,7 +105,7 @@ def test_each_case_runs_exactly_once():
             return super().__call__(request)
 
     gw = local_gateway(Counting(lambda rev: 10))
-    validate_prompt(draft_prompt(), make_cases(10), gw, subtask=SPREAD)
+    validate_prompt([(SPREAD, draft_prompt(), make_cases(10))], gw)
     assert calls["n"] == 10
 
 
@@ -115,7 +118,7 @@ def test_unparseable_output_counts_as_failure():
         return json.dumps({"reasoning": "ok", "values": {"distant_metastasis": expected}})
 
     gw = local_gateway(script)
-    report = validate_prompt(draft_prompt(), make_cases(10), gw, subtask=SPREAD)
+    [report] = validate_prompt([(SPREAD, draft_prompt(), make_cases(10))], gw)
     assert report.passes == 9
     failed = [r for r in report.results if not r.passed]
     assert len(failed) == 1 and failed[0].run.parse_status == "unparseable"
@@ -134,7 +137,7 @@ def test_transport_failure_marks_case_and_report_survives():
 
     gw = Gateway(BackendProfile.scripted(ScriptedBackend(script)), PHASE_LOCAL,
                  sleep=lambda _s: None)
-    report = validate_prompt(draft_prompt(), make_cases(10), gw, subtask=SPREAD)
+    [report] = validate_prompt([(SPREAD, draft_prompt(), make_cases(10))], gw)
     assert report.passes == 9
     failed = [r for r in report.results if not r.passed][0]
     assert "transport" in failed.reason
@@ -153,7 +156,7 @@ def test_empty_reply_and_overlong_case_mark_cases_and_report_survives():
                              cases[5].expected)
     gw = Gateway(BackendProfile.scripted(ScriptedBackend(script), context=64),
                  PHASE_LOCAL, sleep=lambda _s: None)
-    report = validate_prompt(draft_prompt(), cases, gw, subtask=SPREAD)
+    [report] = validate_prompt([(SPREAD, draft_prompt(), cases)], gw)
     assert report.total == 10 and report.passes == 8
     failed = [r for r in report.results if not r.passed]
     assert [r.case_index for r in failed] == [2, 5]
@@ -175,10 +178,10 @@ def test_validation_repeats_demand_consistency():
     gw = local_gateway(flipflop)
     case = SyntheticCase(SPREAD.id, "case 0 expects absent",
                          FeatureSet({"distant_metastasis": "absent"}))
-    single = validate_prompt(draft_prompt(), [case], gw, subtask=SPREAD)
+    [single] = validate_prompt([(SPREAD, draft_prompt(), [case])], gw)
     assert single.passes == 1  # first call answers correctly
     calls["n"] = 0
-    doubled = validate_prompt(draft_prompt(), [case], gw, subtask=SPREAD, repeats=2)
+    [doubled] = validate_prompt([(SPREAD, draft_prompt(), [case])], gw, repeats=2)
     assert doubled.passes == 0  # second run flips to a wrong answer
     assert doubled.total == 1   # repeats do not inflate the case count
 
@@ -204,8 +207,8 @@ def test_repeats_run_in_order_in_each_case_lane_with_every_case_in_flight():
             "absent" if expected != "absent" else "present")
         return json.dumps({"reasoning": "ok", "values": {"distant_metastasis": value}})
 
-    report = validate_prompt(draft_prompt(), cases, local_gateway(script),
-                             subtask=SPREAD, repeats=2, width=len(cases))
+    [report] = validate_prompt([(SPREAD, draft_prompt(), cases)], local_gateway(script),
+                               repeats=2, width=len(cases))
     assert seen == {0: 2, 1: 1, 2: 2, 3: 2, 4: 1, 5: 2}  # no second call after a failure
     assert [r.passed for r in report.results] == [True, False, True, True, False, True]
     assert (report.passes, report.total) == (4, 6)
@@ -218,7 +221,7 @@ def test_normalization_accepts_alias_case_and_whitespace():
     gw = local_gateway(script)
     case = SyntheticCase(SPREAD.id, "case 0 expects present",
                          FeatureSet({"distant_metastasis": "present"}))
-    report = validate_prompt(draft_prompt(), [case], gw, subtask=SPREAD)
+    [report] = validate_prompt([(SPREAD, draft_prompt(), [case])], gw)
     assert report.passes == 1  # "METS" -> alias -> "present"
 
 
@@ -293,3 +296,84 @@ def test_loop_passes_failures_with_reasoning_to_refiner():
     cases, runs = zip(*captured["failures"])
     assert len(cases) == 3
     assert all("revision 0" in run.reasoning for run in runs)
+
+
+# --- several checks at once --------------------------------------------------------
+
+def test_checks_get_reports_in_check_order_each_with_its_own_counts():
+    gw = local_gateway(LocalScript({0: 6, 1: 4}))
+    revised = PromptSpec.draft(OTHER.id, "extract the field. [[rev=0]]").with_revision(
+        "extract the field. [[rev=1]]")
+    reports = validate_prompt([(SPREAD, draft_prompt(), make_cases(10)),
+                               (OTHER, revised, make_cases(5))], gw, width=2)
+    assert [(r.subtask_id, r.revision, r.passes, r.total, r.verdict) for r in reports] == [
+        ("distant_spread", 0, 6, 10, "refine"), ("other_spread", 1, 4, 5, "passed")]
+    assert [[r.case_index for r in report.results] for report in reports] == [
+        list(range(10)), list(range(5))]
+
+
+def test_a_case_error_starts_no_case_of_another_check_and_no_rewrite():
+    # width 1 gives one lane per check. Every call waits at a two-party
+    # barrier, so the two lanes in flight leave it together.
+    barrier = threading.Barrier(2, timeout=10)
+    lock = threading.Lock()
+    started: list[tuple[str, int]] = []
+    rewrites = []
+
+    def script(request):
+        kind = request.system_prompt.split()[0]
+        with lock:
+            started.append((kind, int(re.search(r"case (\d+)", request.user_content)[1])))
+        barrier.wait()
+        if kind == "raising":
+            raise UnseenRequestError("no recorded response")
+        return json.dumps({"reasoning": "wrong", "values": {"distant_metastasis": "absent"}})
+
+    def refine(subtask, prompt, failures):
+        rewrites.append(subtask.id)
+        return bump_revision(prompt, failures)
+
+    raising = PromptSpec.draft(SPREAD.id, "raising prompt [[rev=0]]")
+    wrong = PromptSpec.draft(OTHER.id, "wrong prompt [[rev=0]]")
+    gw = local_gateway(script)
+
+    # Both lanes in flight are the first check's, and both raise, so each
+    # thread records its failure before it could take a later lane: none of
+    # the second check's cases starts.
+    with pytest.raises(UnseenRequestError):
+        run_refinement_loops([(SPREAD, raising, make_cases(2)),
+                              (OTHER, wrong, make_cases(3))], gw, refine, width=1)
+    assert sorted(started) == [("raising", 0), ("raising", 1)]
+
+    # The first check's only case fails while the second's raises: its loop
+    # would refine, but no rewrite starts after the error.
+    started.clear()
+    with pytest.raises(UnseenRequestError):
+        run_refinement_loops([(OTHER, wrong, make_cases(1)),
+                              (SPREAD, raising, make_cases(1))], gw, refine, width=1)
+    assert sorted(started) == [("raising", 0), ("wrong", 0)]
+    assert rewrites == []
+
+
+def test_waves_refine_each_check_on_its_own_budget():
+    # The spread check passes at revision 1, the other at revision 3; each
+    # keeps its own history and only the failing checks are rewritten.
+    spread_script, other_script = LocalScript({0: 0, 1: 9}), LocalScript({0: 0, 1: 0, 2: 0, 3: 9})
+    gw = local_gateway(lambda request: (other_script if request.system_prompt.startswith("other")
+                                        else spread_script)(request))
+    rewrites = []
+
+    def refine(subtask, prompt, failures):
+        rewrites.append((subtask.id, prompt.revision))
+        return bump_revision(prompt, failures)
+
+    other = PromptSpec.draft(OTHER.id, "other field. [[rev=0]]")
+    spread, late = run_refinement_loops(
+        [(SPREAD, draft_prompt(), make_cases(10)), (OTHER, other, make_cases(10))],
+        gw, refine, max_iters=5)
+    assert [r.passes for r in spread.history] == [0, 9]
+    assert [r.passes for r in late.history] == [0, 0, 0, 9]
+    assert (spread.prompt.status, spread.prompt.revision) == ("refined", 1)
+    assert (late.prompt.status, late.prompt.revision) == ("refined", 3)
+    assert sorted(rewrites) == [("distant_spread", 0), ("other_spread", 0),
+                                ("other_spread", 1), ("other_spread", 2)]
