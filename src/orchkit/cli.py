@@ -45,7 +45,7 @@ from .gateway import (
     PHASE_LOCAL,
     Gateway,
 )
-from .jsonio import read_json, write_json
+from .jsonio import read_json, read_text, write_json
 from .model import TaskSpec, UserPrefs, validate_plan
 from .planner import TemplateSet
 
@@ -89,8 +89,8 @@ def _templates(config: Config) -> TemplateSet:
 def cmd_plan(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     task = TaskSpec(
-        task_description=Path(args.task).read_text(encoding="utf-8"),
-        guideline=Path(args.guideline).read_text(encoding="utf-8"),
+        task_description=read_text(args.task),
+        guideline=read_text(args.guideline),
         preferences=_load_prefs(Path(args.prefs), config))
     gateway = Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD)
     clock = None if args.deterministic else _now_iso
@@ -154,8 +154,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
                            else local.temperature),
         local_context=DEFAULT_CONTEXT if local.context is None else local.context,
         threshold=config.threshold)
-    guideline_body = (Path(args.include_guideline).read_text(encoding="utf-8")
-                      if args.include_guideline else None)
+    guideline_body = read_text(args.include_guideline) if args.include_guideline else None
     data = bundlemod.pack(plan, runtime,
                           created_at=None if args.deterministic else _now_iso(),
                           allow_failed=args.allow_failed,

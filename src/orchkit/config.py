@@ -41,6 +41,7 @@ from .gateway import (
     KIND_SCRIPTED,
     BackendProfile,
 )
+from .jsonio import read_text
 
 CONFIG_ENV = "ORCH_CONFIG"
 
@@ -160,4 +161,4 @@ def load_config(path: str | Path | None = None) -> Config:
         if not env:
             return Config()
         path = env
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return read_text(path, parse_config)

@@ -11,12 +11,13 @@ intermediate arithmetic is exact rational; floats appear only in reports.
 from __future__ import annotations
 
 import csv
+import io
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .jsonio import read_jsonl, record_id
+from .jsonio import read_jsonl, read_text, record_id
 
 INDETERMINATE = "indeterminate"
 
@@ -237,19 +238,18 @@ def load_labeled(path: str | Path, source: str | None = None) -> LabeledSet:
 
     pairs = []
     if path.suffix == ".csv":
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            rows = csv.reader(fh)
-            for row in rows:
-                if not row or not row[0].strip():
-                    continue
-                if len(row) < 2:
-                    raise ValueError(f"{path}: row {row!r} needs id,label")
-                if row[0].strip().casefold() == "id" and row[1].strip().casefold() == "label":
-                    continue
-                try:
-                    pairs.append(pair(row[0].strip(), row[1].strip()))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{rows.line_num}: {exc}") from exc
+        rows = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+        for row in rows:
+            if not row or not row[0].strip():
+                continue
+            if len(row) < 2:
+                raise ValueError(f"{path}: row {row!r} needs id,label")
+            if row[0].strip().casefold() == "id" and row[1].strip().casefold() == "label":
+                continue
+            try:
+                pairs.append(pair(row[0].strip(), row[1].strip()))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{rows.line_num}: {exc}") from exc
     else:
         pairs = read_jsonl(path, lambda r: pair(r["document_id"], r["final_label"])
                            if "final_label" in r else pair(r["id"], r["label"]))

@@ -11,18 +11,17 @@ label through the rule program's unknown handling.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import TypeVar
 
 from .errors import ModelCallError, OutputParseError, PhaseViolationError
 from .gateway import KIND_CLOUD_HTTP, PHASE_LOCAL, Gateway
-from .jsonio import jsonl_line, read_jsonl, record_id
+from .jsonio import jsonl_line, read_jsonl, read_text, record_id
 from .model import (
     Document,
     FeatureSet,
@@ -153,39 +152,37 @@ def _predict(logic: SynthesisLogic, doc: Document,
                               tie=sum(1 for n in counts.values() if n == best) > 1)
 
 
-def iter_lanes(fn: Callable[[T], R], items: Sequence[T], *, width: int) -> Iterator[R]:
-    """`fn` over every item, up to `width` at once; yields lane i's result
-    once lanes 0..i are done, and keeps no future it has yielded.
+def iter_lanes(fn: Callable[[T], R], items: Iterable[T], *, width: int) -> Iterator[R]:
+    """`fn` over every item, at most `width` lanes running at once; yields
+    lane i's result once lanes 0..i are done, keeping no future it yields.
 
-    Lanes start in input order. A lane that raises records its index before
-    its thread takes another lane, and a lane after the first failed one
-    returns without calling `fn`; lanes already running finish. The error
-    of the first failed lane in input order is raised after the results
-    before it have been yielded. Closing the iterator early stops every
-    lane not yet started the same way.
+    `items` is read lazily, a lane submitted only while fewer than `width`
+    run, so none waits in the pool's queue; a slot freed while an earlier
+    lane stalls takes the next one, and only results wait behind the stall.
+    After a lane raises none is submitted; running lanes finish, and the
+    first failed lane's error in input order is raised after the results
+    before it. Closing the iterator early also submits nothing more.
     """
-    stop_after = [len(items)]  # lanes after this index do not call fn
-    lock = threading.Lock()
-
-    def lane(index: int, item: T) -> R | None:
-        if index > stop_after[0]:
-            return None  # never read: the reader raises at a failed lane first
-        try:
-            return fn(item)
-        except BaseException:
-            with lock:
-                stop_after[0] = min(stop_after[0], index)
-            raise
-
-    pool = ThreadPoolExecutor(max_workers=max(width, 1))  # width 0: no items
-    try:
-        futures = deque(pool.submit(lane, i, item) for i, item in enumerate(items))
-        while futures:
-            yield futures.popleft().result()
-    finally:
-        with lock:
-            stop_after[0] = -1
-        pool.shutdown(cancel_futures=True)
+    limit = max(width, 1)  # width 0 comes with no items
+    pending = iter(items)
+    futures: deque[Future[R]] = deque()  # submitted, not yet yielded, in input order
+    running: set[Future[R]] = set()  # submitted, not yet seen done
+    failed = False
+    with ThreadPoolExecutor(max_workers=limit) as pool:
+        while True:
+            for item in islice(pending, 0 if failed else limit - len(running)):
+                futures.append(pool.submit(fn, item))
+                running.add(futures[-1])
+            if not futures:
+                return
+            if futures[0] not in running:
+                yield futures.popleft().result()
+                continue
+            # wait() sees every lane at one instant, so a lane seen done is
+            # seen with every error raised before it finished.
+            unfinished = wait(running, return_when=FIRST_COMPLETED).not_done
+            failed = failed or any(f.exception() is not None for f in running - unfinished)
+            running = unfinished
 
 
 def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
@@ -196,12 +193,12 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
     are voted.
 
     The gateway, rounds and prompts are checked, and the rule program parsed,
-    when this is called, before any lane starts. iter_lanes runs a lane per
-    (document, round, subtask), `workers` documents in flight with all their
-    subtasks' rounds at once. Round r sends seed r, so each round is a
-    distinct request and its reply cannot land in another round; only
-    documents with identical text repeat a request. A lane's error is raised
-    as iter_lanes raises it, after the documents before its own.
+    before any lane starts. iter_lanes takes a lane per (document, round,
+    subtask) only as a slot frees, at most workers x rounds x subtasks
+    running, so nothing the size of the corpus is built besides `docs` and
+    only results wait behind a stalled document. Round r sends seed r, so a
+    round's reply cannot land in another round, and only identical documents
+    repeat a request. A lane's error is raised after the documents before it.
     """
     _require_local(gateway)
     if rounds < 1:
@@ -218,8 +215,8 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
                            seed=seed)
 
     seeds = range(1, rounds + 1)
-    lanes = iter_lanes(lane, [(doc, seed, subtask, prompt) for doc in docs
-                              for seed in seeds for subtask, prompt in pairs],
+    lanes = iter_lanes(lane, ((doc, seed, subtask, prompt) for doc in docs
+                              for seed in seeds for subtask, prompt in pairs),
                        width=workers * rounds * len(pairs))
     return (_predict(logic, doc, [tuple(next(lanes) for _ in pairs) for _ in seeds])
             for doc in docs)
@@ -241,11 +238,12 @@ def run_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
 
 def load_documents(path: str | Path) -> list[Document]:
     """Directory of *.txt files (id = stem) or a JSON-lines file with
-    {"id", "body", "format_tag"} per line; a line repeating an earlier
-    line's id raises ValueError naming the file, the line and the id."""
+    {"id", "body", "format_tag"} per line. A document that is not valid
+    raises ValueError naming its file, and a line its line; a line repeating
+    an earlier line's id names the id too."""
     p = Path(path)
     if p.is_dir():
-        docs = [Document(id=f.stem, body=f.read_text(encoding="utf-8"))
+        docs = [read_text(f, lambda body: Document(id=f.stem, body=body))
                 for f in sorted(p.glob("*.txt"))]
         if not docs:
             raise ValueError(f"no *.txt documents in {p}")

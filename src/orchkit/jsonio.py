@@ -15,6 +15,9 @@ files and digests, so these forms are the interface between them:
     files, validation history, inference summary, evaluation report.
     read_json reads one JSON document back: a plan file, the planning
     preferences or an inference summary.
+  * read_text -- UTF-8 text: config, task, guideline, template, CSV and
+    directory document files. With read_jsonl it decodes every file
+    orchkit reads as text, so bytes that are not UTF-8 name file and line.
 
 decode is the one reader of JSON orchkit did not write, and record_id the
 one reader of a document id in it. Imports nothing from orchkit, so any
@@ -79,22 +82,46 @@ def _build(build: Callable[[object], T], text: str, where: str) -> T:
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _utf8(line: str, path: str | Path, lineno: int) -> str:
+    """A line read with errors="surrogateescape", checked: a byte in it that
+    is not UTF-8 raises ValueError naming the file and line."""
+    try:
+        return line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from exc
+
+
+def read_text(path: str | Path, build: Callable[[str], T] = str, *,
+              newline: str | None = None) -> T:
+    """`build` applied to a file's text, decoded as UTF-8 with `newline` as
+    open() takes it. Bytes that are not UTF-8 raise ValueError naming the
+    file and line, e.g. `orch.cfg:2: 'utf-8' codec can't decode byte 0xff in
+    position 11: invalid start byte` (the position within the line); a
+    ValueError from `build` is raised naming the file."""
+    with Path(path).open(encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        text = "".join(_utf8(line, path, lineno) for lineno, line in enumerate(fh, start=1))
+    try:
+        return build(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_jsonl(path: str | Path, build: Callable[[dict], T]) -> list[T]:
     """`build` applied to the record on each non-blank line, in file order.
 
-    A line that is not JSON, a record of the wrong shape (see decode) or one
-    `build` rejects with ValueError raises ValueError naming the file and
-    line, e.g. `gt.jsonl:3: missing key 'label'`.
+    A line that is not UTF-8 or not JSON, a record of the wrong shape (see
+    decode) or one `build` rejects with ValueError raises ValueError naming
+    the file and line, e.g. `gt.jsonl:3: missing key 'label'`.
     """
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return [_build(build, line, f"{path}:{lineno}")
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
+        return [_build(build, _utf8(line, path, lineno), f"{path}:{lineno}")
                 for lineno, line in enumerate(fh, start=1) if line.strip()]
 
 
 def read_json(path: str | Path, build: Callable[[object], T]) -> T:
     """`build` applied to the JSON document in a file; failures as in read_jsonl,
     naming the file."""
-    return _build(build, Path(path).read_text(encoding="utf-8"), str(path))
+    return _build(build, read_text(path), str(path))
 
 
 def write_json(path: str | Path, value: object) -> None:

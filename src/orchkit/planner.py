@@ -29,7 +29,7 @@ from .errors import (
     PlannerError,
 )
 from .gateway import PHASE_CLOUD, Gateway
-from .jsonio import decode, digest, sha256_text
+from .jsonio import decode, digest, read_text, sha256_text
 from .model import (
     FeatureSchema,
     FeatureSet,
@@ -72,7 +72,7 @@ class TemplateSet:
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "TemplateSet":
         base = Path(directory) if directory else _TEMPLATE_DIR
-        return cls(**{name: (base / f"{name}.txt").read_text(encoding="utf-8")
+        return cls(**{name: read_text(base / f"{name}.txt")
                       for name in ("decompose", "synthetic", "refine", "repair")})
 
     def digests(self) -> dict[str, str]:

@@ -504,6 +504,57 @@ def test_infer_repeated_document_id_exits_2_before_any_model_call(workspace, tmp
     assert calls == [] and not out.exists()
 
 
+NOT_UTF8 = {  # input: (file written, its bytes with a 0xff byte on line 2)
+    "config": ("orch.cfg", b"rounds = 3\nthreshold = \xff\n"),
+    "task": ("task.txt", b"Stage each report.\n\xff\n"),
+    "guideline": ("guideline.txt", b"Staging guideline.\n\xff\n"),
+    "prefs": ("prefs.json", b'{"max_subtasks":\n\xff}\n'),
+    "template": ("templates/refine.txt", b"Refine the prompt.\n\xff\n"),
+    "gt csv": ("gt.csv", b"id,label\nd1,\xff\n"),
+    "gt json lines": ("gt.jsonl", b'{"id": "d1", "label": "Metastatic"}\n{"id": "\xff"}\n'),
+    "docs json lines": ("docs.jsonl", b'{"id": "d1", "body": "one"}\n{"id": "\xff"}\n'),
+    "docs directory": ("docs/d2.txt", b"Report two.\n\xff\n"),
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_UTF8))
+def test_input_not_utf8_exits_2_naming_file_and_line(workspace, tmp_path, capsys, kind):
+    name, data = NOT_UTF8[kind]
+    bad = tmp_path / name
+    bad.parent.mkdir(exist_ok=True)
+    bad.write_bytes(data)
+    files = {key: str(workspace[key])
+             for key in ("config", "task", "guideline", "prefs", "gt", "docs")}
+    key = kind.split()[0]
+    if key == "template":
+        for other in ("decompose", "synthetic", "repair"):
+            (bad.parent / f"{other}.txt").write_text(other, encoding="utf-8")
+        config = tmp_path / "templated.cfg"
+        config.write_text(workspace["config"].read_text(encoding="utf-8")
+                          + f"templates_dir = {bad.parent}\n", encoding="utf-8")
+        files["config"] = str(config)
+    elif kind == "docs directory":
+        (bad.parent / "d1.txt").write_text("Report one.", encoding="utf-8")
+        files["docs"] = str(bad.parent)
+    else:
+        files[key] = str(bad)
+    bundle_file = tmp_path / "a.orchb"
+    write_bundle(pack(refined_plan()), bundle_file)
+    if key == "gt":
+        argv = ["evaluate", "--pred", str(workspace["gt"]), "--gt", files["gt"]]
+    elif key in ("config", "docs"):
+        argv = ["infer", "--bundle", str(bundle_file), "--docs", files["docs"],
+                "--out", str(tmp_path / "p.jsonl"), "--config", files["config"]]
+    else:
+        argv = ["plan", "--task", files["task"], "--guideline", files["guideline"],
+                "--prefs", files["prefs"], "--out", str(tmp_path / "plan.json"),
+                "--config", files["config"], "--deterministic"]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}:2: 'utf-8' codec can't decode byte 0xff in position ")
+
+
 SESSION_LINE_EDITS = {
     "raw_text a number": lambda r: r["response"].update(raw_text=5),
     "response a list": lambda r: r.update(response=[1]),

@@ -97,7 +97,7 @@ def test_non_numeric_value_names_its_line(line, message):
 
 @pytest.mark.parametrize("channel", ["local", "cloud"])
 @pytest.mark.parametrize("value", ["nan", "-nan", "inf", "-0.1", "2.5"])
-def test_temperature_outside_0_to_2_names_its_line(channel, value, tmp_path):
+def test_temperature_outside_0_to_2_names_its_line(channel, value, tmp_path, capsys):
     text = f"rounds = 3\n{channel}.temperature = {value}\n"
     message = f"config line 2: {channel}.temperature must be in [0, 2], got {value!r}"
     with pytest.raises(ValueError) as info:
@@ -108,6 +108,7 @@ def test_temperature_outside_0_to_2_names_its_line(channel, value, tmp_path):
     out = tmp_path / "preds.jsonl"
     assert main(["infer", "--bundle", str(tmp_path / "a.orchb"), "--docs",
                  str(tmp_path / "docs.jsonl"), "--out", str(out), "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()
 
 

@@ -387,6 +387,14 @@ def test_load_documents_from_directory(tmp_path):
                        else tmp_path / "empty")
 
 
+def test_load_documents_names_the_file_of_an_empty_document(tmp_path):
+    (tmp_path / "a.txt").write_text("first body", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{tmp_path / 'b.txt'}: Document.body: must be non-empty")):
+        load_documents(tmp_path)
+
+
 def test_load_documents_from_jsonl(tmp_path):
     path = tmp_path / "docs.jsonl"
     with path.open("w", encoding="utf-8") as fh:

@@ -17,10 +17,11 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import wait
 
 import pytest
 
-from orchkit import cli
+from orchkit import cli, executor
 from orchkit.bundle import save_plan
 from orchkit.cli import main
 from orchkit.errors import UnseenRequestError
@@ -270,6 +271,93 @@ def test_lane_results_and_first_error_hold_under_thread_switch_stress():
             assert yielded == list(range(first))
     finally:
         sys.setswitchinterval(interval)
+
+
+class RecordingPool(executor.ThreadPoolExecutor):
+    """The pool `iter_lanes` builds, keeping every future it submits."""
+
+    submitted: list = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.submitted.append(future)
+        return future
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "submitted", [])
+    monkeypatch.setattr(executor, "ThreadPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_iter_lanes_submits_through_the_module_global_pool(recording_pool):
+    # bench/tracer.py replaces executor.ThreadPoolExecutor so that lane spans
+    # keep their parent; lanes submitted any other way would lose it.
+    assert list(iter_lanes(lambda i: i * i, list(range(7)), width=3)) == [
+        i * i for i in range(7)]
+    assert [future.result() for future in recording_pool.submitted] == [
+        i * i for i in range(7)]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_lanes_pull_only_width_items_while_every_lane_is_blocked(width):
+    running = threading.Semaphore(0)
+    release = threading.Event()
+    pulled = []
+
+    def items():
+        for i in range(4 * width):
+            pulled.append(i)
+            yield i
+
+    def lane(i):
+        running.release()
+        assert release.wait(10), "lanes were never released"
+        return i
+
+    results = []
+    consumer = threading.Thread(target=lambda: results.extend(
+        iter_lanes(lane, items(), width=width)))
+    consumer.start()
+    try:
+        for _ in range(width):
+            assert running.acquire(timeout=10), "fewer than width lanes started"
+        # Every running lane is blocked, so no slot is free for another item.
+        assert pulled == list(range(width))
+    finally:
+        release.set()
+        consumer.join(10)
+    assert not consumer.is_alive()
+    assert results == pulled == list(range(4 * width))
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_lane_failing_after_width_lanes_run_starts_no_later_lane(width, recording_pool):
+    # Lane 0 raises once all `width` lanes are running; lanes 1..width-1
+    # finish only after lane 0's future holds its error, freeing every slot.
+    barrier = threading.Barrier(width, timeout=10)
+    lock = threading.Lock()
+    finished, late = [], []
+
+    def lane(i):
+        if i >= width:
+            with lock:
+                late.append(i)
+            return i
+        barrier.wait()
+        if i == 0:
+            raise ValueError("lane 0")
+        assert wait(recording_pool.submitted[:1], timeout=10).done, "lane 0 never failed"
+        with lock:
+            finished.append(i)
+        return i
+
+    with pytest.raises(ValueError, match="^lane 0$"):
+        list(iter_lanes(lane, iter(range(3 * width)), width=width))
+    assert sorted(finished) == list(range(1, width))
+    assert late == []
+    assert len(recording_pool.submitted) == width
 
 
 def revalidation_peak(monkeypatch, ws) -> int:
