@@ -136,19 +136,15 @@ def plan_to_dict(plan: Plan) -> dict:
 
 
 def plan_from_dict(data: Mapping) -> Plan:
-    """The plan a plan file or bundle holds; one with a subtask that has no
-    prompt is refused, so no command reaches a model call without one."""
+    """The plan a plan file or bundle holds; a structure Plan refuses raises
+    ValueError, so no command reaches a model call with one."""
     labels = tuple(OutcomeLabel(name, i) for i, name in enumerate(data["labels"]))
     sets = {sid: tuple(_case_from_dict(c, sid) for c in cases)
             for sid, cases in data["synthetic_sets"].items()}
-    plan = Plan(subtasks=tuple(_subtask_from_dict(s) for s in data["subtasks"]),
+    return Plan(subtasks=tuple(_subtask_from_dict(s) for s in data["subtasks"]),
                 prompts=tuple(_prompt_from_dict(p) for p in data["prompts"]),
                 logic_source=data["logic_source"], labels=labels,
                 synthetic_sets=sets, provenance=dict(data["provenance"]))
-    for subtask in plan.subtasks:
-        if plan.prompt_for(subtask.id) is None:
-            raise ValueError(f"no prompt for subtask {subtask.id!r}")
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +272,16 @@ def _render(sections: dict) -> bytes:
     return (body + trailer).encode("utf-8")
 
 
+def _require_refined(plan: Plan, allow_failed: bool) -> None:
+    """A bundle holds no draft prompt, and a failed one only with allow_failed."""
+    bad = [p.subtask_id for p in plan.prompts if p.status == "draft"
+           or (p.status == "failed" and not allow_failed)]
+    if bad:
+        raise ValueError(
+            f"prompts not refined for subtasks: {', '.join(sorted(bad))}"
+            + ("" if allow_failed else " (use allow_failed to pack failed prompts)"))
+
+
 def pack(plan: Plan, runtime: RuntimeDefaults | None = None, *,
          created_at: str | None = None, allow_failed: bool = False,
          guideline_body: str | None = None, min_cases: int = 1) -> bytes:
@@ -290,12 +296,7 @@ def pack(plan: Plan, runtime: RuntimeDefaults | None = None, *,
     if guideline_body is not None and \
             sha256_text(guideline_body) != plan.provenance.get("guideline_digest"):
         raise ValueError("guideline body does not match the plan's guideline_digest")
-    bad = [p.subtask_id for p in plan.prompts if p.status == "draft"
-           or (p.status == "failed" and not allow_failed)]
-    if bad:
-        raise ValueError(
-            f"prompts not refined for subtasks: {', '.join(sorted(bad))}"
-            + ("" if allow_failed else " (use allow_failed to pack failed prompts)"))
+    _require_refined(plan, allow_failed)
     sections = _sections_for(plan, runtime or RuntimeDefaults(),
                              created_at=created_at or _EPOCH,
                              allow_failed=allow_failed, guideline_body=guideline_body)
@@ -308,7 +309,8 @@ def unpack(data: bytes) -> ArtifactBundle:
     Nothing is returned unless the whole-file trailer, the per-section
     hashes, the format major version, and the digests written inside the
     bundle (the parsed rule program's, and the guideline's when its body
-    rides along) all check out.
+    rides along) all check out, and the bundle holds a plan `pack` would
+    write: one Plan accepts, whose prompts `pack`'s status rule accepts.
     """
     try:
         text = data.decode("utf-8")
@@ -360,16 +362,18 @@ def unpack(data: bytes) -> ArtifactBundle:
 
 def _check_written_digests(bundle: ArtifactBundle) -> None:
     """Section hashes prove the bytes are as packed, not that the digests
-    written in them are true: a bundle re-rendered around a false claim
-    passes every hash."""
+    written in them are true or the plan usable: a bundle re-rendered around
+    a false claim, or around a plan pack refuses, passes every hash."""
     from .ruledsl import pretty
 
     def check(artifact: ArtifactBundle) -> None:
-        logic = artifact.to_plan().parsed_logic()
+        plan = artifact.to_plan()
+        logic = plan.parsed_logic()
         artifact.runtime()
         if not isinstance(artifact.allow_failed, bool):
             raise ValueError(f"meta.allow_failed: must be true or false, "
                              f"got {artifact.allow_failed!r}")
+        _require_refined(plan, artifact.allow_failed)
         if sha256_text(pretty(logic)) != artifact.sections["logic"]["parsed_digest"]:
             raise BundleError("rule program does not match logic.parsed_digest")
         meta = artifact.sections["meta"]

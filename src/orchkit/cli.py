@@ -64,16 +64,16 @@ def _now_iso() -> str:
 
 
 def _load_prefs(path: Path, config: Config) -> UserPrefs:
-    """Preferences JSON; a case count it omits comes from the config."""
+    """Preferences JSON; a case count it omits comes from the config, any
+    other key it omits from UserPrefs."""
     def build(data: dict) -> UserPrefs:
+        optional = ("max_subtasks", "output_format_notes", "include_entities",
+                    "exclude_entities")
         return UserPrefs(
             output_labels=data["output_labels"],
-            max_subtasks=data.get("max_subtasks", 6),
             synthetic_cases_per_subtask=data.get("synthetic_cases_per_subtask",
                                                  config.synthetic_cases_per_subtask),
-            output_format_notes=data.get("output_format_notes", ""),
-            include_entities=data.get("include_entities", ()),
-            exclude_entities=data.get("exclude_entities", ()))
+            **{key: data[key] for key in optional if key in data})
 
     return read_json(path, build)
 

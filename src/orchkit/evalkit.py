@@ -219,10 +219,10 @@ def load_labeled(path: str | Path, source: str | None = None) -> LabeledSet:
     """A labeled set from any of its file forms; source defaults to the file stem.
 
     A .csv holds id,label rows (a header row of exactly 'id,label' is
-    skipped); any other file is JSON lines of {"id", "label"} records or of
-    the executor's predictions ({"document_id", "final_label"}). A row or
-    line repeating an earlier one's id raises ValueError naming the file,
-    the line and the id.
+    skipped, as is one leading byte-order mark); any other file is JSON
+    lines of {"id", "label"} records or of the executor's predictions
+    ({"document_id", "final_label"}). A row or line repeating an earlier
+    one's id raises ValueError naming the file, the line and the id.
     """
     path = Path(path)
     seen: set[str] = set()
@@ -238,7 +238,9 @@ def load_labeled(path: str | Path, source: str | None = None) -> LabeledSet:
 
     pairs = []
     if path.suffix == ".csv":
-        rows = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+        # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
+        text = read_text(path, newline="").removeprefix("\ufeff")
+        rows = csv.reader(io.StringIO(text, newline=""))
         for row in rows:
             if not row or not row[0].strip():
                 continue

@@ -132,8 +132,8 @@ def run_document(gateway: Gateway, plan: Plan, doc: Document, *,
 
 def _predict(logic: SynthesisLogic, doc: Document,
              rounds: Sequence[tuple[SubtaskRun, ...]]) -> DocumentPrediction:
-    """Entry r of `rounds` holds round r's runs, in subtask order. Plan validation
-    rejects cross-subtask field collisions, so the merge is a disjoint union."""
+    """Entry r of `rounds` holds round r's runs, in subtask order. A Plan refuses
+    a field declared by two subtasks, so the merge is a disjoint union."""
     round_records: list[RoundRecord] = []
     for index, runs in enumerate(rounds, start=1):
         merged: dict[str, str] = {}
@@ -192,8 +192,8 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
     document's prediction in input order once it and every earlier document
     are voted.
 
-    The gateway, rounds and prompts are checked, and the rule program parsed,
-    before any lane starts. iter_lanes takes a lane per (document, round,
+    The gateway and rounds are checked, and the rule program parsed, before
+    any lane starts. iter_lanes takes a lane per (document, round,
     subtask) only as a slot frees, at most workers x rounds x subtasks
     running, so nothing the size of the corpus is built besides `docs` and
     only results wait behind a stalled document. Round r sends seed r, so a
@@ -205,9 +205,6 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
         raise ValueError("iter_documents: rounds must be >= 1")
     logic = plan.parsed_logic()
     pairs = [(s, plan.prompt_for(s.id)) for s in plan.subtasks]
-    for subtask, prompt in pairs:
-        if prompt is None:
-            raise ValueError(f"iter_documents: no prompt for subtask {subtask.id!r}")
 
     def lane(item: tuple[Document, int, Subtask, PromptSpec]) -> SubtaskRun:
         doc, seed, subtask, prompt = item

@@ -13,8 +13,9 @@ uncertainty explicitly instead of silently overstaging.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import DslError
 
@@ -167,8 +168,8 @@ class FeatureSchema:
 def merge_schemas(schemas: Sequence[FeatureSchema]) -> FeatureSchema:
     """Disjoint union of schemas; first declaration wins on collision.
 
-    Collisions are reported by validate_plan, so downstream merge can
-    assume disjointness.
+    A Plan refuses a field declared by two subtasks, so the schemas of a
+    plan's subtasks merge without one.
     """
     merged: list[FieldSpec] = []
     seen: set[str] = set()
@@ -434,6 +435,11 @@ class Plan:
     """Complete planning output: subtasks, prompts, synthesis logic source,
     label universe, synthetic test sets, and provenance.
 
+    Construction checks the structure every reader relies on: subtask ids
+    are unique, each subtask has exactly one prompt, synthetic sets are
+    keyed by the plan's subtasks and hold only cases tagged for their set,
+    and no field is declared by two subtasks.
+
     Provenance never contains document content; no planning operation
     accepts a Document, so the guarantee is structural.
     """
@@ -453,25 +459,36 @@ class Plan:
                            {k: tuple(v) for k, v in dict(self.synthetic_sets).items()})
         object.__setattr__(self, "provenance", dict(self.provenance))
         _require(len(self.subtasks) >= 1, "Plan.subtasks", "must be non-empty")
-        _require(len(self.prompts) == len(self.subtasks), "Plan.prompts",
-                 f"{len(self.prompts)} prompts for {len(self.subtasks)} subtasks")
+        known: list[str] = []
+        owner: dict[str, str] = {}  # field name -> the subtask declaring it
+        for s in self.subtasks:
+            _require(s.id not in known, "Plan.subtasks", f"duplicate subtask id {s.id!r}")
+            known.append(s.id)
+            for name in s.output_schema.field_names():
+                _require(name not in owner, "Plan.subtasks",
+                         f"field {name!r} declared by both {owner.get(name)!r} and {s.id!r}")
+                owner[name] = s.id
+        prompted = Counter(p.subtask_id for p in self.prompts)
+        for sid in prompted:
+            _require(sid in known, "Plan.prompts", f"prompt for unknown subtask {sid!r}")
+        for sid in known:
+            _require(prompted[sid] == 1, "Plan.prompts",
+                     f"subtask {sid!r} has {prompted[sid]} prompts, expected exactly 1")
+        for sid, cases in self.synthetic_sets.items():
+            _require(sid in known, "Plan.synthetic_sets",
+                     f"synthetic set for unknown subtask {sid!r}")
+            for idx, case in enumerate(cases):
+                _require(case.subtask_id == sid, "Plan.synthetic_sets",
+                         f"case {idx} in set {sid!r} is tagged for subtask {case.subtask_id!r}")
         _nonempty_text(self.logic_source, "Plan.logic_source")
         _require(len(self.labels) >= 2, "Plan.labels", "needs at least two labels")
 
-    def subtask_ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.subtasks)
-
-    def schema_for(self, subtask_id: str) -> FeatureSchema | None:
-        for s in self.subtasks:
-            if s.id == subtask_id:
-                return s.output_schema
-        return None
-
-    def prompt_for(self, subtask_id: str) -> PromptSpec | None:
+    def prompt_for(self, subtask_id: str) -> PromptSpec:
+        """The prompt of one of this plan's subtasks; KeyError for any other id."""
         for p in self.prompts:
             if p.subtask_id == subtask_id:
                 return p
-        return None
+        raise KeyError(subtask_id)
 
     def parsed_logic(self):
         """Parse logic_source against this plan's schemas and labels."""
@@ -483,64 +500,29 @@ class Plan:
             self.labels)
 
     def with_prompts(self, prompts: Sequence[PromptSpec]) -> "Plan":
-        return Plan(subtasks=self.subtasks, prompts=tuple(prompts),
-                    logic_source=self.logic_source, labels=self.labels,
-                    synthetic_sets=self.synthetic_sets, provenance=self.provenance)
+        return replace(self, prompts=prompts)
 
     def with_synthetic_sets(self, sets: Mapping[str, Sequence[SyntheticCase]]) -> "Plan":
-        return Plan(subtasks=self.subtasks, prompts=self.prompts,
-                    logic_source=self.logic_source, labels=self.labels,
-                    synthetic_sets={k: tuple(v) for k, v in sets.items()},
-                    provenance=self.provenance)
+        return replace(self, synthetic_sets=sets)
 
 
 def validate_plan(plan: Plan, *, min_cases: int = 1) -> list[str]:
-    """Cross-reference and conformance check over a fully constructed plan.
+    """Policy over a plan whose structure its constructor already checked:
+    every synthetic case conforms to its subtask's schema, every subtask has
+    at least `min_cases` cases, and the rule program parses.
 
     Returns a list of violation messages; empty means the plan is sound.
     Nothing is raised: callers (pack, CLI) decide what a violation costs.
     """
     violations: list[str] = []
-    ids = plan.subtask_ids()
-    for dup in {i for i in ids if ids.count(i) > 1}:
-        violations.append(f"duplicate subtask id {dup!r}")
-    known = set(ids)
-
-    prompt_ids = [p.subtask_id for p in plan.prompts]
-    for pid in prompt_ids:
-        if pid not in known:
-            violations.append(f"prompt references unknown subtask id {pid!r}")
-    for sid in ids:
-        n = prompt_ids.count(sid)
-        if n != 1:
-            violations.append(f"subtask {sid!r} has {n} prompts, expected exactly 1")
-
-    for sid, cases in plan.synthetic_sets.items():
-        if sid not in known:
-            violations.append(f"synthetic set references unknown subtask id {sid!r}")
-            continue
-        schema = plan.schema_for(sid)
-        for idx, case in enumerate(cases):
-            if case.subtask_id != sid:
-                violations.append(
-                    f"case {idx} in set {sid!r} is tagged for subtask {case.subtask_id!r}")
-            for issue in case.expected.conforms_to(schema):  # type: ignore[arg-type]
-                violations.append(f"case {idx} of subtask {sid!r}: {issue}")
-    for sid in ids:
-        n = len(plan.synthetic_sets.get(sid, ()))
-        if n < min_cases:
-            violations.append(
-                f"subtask {sid!r} has {n} synthetic cases, minimum is {min_cases}")
-
-    field_owner: dict[str, str] = {}
     for s in plan.subtasks:
-        for f in s.output_schema.fields:
-            if f.name in field_owner and field_owner[f.name] != s.id:
-                violations.append(
-                    f"field {f.name!r} declared by both {field_owner[f.name]!r} and {s.id!r}")
-            else:
-                field_owner.setdefault(f.name, s.id)
-
+        cases = plan.synthetic_sets.get(s.id, ())
+        for idx, case in enumerate(cases):
+            for issue in case.expected.conforms_to(s.output_schema):
+                violations.append(f"case {idx} of subtask {s.id!r}: {issue}")
+        if len(cases) < min_cases:
+            violations.append(
+                f"subtask {s.id!r} has {len(cases)} synthetic cases, minimum is {min_cases}")
     try:
         plan.parsed_logic()
     except DslError as exc:

@@ -155,7 +155,7 @@ class _Exchange:
             f"reply {state} after {DEFAULT_MAX_REPAIRS} repair round-trips: {last_message}")
 
 
-def _interpret_plan_reply(raw: str, task: TaskSpec) -> tuple[list[Subtask], list[PromptSpec], str]:
+def _interpret_plan_reply(raw: str, task: TaskSpec, provenance: Mapping[str, object]) -> Plan:
     obj = extract_json_object(raw)
     raw_subtasks = obj.get("subtasks")
     logic_source = obj.get("logic")
@@ -179,13 +179,12 @@ def _interpret_plan_reply(raw: str, task: TaskSpec) -> tuple[list[Subtask], list
         subtasks.append(subtask)
         prompts.append(PromptSpec.draft(
             subtask.id, compose_system_prompt(task.task_description, entry["prompt"], schema)))
-    ids = [s.id for s in subtasks]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate subtask ids in reply: {ids}")
-    # Static-checks the logic against the declared schemas and label set.
-    parse_logic(logic_source, [s.output_schema for s in subtasks],
-                task.preferences.output_labels)
-    return subtasks, prompts, logic_source
+    # The Plan checks the reply's structure; parse_logic static-checks the
+    # logic against the declared schemas and label set.
+    plan = Plan(subtasks=tuple(subtasks), prompts=tuple(prompts), logic_source=logic_source,
+                labels=task.preferences.output_labels, provenance=provenance)
+    parse_logic(logic_source, [s.output_schema for s in subtasks], plan.labels)
+    return plan
 
 
 def decompose(task: TaskSpec, gateway: Gateway, *,
@@ -195,7 +194,8 @@ def decompose(task: TaskSpec, gateway: Gateway, *,
 
     The returned plan has no synthetic sets yet; generate_synthetic fills
     them per subtask. Deterministic given a deterministic backend: no
-    wall-clock enters provenance unless `clock` is supplied.
+    wall-clock enters provenance unless `clock` is supplied. A reply the
+    Plan or the rule parser refuses gets a repair round-trip.
     """
     _require_cloud(gateway)
     templates = templates or TemplateSet.load()
@@ -207,9 +207,6 @@ def decompose(task: TaskSpec, gateway: Gateway, *,
         "max_subtasks": str(task.preferences.max_subtasks),
         "preferences": _preferences_text(task),
     })
-    exchange = _Exchange(gateway, templates)
-    subtasks, prompts, logic_source = exchange.run(
-        system, lambda raw: _interpret_plan_reply(raw, task))
     provenance: dict[str, object] = {
         "planner_model": gateway.profile.model or "",
         "meta_prompt_digests": templates.digests(),
@@ -218,10 +215,8 @@ def decompose(task: TaskSpec, gateway: Gateway, *,
     }
     if clock is not None:
         provenance["created_at"] = clock()
-    return Plan(subtasks=tuple(subtasks), prompts=tuple(prompts),
-                logic_source=logic_source,
-                labels=task.preferences.output_labels,
-                synthetic_sets={}, provenance=provenance)
+    return _Exchange(gateway, templates).run(
+        system, lambda raw: _interpret_plan_reply(raw, task, provenance))
 
 
 def _interpret_cases_reply(raw: str, subtask: Subtask, count: int) -> list[SyntheticCase]:
@@ -282,11 +277,12 @@ def generate_synthetic(subtask: Subtask, guideline: str, gateway: Gateway, *,
                 retry_system, lambda raw: _interpret_cases_reply(raw, subtask, count))
         except PlannerError:
             retry_cases = None
-        if retry_cases is not None and not _uncovered_values(subtask, retry_cases):
-            return retry_cases
-        if retry_cases is not None and len(_uncovered_values(subtask, retry_cases)) < len(uncovered):
-            cases = retry_cases
-            uncovered = _uncovered_values(subtask, retry_cases)
+        if retry_cases is not None:
+            retry_uncovered = _uncovered_values(subtask, retry_cases)
+            if not retry_uncovered:
+                return retry_cases
+            if len(retry_uncovered) < len(uncovered):
+                cases, uncovered = retry_cases, retry_uncovered
         warnings.warn(CoverageIncompleteWarning(
             f"subtask {subtask.id!r}: values still uncovered after retry: "
             f"{', '.join(uncovered)}"))

@@ -173,6 +173,24 @@ def test_false_written_digest_rejected_exit_6(tmp_path, edit, fragment):
     assert main(["unpack", "--bundle", str(path), "--out", str(tmp_path / "plan.json")]) == 6
 
 
+@pytest.mark.parametrize("status, allow_failed, accepted", [
+    ("draft", False, False), ("draft", True, False),
+    ("failed", False, False), ("failed", True, True),
+])
+def test_unpack_refuses_the_prompt_statuses_pack_refuses(status, allow_failed, accepted):
+    def edit(sections):
+        sections["prompts"][0]["status"] = status
+        sections["meta"]["allow_failed"] = allow_failed
+
+    data = _rerendered(edit)
+    if accepted:
+        assert unpack(data).to_plan().prompts[0].status == status
+    else:
+        with pytest.raises(BundleError, match="does not hold a usable plan: prompts not "
+                                              "refined for subtasks: distant_spread"):
+            unpack(data)
+
+
 def _restructured(edit) -> bytes:
     """A rendered bundle with its whole document edited and its trailer
     recomputed, so only the structure checks can show the edit."""

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from types import SimpleNamespace
 
 import pytest
 
 from orchkit import cli, errors, executor
-from orchkit.bundle import load_plan, pack, read_bundle, save_plan, write_bundle
+from orchkit.bundle import load_plan, pack, plan_to_dict, read_bundle, write_bundle
 from orchkit.cli import main
 from orchkit.gateway import (
     PHASE_CLOUD,
@@ -18,6 +20,7 @@ from orchkit.gateway import (
     ScriptedBackend,
 )
 from orchkit.jsonio import digest
+from orchkit.model import FeatureSchema
 
 from conftest import (
     E2E_PLAN_REPLY,
@@ -308,9 +311,8 @@ def test_validate_subtask_without_prompt_exit_2(tmp_path, monkeypatch, capsys):
     plan = golden_plan()
     first, second = plan.subtasks
     plan_file = tmp_path / "plan.json"
-    save_plan(dataclasses.replace(plan, prompts=(
-        dataclasses.replace(plan.prompts[0], subtask_id=second.id), plan.prompts[1])),
-        plan_file)
+    _plan_file(plan_file, lambda p: p["plan"]["prompts"][0].update(subtask_id=second.id),
+               plan)
     session = tmp_path / "empty.jsonl"
     session.write_text("", encoding="utf-8")
     config = tmp_path / "orch.cfg"
@@ -324,6 +326,127 @@ def test_validate_subtask_without_prompt_exit_2(tmp_path, monkeypatch, capsys):
     assert repr(first.id) in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "v.json").exists()
+
+
+def _same_fields(subtask, other):
+    """`subtask` also declaring the first field of `other`."""
+    schema = FeatureSchema((*subtask.output_schema.fields, other.output_schema.fields[0]))
+    return dataclasses.replace(subtask, output_schema=schema)
+
+
+# A change to the refined fixture plan that breaks its structure, and the
+# message every reader reports for it.
+STRUCTURE_VIOLATIONS = {
+    "duplicate subtask id": (
+        lambda p: {"subtasks": (p.subtasks[0],
+                                dataclasses.replace(p.subtasks[1], id=p.subtasks[0].id))},
+        "Plan.subtasks: duplicate subtask id 'distant_spread'"),
+    "missing prompt": (
+        lambda p: {"prompts": p.prompts[:1]},
+        "Plan.prompts: subtask 'vessel_involvement' has 0 prompts, expected exactly 1"),
+    "extra prompt": (
+        lambda p: {"prompts": (*p.prompts, p.prompts[0])},
+        "Plan.prompts: subtask 'distant_spread' has 2 prompts, expected exactly 1"),
+    "prompt for an unknown subtask": (
+        lambda p: {"prompts": (*p.prompts, dataclasses.replace(p.prompts[0],
+                                                               subtask_id="ghost"))},
+        "Plan.prompts: prompt for unknown subtask 'ghost'"),
+    "set for an unknown subtask": (
+        lambda p: {"synthetic_sets": {**p.synthetic_sets, "ghost": ()}},
+        "Plan.synthetic_sets: synthetic set for unknown subtask 'ghost'"),
+    "mis-tagged case": (
+        lambda p: {"synthetic_sets": {**p.synthetic_sets,
+                                      "distant_spread": p.synthetic_sets["vessel_involvement"]}},
+        "Plan.synthetic_sets: case 0 in set 'distant_spread' is tagged for subtask "
+        "'vessel_involvement'"),
+    "shared field": (
+        lambda p: {"subtasks": (p.subtasks[0], _same_fields(p.subtasks[1], p.subtasks[0]))},
+        "Plan.subtasks: field 'distant_metastasis' declared by both 'distant_spread' and "
+        "'vessel_involvement'"),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURE_VIOLATIONS))
+def test_plan_structure_is_refused_by_the_constructor_a_plan_file_and_a_bundle(
+        workspace, tmp_path, monkeypatch, capsys, case):
+    change, message = STRUCTURE_VIOLATIONS[case]
+    plan = refined_plan()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(plan, **change(plan))
+    if case == "mis-tagged case":
+        return  # a file holds no tag: a case is read as tagged for its set
+    fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+    raw = plan_to_dict(SimpleNamespace(**{**fields, **change(plan)}))
+    calls = []
+    monkeypatch.setattr(Gateway, "complete", lambda gw, request: calls.append(request))
+    out = tmp_path / "out"
+    config = ["--config", str(workspace["config"]), "--out", str(out)]
+
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"format": "orchkit-plan/1", "plan": raw}),
+                         encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("validate", "--plan", str(plan_file), *config) == 2
+    assert capsys.readouterr().err == f"error: {plan_file}: {message}\n"
+
+    bundle_file = tmp_path / "a.orchb"
+    _rerendered_bundle(bundle_file, lambda s: s.update(
+        subtasks=raw["subtasks"], prompts=raw["prompts"], synthetic=raw["synthetic_sets"]))
+    assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
+                   *config) == 6
+    assert capsys.readouterr().err == \
+        f"error: {bundle_file}: bundle does not hold a usable plan: {message}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("status", ["draft", "failed"])
+def test_infer_refuses_a_bundle_whose_prompt_status_pack_refuses_exit_6(
+        workspace, tmp_path, monkeypatch, capsys, status):
+    bundle_file = tmp_path / "a.orchb"
+    _rerendered_bundle(bundle_file, lambda s: s["prompts"][1].update(status=status))
+    read = []
+    monkeypatch.setattr(executor, "load_documents", read.append)
+    out = tmp_path / "p.jsonl"
+    capsys.readouterr()
+    assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
+                   "--out", str(out), "--config", str(workspace["config"])) == 6
+    assert ("bundle does not hold a usable plan: prompts not refined for subtasks: "
+            "vessel_involvement") in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
+def _local_only(config, tmp_path):
+    """`config` with its cloud channel left out."""
+    path = tmp_path / "local-only.cfg"
+    path.write_text("".join(line for line in config.read_text(encoding="utf-8")
+                            .splitlines(keepends=True) if not line.startswith("cloud.")),
+                    encoding="utf-8")
+    return path
+
+
+def test_validate_without_a_cloud_channel_passes_when_no_prompt_needs_a_rewrite(
+        workspace, tmp_path):
+    plan_file = tmp_path / "plan.json"
+    validated = tmp_path / "validated.json"
+    assert plan_cmd(workspace, plan_file) == 0
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated),
+                   "--config", str(_local_only(workspace["config"], tmp_path))) == 0
+    assert [(p.status, p.revision) for p in load_plan(validated).prompts] == \
+        [("refined", 0), ("refined", 0)]
+
+
+def test_validate_without_a_cloud_channel_exits_2_when_a_prompt_needs_a_rewrite(
+        tmp_path, capsys):
+    ws = build_e2e_workspace(tmp_path / "stuck", stuck=True, max_iters=1)
+    plan_file = tmp_path / "plan.json"
+    validated = tmp_path / "validated.json"
+    assert plan_cmd(ws, plan_file) == 0
+    capsys.readouterr()
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated),
+                   "--config", str(_local_only(ws["config"], tmp_path))) == 2
+    assert "config: cloud.kind is not configured" in capsys.readouterr().err
+    assert not validated.exists()
 
 
 def test_infer_privacy_guard_exit_7(workspace, tmp_path):
@@ -596,10 +719,10 @@ def _rerendered_bundle(path, edit):
     path.write_bytes(bundle._render(sections))
 
 
-def _plan_file(path, edit):
+def _plan_file(path, edit, plan=None):
     from orchkit.bundle import plan_to_dict
 
-    payload = {"format": "orchkit-plan/1", "plan": plan_to_dict(refined_plan())}
+    payload = {"format": "orchkit-plan/1", "plan": plan_to_dict(plan or refined_plan())}
     edit(payload)
     path.write_text(json.dumps(payload), encoding="utf-8")
 

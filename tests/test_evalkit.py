@@ -228,6 +228,22 @@ def test_loaders_round_trip(tmp_path):
         load_labeled(csv_path)
 
 
+@pytest.mark.parametrize("marked", ["pred", "gt", "both"])
+def test_csv_starting_with_a_byte_order_mark_keeps_its_header_a_header(tmp_path, capsys,
+                                                                      marked):
+    """A spreadsheet's "CSV UTF-8" export starts with U+FEFF."""
+    files = {"pred": "id,label\nd1,Resectable\nd2,Resectable\n",
+             "gt": "id,label\nd1,Resectable\nd2,Metastatic\n"}
+    for name, text in files.items():
+        encoding = "utf-8-sig" if marked in (name, "both") else "utf-8"
+        (tmp_path / f"{name}.csv").write_text(text, encoding=encoding)
+    assert load_labeled(tmp_path / "gt.csv").pairs == (("d1", "Resectable"),
+                                                       ("d2", "Metastatic"))
+    assert main(["evaluate", "--pred", str(tmp_path / "pred.csv"),
+                 "--gt", str(tmp_path / "gt.csv")]) == 0
+    assert "accuracy: 50.00% (2 scored = 2 total" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("record, fragment", [
     ({"id": ["d1"], "label": "Metastatic"}, "id must be a string or an integer, got ['d1']"),
     ({"id": False, "label": "Metastatic"}, "id must be a string or an integer, got False"),

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from orchkit.bundle import plan_from_dict, plan_to_dict
 from orchkit.model import (
     UNKNOWN,
     Document,
@@ -16,9 +17,7 @@ from orchkit.model import (
     OutcomeLabel,
     Plan,
     PromptSpec,
-    Subtask,
     SubtaskRun,
-    SyntheticCase,
     TaskSpec,
     UserPrefs,
     make_labels,
@@ -147,12 +146,11 @@ def test_validate_plan_golden_is_clean(plan):
 
 
 def test_validate_plan_dangling_case_reference(plan):
-    sets = dict(plan.synthetic_sets)
-    sets["ghost"] = (SyntheticCase("ghost", "text", FeatureSet({"x": "y"})),)
-    broken = plan.with_synthetic_sets(sets)
-    violations = validate_plan(broken)
-    assert len(violations) == 1
-    assert "ghost" in violations[0]
+    raw = plan_to_dict(plan)
+    raw["synthetic_sets"]["ghost"] = [{"input_text": "text", "expected": {"x": "y"}}]
+    with pytest.raises(ValueError) as violation:
+        plan_from_dict(raw)
+    assert "ghost" in str(violation.value)
 
 
 def test_validate_plan_min_case_count(plan):
@@ -162,19 +160,18 @@ def test_validate_plan_min_case_count(plan):
 
 
 def test_validate_plan_field_collision():
-    spread, vessel = golden_plan().subtasks
-    clash = Subtask("clash", "Clash", "redeclares a field",
-                    FeatureSchema((FieldSpec("distant_metastasis", "boolean"),)))
-    plan = golden_plan()
-    broken = Plan(subtasks=(*plan.subtasks, clash),
-                  prompts=(*plan.prompts, PromptSpec.draft("clash", "p")),
-                  logic_source=plan.logic_source, labels=plan.labels,
-                  synthetic_sets={**plan.synthetic_sets,
-                                  "clash": (SyntheticCase("clash", "t",
-                                            FeatureSet({"distant_metastasis": "true"})),)},
-                  provenance=plan.provenance)
-    violations = validate_plan(broken)
-    assert any("declared by both" in v and "distant_metastasis" in v for v in violations)
+    raw = plan_to_dict(golden_plan())
+    raw["subtasks"].append({"id": "clash", "name": "Clash", "description": "redeclares a field",
+                            "schema": {"fields": [{"name": "distant_metastasis",
+                                                   "kind": "boolean"}]}})
+    raw["prompts"].append({"subtask_id": "clash", "system_prompt": "p", "revision": 0,
+                           "status": "draft", "report": None})
+    raw["synthetic_sets"]["clash"] = [{"input_text": "t",
+                                       "expected": {"distant_metastasis": "true"}}]
+    with pytest.raises(ValueError) as violation:
+        plan_from_dict(raw)
+    assert "declared by both" in str(violation.value)
+    assert "distant_metastasis" in str(violation.value)
 
 
 def _brute_scan_referenced_fields(logic_source: str) -> set[str]:

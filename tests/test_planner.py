@@ -139,6 +139,31 @@ def test_decompose_semantic_failure_exhausts_budget(task):
         decompose(task, harness.gateway())
 
 
+def _shared_field_reply() -> str:
+    """PLAN_REPLY with its last subtask also declaring the first one's field."""
+    reply = json.loads(json.dumps(PLAN_REPLY))
+    reply["subtasks"][-1]["fields"].append(reply["subtasks"][0]["fields"][0])
+    return json.dumps(reply)
+
+
+def test_decompose_repairs_subtasks_that_share_a_field(task):
+    harness = Harness(json.dumps(PLAN_REPLY), bad_first=_shared_field_reply())
+    plan = decompose(task, harness.gateway())
+    assert len(harness.requests) == 2  # one repair round-trip
+    assert ("field 'tumor_location' declared by both 'tumor_location' and "
+            "'vessel_involvement'") in harness.requests[1].system_prompt
+    assert plan == decompose(task, Harness(json.dumps(PLAN_REPLY)).gateway())
+
+
+def test_decompose_shared_field_exhausts_budget_exit_3(task):
+    harness = Harness("", always_bad=_shared_field_reply())
+    with pytest.raises(PlannerError, match="reply still invalid after 2 repair round-trips: "
+                                           ".*declared by both") as failure:
+        decompose(task, harness.gateway())
+    assert failure.value.exit_code == 3
+    assert len(harness.requests) == 3  # initial + 2 repairs
+
+
 def test_decompose_requires_cloud_phase(task):
     harness = Harness(json.dumps(PLAN_REPLY))
     with pytest.raises(PhaseViolationError):

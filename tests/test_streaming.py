@@ -147,26 +147,22 @@ def test_infer_failing_on_document_k_leaves_documents_before_it(tmp_path, worker
         assert read_lines(ws / "preds.jsonl") == expected[:k - 1]
 
 
-def drop_second_prompt(monkeypatch):
-    """The bundle's plan comes back with the first prompt in both places."""
-    to_plan = bundle.ArtifactBundle.to_plan
-
-    def first_prompt_twice(self):
-        plan = to_plan(self)
-        return plan.with_prompts((plan.prompts[0], plan.prompts[0]))
-
-    monkeypatch.setattr(bundle.ArtifactBundle, "to_plan", first_prompt_twice)
+def drop_second_prompt(path: Path) -> None:
+    """Re-render the bundle with the first prompt in both places."""
+    sections = json.loads(json.dumps(bundle.read_bundle(path).sections))
+    sections["prompts"][1] = sections["prompts"][0]
+    path.write_bytes(bundle._render(sections))
 
 
 @pytest.mark.parametrize("case", ["rounds 0", "subtask without a prompt", "document 1 fails"])
-def test_infer_failing_before_any_document_is_voted_leaves_no_file(tmp_path, monkeypatch,
-                                                                  case):
+def test_infer_failing_before_any_document_is_voted_leaves_no_file(tmp_path, case):
     docs = fixture_documents()
     ws = replay_inputs(tmp_path / "ws", docs[1:] if case == "document 1 fails" else docs, 2)
     extra = ["--rounds", "0"] if case == "rounds 0" else []
     if case == "subtask without a prompt":
-        drop_second_prompt(monkeypatch)
-    assert infer(ws, *extra) == (4 if case == "document 1 fails" else 2)
+        drop_second_prompt(ws / "artifact.orchb")
+    assert infer(ws, *extra) == {"rounds 0": 2, "subtask without a prompt": 6,
+                                 "document 1 fails": 4}[case]
     assert not (ws / "preds.jsonl").exists()
 
 
