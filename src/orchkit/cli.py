@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -65,15 +66,14 @@ def _now_iso() -> str:
 
 def _load_prefs(path: Path, config: Config) -> UserPrefs:
     """Preferences JSON; a case count it omits comes from the config, any
-    other key it omits from UserPrefs."""
+    other key it omits from UserPrefs, and a key UserPrefs lacks is refused."""
     def build(data: dict) -> UserPrefs:
-        optional = ("max_subtasks", "output_format_notes", "include_entities",
-                    "exclude_entities")
-        return UserPrefs(
-            output_labels=data["output_labels"],
-            synthetic_cases_per_subtask=data.get("synthetic_cases_per_subtask",
-                                                 config.synthetic_cases_per_subtask),
-            **{key: data[key] for key in optional if key in data})
+        prefs = {"output_labels": data["output_labels"],
+                 "synthetic_cases_per_subtask": config.synthetic_cases_per_subtask, **data}
+        unknown = [key for key in prefs if key not in {f.name for f in fields(UserPrefs)}]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
+        return UserPrefs(**prefs)
 
     return read_json(path, build)
 

@@ -21,6 +21,10 @@ overrides for secrets and flag overrides on top.
     workers = 1
     templates_dir = /path/to/templates
 
+A `#` that starts a line or follows whitespace begins a comment; any other
+`#` belongs to the value, so `local.session = /data/run#2/local.jsonl`
+keeps its whole path.
+
 Secrets never live in the file: the cloud API key comes from
 ORCH_CLOUD_API_KEY, and ORCH_CONFIG names the config file when the CLI
 flag is absent. Scripted channels replace endpoint/model with
@@ -30,6 +34,7 @@ flag is absent. Scripted channels replace endpoint/model with
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +51,7 @@ from .jsonio import read_text
 CONFIG_ENV = "ORCH_CONFIG"
 
 _PROFILE_KEYS = ("kind", "endpoint", "model", "temperature", "context", "session")
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass
@@ -103,15 +109,13 @@ class Config:
 def parse_config(text: str) -> Config:
     config = Config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.split("#", 1)[0].strip()
-        _apply(config, key, value, lineno)
+        _apply(config, key.strip(), value.strip(), lineno)
     # Re-run invariant checks after all assignments.
     Config.__post_init__(config)
     return config

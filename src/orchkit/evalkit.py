@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable, Sequence
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -28,74 +29,16 @@ def _canon(label: str) -> str:
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Document-id -> label pairs from one source (gt, system, annotator-k)."""
+    """Document id -> label from one source (gt, system, annotator-k), in
+    file order; `load_labeled` refuses a repeated id."""
 
     source: str
-    pairs: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        ids = [i for i, _ in self.pairs]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"LabeledSet.pairs: duplicate document ids {dupes}")
-
-    def as_mapping(self) -> dict[str, str]:
-        return dict(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+    by_id: dict[str, str]
 
 
-def _aligned(pred: LabeledSet, gt: LabeledSet) -> list[tuple[str, str, str]]:
-    """(id, gt_label, pred_label) for scored ids; indeterminate GT excluded."""
-    lookup = pred.as_mapping()
-    rows = []
-    missing = []
-    for doc_id, gt_label in gt.pairs:
-        if _canon(gt_label) == INDETERMINATE:
-            continue
-        if doc_id not in lookup:
-            missing.append(doc_id)
-            continue
-        rows.append((doc_id, gt_label, lookup[doc_id]))
-    if missing:
-        raise ValueError(
-            f"prediction set {pred.source!r} is missing scored ids: {sorted(missing)}")
-    return rows
-
-
-@dataclass(frozen=True)
-class AccuracyResult:
-    accuracy: float
-    n_total: int
-    n_excluded: int
-    n_scored: int
-    n_correct: int
-
-    @property
-    def percent(self) -> float:
-        return round(self.accuracy * 100.0, 2)
-
-
-def accuracy(pred: LabeledSet, gt: LabeledSet) -> AccuracyResult:
-    """Exact-match proportion over scored documents."""
-    rows = _aligned(pred, gt)
-    correct = sum(1 for _, g, p in rows if _canon(g) == _canon(p))
-    n_scored = len(rows)
-    return AccuracyResult(
-        accuracy=float(Fraction(correct, n_scored)) if n_scored else 0.0,
-        n_total=len(gt), n_excluded=len(gt) - n_scored,
-        n_scored=n_scored, n_correct=correct)
-
-
-@dataclass(frozen=True)
-class KappaResult:
-    kappa: float
-    degenerate: bool  # chance agreement was exactly 1 (single-class marginals)
-
-
-def kappa_from_matrix(matrix: Sequence[Sequence[int]]) -> KappaResult:
-    """Cohen's kappa from a square confusion matrix, exact arithmetic."""
+def kappa_from_matrix(matrix: Sequence[Sequence[int]]) -> tuple[float, bool]:
+    """(Cohen's kappa, degenerate) from a square confusion matrix, in exact
+    arithmetic; single-class marginals (chance agreement 1) are degenerate, kappa 1."""
     k = len(matrix)
     if any(len(row) != k for row in matrix):
         raise ValueError("kappa_from_matrix: matrix must be square")
@@ -103,61 +46,11 @@ def kappa_from_matrix(matrix: Sequence[Sequence[int]]) -> KappaResult:
     if total == 0:
         raise ValueError("kappa_from_matrix: matrix must have positive total")
     p_o = Fraction(sum(matrix[i][i] for i in range(k)), total)
-    row_sums = [sum(matrix[i][j] for j in range(k)) for i in range(k)]
-    col_sums = [sum(matrix[i][j] for i in range(k)) for j in range(k)]
-    p_e = sum((Fraction(row_sums[i], total) * Fraction(col_sums[i], total)
+    p_e = sum((Fraction(sum(matrix[i]), total) * Fraction(sum(row[i] for row in matrix), total)
                for i in range(k)), start=Fraction(0))
     if p_e == 1:
-        return KappaResult(kappa=1.0, degenerate=True)
-    return KappaResult(kappa=float((p_o - p_e) / (1 - p_e)), degenerate=False)
-
-
-@dataclass(frozen=True)
-class ConfusionResult:
-    labels: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...]  # rows = GT, columns = predicted
-    n_scored: int
-    n_unmatched_pred: int  # predictions outside the label set (count as misses)
-
-    def trace(self) -> int:
-        return sum(self.matrix[i][i] for i in range(len(self.labels)))
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.matrix)
-
-
-def _label_universe(rows: Iterable[tuple[str, str, str]],
-                    labels: Sequence[str] | None) -> tuple[str, ...]:
-    if labels is not None:
-        return tuple(labels)
-    seen: list[str] = []
-    for _, g, _p in rows:
-        if _canon(g) not in [_canon(x) for x in seen]:
-            seen.append(g)
-    return tuple(seen)
-
-
-def confusion(pred: LabeledSet, gt: LabeledSet,
-              labels: Sequence[str] | None = None) -> ConfusionResult:
-    """k x k counts in the given label order (default: GT appearance order)."""
-    rows = _aligned(pred, gt)
-    universe = _label_universe(rows, labels)
-    index = {_canon(lbl): i for i, lbl in enumerate(universe)}
-    size = len(universe)
-    matrix = [[0] * size for _ in range(size)]
-    unmatched = 0
-    for _, g, p in rows:
-        gi = index.get(_canon(g))
-        if gi is None:
-            raise ValueError(f"confusion: ground-truth label {g!r} not in label set {universe}")
-        pi = index.get(_canon(p))
-        if pi is None:
-            unmatched += 1  # counted as a miss; no cell to land in
-            continue
-        matrix[gi][pi] += 1
-    return ConfusionResult(labels=universe,
-                           matrix=tuple(tuple(row) for row in matrix),
-                           n_scored=len(rows), n_unmatched_pred=unmatched)
+        return 1.0, True
+    return float((p_o - p_e) / (1 - p_e)), False
 
 
 @dataclass(frozen=True)
@@ -176,39 +69,70 @@ class EvalReport:
     n_unmatched_pred: int
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "n_total": self.n_total,
-            "n_excluded": self.n_excluded,
-            "n_scored": self.n_scored,
-            "accuracy": self.accuracy,
-            "accuracy_percent": self.accuracy_percent,
-            "kappa": self.kappa,
-            "kappa_degenerate": self.kappa_degenerate,
-            "labels": list(self.labels),
-            "confusion": [list(row) for row in self.matrix],
-            "per_stage_recall": dict(self.per_stage_recall),
-            "n_unmatched_pred": self.n_unmatched_pred,
-        }
+        """The report as JSON values; the matrix is keyed "confusion"."""
+        payload = dict(vars(self), labels=list(self.labels),
+                       confusion=[list(row) for row in self.matrix],
+                       per_stage_recall=dict(self.per_stage_recall))
+        del payload["matrix"]
+        return payload
 
 
 def evaluate_report(pred: LabeledSet, gt: LabeledSet,
                     labels: Sequence[str] | None = None) -> EvalReport:
-    acc = accuracy(pred, gt)
-    conf = confusion(pred, gt, labels)
-    kap = kappa_from_matrix(conf.matrix)
-    recall: dict[str, float | None] = {}
-    for i, lbl in enumerate(conf.labels):
-        row_total = sum(conf.matrix[i])
-        recall[lbl] = (float(Fraction(conf.matrix[i][i], row_total))
-                       if row_total else None)
-    return EvalReport(source=pred.source, n_total=acc.n_total,
-                      n_excluded=acc.n_excluded, n_scored=acc.n_scored,
-                      accuracy=acc.accuracy, accuracy_percent=acc.percent,
-                      kappa=kap.kappa, kappa_degenerate=kap.degenerate,
-                      labels=conf.labels, matrix=conf.matrix,
-                      per_stage_recall=recall,
-                      n_unmatched_pred=conf.n_unmatched_pred)
+    """Score `pred` against `gt` in one pass over the ground truth.
+
+    The matrix (rows = GT, columns = predicted) is in `labels` order, which
+    may not name a label twice, else in GT appearance order. A prediction
+    outside it is a miss in no cell, so accuracy (exact matches / scored) is
+    the trace over the scored count. A scored id `pred` lacks, or a scored GT
+    label outside `labels`, raises ValueError.
+    """
+    order: list[str] = []
+    index: dict[str, int] = {}
+    for lbl in labels or ():
+        if _canon(lbl) in index:
+            raise ValueError(f"label order names {lbl!r} twice "
+                             "(labels compare case-insensitively)")
+        index[_canon(lbl)] = len(order)
+        order.append(lbl)
+    counts: Counter[tuple[int, str]] = Counter()  # (GT row, canonical prediction)
+    missing: list[str] = []
+    unknown: list[str] = []
+    for doc_id, g in gt.by_id.items():
+        if _canon(g) == INDETERMINATE:
+            continue
+        if doc_id not in pred.by_id:
+            missing.append(doc_id)
+            continue
+        if _canon(g) not in index:
+            if labels is not None:
+                unknown.append(g)
+                continue
+            index[_canon(g)] = len(order)
+            order.append(g)
+        counts[index[_canon(g)], _canon(pred.by_id[doc_id])] += 1
+    if missing:
+        raise ValueError(
+            f"prediction set {pred.source!r} is missing scored ids: {sorted(missing)}")
+    if unknown:
+        raise ValueError(
+            f"confusion: ground-truth label {unknown[0]!r} not in label set {tuple(order)}")
+    matrix = [[0] * len(order) for _ in order]
+    for (row, p), n in counts.items():
+        if p in index:
+            matrix[row][index[p]] += n
+    n_scored = sum(counts.values())
+    trace = sum(matrix[i][i] for i in range(len(order)))
+    accuracy = float(Fraction(trace, n_scored)) if n_scored else 0.0
+    kappa, degenerate = kappa_from_matrix(matrix)
+    return EvalReport(
+        source=pred.source, n_total=len(gt.by_id), n_excluded=len(gt.by_id) - n_scored,
+        n_scored=n_scored, accuracy=accuracy, accuracy_percent=round(accuracy * 100.0, 2),
+        kappa=kappa, kappa_degenerate=degenerate,
+        labels=tuple(order), matrix=tuple(tuple(row) for row in matrix),
+        per_stage_recall={lbl: float(Fraction(matrix[i][i], sum(matrix[i])))
+                          if sum(matrix[i]) else None for i, lbl in enumerate(order)},
+        n_unmatched_pred=n_scored - sum(map(sum, matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +149,16 @@ def load_labeled(path: str | Path, source: str | None = None) -> LabeledSet:
     one's id raises ValueError naming the file, the line and the id.
     """
     path = Path(path)
-    seen: set[str] = set()
+    by_id: dict[str, str] = {}
 
-    def pair(doc_id: object, label: object) -> tuple[str, str]:
+    def add(doc_id: object, label: object) -> None:
         if not isinstance(label, str):
             raise ValueError(f"label must be a string, got {label!r}")
         doc_id = record_id(doc_id)
-        if doc_id in seen:
+        if doc_id in by_id:
             raise ValueError(f"duplicate document id {doc_id!r}")
-        seen.add(doc_id)
-        return doc_id, label
+        by_id[doc_id] = label
 
-    pairs = []
     if path.suffix == ".csv":
         # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
         text = read_text(path, newline="").removeprefix("\ufeff")
@@ -249,13 +171,13 @@ def load_labeled(path: str | Path, source: str | None = None) -> LabeledSet:
             if row[0].strip().casefold() == "id" and row[1].strip().casefold() == "label":
                 continue
             try:
-                pairs.append(pair(row[0].strip(), row[1].strip()))
+                add(row[0].strip(), row[1].strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{rows.line_num}: {exc}") from exc
     else:
-        pairs = read_jsonl(path, lambda r: pair(r["document_id"], r["final_label"])
-                           if "final_label" in r else pair(r["id"], r["label"]))
-    return LabeledSet(source=source or path.stem, pairs=tuple(pairs))
+        read_jsonl(path, lambda r: add(r["document_id"], r["final_label"])
+                   if "final_label" in r else add(r["id"], r["label"]))
+    return LabeledSet(source=source or path.stem, by_id=by_id)
 
 
 def confusion_to_csv(report: EvalReport, path: str | Path) -> None:
@@ -272,13 +194,10 @@ def render_table(reports: Sequence[EvalReport]) -> str:
     rows = [(r.source, f"{r.accuracy_percent:.2f}%",
              f"{r.kappa:.3f}" + (" (degenerate)" if r.kappa_degenerate else ""),
              str(r.n_scored), str(r.n_excluded)) for r in reports]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)),
-             "  ".join("-" * w for w in widths)]
-    lines += ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-              for row in rows]
-    return "\n".join(lines)
+    widths = [max([len(h)] + [len(row[i]) for row in rows]) for i, h in enumerate(header)]
+    lines = [header, ["-" * w for w in widths], *rows]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+                     for line in lines)
 
 
 def render_confusion(report: EvalReport) -> str:

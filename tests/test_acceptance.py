@@ -24,7 +24,7 @@ import pytest
 
 from orchkit.bundle import pack, unpack
 from orchkit.errors import BundleError
-from orchkit.evalkit import accuracy, kappa_from_matrix
+from orchkit.evalkit import INDETERMINATE, LabeledSet, evaluate_report, kappa_from_matrix
 from orchkit.executor import majority_vote
 from orchkit.gateway import PHASE_LOCAL, BackendProfile, Gateway, ScriptedBackend
 from orchkit.model import make_labels, merge_schemas
@@ -56,16 +56,16 @@ class Timer:
 def test_criterion_1_metric_arithmetic():
     with Timer(1.0) as t:
         pred, gt = build_sets(n_scored=47, n_correct=33, n_indeterminate=3)
-        free_text = accuracy(pred, gt)
+        free_text = evaluate_report(pred, gt)
         assert free_text.n_total == 50 and free_text.n_scored == 47
-        assert abs(free_text.percent - 70.21) <= 0.01
+        assert abs(free_text.accuracy_percent - 70.21) <= 0.01
 
         pred, gt = build_sets(n_scored=48, n_correct=41, n_indeterminate=2)
-        structured = accuracy(pred, gt)
+        structured = evaluate_report(pred, gt)
         assert structured.n_total == 50 and structured.n_scored == 48
-        assert abs(structured.percent - 85.42) <= 0.01
-    print(f"\nPASS criterion 1: 33/47 -> {free_text.percent}%, "
-          f"41/48 -> {structured.percent}% ({t.elapsed:.2f}s)")
+        assert abs(structured.accuracy_percent - 85.42) <= 0.01
+    print(f"\nPASS criterion 1: 33/47 -> {free_text.accuracy_percent}%, "
+          f"41/48 -> {structured.accuracy_percent}% ({t.elapsed:.2f}s)")
 
 
 def test_criterion_2_refinement_loop_semantics():
@@ -189,16 +189,14 @@ def test_criterion_4_rule_dsl_oracle_and_properties():
 def test_criterion_5_cohen_kappa():
     with Timer(5.0) as t:
         pred, gt = build_sets(n_scored=20, n_correct=20)
-        from orchkit.evalkit import confusion
-        assert kappa_from_matrix(confusion(pred, gt, STAGES).matrix).kappa == 1.0
-        assert kappa_from_matrix([[1, 1], [1, 1]]).kappa == 0.0
+        assert evaluate_report(pred, gt, STAGES).kappa == 1.0
+        assert kappa_from_matrix([[1, 1], [1, 1]]) == (0.0, False)
 
         matrix = [[10, 2, 0, 0], [3, 8, 1, 0], [0, 2, 9, 1], [0, 0, 1, 10]]
         expected = Fraction(593, 828)  # derived by hand in test_evalkit
-        assert abs(kappa_from_matrix(matrix).kappa - float(expected)) < 1e-9
+        assert abs(kappa_from_matrix(matrix)[0] - float(expected)) < 1e-9
 
         rng = random.Random(31415)
-        from orchkit.evalkit import INDETERMINATE, LabeledSet
         for _ in range(1000):
             n = rng.randint(1, 40)
             n_ind = rng.randint(0, 4)
@@ -206,12 +204,13 @@ def test_criterion_5_cohen_kappa():
             gt_pairs += [(f"i{j}", INDETERMINATE) for j in range(n_ind)]
             pred_pairs = [(f"d{i}", STAGES[rng.randrange(4)]) for i in range(n)]
             pred_pairs += [(f"i{j}", STAGES[rng.randrange(4)]) for j in range(n_ind)]
-            p = LabeledSet("p", tuple(pred_pairs))
-            g = LabeledSet("gt", tuple(gt_pairs))
-            acc = accuracy(p, g)
-            conf = confusion(p, g, STAGES)
-            assert Fraction(acc.n_correct, acc.n_scored) == \
-                Fraction(conf.trace(), conf.total())
+            report = evaluate_report(LabeledSet("p", dict(pred_pairs)),
+                                     LabeledSet("gt", dict(gt_pairs)), STAGES)
+            matches = sum(1 for (_, g), (_, p) in zip(gt_pairs[:n], pred_pairs) if g == p)
+            trace = sum(report.matrix[i][i] for i in range(len(STAGES)))
+            assert report.n_scored == n and report.n_unmatched_pred == 0
+            assert Fraction(matches, n) == Fraction(trace, sum(map(sum, report.matrix)))
+            assert report.accuracy == float(Fraction(matches, n))
     print(f"\nPASS criterion 5: kappa oracle to 1e-9, trace identity on 1000 "
           f"random sets ({t.elapsed:.2f}s)")
 

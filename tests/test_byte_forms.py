@@ -9,7 +9,9 @@ replay of recorded sessions or verification of existing bundles.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -39,6 +41,29 @@ CLI_FILES = {
     "local.jsonl (sorted lines)": "9a4c3156f988061302a24afb58d8ce913f4d58f9d764cc532bb3223ad0658399",
 }
 
+# Table, confusion matrix and accuracy line, byte for byte (table cells are
+# left-justified, so the last column keeps its padding).
+EVALUATE_STDOUT = "\n".join([
+    "Condition  Accuracy  Kappa  Scored  Excluded",
+    "---------  --------  -----  ------  --------",
+    "system     75.00%    0.667  4       1       ",
+    "",
+    "confusion matrix (rows = ground truth, columns = predicted):",
+    "                                  Resectable  Borderline Resectable"
+    "       Locally Advanced             Metastatic",
+    "             Resectable                      1                      1"
+    "                      0                      0",
+    "  Borderline Resectable                      0                      0"
+    "                      0                      0",
+    "       Locally Advanced                      0                      0"
+    "                      1                      0",
+    "             Metastatic                      0                      0"
+    "                      0                      1",
+    "",
+    "accuracy: 75.00% (4 scored = 5 total - 1 indeterminate)",
+    "",
+])
+
 
 SESSION_FILES = ("cloud.jsonl", "local.jsonl (sorted lines)")
 
@@ -65,7 +90,8 @@ def test_packed_refined_plan_is_pinned():
 
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory) -> dict[str, str]:
-    """Every file one full CLI run writes over the end-to-end fixture."""
+    """Every file one full CLI run writes over the end-to-end fixture, and
+    what its last step, `evaluate`, prints."""
     ws = build_e2e_workspace(tmp_path_factory.mktemp("pinned"))
     out = ws["root"] / "out"
     out.mkdir()
@@ -87,8 +113,11 @@ def cli_run(tmp_path_factory) -> dict[str, str]:
          "--confusion-csv", f["confusion.csv"]),
     ]
     for argv in steps:
-        assert main(list(argv)) == 0, argv[0]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(list(argv)) == 0, argv[0]
     digests = {name: sha256((out / name).read_bytes()) for name in f}
+    digests["evaluate stdout"] = stdout.getvalue()
     digests["cloud.jsonl"] = sha256(ws["cloud_session"].read_bytes())
     local_lines = sorted(ws["local_session"].read_bytes().splitlines(keepends=True))
     digests["local.jsonl (sorted lines)"] = sha256(b"".join(local_lines))
@@ -98,3 +127,7 @@ def cli_run(tmp_path_factory) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CLI_FILES))
 def test_cli_output_is_pinned(cli_run, name):
     assert cli_run[name] == CLI_FILES[name]
+
+
+def test_evaluate_stdout_is_pinned(cli_run):
+    assert cli_run["evaluate stdout"] == EVALUATE_STDOUT

@@ -76,6 +76,21 @@ def test_plan_case_count_from_config_unless_prefs_set_it(workspace, tmp_path):
     assert all(len(v) == 3 for v in load_plan(out).synthetic_sets.values())
 
 
+def test_plan_refuses_an_unknown_prefs_key_exit_2(workspace, tmp_path, capsys):
+    """A misspelt key would otherwise leave its setting at the default."""
+    prefs = {**json.loads(workspace["prefs"].read_text(encoding="utf-8")), "max_subtask": 2}
+    bad = tmp_path / "prefs.json"
+    bad.write_text(json.dumps(prefs), encoding="utf-8")
+    out = tmp_path / "plan.json"
+    capsys.readouterr()
+    assert run_cli("plan", "--task", str(workspace["task"]),
+                   "--guideline", str(workspace["guideline"]), "--prefs", str(bad),
+                   "--out", str(out), "--config", str(workspace["config"]),
+                   "--deterministic") == 2
+    assert capsys.readouterr().err == f"error: {bad}: unknown key 'max_subtask'\n"
+    assert not out.exists()
+
+
 def test_plan_missing_guideline_is_exit_2(workspace, tmp_path):
     code = run_cli("plan", "--task", str(workspace["task"]),
                    "--guideline", str(tmp_path / "nope.txt"),

@@ -29,9 +29,12 @@ local.endpoint = http://127.0.0.1:11434
 local.model = extractor-s
 local.temperature = 0.15
 local.context = 16384
+local.session = /data/run#2/local.jsonl  # a '#' inside a value is kept
+  # indented comment
 rounds = 7        # per-document rounds
 threshold = 0.9
 validation_repeats = 2
+templates_dir = /srv/templates#v3
 """)
     cloud = config.cloud.to_profile("cloud")
     local = config.local.to_profile("local")
@@ -39,6 +42,8 @@ validation_repeats = 2
     assert local.default_temperature == 0.15 and local.default_context == 16384
     assert config.rounds == 7 and config.threshold == 0.9
     assert config.validation_repeats == 2
+    assert config.local.session == "/data/run#2/local.jsonl"
+    assert config.templates_dir == "/srv/templates#v3"
 
 
 def test_scripted_profile_needs_session():
