@@ -230,6 +230,7 @@ def _label_order(summary: dict) -> list[str]:
     labels = summary["label_order"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("an infer summary's label_order must be a list of strings")
+    evalkit.label_index(labels)  # a label named twice fails here, naming the file
     return labels
 
 

@@ -38,19 +38,33 @@ class LabeledSet:
 
 def kappa_from_matrix(matrix: Sequence[Sequence[int]]) -> tuple[float, bool]:
     """(Cohen's kappa, degenerate) from a square confusion matrix, in exact
-    arithmetic; single-class marginals (chance agreement 1) are degenerate, kappa 1."""
+    arithmetic. Two cases are degenerate: single-class marginals (chance
+    agreement 1) give kappa 1, and an empty matrix (nothing scored, or every
+    prediction outside the label order) gives kappa 0."""
     k = len(matrix)
     if any(len(row) != k for row in matrix):
         raise ValueError("kappa_from_matrix: matrix must be square")
     total = sum(sum(row) for row in matrix)
     if total == 0:
-        raise ValueError("kappa_from_matrix: matrix must have positive total")
+        return 0.0, True
     p_o = Fraction(sum(matrix[i][i] for i in range(k)), total)
     p_e = sum((Fraction(sum(matrix[i]), total) * Fraction(sum(row[i] for row in matrix), total)
                for i in range(k)), start=Fraction(0))
     if p_e == 1:
         return 1.0, True
     return float((p_o - p_e) / (1 - p_e)), False
+
+
+def label_index(labels: Sequence[str]) -> dict[str, int]:
+    """Canonical label -> position in a label order; an order naming one
+    label twice raises ValueError."""
+    index: dict[str, int] = {}
+    for lbl in labels:
+        if _canon(lbl) in index:
+            raise ValueError(f"label order names {lbl!r} twice "
+                             "(labels compare case-insensitively)")
+        index[_canon(lbl)] = len(index)
+    return index
 
 
 @dataclass(frozen=True)
@@ -84,17 +98,13 @@ def evaluate_report(pred: LabeledSet, gt: LabeledSet,
     The matrix (rows = GT, columns = predicted) is in `labels` order, which
     may not name a label twice, else in GT appearance order. A prediction
     outside it is a miss in no cell, so accuracy (exact matches / scored) is
-    the trace over the scored count. A scored id `pred` lacks, or a scored GT
-    label outside `labels`, raises ValueError.
+    the trace over the scored count. With no cell filled (nothing scored, or
+    every prediction outside the order) accuracy is 0 and kappa a degenerate
+    0. A scored id `pred` lacks, or a scored GT label outside `labels`,
+    raises ValueError.
     """
-    order: list[str] = []
-    index: dict[str, int] = {}
-    for lbl in labels or ():
-        if _canon(lbl) in index:
-            raise ValueError(f"label order names {lbl!r} twice "
-                             "(labels compare case-insensitively)")
-        index[_canon(lbl)] = len(order)
-        order.append(lbl)
+    order = list(labels or ())
+    index = label_index(order)
     counts: Counter[tuple[int, str]] = Counter()  # (GT row, canonical prediction)
     missing: list[str] = []
     unknown: list[str] = []
@@ -116,7 +126,7 @@ def evaluate_report(pred: LabeledSet, gt: LabeledSet,
             f"prediction set {pred.source!r} is missing scored ids: {sorted(missing)}")
     if unknown:
         raise ValueError(
-            f"confusion: ground-truth label {unknown[0]!r} not in label set {tuple(order)}")
+            f"ground-truth label {unknown[0]!r} not in label set {tuple(order)}")
     matrix = [[0] * len(order) for _ in order]
     for (row, p), n in counts.items():
         if p in index:

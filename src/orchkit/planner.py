@@ -2,6 +2,10 @@
 prompts and synthesis logic, generate synthetic validation cases, and
 rewrite prompts that failed validation.
 
+build_plan requests every subtask's synthetic set at once, one lane per
+subtask on the executor's lane pool, since no set depends on another; the
+width is the number of subtasks, not the operator's `workers`.
+
 No operation in this module accepts a Document, so real document content
 cannot reach the cloud channel by construction. Everything the planner
 touches is the task description, the guideline, user preferences, and
@@ -28,6 +32,7 @@ from .errors import (
     PhaseViolationError,
     PlannerError,
 )
+from .executor import iter_lanes
 from .gateway import PHASE_CLOUD, Gateway
 from .jsonio import decode, digest, read_text, sha256_text
 from .model import (
@@ -337,14 +342,24 @@ def refine_prompt(prompt: PromptSpec, failures: Sequence[tuple[SyntheticCase, Su
 def build_plan(task: TaskSpec, gateway: Gateway, *,
                templates: TemplateSet | None = None,
                clock: Callable[[], str] | None = None) -> Plan:
-    """Full planning pass: decompose, then synthetic sets for every subtask."""
+    """Full planning pass: decompose, then the synthetic sets of every subtask.
+
+    The sets do not depend on each other, so they are requested at once:
+    one executor.iter_lanes lane per subtask, as wide as the plan (at most
+    max_subtasks) and not bounded by `workers`. The sets come back in
+    subtask order. A failed subtask raises once the lanes in flight end,
+    with the first failure in subtask order, so a later subtask's exchange
+    may finish after an earlier one failed; coverage warnings are raised
+    as lanes finish, in completion order.
+    """
     templates = templates or TemplateSet.load()
     plan = decompose(task, gateway, templates=templates, clock=clock)
-    sets = {
-        subtask.id: generate_synthetic(
+    # generate_synthetic is looked up per lane, so a wrapper on the module
+    # global (the benchmark's tracer) sees every call.
+    sets = iter_lanes(
+        lambda subtask: generate_synthetic(
             subtask, task.guideline, gateway,
-            count=task.preferences.synthetic_cases_per_subtask,
-            templates=templates)
-        for subtask in plan.subtasks
-    }
-    return plan.with_synthetic_sets(sets)
+            count=task.preferences.synthetic_cases_per_subtask, templates=templates),
+        plan.subtasks, width=len(plan.subtasks))
+    return plan.with_synthetic_sets(
+        {subtask.id: cases for subtask, cases in zip(plan.subtasks, sets)})

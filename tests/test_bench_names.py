@@ -12,6 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from orchkit import planner
+from orchkit.gateway import PHASE_CLOUD, BackendProfile, Gateway, ScriptedBackend
+
+from conftest import e2e_cloud_handler, golden_task
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -50,3 +55,20 @@ def test_bench_gen_builds_bundle_and_records_session(tmp_path):
 def test_bench_tracer_argument_positions(module, attr, index, name):
     fn = getattr(importlib.import_module(f"orchkit.{module}"), attr)
     assert list(inspect.signature(fn).parameters)[index] == name
+
+
+def test_build_plan_calls_generate_synthetic_through_the_module_global(monkeypatch):
+    """The tracer's planner.synthetic_ms times the module global
+    generate_synthetic, so build_plan must call it there, once per subtask."""
+    calls = []
+
+    def stub(subtask, guideline, gateway, **kwargs):
+        calls.append(subtask.id)
+        return []
+
+    monkeypatch.setattr(planner, "generate_synthetic", stub)
+    gateway = Gateway(BackendProfile.scripted(ScriptedBackend(e2e_cloud_handler)),
+                      PHASE_CLOUD, sleep=lambda _s: None)
+    plan = planner.build_plan(golden_task(), gateway)
+    assert sorted(calls) == sorted(s.id for s in plan.subtasks)
+    assert len(calls) == len(plan.subtasks) == 2

@@ -36,8 +36,9 @@ CLI_FILES = {
     "summary.json": "8db82ce105ce3b647242fb62070fc2f749ff204d1a41c35d55be2dda6eadb6be",
     "report.json": "a8a4aa78a54a81ebb01814369499e32e4b753a8da96a7317ee2d0c2f5f1a5072",
     "confusion.csv": "a26dd6fb8e03fe760cbdaeea77aa90ca9960ba8ad532f92bed5b10c42691f4ad",
-    "cloud.jsonl": "3bd7c1e4f7092e6856b616faab035d877daf0c6f717f9f09508f0ac2375a2822",
-    # Recorded from concurrent lanes, so only the set of lines is stable.
+    # Both sessions are recorded from concurrent lanes (plan's synthetic sets,
+    # validation's cases), so only the set of lines is stable.
+    "cloud.jsonl (sorted lines)": "19d9f330386ff6d3d54dcea0762abd5d626344f049235a5692334f97c5b51365",
     "local.jsonl (sorted lines)": "9a4c3156f988061302a24afb58d8ce913f4d58f9d764cc532bb3223ad0658399",
 }
 
@@ -65,7 +66,7 @@ EVALUATE_STDOUT = "\n".join([
 ])
 
 
-SESSION_FILES = ("cloud.jsonl", "local.jsonl (sorted lines)")
+SESSION_FILES = ("cloud.jsonl (sorted lines)", "local.jsonl (sorted lines)")
 
 
 def sha256(data: bytes) -> str:
@@ -118,9 +119,10 @@ def cli_run(tmp_path_factory) -> dict[str, str]:
             assert main(list(argv)) == 0, argv[0]
     digests = {name: sha256((out / name).read_bytes()) for name in f}
     digests["evaluate stdout"] = stdout.getvalue()
-    digests["cloud.jsonl"] = sha256(ws["cloud_session"].read_bytes())
-    local_lines = sorted(ws["local_session"].read_bytes().splitlines(keepends=True))
-    digests["local.jsonl (sorted lines)"] = sha256(b"".join(local_lines))
+    for name, session in (("cloud.jsonl", ws["cloud_session"]),
+                          ("local.jsonl", ws["local_session"])):
+        lines = sorted(session.read_bytes().splitlines(keepends=True))
+        digests[f"{name} (sorted lines)"] = sha256(b"".join(lines))
     return digests
 
 

@@ -88,30 +88,55 @@ def test_missing_ids_are_named_before_an_unknown_ground_truth_label():
         evaluate_report(LabeledSet("p", {"a": STAGES[0], "c": STAGES[0]}), gt, STAGES)
     full = LabeledSet("p", dict.fromkeys("abc", STAGES[0]))
     with pytest.raises(ValueError, match=re.escape(
-            f"confusion: ground-truth label 'Other' not in label set {STAGES}")):
+            f"ground-truth label 'Other' not in label set {STAGES}")):
         evaluate_report(full, gt, STAGES)
 
 
 @pytest.mark.parametrize("flag", ["--labels", "--labels-from-summary"])
 def test_label_order_naming_a_label_twice_exits_2(tmp_path, capsys, flag):
     """Labels compare case-insensitively, so A,a,B would score A in a phantom
-    row and column that nothing can land in."""
+    row and column that nothing can land in. An order read from a summary
+    names the file, like the summary's other errors."""
     gt = tmp_path / "gt.csv"
     gt.write_text("id,label\nd1,A\nd2,B\n", encoding="utf-8")
     order = ["A", "a", "B"]
-    value = ",".join(order)
+    value, where = ",".join(order), ""
     if flag == "--labels-from-summary":
         value = str(tmp_path / "summary.json")
+        where = f"{value}: "
         (tmp_path / "summary.json").write_text(json.dumps({"label_order": order}),
                                                encoding="utf-8")
     out = tmp_path / "report.json"
     assert main(["evaluate", "--pred", str(gt), "--gt", str(gt), flag, value,
                  "--out", str(out)]) == 2
     assert capsys.readouterr() == (
-        "", "error: label order names 'a' twice (labels compare case-insensitively)\n")
+        "", f"error: {where}label order names 'a' twice (labels compare case-insensitively)\n")
     assert not out.exists()
     with pytest.raises(ValueError, match="label order names ' b ' twice"):
         evaluate_report(*build_sets(n_scored=2, n_correct=2), labels=["B", "a", " b "])
+
+
+def test_every_prediction_outside_the_label_order_scores_zero(tmp_path, capsys):
+    """No cell filled is a result, not an error: 0.00% accuracy and a
+    degenerate kappa of 0."""
+    gt = tmp_path / "gt.csv"
+    gt.write_text("id,label\nd1,A\nd2,B\n", encoding="utf-8")
+    pred = tmp_path / "pred.csv"
+    pred.write_text(f"d1,{INDETERMINATE}\nd2,{INDETERMINATE}\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stderr == ""
+    assert "system     0.00%     0.000 (degenerate)  2       0       " in stdout
+    assert stdout.endswith("accuracy: 0.00% (2 scored = 2 total - 0 indeterminate)\n")
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert (report["accuracy"], report["kappa"], report["kappa_degenerate"]) == (0.0, 0.0, True)
+    assert (report["n_scored"], report["n_unmatched_pred"]) == (2, 2)
+    assert report["confusion"] == [[0, 0], [0, 0]]
+    # A ground truth with no scored entry reports the same way.
+    nothing = evaluate_report(LabeledSet("p", {}), LabeledSet("gt", {"d1": INDETERMINATE}))
+    assert (nothing.n_scored, nothing.accuracy, nothing.kappa, nothing.kappa_degenerate) == (
+        0, 0.0, 0.0, True)
 
 
 # --- Cohen's kappa ------------------------------------------------------------------

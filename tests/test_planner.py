@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import warnings
 
 import pytest
 
@@ -302,28 +304,98 @@ def test_refine_prompt_requires_failures(task):
 
 # --- full planning pass -----------------------------------------------------------
 
-def test_build_plan_attaches_synthetic_sets(task):
-    def handler(request):
-        system = request.system_prompt
-        if "Decompose the task" in system:
-            return json.dumps(PLAN_REPLY)
-        # Dispatch on the schema block, which is unique per subtask.
-        if "- tumor_location (" in system:
-            return json.dumps({"cases": [
-                {"input": f"case {i}", "expected": {"tumor_location": v}}
-                for i, v in enumerate(("head", "body", "tail"))]})
-        if "- distant_metastasis (" in system:
-            return _spread_cases_reply(3)
+def _covering_cases_reply(system: str) -> str:
+    """A three-case set covering every value of the PLAN_REPLY subtask whose
+    schema block is in `system` (the block is unique per subtask)."""
+    if "- tumor_location (" in system:
         return json.dumps({"cases": [
-            {"input": "case a", "expected": {"smv_contact": "none",
-                                             "celiac_contact": "false"}},
-            {"input": "case b", "expected": {"smv_contact": "abutment",
-                                             "celiac_contact": "true"}},
-            {"input": "case c", "expected": {"smv_contact": "encasement",
-                                             "celiac_contact": "unknown"}}]})
+            {"input": f"case {i}", "expected": {"tumor_location": v}}
+            for i, v in enumerate(("head", "body", "tail"))]})
+    if "- distant_metastasis (" in system:
+        return _spread_cases_reply(3)
+    return json.dumps({"cases": [
+        {"input": "case a", "expected": {"smv_contact": "none", "celiac_contact": "false"}},
+        {"input": "case b", "expected": {"smv_contact": "abutment", "celiac_contact": "true"}},
+        {"input": "case c", "expected": {"smv_contact": "encasement",
+                                         "celiac_contact": "unknown"}}]})
 
-    gateway = Gateway(BackendProfile.scripted(ScriptedBackend(handler)), PHASE_CLOUD,
-                      sleep=lambda _s: None)
-    plan = build_plan(task, gateway)
+
+def _planning_gateway(synthetic, plan_reply=PLAN_REPLY) -> Gateway:
+    """A cloud gateway answering the decompose request with `plan_reply` and
+    every synthetic-set request with `synthetic(system_prompt)`."""
+    def handler(request):
+        if "Decompose the task" in request.system_prompt:
+            return json.dumps(plan_reply)
+        return synthetic(request.system_prompt)
+
+    return Gateway(BackendProfile.scripted(ScriptedBackend(handler)), PHASE_CLOUD,
+                   sleep=lambda _s: None)
+
+
+def test_build_plan_attaches_synthetic_sets(task):
+    plan = build_plan(task, _planning_gateway(_covering_cases_reply))
     assert set(plan.synthetic_sets) == {s.id for s in plan.subtasks}
     assert validate_plan(plan, min_cases=3) == []
+
+
+def test_build_plan_requests_every_synthetic_set_at_once(task):
+    """Every subtask's first request waits until all of them are in flight;
+    requested one at a time, the first wait breaks the barrier."""
+    barrier = threading.Barrier(len(PLAN_REPLY["subtasks"]), timeout=5)
+
+    def synthetic(system):
+        barrier.wait()
+        return _covering_cases_reply(system)
+
+    plan = build_plan(task, _planning_gateway(synthetic))
+    assert [s.id for s in plan.subtasks] == list(plan.synthetic_sets)
+    assert plan == build_plan(task, _planning_gateway(_covering_cases_reply))
+
+
+def test_build_plan_raises_the_first_failing_subtask_in_subtask_order(task):
+    """Subtask 1 replies only once subtask 2's request is in, and exhausts its
+    repairs while subtask 2 succeeds; subtask 3 fails with another error.
+    Subtask 1's error, the first in subtask order, is the one raised."""
+    spread_done = threading.Event()
+    location_requests = []
+
+    def synthetic(system):
+        if "- tumor_location (" in system:
+            location_requests.append(system)
+            assert spread_done.wait(timeout=5), "subtask 2 was not requested concurrently"
+            return "no json here"
+        if "- distant_metastasis (" in system:
+            spread_done.set()
+            return _spread_cases_reply(3)
+        return json.dumps({"cases": [{"input": "case", "expected": {"smv_contact": "wide"}}]})
+
+    with pytest.raises(PlannerError, match="^reply unusable after 2 repair round-trips"):
+        build_plan(task, _planning_gateway(synthetic))
+    assert len(location_requests) == 3  # initial + 2 repairs
+
+
+def test_build_plan_records_every_lanes_coverage_warning(task):
+    """Coverage warnings raised in lanes reach the caller, one per subtask."""
+    two = dict(PLAN_REPLY, subtasks=PLAN_REPLY["subtasks"][:2],
+               logic="when distant_metastasis == present -> Metastatic; default -> Resectable")
+    barrier = threading.Barrier(2, timeout=5)
+
+    def synthetic(system):
+        barrier.wait()  # the first requests, then the coverage retries, meet
+        if "- tumor_location (" in system:
+            return json.dumps({"cases": [{"input": f"case {i}",
+                                          "expected": {"tumor_location": "head"}}
+                                         for i in range(3)]})
+        return _spread_cases_reply(3, values=("present",))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_plan(task, _planning_gateway(synthetic, two))
+    incomplete = sorted(str(w.message) for w in caught
+                        if issubclass(w.category, CoverageIncompleteWarning))
+    assert incomplete == [
+        "subtask 'distant_spread': values still uncovered after retry: "
+        "distant_metastasis=absent",
+        "subtask 'tumor_location': values still uncovered after retry: "
+        "tumor_location=body, tumor_location=tail",
+    ]
