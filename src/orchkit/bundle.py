@@ -310,7 +310,8 @@ def unpack(data: bytes) -> ArtifactBundle:
     hashes, the format major version, and the digests written inside the
     bundle (the parsed rule program's, and the guideline's when its body
     rides along) all check out, and the bundle holds a plan `pack` would
-    write: one Plan accepts, whose prompts `pack`'s status rule accepts.
+    write: one Plan accepts, cases included, whose prompts `pack`'s status
+    rule accepts. Only pack and unpack check that rule.
     """
     try:
         text = data.decode("utf-8")

@@ -107,6 +107,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     plan = bundlemod.load_plan(args.plan)
+    violations = validate_plan(plan, min_cases=config.min_synthetic_cases)
+    if violations:
+        raise ValueError(f"{args.plan}: " + "; ".join(violations))
     local_gateway = Gateway(config.local.to_profile("local"), PHASE_LOCAL)
     templates = _templates(config)
     max_iters = args.max_iters if args.max_iters is not None else config.max_iters
@@ -213,7 +216,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
     docs = executor.load_documents(args.docs)
     preds = executor.iter_documents(gateway, plan, docs, rounds=rounds,
-                                    allow_failed=artifact.allow_failed,
                                     workers=config.workers)
     tally = executor.Tally()
     executor.write_predictions(tally.counted(preds), args.out)

@@ -98,10 +98,11 @@ def evaluate_report(pred: LabeledSet, gt: LabeledSet,
     The matrix (rows = GT, columns = predicted) is in `labels` order, which
     may not name a label twice, else in GT appearance order. A prediction
     outside it is a miss in no cell, so accuracy (exact matches / scored) is
-    the trace over the scored count. With no cell filled (nothing scored, or
-    every prediction outside the order) accuracy is 0 and kappa a degenerate
-    0. A scored id `pred` lacks, or a scored GT label outside `labels`,
-    raises ValueError.
+    the trace over the scored count, and a label's recall its cell over its
+    row's scored count, misses included (None if that is 0). With no cell
+    filled (nothing scored, or every prediction outside the order) accuracy
+    is 0 and kappa a degenerate 0. A scored id `pred` lacks, or a scored GT
+    label outside `labels`, raises ValueError.
     """
     order = list(labels or ())
     index = label_index(order)
@@ -128,7 +129,9 @@ def evaluate_report(pred: LabeledSet, gt: LabeledSet,
         raise ValueError(
             f"ground-truth label {unknown[0]!r} not in label set {tuple(order)}")
     matrix = [[0] * len(order) for _ in order]
+    row_scored = [0] * len(order)  # a row's scored documents, misses included
     for (row, p), n in counts.items():
+        row_scored[row] += n
         if p in index:
             matrix[row][index[p]] += n
     n_scored = sum(counts.values())
@@ -140,8 +143,8 @@ def evaluate_report(pred: LabeledSet, gt: LabeledSet,
         n_scored=n_scored, accuracy=accuracy, accuracy_percent=round(accuracy * 100.0, 2),
         kappa=kappa, kappa_degenerate=degenerate,
         labels=tuple(order), matrix=tuple(tuple(row) for row in matrix),
-        per_stage_recall={lbl: float(Fraction(matrix[i][i], sum(matrix[i])))
-                          if sum(matrix[i]) else None for i, lbl in enumerate(order)},
+        per_stage_recall={lbl: float(Fraction(matrix[i][i], row_scored[i]))
+                          if row_scored[i] else None for i, lbl in enumerate(order)},
         n_unmatched_pred=n_scored - sum(map(sum, matrix)))
 
 

@@ -80,10 +80,10 @@ def majority_vote(labels: Sequence[OutcomeLabel]) -> OutcomeLabel:
 
 
 def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
-                doc: Document, *, allow_failed: bool = False,
-                seed: int | None = None) -> SubtaskRun:
-    """Execute one refined prompt over one document, sending `seed` (an
-    inference round's number; validation sends none) with every call.
+                doc: Document, *, seed: int | None = None) -> SubtaskRun:
+    """Execute one prompt over one document, sending `seed` (an inference
+    round's number) with every call. The prompt's status is not read here:
+    a bundle holds only the statuses pack accepts (bundle.unpack).
 
     Parse failure gets one repair round-trip, with the same seed and the
     format contract restated; a second failure, or a failed model call,
@@ -91,9 +91,6 @@ def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
     """
     _require_local(gateway)
     schema = subtask.output_schema
-    if prompt.status == "draft" or (prompt.status == "failed" and not allow_failed):
-        raise ValueError(
-            f"run_subtask: prompt for {subtask.id!r} has status {prompt.status!r}")
 
     def attempt(system_prompt: str) -> tuple[str, FeatureSet]:
         response = gateway.chat(system_prompt, doc.body, response_schema=schema, seed=seed)
@@ -124,10 +121,10 @@ def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
 
 
 def run_document(gateway: Gateway, plan: Plan, doc: Document, *,
-                 rounds: int = DEFAULT_ROUNDS, allow_failed: bool = False) -> DocumentPrediction:
+                 rounds: int = DEFAULT_ROUNDS) -> DocumentPrediction:
     """T inference rounds over one document, majority-voted: run_documents
     over a one-document corpus."""
-    return run_documents(gateway, plan, [doc], rounds=rounds, allow_failed=allow_failed)[0]
+    return run_documents(gateway, plan, [doc], rounds=rounds)[0]
 
 
 def _predict(logic: SynthesisLogic, doc: Document,
@@ -186,7 +183,7 @@ def iter_lanes(fn: Callable[[T], R], items: Iterable[T], *, width: int) -> Itera
 
 
 def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
-                   rounds: int = DEFAULT_ROUNDS, allow_failed: bool = False,
+                   rounds: int = DEFAULT_ROUNDS,
                    workers: int = 1) -> Iterator[DocumentPrediction]:
     """T inference rounds over every document, majority-voted; yields each
     document's prediction in input order once it and every earlier document
@@ -199,6 +196,7 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
     only results wait behind a stalled document. Round r sends seed r, so a
     round's reply cannot land in another round, and only identical documents
     repeat a request. A lane's error is raised after the documents before it.
+    Prompts run whatever their status: only a bundle's reader gates it.
     """
     _require_local(gateway)
     if rounds < 1:
@@ -208,8 +206,7 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
 
     def lane(item: tuple[Document, int, Subtask, PromptSpec]) -> SubtaskRun:
         doc, seed, subtask, prompt = item
-        return run_subtask(gateway, subtask, prompt, doc, allow_failed=allow_failed,
-                           seed=seed)
+        return run_subtask(gateway, subtask, prompt, doc, seed=seed)
 
     seeds = range(1, rounds + 1)
     lanes = iter_lanes(lane, ((doc, seed, subtask, prompt) for doc in docs
@@ -220,13 +217,11 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
 
 
 def run_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
-                  rounds: int = DEFAULT_ROUNDS, allow_failed: bool = False,
-                  workers: int = 1) -> list[DocumentPrediction]:
+                  rounds: int = DEFAULT_ROUNDS, workers: int = 1) -> list[DocumentPrediction]:
     """iter_documents, collected: every document's prediction in input order,
     held until the last document is voted. `infer` streams iter_documents
     instead; this list form serves callers that need every prediction at once."""
-    return list(iter_documents(gateway, plan, docs, rounds=rounds,
-                               allow_failed=allow_failed, workers=workers))
+    return list(iter_documents(gateway, plan, docs, rounds=rounds, workers=workers))
 
 
 # ---------------------------------------------------------------------------

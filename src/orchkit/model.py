@@ -196,22 +196,6 @@ class FeatureSet:
     def get(self, name: str) -> str:
         return self.values.get(name, UNKNOWN)
 
-    def conforms_to(self, schema: FeatureSchema) -> list[str]:
-        """Return human-readable conformance violations (empty = conforms)."""
-        issues = []
-        for f in schema.fields:
-            if f.name not in self.values:
-                if f.required:
-                    issues.append(f"required field {f.name!r} missing")
-                continue
-            value = self.values[f.name]
-            if value != UNKNOWN and f.kind != "text" and value not in f.legal_values():
-                issues.append(f"field {f.name!r} has illegal value {value!r}")
-        for name in self.values:
-            if schema.get(name) is None:
-                issues.append(f"undeclared field {name!r}")
-        return issues
-
     @classmethod
     def from_raw(cls, schema: FeatureSchema, raw: Mapping[str, object]) -> "FeatureSet":
         """Build a conforming set from raw extracted values.
@@ -436,9 +420,11 @@ class Plan:
     label universe, synthetic test sets, and provenance.
 
     Construction checks the structure every reader relies on: subtask ids
-    are unique, each subtask has exactly one prompt, synthetic sets are
-    keyed by the plan's subtasks and hold only cases tagged for their set,
-    and no field is declared by two subtasks.
+    are unique, each subtask has exactly one prompt, no field is declared
+    by two subtasks, and synthetic sets are keyed by the plan's subtasks and
+    hold only cases tagged for their set whose values a parsed reply could
+    equal: FeatureSet.from_raw accepts them unchanged (optional fields may
+    be left out).
 
     Provenance never contains document content; no planning operation
     accepts a Document, so the guarantee is structural.
@@ -459,27 +445,37 @@ class Plan:
                            {k: tuple(v) for k, v in dict(self.synthetic_sets).items()})
         object.__setattr__(self, "provenance", dict(self.provenance))
         _require(len(self.subtasks) >= 1, "Plan.subtasks", "must be non-empty")
-        known: list[str] = []
+        schemas: dict[str, FeatureSchema] = {}  # subtask id -> its schema, in plan order
         owner: dict[str, str] = {}  # field name -> the subtask declaring it
         for s in self.subtasks:
-            _require(s.id not in known, "Plan.subtasks", f"duplicate subtask id {s.id!r}")
-            known.append(s.id)
+            _require(s.id not in schemas, "Plan.subtasks", f"duplicate subtask id {s.id!r}")
+            schemas[s.id] = s.output_schema
             for name in s.output_schema.field_names():
                 _require(name not in owner, "Plan.subtasks",
                          f"field {name!r} declared by both {owner.get(name)!r} and {s.id!r}")
                 owner[name] = s.id
         prompted = Counter(p.subtask_id for p in self.prompts)
         for sid in prompted:
-            _require(sid in known, "Plan.prompts", f"prompt for unknown subtask {sid!r}")
-        for sid in known:
+            _require(sid in schemas, "Plan.prompts", f"prompt for unknown subtask {sid!r}")
+        for sid in schemas:
             _require(prompted[sid] == 1, "Plan.prompts",
                      f"subtask {sid!r} has {prompted[sid]} prompts, expected exactly 1")
         for sid, cases in self.synthetic_sets.items():
-            _require(sid in known, "Plan.synthetic_sets",
+            _require(sid in schemas, "Plan.synthetic_sets",
                      f"synthetic set for unknown subtask {sid!r}")
             for idx, case in enumerate(cases):
+                where = f"case {idx} in set {sid!r}"
                 _require(case.subtask_id == sid, "Plan.synthetic_sets",
-                         f"case {idx} in set {sid!r} is tagged for subtask {case.subtask_id!r}")
+                         f"{where} is tagged for subtask {case.subtask_id!r}")
+                try:
+                    conformed = FeatureSet.from_raw(schemas[sid], case.expected.values).values
+                except ValueError as exc:
+                    raise ValueError(f"Plan.synthetic_sets: {where}: "
+                                     + str(exc).removeprefix("FeatureSet: ")) from None
+                for name, value in case.expected.values.items():
+                    _require(conformed[name] == value, "Plan.synthetic_sets",
+                             f"{where}: field {name!r} has non-canonical value {value!r}, "
+                             f"expected {conformed[name]!r}")
         _nonempty_text(self.logic_source, "Plan.logic_source")
         _require(len(self.labels) >= 2, "Plan.labels", "needs at least two labels")
 
@@ -507,19 +503,16 @@ class Plan:
 
 
 def validate_plan(plan: Plan, *, min_cases: int = 1) -> list[str]:
-    """Policy over a plan whose structure its constructor already checked:
-    every synthetic case conforms to its subtask's schema, every subtask has
-    at least `min_cases` cases, and the rule program parses.
+    """Policy over a plan whose structure and cases its constructor already
+    checked: every subtask has at least `min_cases` cases, and the rule
+    program parses.
 
     Returns a list of violation messages; empty means the plan is sound.
-    Nothing is raised: callers (pack, CLI) decide what a violation costs.
+    Nothing is raised: callers (plan, validate, pack) decide the cost.
     """
     violations: list[str] = []
     for s in plan.subtasks:
         cases = plan.synthetic_sets.get(s.id, ())
-        for idx, case in enumerate(cases):
-            for issue in case.expected.conforms_to(s.output_schema):
-                violations.append(f"case {idx} of subtask {s.id!r}: {issue}")
         if len(cases) < min_cases:
             violations.append(
                 f"subtask {s.id!r} has {len(cases)} synthetic cases, minimum is {min_cases}")

@@ -368,6 +368,9 @@ def evaluate(logic: SynthesisLogic, features: FeatureSet) -> OutcomeLabel:
 # Pretty-printing (round-trips through parse_logic)
 # ---------------------------------------------------------------------------
 
+# A bundle hashes this text (logic.parsed_digest), so it is a format: an `or`
+# under `and` or `not` keeps both pairs of parentheses, `a and ((b or c))`, or
+# unpack refuses every bundle packed with one. tests/test_ruledsl.py pins it.
 def _render(node: object, parent: str = "") -> str:
     if isinstance(node, Eq):
         return f"{node.field} == {_quote_if_needed(node.value)}"

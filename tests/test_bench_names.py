@@ -29,6 +29,15 @@ def test_bench_tracer_installs():
     assert done.returncode == 0, done.stderr
 
 
+def test_bench_selftest_passes():
+    """The benchmark's own self-test: every workload runs correctly at a tiny
+    size, traced and untraced, so a program change that breaks a workload
+    fails here and not first in a benchmark run."""
+    done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def test_bench_gen_builds_bundle_and_records_session(tmp_path):
     """The benchmark builds its bundle and replay session through the
     scripted and recording backends, the scripted profile and Gateway."""

@@ -20,7 +20,7 @@ from orchkit.gateway import (
     ScriptedBackend,
 )
 from orchkit.jsonio import digest
-from orchkit.model import FeatureSchema
+from orchkit.model import FeatureSchema, FeatureSet
 
 from conftest import (
     E2E_PLAN_REPLY,
@@ -343,10 +343,38 @@ def test_validate_subtask_without_prompt_exit_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "v.json").exists()
 
 
+@pytest.mark.parametrize("edit, violation", [
+    (lambda p: p["plan"]["synthetic_sets"].update(distant_spread=[]),
+     "subtask 'distant_spread' has 0 synthetic cases, minimum is 1"),
+    (lambda p: p["plan"].update(logic_source="when ghost == x -> Metastatic; default -> "
+                                             "Resectable"),
+     "synthesis logic: unknown field 'ghost' (line 1, column 6)"),
+], ids=["too few cases", "rule program does not parse"])
+def test_validate_refuses_a_plan_pack_refuses_before_any_model_call_exit_2(
+        workspace, tmp_path, monkeypatch, capsys, edit, violation):
+    plan_file = tmp_path / "plan.json"
+    _plan_file(plan_file, edit, golden_plan())
+    calls = []
+    monkeypatch.setattr(Gateway, "complete", lambda gw, request: calls.append(request))
+    out = tmp_path / "v.json"
+    capsys.readouterr()
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(out),
+                   "--config", str(workspace["config"])) == 2
+    assert capsys.readouterr().err == f"error: {plan_file}: {violation}\n"
+    assert calls == [] and not out.exists()
+
+
 def _same_fields(subtask, other):
     """`subtask` also declaring the first field of `other`."""
     schema = FeatureSchema((*subtask.output_schema.fields, other.output_schema.fields[0]))
     return dataclasses.replace(subtask, output_schema=schema)
+
+
+def _with_expected(plan, subtask_id, index, values):
+    """`plan`'s synthetic sets with one case's expected values replaced."""
+    cases = list(plan.synthetic_sets[subtask_id])
+    cases[index] = dataclasses.replace(cases[index], expected=FeatureSet(values))
+    return {"synthetic_sets": {**plan.synthetic_sets, subtask_id: tuple(cases)}}
 
 
 # A change to the refined fixture plan that breaks its structure, and the
@@ -378,6 +406,27 @@ STRUCTURE_VIOLATIONS = {
         lambda p: {"subtasks": (p.subtasks[0], _same_fields(p.subtasks[1], p.subtasks[0]))},
         "Plan.subtasks: field 'distant_metastasis' declared by both 'distant_spread' and "
         "'vessel_involvement'"),
+    "illegal case value": (
+        lambda p: _with_expected(p, "distant_spread", 0, {"distant_metastasis": "Nonsense"}),
+        "Plan.synthetic_sets: case 0 in set 'distant_spread': field 'distant_metastasis' "
+        "has illegal value 'Nonsense'"),
+    "undeclared case field": (
+        lambda p: _with_expected(p, "distant_spread", 1, {"distant_metastasis": "absent",
+                                                          "smv_contact": "none"}),
+        "Plan.synthetic_sets: case 1 in set 'distant_spread': undeclared field 'smv_contact'"),
+    "required case field missing": (
+        lambda p: _with_expected(p, "vessel_involvement", 2, {"smv_contact": "encasement"}),
+        "Plan.synthetic_sets: case 2 in set 'vessel_involvement': required field "
+        "'celiac_contact' missing"),
+    "case value not canonical": (
+        lambda p: _with_expected(p, "vessel_involvement", 0, {"smv_contact": "None",
+                                                              "celiac_contact": "false"}),
+        "Plan.synthetic_sets: case 0 in set 'vessel_involvement': field 'smv_contact' has "
+        "non-canonical value 'None', expected 'none'"),
+    "case value an alias": (
+        lambda p: _with_expected(p, "distant_spread", 0, {"distant_metastasis": "mets"}),
+        "Plan.synthetic_sets: case 0 in set 'distant_spread': field 'distant_metastasis' "
+        "has non-canonical value 'mets', expected 'present'"),
 }
 
 
@@ -407,10 +456,12 @@ def test_plan_structure_is_refused_by_the_constructor_a_plan_file_and_a_bundle(
     bundle_file = tmp_path / "a.orchb"
     _rerendered_bundle(bundle_file, lambda s: s.update(
         subtasks=raw["subtasks"], prompts=raw["prompts"], synthetic=raw["synthetic_sets"]))
+    refusal = f"error: {bundle_file}: bundle does not hold a usable plan: {message}\n"
     assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
                    *config) == 6
-    assert capsys.readouterr().err == \
-        f"error: {bundle_file}: bundle does not hold a usable plan: {message}\n"
+    assert capsys.readouterr().err == refusal
+    assert run_cli("unpack", "--bundle", str(bundle_file), "--out", str(out)) == 6
+    assert capsys.readouterr().err == refusal
     assert calls == []
     assert not out.exists()
 

@@ -247,6 +247,14 @@ def test_indeterminate_prediction_counts_as_miss_outside_matrix():
     assert sum(map(sum, report.matrix)) == 1 and report.n_unmatched_pred == 1
 
 
+def test_per_stage_recall_counts_a_rows_misses():
+    gt = LabeledSet("gt", {"a": "A", "b": "B", "c": "A", "d": "C"})
+    pred = LabeledSet("p", {"a": INDETERMINATE, "b": "B", "c": "A", "d": INDETERMINATE})
+    assert evaluate_report(pred, gt).per_stage_recall == {"A": 0.5, "B": 1.0, "C": 0.0}
+    # A label the order names but no scored document holds has no recall.
+    assert evaluate_report(pred, gt, ["A", "B", "C", "D"]).per_stage_recall["D"] is None
+
+
 # --- reports and IO -------------------------------------------------------------------
 
 def test_evaluate_report_shape():

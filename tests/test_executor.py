@@ -33,7 +33,7 @@ from orchkit.gateway import (
     Gateway,
     ScriptedBackend,
 )
-from orchkit.model import Document, make_labels
+from orchkit.model import Document, PromptSpec, make_labels
 from orchkit.parsing import format_block
 
 from conftest import (
@@ -194,20 +194,17 @@ def test_run_subtask_transport_failure_degrades():
 
 
 def test_run_subtask_requires_usable_prompt_status():
-    plan = refined_plan()
-    spread = plan.subtasks[0]
-    gw = local_gateway(fake_local_extractor)
-    draft = plan.prompt_for(spread.id)
-    from orchkit.model import PromptSpec
-    with pytest.raises(ValueError, match="draft"):
-        run_subtask(gw, spread, PromptSpec.draft(spread.id, "p"),
-                    Document("d9", "text"))
+    """Reading a bundle is what refuses a draft or failed prompt (see
+    test_unpack_refuses_the_prompt_statuses_pack_refuses and
+    test_infer_refuses_a_bundle_whose_prompt_status_pack_refuses_exit_6);
+    run_subtask runs the prompt it is given, with no flag."""
+    spread = refined_plan().subtasks[0]
     failed = PromptSpec(spread.id, "Distant spread, best effort", revision=1,
                         status="failed")
-    with pytest.raises(ValueError, match="failed"):
-        run_subtask(gw, spread, failed, Document("d9", "text"))
-    assert run_subtask(gw, spread, failed, Document("d9", "text mets=absent"),
-                       allow_failed=True).parse_status == "ok"
+    run = run_subtask(local_gateway(fake_local_extractor), spread, failed,
+                      Document("d9", "text mets=absent"))
+    assert run.parse_status == "ok"
+    assert run.output.values == {"distant_metastasis": "absent"}
 
 
 # --- privacy boundary ----------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from orchkit.model import (
     Plan,
     PromptSpec,
     SubtaskRun,
+    SyntheticCase,
     TaskSpec,
     UserPrefs,
     make_labels,
@@ -127,11 +129,29 @@ def test_featureset_from_raw_strict_rejects():
                                      "extra": "x"})
 
 
-def test_featureset_conformance_reporting():
-    fs = FeatureSet({"smv_contact": "sideways", "stray": "x"})
-    issues = fs.conforms_to(vessel_schema())
-    text = "\n".join(issues)
-    assert "smv_contact" in text and "stray" in text and "celiac_contact" in text
+def test_featureset_conformance_reporting(plan):
+    """Plan checks a case by the rule a parsed reply meets, naming the case."""
+    for expected, defect in (
+            ({"smv_contact": "sideways", "celiac_contact": "true"},
+             "field 'smv_contact' has illegal value 'sideways'"),
+            ({"smv_contact": "none", "celiac_contact": "true", "stray": "x"},
+             "undeclared field 'stray'"),
+            ({"smv_contact": "none"}, "required field 'celiac_contact' missing")):
+        case = SyntheticCase("vessel_involvement", "text", FeatureSet(expected))
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"Plan.synthetic_sets: case 0 in set 'vessel_involvement': {defect}") + "$"):
+            plan.with_synthetic_sets({**plan.synthetic_sets, "vessel_involvement": (case,)})
+
+
+def test_plan_accepts_a_case_that_leaves_an_optional_field_out(plan):
+    spread, vessel = plan.subtasks
+    smv, celiac = vessel.output_schema.fields
+    optional = replace(vessel, output_schema=FeatureSchema((smv, replace(celiac,
+                                                                         required=False))))
+    case = SyntheticCase(vessel.id, "text", FeatureSet({"smv_contact": "none"}))
+    widened = replace(plan, subtasks=(spread, optional),
+                      synthetic_sets={**plan.synthetic_sets, vessel.id: (case,)})
+    assert widened.synthetic_sets[vessel.id] == (case,)
 
 
 def test_merge_schemas_first_wins():

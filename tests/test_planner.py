@@ -195,7 +195,7 @@ def test_generate_synthetic_happy_path(task):
     assert len(cases) == 10
     for case in cases:
         assert case.subtask_id == spread.id
-        assert case.expected.conforms_to(spread.output_schema) == []
+        assert FeatureSet.from_raw(spread.output_schema, case.expected.values) == case.expected
 
 
 def test_generate_synthetic_repairs_schema_violation(task):

@@ -205,6 +205,20 @@ def test_pretty_round_trip():
     assert regolden.rules == golden.rules
 
 
+def test_pretty_writes_the_form_bundles_hash():
+    """pretty's text feeds logic.parsed_digest, so a packed bundle unpacks
+    only while that text stays byte-identical: an `or` under `and` or `not`
+    keeps its doubled parentheses."""
+    schema = FeatureSchema(tuple(FieldSpec(name, "boolean") for name in "abc"))
+    for condition, form in (
+            ("a == true and (b == true or c == true)",
+             'a == "true" and ((b == "true" or c == "true"))'),
+            ("not (b == true or c == true)", 'not ((b == "true" or c == "true"))')):
+        logic = parse_logic(f"when {condition} -> Metastatic; default -> Resectable",
+                            [schema], TWO_LABELS)
+        assert pretty(logic) == f"when {form} -> Metastatic;\ndefault -> Resectable"
+
+
 def test_rule_ast_is_plain_data():
     logic = parse_logic(MINIMAL, [minimal_schema()], TWO_LABELS)
     assert isinstance(logic.rules[0], Rule)
