@@ -92,9 +92,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         task_description=read_text(args.task),
         guideline=read_text(args.guideline),
         preferences=_load_prefs(Path(args.prefs), config))
-    gateway = Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD)
     clock = None if args.deterministic else _now_iso
-    plan = planner.build_plan(task, gateway, templates=_templates(config), clock=clock)
+    with Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD) as gateway:
+        plan = planner.build_plan(task, gateway, templates=_templates(config), clock=clock)
     violations = validate_plan(plan, min_cases=config.min_synthetic_cases)
     if violations:
         raise PlannerError("planned artifact failed validation: " + "; ".join(violations))
@@ -125,11 +125,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
                                      templates=templates, schema=subtask.output_schema)
 
     # stdout, history and plan follow plan order.
-    outcomes = validator.run_refinement_loops(
-        [(subtask, plan.prompt_for(subtask.id), plan.synthetic_sets.get(subtask.id, ()))
-         for subtask in plan.subtasks],
-        local_gateway, refine, max_iters=max_iters, threshold=config.threshold,
-        repeats=config.validation_repeats, width=config.workers * config.rounds)
+    try:
+        outcomes = validator.run_refinement_loops(
+            [(subtask, plan.prompt_for(subtask.id), plan.synthetic_sets.get(subtask.id, ()))
+             for subtask in plan.subtasks],
+            local_gateway, refine, max_iters=max_iters, threshold=config.threshold,
+            repeats=config.validation_repeats, width=config.workers * config.rounds)
+    finally:
+        for gateway in (local_gateway, *cloud_gateway):
+            gateway.close()
     histories: list[dict] = []
     for subtask, outcome in zip(plan.subtasks, outcomes):
         histories.extend(validator.history_to_dict(outcome.history))
@@ -194,38 +198,37 @@ def cmd_infer(args: argparse.Namespace) -> int:
         config.local.temperature = runtime.local_temperature
     if config.local.context is None:
         config.local.context = runtime.local_context
-    gateway = Gateway(config.local.to_profile("local"), PHASE_LOCAL)
     rounds = args.rounds if args.rounds is not None else runtime.rounds
+    with Gateway(config.local.to_profile("local"), PHASE_LOCAL) as gateway:
+        if args.revalidate:
+            checked = [s for s in plan.subtasks if plan.synthetic_sets.get(s.id)]
+            reports = validator.validate_prompt(
+                [(s, plan.prompt_for(s.id), plan.synthetic_sets[s.id]) for s in checked],
+                gateway, threshold=runtime.threshold, repeats=config.validation_repeats,
+                width=config.workers * rounds)
+            below = []
+            for subtask, report in zip(checked, reports):
+                print(f"revalidate {subtask.id}: {report.passes}/{report.total} "
+                      f"({report.verdict})")
+                if report.verdict != "passed":
+                    below.append(subtask.id)
+            if below:
+                return _fail(EXIT_VALIDATION,
+                             "revalidation below threshold for: " + ", ".join(below)
+                             + "; not touching documents")
 
-    if args.revalidate:
-        checked = [s for s in plan.subtasks if plan.synthetic_sets.get(s.id)]
-        reports = validator.validate_prompt(
-            [(s, plan.prompt_for(s.id), plan.synthetic_sets[s.id]) for s in checked],
-            gateway, threshold=runtime.threshold, repeats=config.validation_repeats,
-            width=config.workers * rounds)
-        below = []
-        for subtask, report in zip(checked, reports):
-            print(f"revalidate {subtask.id}: {report.passes}/{report.total} "
-                  f"({report.verdict})")
-            if report.verdict != "passed":
-                below.append(subtask.id)
-        if below:
-            return _fail(EXIT_VALIDATION,
-                         "revalidation below threshold for: " + ", ".join(below)
-                         + "; not touching documents")
-
-    docs = executor.load_documents(args.docs)
-    preds = executor.iter_documents(gateway, plan, docs, rounds=rounds,
-                                    workers=config.workers)
-    tally = executor.Tally()
-    executor.write_predictions(tally.counted(preds), args.out)
-    summary = executor.summarize(tally, plan.labels, rounds=rounds)
-    if not args.deterministic:
-        summary["completed_at"] = _now_iso()
-    if args.summary:
-        write_json(args.summary, summary)
-    print(f"{tally.documents} predictions written to {args.out}")
-    return EXIT_OK
+        docs = executor.load_documents(args.docs)
+        preds = executor.iter_documents(gateway, plan, docs, rounds=rounds,
+                                        workers=config.workers)
+        tally = executor.Tally()
+        executor.write_predictions(tally.counted(preds), args.out)
+        summary = executor.summarize(tally, plan.labels, rounds=rounds)
+        if not args.deterministic:
+            summary["completed_at"] = _now_iso()
+        if args.summary:
+            write_json(args.summary, summary)
+        print(f"{tally.documents} predictions written to {args.out}")
+        return EXIT_OK
 
 
 def _label_order(summary: dict) -> list[str]:

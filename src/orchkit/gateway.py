@@ -15,6 +15,11 @@ Backends:
   * scripted    -- a handler callable (ScriptedBackend) or a recorded
                    session (ReplayBackend), for tests and air-gap rehearsal.
 
+The two HTTP backends POST over persistent http.client connections, at
+most one per call in flight, that Gateway.close closes. A connection the
+server closed while it sat idle is replaced and the request sent again at
+once; that is not a retry. Proxies and certificate checks follow urllib.
+
 Every call enters through Gateway.chat, which builds the request from the
 profile's defaults. A TransportError is retried with a fixed policy: up
 to RETRY_ATTEMPTS attempts, waiting RETRY_BASE_DELAY * 2**attempt seconds
@@ -258,38 +263,133 @@ def _schema_to_json_schema(schema: FeatureSchema) -> dict:
     }
 
 
-def _post(channel: str, url: str, payload: dict,
-          reply: Callable[[dict], tuple[str | None, bool]],
-          headers: dict[str, str] | None = None) -> ChatResponse:
-    """POST a JSON payload; `reply` reads the decoded reply's completion text
-    (null when there is none) and whether it was cut off. A non-2xx status,
-    a connection fault or timeout and a reply that is not JSON each become a
-    TransportError naming the channel; a reply of the wrong shape, its text
-    not a string included, is a malformed reply."""
+def _route(url: str, timeout: float) -> tuple[str, Callable[[], object], dict[str, str]]:
+    """How urllib's default opener reaches `url`: the request target, a
+    function that makes a connection (opened on its first request) and the
+    headers a proxy needs. The proxy variables are read here, through
+    urllib's own lookup: a proxied `http` request goes to the proxy with its
+    absolute URI, an `https` one through a CONNECT tunnel, and credentials in
+    the proxy URL become `Proxy-Authorization: Basic`."""
+    import base64
     import http.client
-    import urllib.error
+    import ssl
+    import urllib.parse
     import urllib.request
 
-    started = time.perf_counter()
-    try:
-        request = urllib.request.Request(
-            url, data=json.dumps(payload, allow_nan=False).encode("utf-8"),
-            headers={"Content-Type": "application/json", **(headers or {})})
-        with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT[channel]) as resp:
-            body = json.load(resp)
-    except (OSError, ValueError, http.client.HTTPException) as exc:
-        if isinstance(exc, urllib.error.HTTPError):
-            exc.close()  # an HTTPError holds the open error reply
-        raise TransportError(f"{channel} chat call failed: {exc}") from exc
-    latency = (time.perf_counter() - started) * 1000.0
+    origin = urllib.parse.urlsplit(url)
+    target = urllib.parse.urlunsplit(("", "", origin.path or "/", origin.query, ""))
+    scheme, host, tunnel, headers = origin.scheme, origin.netloc, None, {}
+    proxy = urllib.request.getproxies().get(scheme)
+    if proxy and not urllib.request.proxy_bypass(host):
+        via = urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")
+        if via.username and via.password:
+            credentials = urllib.parse.unquote(f"{via.username}:{via.password}")
+            headers["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                credentials.encode()).decode("ascii")
+        if scheme == "https":
+            tunnel, headers = (host, None, headers), {}  # CONNECT carries the credentials
+        else:
+            scheme = via.scheme or scheme
+            target = urllib.parse.urlunsplit((*origin[:4], ""))
+        host = urllib.parse.unquote(via.netloc.rpartition("@")[2])
+    # One verifying context per backend; it reads SSL_CERT_FILE and SSL_CERT_DIR.
+    context = ssl.create_default_context() if scheme == "https" else None
 
-    def build(body: dict) -> ChatResponse:
-        text, truncated = reply(body)
-        return ChatResponse(raw_text="" if text is None else text, latency_ms=latency,
-                            finish_reason="truncated" if truncated else "complete")
+    def connect():
+        if scheme == "http":
+            return http.client.HTTPConnection(host, timeout=timeout)
+        if context is None:
+            raise ValueError(f"unknown url type: {url!r}")
+        conn = http.client.HTTPSConnection(host, timeout=timeout, context=context)
+        if tunnel is not None:
+            conn.set_tunnel(*tunnel)
+        return conn
 
-    return decode(build, body, lambda message: ModelCallError(
-        f"malformed {channel} chat reply: {message}", "malformed reply"))
+    return target, connect, headers
+
+
+class _HttpBackend:
+    """JSON POSTs to one URL over persistent HTTP/1.1 connections.
+
+    A call takes an idle connection or opens one, and gives it back after a
+    complete reply unless the reply asks to close it, so no more connections
+    are open than calls in flight. `close` closes the idle ones; a connection
+    given back after that is closed at once.
+    """
+
+    channel: str
+
+    def __init__(self, url: str, headers: dict[str, str]):
+        self._target, self._connect, proxy_headers = _route(url, HTTP_TIMEOUT[self.channel])
+        self._headers = {"Content-Type": "application/json", **headers, **proxy_headers}
+        self._idle: list | None = []
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle or [], None
+        for conn in idle:
+            conn.close()
+
+    def _exchange(self, body: bytes):
+        """Send one POST and read its whole reply. A connection taken idle
+        that fails with a ConnectionError before a status line (the server
+        closed it while it sat idle) is replaced, and the POST sent again
+        once, at once, on the fresh one."""
+        with self._lock:
+            idle = self._idle.pop() if self._idle else None
+        conn = idle or self._connect()
+        try:
+            while True:
+                try:
+                    conn.request("POST", self._target, body, self._headers)
+                    response = conn.getresponse()
+                    break
+                except ConnectionError:
+                    if conn is not idle:
+                        raise
+                    conn.close()
+                    conn = self._connect()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            keep = not response.will_close and self._idle is not None
+            if keep:
+                self._idle.append(conn)
+        if not keep:
+            conn.close()
+        return response, data
+
+    def _post(self, payload: dict,
+              reply: Callable[[dict], tuple[str | None, bool]]) -> ChatResponse:
+        """POST a JSON payload; `reply` reads the decoded reply's completion
+        text (null when there is none) and whether it was cut off. A non-2xx
+        status (worded as urllib words it, `HTTP Error 503: Service
+        Unavailable`), a connection fault or timeout and a reply that is not
+        JSON each become a TransportError naming the channel; a reply of the
+        wrong shape, its text not a string included, is a malformed reply."""
+        import http.client
+
+        started = time.perf_counter()
+        try:
+            response, data = self._exchange(json.dumps(payload, allow_nan=False).encode("utf-8"))
+            if not 200 <= response.status < 300:
+                raise TransportError(f"{self.channel} chat call failed: "
+                                     f"HTTP Error {response.status}: {response.reason}")
+            body = json.loads(data)
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            raise TransportError(f"{self.channel} chat call failed: {exc}") from exc
+        latency = (time.perf_counter() - started) * 1000.0
+
+        def build(body: dict) -> ChatResponse:
+            text, truncated = reply(body)
+            return ChatResponse(raw_text="" if text is None else text, latency_ms=latency,
+                                finish_reason="truncated" if truncated else "complete")
+
+        return decode(build, body, lambda message: ModelCallError(
+            f"malformed {self.channel} chat reply: {message}", "malformed reply"))
 
 
 def _messages(request: ChatRequest) -> list[dict]:
@@ -297,30 +397,34 @@ def _messages(request: ChatRequest) -> list[dict]:
             {"role": "user", "content": request.user_content}]
 
 
-class OpenAIChatBackend:
+class OpenAIChatBackend(_HttpBackend):
     """OpenAI-compatible chat-completions adapter (the cloud channel)."""
 
+    channel = PHASE_CLOUD
+
     def __init__(self, endpoint: str, model: str):
-        self.url = f"{endpoint.rstrip('/')}/chat/completions"
-        self.model = model
         api_key = os.environ.get(CLOUD_API_KEY_ENV, "")
-        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+        super().__init__(f"{endpoint.rstrip('/')}/chat/completions",
+                         {"Authorization": f"Bearer {api_key}"} if api_key else {})
+        self.model = model
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         payload: dict = {"model": self.model, "messages": _messages(request),
                          "temperature": request.temperature}
         if request.response_schema is not None:
             payload["response_format"] = {"type": "json_object"}
-        return _post(PHASE_CLOUD, self.url, payload, lambda body: (
+        return self._post(payload, lambda body: (
             body["choices"][0]["message"]["content"],
-            body["choices"][0].get("finish_reason") == "length"), self._headers)
+            body["choices"][0].get("finish_reason") == "length"))
 
 
-class OllamaChatBackend:
+class OllamaChatBackend(_HttpBackend):
     """Ollama-compatible /api/chat adapter (the local channel)."""
 
+    channel = PHASE_LOCAL
+
     def __init__(self, endpoint: str, model: str):
-        self.url = f"{endpoint.rstrip('/')}/api/chat"
+        super().__init__(f"{endpoint.rstrip('/')}/api/chat", {})
         self.model = model
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -332,7 +436,7 @@ class OllamaChatBackend:
                          "options": options}
         if request.response_schema is not None:
             payload["format"] = _schema_to_json_schema(request.response_schema)
-        return _post(PHASE_LOCAL, self.url, payload, lambda body: (
+        return self._post(payload, lambda body: (
             body["message"]["content"], body.get("done_reason") == "length"))
 
 
@@ -348,7 +452,9 @@ def estimate_tokens(text: str) -> int:
 class Gateway:
     """A phase-tagged handle to one backend profile.
 
-    Safe for concurrent use; the caller's thread pool bounds calls in flight.
+    Safe for concurrent use; the caller's thread pool bounds calls in flight,
+    and so the connections an HTTP backend holds open. Close it, or use it as
+    a context manager, to close them.
     """
 
     def __init__(self, profile: BackendProfile, phase: str, *,
@@ -370,6 +476,17 @@ class Gateway:
             self._backend = profile.backend
         else:
             self._backend = ReplayBackend(profile.session)
+
+    def close(self) -> None:
+        """Close the idle connections of an HTTP backend this gateway built."""
+        if self.profile.kind in (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP):
+            self._backend.close()
+
+    def __enter__(self) -> "Gateway":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def chat(self, system_prompt: str, user_content: str, *,
              response_schema: FeatureSchema | None = None,

@@ -1,9 +1,10 @@
-"""The two HTTP backends against a local stdlib server: the exact wire
-bytes, the API-key header, certificate verification, and how replies and
-faults map to errors."""
+"""The two HTTP backends against local stdlib servers: the exact wire
+bytes, the API-key header, certificate verification, proxies, persistent
+connections, and how replies and faults map to errors."""
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import shutil
@@ -12,12 +13,22 @@ import subprocess
 import sys
 import threading
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from conftest import refined_plan, vessel_schema
+from conftest import (
+    build_e2e_workspace,
+    e2e_cloud_handler,
+    fake_local_extractor,
+    fixture_documents,
+    refined_plan,
+    vessel_schema,
+)
 
+from orchkit.bundle import save_plan
+from orchkit.cli import main
 from orchkit.config import ProfileConfig
 from orchkit.errors import ModelCallError, TransportError
 from orchkit.executor import run_subtask
@@ -70,19 +81,20 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _TunnelRefused(_Handler):
+    """A proxy that records each CONNECT and refuses it."""
+
+    def do_CONNECT(self):  # noqa: N802 - http.server's method name
+        self.server.seen.append((self.path, dict(self.headers), b""))
+        self.send_response(407)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
 @contextmanager
-def _serving(monkeypatch, tls: tuple[str, str] | None = None):
-    for name in PROXY_VARS + CA_VARS:
-        monkeypatch.delenv(name, raising=False)
-    httpd = HTTPServer(("127.0.0.1", 0), _Handler)
-    httpd.base = f"http://127.0.0.1:{httpd.server_port}"
-    if tls is not None:
-        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-        context.load_cert_chain(*tls)
-        httpd.socket = context.wrap_socket(httpd.socket, server_side=True)
-        httpd.base = f"https://127.0.0.1:{httpd.server_port}"
-    httpd.seen = []
-    httpd.reply = (200, {})
+def _running(httpd):
+    """Serve `httpd` on a thread until the block ends; proxy and CA
+    variables are cleared by the caller."""
     thread = threading.Thread(target=httpd.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
@@ -92,6 +104,100 @@ def _serving(monkeypatch, tls: tuple[str, str] | None = None):
         httpd.server_close()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def _clear_environment(monkeypatch) -> None:
+    for name in PROXY_VARS + CA_VARS:
+        monkeypatch.delenv(name, raising=False)
+
+
+@contextmanager
+def _serving(monkeypatch, tls: tuple[str, str] | None = None, handler=_Handler):
+    _clear_environment(monkeypatch)
+    httpd = HTTPServer(("127.0.0.1", 0), handler)
+    httpd.base = f"http://127.0.0.1:{httpd.server_port}"
+    if tls is not None:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(*tls)
+        httpd.socket = context.wrap_socket(httpd.socket, server_side=True)
+        httpd.base = f"https://127.0.0.1:{httpd.server_port}"
+    httpd.seen = []
+    httpd.reply = (200, {})
+    with _running(httpd):
+        yield httpd
+
+
+class _ModelHandler(BaseHTTPRequestHandler):
+    """A keep-alive model endpoint: answers each chat POST, in its channel's
+    reply form, with `server.answer` of the request the payload carries.
+    An answer that raises drops the connection without a reply."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 10  # a connection left idle this long is closed
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):  # noqa: N802 - http.server's method name
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with self.server.lock:
+            self.server.requests += 1
+        system, user = (message["content"] for message in payload["messages"])
+        request = SimpleNamespace(system_prompt=system, user_content=user,
+                                  seed=payload.get("options", {}).get("seed"))
+        channel = "cloud" if self.path.endswith("/chat/completions") else "local"
+        data = json.dumps(_reply(channel, self.server.answer(request))).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()  # no `Connection: close`: the connection stays open
+        self.wfile.write(data)
+        with self.server.lock:
+            self.server.calls += 1
+        self.close_connection = self.server.drop_idle
+
+    def log_message(self, *args):
+        pass
+
+
+class _ModelServer(ThreadingHTTPServer):
+    """Counts connections, requests and answered calls; `closed` is released
+    each time the server closes a connection."""
+
+    def __init__(self, answer, *, drop_idle: bool = False,
+                 tls: tuple[str, str] | None = None):
+        super().__init__(("127.0.0.1", 0), _ModelHandler)
+        self.answer = answer
+        self.drop_idle = drop_idle
+        self.lock = threading.Lock()
+        self.connections = self.requests = self.calls = 0
+        self.closed = threading.Semaphore(0)
+        self.base = f"http://127.0.0.1:{self.server_port}"
+        if tls is not None:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(*tls)
+            self.socket = context.wrap_socket(self.socket, server_side=True)
+            self.base = f"https://127.0.0.1:{self.server_port}"
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+    def handle_error(self, request, client_address):
+        pass  # an answer that raises only drops its connection
+
+
+@contextmanager
+def _model_server(monkeypatch, answer, **options):
+    _clear_environment(monkeypatch)
+    with _running(_ModelServer(answer, **options)) as httpd:
+        yield httpd
+
+
+def _echo(request) -> str:
+    return request.user_content
 
 
 @pytest.fixture
@@ -125,13 +231,13 @@ def _wire(payload: dict) -> bytes:
     return json.dumps(payload, allow_nan=False).encode("utf-8")
 
 
-def _gateway(server, channel: str) -> Gateway:
+def _gateway(server, channel: str, sleep=lambda _s: None) -> Gateway:
     base = server.base
     if channel == "cloud":
         config, phase = ProfileConfig(KIND_CLOUD_HTTP, f"{base}/v1/", "big-planner"), PHASE_CLOUD
     else:
         config, phase = ProfileConfig(KIND_LOCAL_HTTP, f"{base}/", "small-extractor"), PHASE_LOCAL
-    return Gateway(config.to_profile(channel), phase, sleep=lambda _s: None)
+    return Gateway(config.to_profile(channel), phase, sleep=sleep)
 
 
 def _reply(channel: str, text: str, *, length: bool = False) -> dict:
@@ -274,3 +380,226 @@ def test_http_backends_need_no_requests_package(server):
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["planned", "extracted"]
     assert [path for path, _headers, _body in server.seen] == ["/chat/completions", "/api/chat"]
+
+
+CHAT_ONCE = ("import sys\n"
+             "from orchkit.config import ProfileConfig\n"
+             "from orchkit.gateway import Gateway\n"
+             "kind, phase, endpoint = sys.argv[1:]\n"
+             "profile = ProfileConfig(kind, endpoint, 'm').to_profile(phase)\n"
+             "print(Gateway(profile, phase, sleep=lambda _s: None).chat('sys', 'doc').raw_text)\n")
+
+# Nothing listens here, so only a proxy can answer a call to this origin.
+NOWHERE = "127.0.0.1:9"
+
+
+def _chat_in_child(channel: str, endpoint: str, **env: str) -> subprocess.CompletedProcess:
+    """One chat call in a fresh interpreter, whose HTTP client reads the
+    proxy variables in `env` and no others."""
+    kind = KIND_CLOUD_HTTP if channel == "cloud" else KIND_LOCAL_HTTP
+    return subprocess.run([sys.executable, "-c", CHAT_ONCE, kind, channel, endpoint],
+                          env={**os.environ, "PYTHONPATH": str(SRC), **env},
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_http_proxy_receives_the_absolute_uri(server):
+    server.reply = (200, _reply("local", "proxied"))
+    done = _chat_in_child("local", f"http://{NOWHERE}/", HTTP_PROXY=server.base)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["proxied"]
+    [(path, headers, body)] = server.seen
+    assert path == f"http://{NOWHERE}/api/chat"
+    assert "Proxy-Authorization" not in headers
+    assert json.loads(body)["model"] == "m"
+
+
+def test_no_proxy_naming_the_host_bypasses_the_proxy(server, monkeypatch):
+    server.reply = (200, _reply("local", "direct"))
+    with _serving(monkeypatch) as proxy:
+        done = _chat_in_child("local", f"{server.base}/", HTTP_PROXY=proxy.base,
+                              NO_PROXY="127.0.0.1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["direct"]
+    assert proxy.seen == []
+    assert [path for path, _headers, _body in server.seen] == ["/api/chat"]
+
+
+def test_proxy_credentials_become_proxy_authorization(server):
+    server.reply = (200, _reply("local", "proxied"))
+    proxy = server.base.replace("http://", "http://us%65r:p%40ss@")
+    done = _chat_in_child("local", f"http://{NOWHERE}/", HTTP_PROXY=proxy)
+    assert done.returncode == 0, done.stderr
+    [(path, headers, _body)] = server.seen
+    assert path == f"http://{NOWHERE}/api/chat"
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(
+        b"user:p@ss").decode("ascii")
+
+
+def test_https_goes_through_a_connect_tunnel_carrying_the_credentials(monkeypatch):
+    with _serving(monkeypatch, handler=_TunnelRefused) as proxy:
+        done = _chat_in_child("cloud", f"https://{NOWHERE}/v1",
+                              HTTPS_PROXY=proxy.base.replace("http://", "http://user:pw@"))
+    assert done.returncode != 0
+    assert "TransportError" in done.stderr and "407" in done.stderr
+    credentials = "Basic " + base64.b64encode(b"user:pw").decode("ascii")
+    assert [(path, headers["Proxy-Authorization"]) for path, headers, _body in proxy.seen] == [
+        (NOWHERE, credentials)] * RETRY_ATTEMPTS
+
+
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+def test_sequential_calls_share_one_connection(monkeypatch, channel):
+    with _model_server(monkeypatch, _echo) as server, _gateway(server, channel) as gateway:
+        replies = [gateway.chat("sys", f"doc {i}").raw_text for i in range(5)]
+    assert replies == [f"doc {i}" for i in range(5)]
+    assert (server.calls, server.connections) == (5, 1)
+
+
+def test_tls_calls_share_one_connection(monkeypatch, self_signed):
+    with _model_server(monkeypatch, _echo, tls=self_signed) as server:
+        monkeypatch.setenv("SSL_CERT_FILE", self_signed[0])
+        with _gateway(server, "cloud") as gateway:
+            replies = [gateway.chat("sys", f"doc {i}").raw_text for i in range(5)]
+    assert replies == [f"doc {i}" for i in range(5)]
+    assert (server.calls, server.connections) == (5, 1)
+
+
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+def test_an_idle_connection_the_server_dropped_is_resent_at_once(monkeypatch, channel):
+    # The server advertises keep-alive, then closes each connection after
+    # its reply: every later call finds its idle connection dead.
+    sleeps = []
+    with (_model_server(monkeypatch, _echo, drop_idle=True) as server,
+          _gateway(server, channel, sleeps.append) as gateway):
+        for i in range(5):
+            response = gateway.chat("sys", f"doc {i}")
+            assert (response.raw_text, response.retries) == (f"doc {i}", 0)
+            assert server.closed.acquire(timeout=10), "the server kept the connection"
+    assert sleeps == []
+    assert (server.calls, server.connections) == (5, 5)
+
+
+def test_a_fresh_connection_that_fails_is_retried_by_the_policy(monkeypatch):
+    dropped = []
+
+    def drop_first(request):
+        if not dropped:
+            dropped.append(request)
+            raise ConnectionAbortedError("dropped without a reply")
+        return request.user_content
+
+    sleeps = []
+    with (_model_server(monkeypatch, drop_first) as server,
+          _gateway(server, "local", sleeps.append) as gateway):
+        response = gateway.chat("sys", "doc")
+    assert (response.raw_text, response.retries) == ("doc", 1)
+    assert len(sleeps) == 1
+    assert (server.requests, server.calls, server.connections) == (2, 1, 2)
+
+
+def test_threads_hold_at_most_one_connection_each_under_switch_stress(monkeypatch):
+    threads, calls = 16, 25
+    replies: dict[int, list[tuple[str, str]]] = {t: [] for t in range(threads)}
+
+    def worker(t: int, gateway: Gateway) -> None:
+        for c in range(calls):
+            text = f"thread {t} call {c}"
+            replies[t].append((text, gateway.chat("sys", text).raw_text))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave threads as often as possible
+    try:
+        with _model_server(monkeypatch, _echo) as server, _gateway(server, "local") as gateway:
+            workers = [threading.Thread(target=worker, args=(t, gateway))
+                       for t in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    for t in range(threads):
+        assert [sent for sent, _got in replies[t]] == [f"thread {t} call {c}"
+                                                       for c in range(calls)]
+        assert all(sent == got for sent, got in replies[t])
+    assert server.calls == threads * calls
+    assert server.connections <= threads
+
+
+def _write_config(path: Path, **settings) -> Path:
+    path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()),
+                    encoding="utf-8")
+    return path
+
+
+def test_infer_opens_at_most_one_connection_per_call_in_flight(tmp_path, monkeypatch):
+    # workers x rounds x subtasks = 1 x 3 x 2 calls in flight, over 4 x 3 x 2 calls.
+    save_plan(refined_plan(), tmp_path / "refined.json")
+    with (tmp_path / "docs.jsonl").open("w", encoding="utf-8") as fh:
+        for doc in fixture_documents()[:4]:
+            fh.write(json.dumps({"id": doc.id, "body": doc.body}) + "\n")
+    with _model_server(monkeypatch, fake_local_extractor) as server:
+        config = _write_config(tmp_path / "orch.cfg", **{
+            "cloud.kind": "scripted", "cloud.session": "unused.jsonl",
+            "local.kind": "local_http", "local.endpoint": server.base,
+            "local.model": "small-extractor", "rounds": 3, "workers": 1, "threshold": 0.8})
+        assert main(["pack", "--plan", str(tmp_path / "refined.json"), "--out",
+                     str(tmp_path / "artifact.orchb"), "--config", str(config),
+                     "--deterministic"]) == 0
+        assert main(["infer", "--bundle", str(tmp_path / "artifact.orchb"), "--docs",
+                     str(tmp_path / "docs.jsonl"), "--out", str(tmp_path / "preds.jsonl"),
+                     "--config", str(config), "--deterministic"]) == 0
+    assert len((tmp_path / "preds.jsonl").read_text(encoding="utf-8").splitlines()) == 4
+    assert server.calls == 4 * 3 * 2
+    assert server.connections <= 1 * 3 * 2
+
+
+def _refined_only(request) -> str:
+    """The fixture's extractor, guessing `unknown` under the draft spread
+    prompt, so `validate` asks the cloud for one rewrite."""
+    if "Distant spread" in request.system_prompt and "improved" not in request.system_prompt:
+        return json.dumps({"reasoning": "no idea",
+                           "values": {"distant_metastasis": "unknown"}})
+    return fake_local_extractor(request)
+
+
+RUN_COMMANDS = ("import json, sys\n"
+                "from orchkit import cli\n"
+                "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))\n")
+
+
+def test_no_socket_outlives_its_command(tmp_path, monkeypatch):
+    ws = build_e2e_workspace(tmp_path / "ws")
+    out = tmp_path / "out"
+    out.mkdir()
+    with (_model_server(monkeypatch, e2e_cloud_handler) as cloud,
+          _model_server(monkeypatch, _refined_only) as local):
+        channels = {"local.kind": "local_http", "local.endpoint": local.base,
+                    "local.model": "small-extractor", "rounds": 3, "threshold": 0.8,
+                    "synthetic_cases_per_subtask": 3}
+        connected = _write_config(tmp_path / "connected.cfg", **{
+            "cloud.kind": "cloud_http", "cloud.endpoint": f"{cloud.base}/v1",
+            "cloud.model": "big-planner", **channels})
+        isolated = _write_config(tmp_path / "isolated.cfg", **{
+            "cloud.kind": "scripted", "cloud.session": "unused.jsonl", **channels})
+        commands = [
+            ["plan", "--task", str(ws["task"]), "--guideline", str(ws["guideline"]),
+             "--prefs", str(ws["prefs"]), "--out", str(out / "plan.json"),
+             "--config", str(connected), "--deterministic"],
+            ["validate", "--plan", str(out / "plan.json"), "--out", str(out / "validated.json"),
+             "--config", str(connected)],
+            ["pack", "--plan", str(out / "validated.json"), "--out", str(out / "a.orchb"),
+             "--config", str(isolated), "--deterministic"],
+            ["infer", "--bundle", str(out / "a.orchb"), "--docs", str(ws["docs"]),
+             "--out", str(out / "preds.jsonl"), "--config", str(isolated), "--deterministic"],
+        ]
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                               "-c", RUN_COMMANDS, json.dumps(commands)],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, 0, 0, 0]
+    assert "ResourceWarning" not in done.stderr
+    assert "distant_spread: refined at revision 1" in done.stdout
+    assert cloud.calls == 4  # decompose, two synthetic sets, one rewrite
+    assert cloud.connections < cloud.calls and local.connections < local.calls

@@ -41,11 +41,17 @@ class LocalModel:
     """The fixture's perfect extractor, with `distant_metastasis` flipped in
     a seeded request whose seed is in `flip_on`, and on the sightings of an
     unseeded request listed there. Counts each request's sightings, the calls
-    in flight and their peak."""
+    in flight and their peak.
 
-    def __init__(self, *, flip_on=(), delay: float = 0.0):
+    With `together`, calls are held at a barrier until that many are in
+    flight at once, so the peak does not depend on the host's speed: a pool
+    narrower than `together` breaks the barrier, and a wider one shows in
+    the peak."""
+
+    def __init__(self, *, flip_on=(), delay: float = 0.0, together: int = 0):
         self.flip_on = frozenset(flip_on)
         self.delay = delay
+        self.barrier = threading.Barrier(together, timeout=5) if together else None
         self.seen: Counter = Counter()
         self.inflight = 0
         self.peak = 0
@@ -59,6 +65,8 @@ class LocalModel:
             self.inflight += 1
             self.peak = max(self.peak, self.inflight)
         try:
+            if self.barrier is not None:
+                self.barrier.wait()
             time.sleep(self.delay)
             values = json.loads(fake_local_extractor(request))["values"]
             flip = n if request.seed is None else request.seed
@@ -360,11 +368,12 @@ def test_lane_failing_after_width_lanes_run_starts_no_later_lane(width, recordin
     assert len(recording_pool.submitted) == width
 
 
-def revalidation_peak(monkeypatch, ws) -> int:
-    """Calls in flight at `infer --revalidate` over a packed bundle. Every
-    spread case fails on its first sighting, so revalidation stops the run
-    before any document is read and the peak is revalidation's alone."""
-    model = LocalModel(flip_on=(1,), delay=0.05)
+def revalidation_peak(monkeypatch, ws, together: int) -> int:
+    """Calls in flight at `infer --revalidate` over a packed bundle, held
+    until `together` are in flight. Every spread case fails on its first
+    sighting, so revalidation stops the run before any document is read and
+    the peak is revalidation's alone."""
+    model = LocalModel(flip_on=(1,), together=together)
     scripted_channels(monkeypatch, model)
     assert infer(ws, "--revalidate") == 5
     assert not (ws / "preds.jsonl").exists()
@@ -375,12 +384,12 @@ def test_validate_and_revalidate_run_subtasks_at_once(tmp_path, monkeypatch):
     # Both subtasks' 12 cases are lanes of one pool, workers x rounds x subtasks
     # = 6 wide; lanes start in check order, so six cases are in flight at once.
     ws = write_inputs(tmp_path / "ws", cases=6, workers=1)
-    model = LocalModel(delay=0.05)
+    model = LocalModel(together=2 * 3)
     scripted_channels(monkeypatch, model)
     assert validate(ws) == 0
     assert model.peak == 2 * 3
     assert pack(ws, "refined.json") == 0
-    assert revalidation_peak(monkeypatch, ws) == 2 * 3
+    assert revalidation_peak(monkeypatch, ws, 2 * 3) == 2 * 3
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
@@ -388,22 +397,25 @@ def test_calls_in_flight_stay_within_workers_times_subtasks(tmp_path, monkeypatc
                                                             workers):
     # Each command has at most workers x rounds x subtasks calls in flight:
     # validation's cases (never more than both subtasks' 12) and infer's rounds.
+    # Calls are held until the expected number is in flight; the 12 cases and
+    # the 30 rounds of infer fill whole groups of it.
     ws = write_inputs(tmp_path / "ws", cases=6, workers=workers)
-    validating = LocalModel(delay=0.05)
+    expected = 2 * min(6, workers * 3)
+    validating = LocalModel(together=expected)
     scripted_channels(monkeypatch, validating)
     assert validate(ws) == 0
-    assert validating.peak == 2 * min(6, workers * 3)
+    assert validating.peak == expected
     assert pack(ws, "validated.json") == 0
-    assert revalidation_peak(monkeypatch, ws) == 2 * min(6, workers * 3)
-    inferring = LocalModel(delay=0.02)
+    assert revalidation_peak(monkeypatch, ws, expected) == expected
+    inferring = LocalModel(together=2 * 3)
     scripted_channels(monkeypatch, inferring)
     assert infer(ws, "--revalidate") == 0
-    assert 2 < inferring.peak <= workers * 2 * 3  # rounds run as lanes too
+    assert 2 * 3 <= inferring.peak <= workers * 2 * 3  # rounds run as lanes too
 
 
 def test_infer_issues_a_documents_rounds_at_once(tmp_path, monkeypatch):
     ws = write_inputs(tmp_path / "ws", workers=1)
-    model = LocalModel(delay=0.02)
+    model = LocalModel(together=2 * 3)
     scripted_channels(monkeypatch, model)
     assert pack(ws, "refined.json") == 0
     assert infer(ws) == 0
