@@ -39,7 +39,6 @@ from .model import (
 from .validator import CaseResult, ValidationReport
 
 FORMAT_VERSION = "1.0.0"
-BUNDLE_EXTENSION = ".orchb"
 _TRAILER_PREFIX = "#sha256:"
 _EPOCH = "1970-01-01T00:00:00Z"
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import os
 import re
+import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -135,6 +136,9 @@ def _apply(config: Config, key: str, value: str, lineno: int) -> None:
             profile.temperature = temperature
         elif attr == "context":
             setattr(profile, attr, _number(int, key, value, lineno))
+        elif attr == "endpoint" and not _is_http_url(value):
+            raise ValueError(f"config line {lineno}: {key} must be an http:// or https:// "
+                             f"URL, got {value!r}")
         else:
             setattr(profile, attr, value)
         return
@@ -147,6 +151,14 @@ def _apply(config: Config, key: str, value: str, lineno: int) -> None:
         config.templates_dir = value
     else:
         raise ValueError(f"config line {lineno}: unknown key {key!r}")
+
+
+def _is_http_url(value: str) -> bool:
+    try:
+        url = urllib.parse.urlsplit(value)
+        return url.scheme in ("http", "https") and bool(url.hostname)
+    except ValueError:  # an unbalanced IPv6 bracket
+        return False
 
 
 def _number(kind: type, key: str, value: str, lineno: int) -> int | float:

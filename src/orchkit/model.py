@@ -166,19 +166,10 @@ class FeatureSchema:
 
 
 def merge_schemas(schemas: Sequence[FeatureSchema]) -> FeatureSchema:
-    """Disjoint union of schemas; first declaration wins on collision.
-
-    A Plan refuses a field declared by two subtasks, so the schemas of a
-    plan's subtasks merge without one.
-    """
-    merged: list[FieldSpec] = []
-    seen: set[str] = set()
-    for schema in schemas:
-        for f in schema.fields:
-            if f.name not in seen:
-                seen.add(f.name)
-                merged.append(f)
-    return FeatureSchema(tuple(merged))
+    """Disjoint union of schemas; a field declared twice raises ValueError,
+    as in FeatureSchema. A Plan refuses a field declared by two subtasks, so
+    the schemas of a plan's subtasks always merge."""
+    return FeatureSchema(tuple(f for schema in schemas for f in schema.fields))
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,8 @@ def _schema_text(schema: FeatureSchema) -> str:
     return "\n".join(lines)
 
 
-class _Exchange:
+def _exchange(gateway: Gateway, templates: TemplateSet, system_prompt: str,
+              interpret: Callable[[str], object]):
     """One meta-prompt conversation with bounded repair round-trips.
 
     `interpret` runs through jsonio.decode, so a reply of the wrong shape
@@ -138,26 +139,19 @@ class _Exchange:
     mark parseable-but-invalid replies. The last reply's kind decides the
     message of the PlannerError raised when the repair budget runs out.
     """
-
-    def __init__(self, gateway: Gateway, templates: TemplateSet):
-        self.gateway = gateway
-        self.templates = templates
-
-    def run(self, system_prompt: str, interpret: Callable[[str], object]):
-        prompt = system_prompt
-        for _ in range(1 + DEFAULT_MAX_REPAIRS):
-            reply = self.gateway.chat(prompt, _REPLY_NUDGE)
-            try:
-                return decode(interpret, reply.raw_text, OutputParseError)
-            except OutputParseError as exc:
-                state, last_message = "unusable", str(exc)
-            except (ValueError, DslError) as exc:
-                state, last_message = "still invalid", str(exc)
-            suffix = render(self.templates.repair,
-                            {"error": last_message, "reply": reply.raw_text})
-            prompt = f"{system_prompt}\n\n{suffix}"
-        raise PlannerError(
-            f"reply {state} after {DEFAULT_MAX_REPAIRS} repair round-trips: {last_message}")
+    prompt = system_prompt
+    for _ in range(1 + DEFAULT_MAX_REPAIRS):
+        reply = gateway.chat(prompt, _REPLY_NUDGE)
+        try:
+            return decode(interpret, reply.raw_text, OutputParseError)
+        except OutputParseError as exc:
+            state, last_message = "unusable", str(exc)
+        except (ValueError, DslError) as exc:
+            state, last_message = "still invalid", str(exc)
+        suffix = render(templates.repair, {"error": last_message, "reply": reply.raw_text})
+        prompt = f"{system_prompt}\n\n{suffix}"
+    raise PlannerError(
+        f"reply {state} after {DEFAULT_MAX_REPAIRS} repair round-trips: {last_message}")
 
 
 def _interpret_plan_reply(raw: str, task: TaskSpec, provenance: Mapping[str, object]) -> Plan:
@@ -220,8 +214,8 @@ def decompose(task: TaskSpec, gateway: Gateway, *,
     }
     if clock is not None:
         provenance["created_at"] = clock()
-    return _Exchange(gateway, templates).run(
-        system, lambda raw: _interpret_plan_reply(raw, task, provenance))
+    return _exchange(gateway, templates, system,
+                     lambda raw: _interpret_plan_reply(raw, task, provenance))
 
 
 def _interpret_cases_reply(raw: str, subtask: Subtask, count: int) -> list[SyntheticCase]:
@@ -263,8 +257,8 @@ def generate_synthetic(subtask: Subtask, guideline: str, gateway: Gateway, *,
         "guideline": guideline,
         "count": str(count),
     })
-    exchange = _Exchange(gateway, templates)
-    cases = exchange.run(system, lambda raw: _interpret_cases_reply(raw, subtask, count))
+    cases = _exchange(gateway, templates, system,
+                      lambda raw: _interpret_cases_reply(raw, subtask, count))
 
     needed = max((len(f.legal_values()) for f in subtask.output_schema.fields), default=0)
     uncovered = _uncovered_values(subtask, cases)
@@ -278,8 +272,8 @@ def generate_synthetic(subtask: Subtask, guideline: str, gateway: Gateway, *,
                         f"{', '.join(uncovered)}. Produce a complete replacement set of "
                         f"{count} cases that covers them all.")
         try:
-            retry_cases = exchange.run(
-                retry_system, lambda raw: _interpret_cases_reply(raw, subtask, count))
+            retry_cases = _exchange(gateway, templates, retry_system,
+                                    lambda raw: _interpret_cases_reply(raw, subtask, count))
         except PlannerError:
             retry_cases = None
         if retry_cases is not None:
@@ -331,8 +325,7 @@ def refine_prompt(prompt: PromptSpec, failures: Sequence[tuple[SyntheticCase, Su
             raise OutputParseError('reply needs a non-empty "system_prompt"')
         return text
 
-    exchange = _Exchange(gateway, templates)
-    new_text = exchange.run(system, interpret)
+    new_text = _exchange(gateway, templates, system, interpret)
     contract = format_block(schema)
     if contract not in new_text:
         new_text = f"{new_text.strip()}\n\n{contract}"

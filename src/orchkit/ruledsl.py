@@ -100,11 +100,11 @@ class SynthesisLogic:
 _KEYWORDS = {"when", "default", "and", "or", "not", "in", "is_unknown", "true", "false"}
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
+    (?P<skip>\s+|\#[^\n]*)
   | (?P<op>==|!=|->|[;(){},])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"(?:\\.|[^"\\])*")
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
@@ -112,32 +112,7 @@ _TOKEN_RE = re.compile(r"""
 class _Token:
     kind: str  # op | ident | string | keyword | eof
     text: str
-    line: int
-    column: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise DslError(f"unexpected character {source[pos]!r}", line, col)
-        text = match.group(0)
-        kind = match.lastgroup or ""
-        if kind == "ident" and text in _KEYWORDS:
-            kind = "keyword"
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+    offset: int
 
 
 def _unquote(text: str) -> str:
@@ -160,163 +135,122 @@ class _Parser:
 
     def __init__(self, source: str, schema: FeatureSchema,
                  labels: Sequence[OutcomeLabel]):
-        self.tokens = _tokenize(source)
-        self.pos = 0
+        self.source = source
         self.schema = schema
         self.labels = {lbl.name.casefold(): lbl for lbl in labels}
+        self.tokens: list[_Token] = []
+        for match in _TOKEN_RE.finditer(source):
+            kind, text = match.lastgroup or "", match.group()
+            tok = _Token("keyword" if kind == "ident" and text in _KEYWORDS else kind,
+                         text, match.start())
+            if kind == "bad":
+                raise self.error(f"unexpected character {text!r}", tok)
+            if kind != "skip":
+                self.tokens.append(tok)
+        self.tokens.append(_Token("eof", "", len(source)))
+        self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, tok: _Token) -> DslError:
+        line = self.source.count("\n", 0, tok.offset) + 1
+        return DslError(message, line, tok.offset - self.source.rfind("\n", 0, tok.offset))
 
-    def next(self) -> _Token:
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos].text != text:
+            return False
+        self.pos += 1
+        return True
+
+    def take(self, what: str, kinds: tuple[str, ...] = (),
+             texts: tuple[str, ...] = ()) -> _Token:
+        """Consume the next token, which must be of one of `kinds` or spell
+        one of `texts`; else fail with "expected <what>"."""
         tok = self.tokens[self.pos]
         self.pos += 1
+        if tok.kind not in kinds and tok.text not in texts:
+            raise self.error(f"expected {what}, found {tok.text or 'end of input'!r}", tok)
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise DslError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                           tok.line, tok.column)
-        return tok
-
-    def parse_program(self, source: str) -> SynthesisLogic:
+    def parse_program(self) -> SynthesisLogic:
         rules: list[Rule] = []
         default: OutcomeLabel | None = None
-        while self.peek().kind != "eof":
-            tok = self.next()
-            if tok.text == "when":
-                condition = self.parse_condition()
-                self.expect("->")
+        while self.tokens[self.pos].kind != "eof":
+            tok = self.take("'when' or 'default'", texts=("when", "default"))
+            condition = self.parse_chain("or") if tok.text == "when" else None
+            self.take("'->'", texts=("->",))
+            if condition is not None:
                 rules.append(Rule(condition, self.parse_label()))
-            elif tok.text == "default":
-                self.expect("->")
-                if default is not None:
-                    raise DslError("duplicate default rule", tok.line, tok.column)
-                default = self.parse_label()
+            elif default is not None:
+                raise self.error("duplicate default rule", tok)
             else:
-                raise DslError(
-                    f"expected 'when' or 'default', found {tok.text or 'end of input'!r}",
-                    tok.line, tok.column)
-            if self.peek().text == ";":
-                self.next()
-            elif self.peek().kind != "eof":
-                nxt = self.peek()
-                raise DslError(f"expected ';' between statements, found {nxt.text!r}",
-                               nxt.line, nxt.column)
+                default = self.parse_label()
+            if self.tokens[self.pos].kind != "eof":
+                self.take("';' between statements", texts=(";",))
         if default is None:
             raise DslError("program has no default rule")
-        return SynthesisLogic(tuple(rules), default, self.schema, source)
+        return SynthesisLogic(tuple(rules), default, self.schema, self.source)
 
     def parse_label(self) -> OutcomeLabel:
-        tok = self.next()
-        if tok.kind == "string":
-            name = _unquote(tok.text)
-        elif tok.kind == "ident":
-            name = tok.text
-        else:
-            raise DslError(f"expected a label, found {tok.text or 'end of input'!r}",
-                           tok.line, tok.column)
+        tok = self.take("a label", kinds=("ident", "string"))
+        name = _unquote(tok.text) if tok.kind == "string" else tok.text
         label = self.labels.get(name.casefold())
         if label is None:
-            raise DslError(f"label {name!r} is not in the declared label set",
-                           tok.line, tok.column)
+            raise self.error(f"label {name!r} is not in the declared label set", tok)
         return label
 
-    def parse_condition(self) -> object:
-        parts = [self.parse_and()]
-        while self.peek().text == "or":
-            self.next()
-            parts.append(self.parse_and())
+    def parse_chain(self, op: str) -> object:
+        """`or` over `and` chains, `and` over terms. Nested nodes of the
+        chain's own kind are flattened so the AST is canonical however the
+        source was parenthesized; pretty() then round-trips."""
+        node, part = (Or, lambda: self.parse_chain("and")) if op == "or" else (And, self.parse_term)
+        parts = [part()]
+        while self.accept(op):
+            parts.append(part())
         if len(parts) == 1:
             return parts[0]
-        # Flatten associative nodes so the AST is canonical regardless of
-        # how the source was parenthesized; pretty() then round-trips.
-        flat: list[object] = []
-        for p in parts:
-            flat.extend(p.parts if isinstance(p, Or) else [p])
-        return Or(tuple(flat))
+        return node(tuple(q for p in parts for q in (p.parts if isinstance(p, node) else [p])))
 
-    def parse_and(self) -> object:
-        parts = [self.parse_not()]
-        while self.peek().text == "and":
-            self.next()
-            parts.append(self.parse_not())
-        if len(parts) == 1:
-            return parts[0]
-        flat: list[object] = []
-        for p in parts:
-            flat.extend(p.parts if isinstance(p, And) else [p])
-        return And(tuple(flat))
-
-    def parse_not(self) -> object:
-        if self.peek().text == "not":
-            self.next()
-            return Not(self.parse_not())
-        return self.parse_primary()
-
-    def parse_primary(self) -> object:
-        tok = self.peek()
-        if tok.text == "(":
-            self.next()
-            inner = self.parse_condition()
-            self.expect(")")
+    def parse_term(self) -> object:
+        if self.accept("not"):
+            return Not(self.parse_term())
+        if self.accept("("):
+            inner = self.parse_chain("or")
+            self.take("')'", texts=(")",))
             return inner
-        if tok.text == "is_unknown":
-            self.next()
-            self.expect("(")
-            field_tok = self.next()
-            field = self.check_field(field_tok)
-            self.expect(")")
+        if self.accept("is_unknown"):
+            self.take("'('", texts=("(",))
+            field = self.take_field()
+            self.take("')'", texts=(")",))
             return IsUnknown(field.name)
-        return self.parse_comparison()
+        field = self.take_field()
+        op = self.take("'==', '!=' or 'in'", texts=("==", "!=", "in")).text
+        if op != "in":
+            return (Eq if op == "==" else Ne)(field.name, self.parse_value(field))
+        self.take("'{'", texts=("{",))
+        values = [self.parse_value(field)]
+        while self.accept(","):
+            values.append(self.parse_value(field))
+        self.take("'}'", texts=("}",))
+        return In(field.name, tuple(values))
 
-    def parse_comparison(self) -> object:
-        field_tok = self.next()
-        field = self.check_field(field_tok)
-        op = self.next()
-        if op.text == "==":
-            return Eq(field.name, self.parse_value(field))
-        if op.text == "!=":
-            return Ne(field.name, self.parse_value(field))
-        if op.text == "in":
-            self.expect("{")
-            values = [self.parse_value(field)]
-            while self.peek().text == ",":
-                self.next()
-                values.append(self.parse_value(field))
-            self.expect("}")
-            return In(field.name, tuple(values))
-        raise DslError(f"expected '==', '!=' or 'in', found {op.text or 'end of input'!r}",
-                       op.line, op.column)
-
-    def check_field(self, tok: _Token):
-        if tok.kind != "ident":
-            raise DslError(f"expected a field name, found {tok.text or 'end of input'!r}",
-                           tok.line, tok.column)
+    def take_field(self):
+        tok = self.take("a field name", kinds=("ident",))
         spec = self.schema.get(tok.text)
         if spec is None:
-            raise DslError(f"unknown field {tok.text!r}", tok.line, tok.column)
+            raise self.error(f"unknown field {tok.text!r}", tok)
         return spec
 
     def parse_value(self, field) -> str:
-        tok = self.next()
-        if tok.kind == "string":
-            raw = _unquote(tok.text)
-        elif tok.kind == "ident" or tok.text in ("true", "false"):
-            raw = tok.text
-        else:
-            raise DslError(f"expected a value, found {tok.text or 'end of input'!r}",
-                           tok.line, tok.column)
+        tok = self.take("a value", kinds=("ident", "string"), texts=("true", "false"))
+        raw = _unquote(tok.text) if tok.kind == "string" else tok.text
         if raw.casefold() == UNKNOWN:
-            raise DslError(f"{UNKNOWN!r} cannot be compared directly; "
-                           f"use is_unknown({field.name})", tok.line, tok.column)
+            raise self.error(f"{UNKNOWN!r} cannot be compared directly; "
+                             f"use is_unknown({field.name})", tok)
         if field.kind == "text":
             return raw.strip().casefold()
         canonical = field.normalize_strict(raw)
         if canonical is None or canonical == UNKNOWN:
-            raise DslError(f"value {raw!r} is not legal for field {field.name!r} "
-                           f"of kind {field.kind}", tok.line, tok.column)
+            raise self.error(f"value {raw!r} is not legal for field {field.name!r} "
+                             f"of kind {field.kind}", tok)
         return canonical
 
 
@@ -328,7 +262,7 @@ def parse_logic(source: str, schemas: Sequence[FeatureSchema],
     given schemas; rule labels must come from `labels`, whose ordinals drive
     tie-breaking downstream.
     """
-    return _Parser(source, merge_schemas(schemas), labels).parse_program(source)
+    return _Parser(source, merge_schemas(schemas), labels).parse_program()
 
 
 # ---------------------------------------------------------------------------

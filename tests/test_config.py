@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from orchkit.bundle import pack, write_bundle
 from orchkit.cli import main
 from orchkit.config import Config, load_config, parse_config
+from orchkit.gateway import Gateway
+
+from conftest import refined_plan
 
 
 def test_defaults():
@@ -120,3 +124,37 @@ def test_temperature_outside_0_to_2_names_its_line(channel, value, tmp_path, cap
 def test_temperature_bounds_are_accepted():
     config = parse_config("local.temperature = 0\ncloud.temperature = 2\n")
     assert (config.local.temperature, config.cloud.temperature) == (0.0, 2.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("local.endpoint", "127.0.0.1:11434"),
+    ("local.endpoint", "localhost:11434"),
+    ("local.endpoint", "http://"),
+    ("local.endpoint", "http://[::1"),
+    ("cloud.endpoint", "ftp://api.example/v1"),
+])
+def test_endpoint_must_be_an_http_url(key, value):
+    with pytest.raises(ValueError) as info:
+        parse_config(f"rounds = 3\n{key} = {value}\n")
+    assert str(info.value) == (
+        f"config line 2: {key} must be an http:// or https:// URL, got {value!r}")
+
+
+def test_infer_refuses_an_endpoint_without_a_scheme_before_any_model_call(
+        tmp_path, monkeypatch, capsys):
+    path = tmp_path / "orch.cfg"
+    path.write_text("local.kind = local_http\nlocal.endpoint = 127.0.0.1:11434\n"
+                    "local.model = small-extractor\n", encoding="utf-8")
+    bundle_file = tmp_path / "a.orchb"
+    write_bundle(pack(refined_plan()), bundle_file)
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"id": "d1", "body": "one"}\n', encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(Gateway, "complete", lambda self, request: calls.append(request))
+    out = tmp_path / "preds.jsonl"
+    assert main(["infer", "--bundle", str(bundle_file), "--docs", str(docs),
+                 "--out", str(out), "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: config line 2: local.endpoint must be an http:// or https:// "
+        "URL, got '127.0.0.1:11434'\n")
+    assert calls == [] and not out.exists()

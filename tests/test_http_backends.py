@@ -8,10 +8,12 @@ import base64
 import json
 import os
 import shutil
+import socket
 import ssl
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
@@ -494,6 +496,31 @@ def test_a_fresh_connection_that_fails_is_retried_by_the_policy(monkeypatch):
     assert (response.raw_text, response.retries) == ("doc", 1)
     assert len(sleeps) == 1
     assert (server.requests, server.calls, server.connections) == (2, 1, 2)
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"),
+                    reason="the platform has no TCP_QUICKACK")
+def test_a_reply_written_in_two_sends_is_not_held_for_a_delayed_ack(monkeypatch):
+    # _ModelHandler writes the headers, then the body, with Nagle on, as
+    # http.server does at HTTP/1.1. On a reused connection the body then
+    # waits until the client acknowledges the headers: about 40 ms a call
+    # when the client delays its ACK.
+    elapsed = []
+
+    def calls(gateway: Gateway) -> None:
+        gateway.chat("sys", "warm-up")
+        started = time.perf_counter()
+        for i in range(20):
+            gateway.chat("sys", f"doc {i}")
+        elapsed.append(time.perf_counter() - started)
+
+    with _model_server(monkeypatch, _echo) as server, _gateway(server, "local") as gateway:
+        thread = threading.Thread(target=calls, args=(gateway,), daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert (server.calls, server.connections) == (21, 1)
+    assert elapsed[0] < 0.4
 
 
 def test_threads_hold_at_most_one_connection_each_under_switch_stress(monkeypatch):

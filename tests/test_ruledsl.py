@@ -55,6 +55,28 @@ def test_syntax_error_carries_position():
     assert err.value.line == 1 and err.value.column > 1
 
 
+COMMENTED = ("# staging rules\n"
+             "\n"
+             "  when distant_metastasis == present -> Metastatic;\n"
+             "default -> Resectable\n")
+
+
+@pytest.mark.parametrize("source,message,line,column", [
+    (COMMENTED.replace("distant_metastasis", "distant_metastases"),
+     "unknown field 'distant_metastases'", 3, 8),
+    (COMMENTED.replace("==", "="), "unexpected character '='", 3, 27),
+    (COMMENTED.replace(";", ""), "expected ';' between statements, found 'default'", 4, 1),
+    (COMMENTED.replace("-> Resectable\n", "->"), "expected a label, found 'end of input'", 4, 11),
+], ids=["unknown-field", "unexpected-character", "missing-semicolon", "end-of-input"])
+def test_error_positions_count_comment_blank_and_indented_lines(source, message, line,
+                                                                 column):
+    parse_logic(COMMENTED, [minimal_schema()], TWO_LABELS)
+    with pytest.raises(DslError) as err:
+        parse_logic(source, [minimal_schema()], TWO_LABELS)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 # Each case's id ends with the kind of failure it checks for.
 @pytest.mark.parametrize("source,fragment", [
     pytest.param(source, fragment, id=f"{source}-{kind}")
