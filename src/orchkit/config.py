@@ -156,8 +156,9 @@ def _apply(config: Config, key: str, value: str, lineno: int) -> None:
 def _is_http_url(value: str) -> bool:
     try:
         url = urllib.parse.urlsplit(value)
+        url.port  # raises ValueError unless the port, if any, is a number in 0-65535
         return url.scheme in ("http", "https") and bool(url.hostname)
-    except ValueError:  # an unbalanced IPv6 bracket
+    except ValueError:  # that, or an unbalanced IPv6 bracket
         return False
 
 

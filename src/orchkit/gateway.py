@@ -187,8 +187,6 @@ class ReplayBackend:
 
     def __init__(self, session_path: str | Path):
         self._path = Path(session_path)
-        if not self._path.exists():
-            raise TransportError(f"replay session not found: {self._path}")
         self._entries: dict[str, list[ChatResponse]] = {}
         seeds: set[bool] = set()  # whether each recorded request carries a seed
 

@@ -23,21 +23,15 @@ from .model import UNKNOWN, FeatureSchema, FeatureSet
 def extract_json_object(text: str) -> dict:
     """Pull the first JSON object out of a model reply.
 
-    Tolerates markdown fences and surrounding prose: after the whole reply,
-    each `{` in turn is tried as the start of an object. Raises
-    OutputParseError when no parseable object exists.
+    Tolerates markdown fences and surrounding prose: each `{` in turn is
+    tried as the start of an object. Raises OutputParseError when no
+    parseable object exists.
     """
     stripped = text.strip()
     if stripped.startswith("```"):
         lines = stripped.splitlines()
         body = [ln for ln in lines if not ln.strip().startswith("```")]
         stripped = "\n".join(body).strip()
-    try:
-        parsed = json.loads(stripped)
-        if isinstance(parsed, dict):
-            return parsed
-    except json.JSONDecodeError:
-        pass
     decoder = json.JSONDecoder()
     start = stripped.find("{")
     while start != -1:

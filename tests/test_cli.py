@@ -135,6 +135,22 @@ def test_plan_scripted_failure_is_exit_3(workspace, tmp_path):
     assert code == 3
 
 
+def test_plan_failing_validation_exits_3_and_writes_no_plan(workspace, tmp_path, capsys):
+    config = tmp_path / "strict.cfg"
+    config.write_text(workspace["config"].read_text(encoding="utf-8")
+                      + "min_synthetic_cases = 50\n", encoding="utf-8")
+    out = tmp_path / "plan.json"
+    capsys.readouterr()
+    assert run_cli("plan", "--task", str(workspace["task"]),
+                   "--guideline", str(workspace["guideline"]),
+                   "--prefs", str(workspace["prefs"]), "--out", str(out),
+                   "--config", str(config), "--deterministic") == 3
+    err = capsys.readouterr().err
+    assert ("planned artifact failed validation: subtask 'distant_spread' has 3 synthetic "
+            "cases, minimum is 50") in err
+    assert not out.exists()
+
+
 MALFORMED_FIELDS = {
     "fields a string": "oops",
     "field without kind": [{"name": "distant_metastasis", "values": ["present", "absent"]}],
@@ -648,6 +664,22 @@ def test_infer_over_session_recorded_before_seeds_exit_4(workspace, tmp_path, ca
     assert f"replay session {old_session} records no seeded request" in err
     assert "recorded before per-round seeds must be re-recorded" in err
     assert not (tmp_path / "p.jsonl").exists()
+
+
+def test_infer_with_a_missing_replay_session_exits_2_naming_it(workspace, tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    config = tmp_path / "missing.cfg"
+    config.write_text(workspace["config"].read_text(encoding="utf-8").replace(
+        str(workspace["local_session"]), str(missing)), encoding="utf-8")
+    bundle_file = tmp_path / "a.orchb"
+    write_bundle(pack(refined_plan()), bundle_file)
+    out = tmp_path / "p.jsonl"
+    capsys.readouterr()
+    assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
+                   "--out", str(out), "--config", str(config)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+    assert not out.exists()
 
 
 def test_evaluate_missing_id_exit_2(workspace, tmp_path):

@@ -132,6 +132,8 @@ def test_temperature_bounds_are_accepted():
     ("local.endpoint", "http://"),
     ("local.endpoint", "http://[::1"),
     ("cloud.endpoint", "ftp://api.example/v1"),
+    ("local.endpoint", "http://127.0.0.1:abc"),
+    ("local.endpoint", "http://127.0.0.1:99999"),
 ])
 def test_endpoint_must_be_an_http_url(key, value):
     with pytest.raises(ValueError) as info:

@@ -282,6 +282,9 @@ def test_run_document_tie_flag_and_upward_resolution():
     pred = run_document(gw, plan, fixture_documents()[3], rounds=4)
     assert pred.tie is True
     assert pred.final.name == "Metastatic"  # tie resolves to the higher stage
+    tally = Tally()
+    assert list(tally.counted([pred])) == [pred]
+    assert summarize(tally, plan.labels, rounds=4)["ties"] == 1
 
 
 class RoundWobble:

@@ -252,5 +252,5 @@ def test_replay_names_a_session_recorded_before_seeds(tmp_path):
 
 
 def test_record_and_replay_requires_existing_session(tmp_path):
-    with pytest.raises(TransportError, match="not found"):
+    with pytest.raises(FileNotFoundError):
         Gateway(BackendProfile.scripted(session=str(tmp_path / "missing.jsonl")), PHASE_CLOUD)

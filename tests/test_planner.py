@@ -256,6 +256,45 @@ def test_generate_synthetic_coverage_gap_warns_after_retry(task):
     assert len(cases) == 10
 
 
+def _vessel_gateway(first: str, retry: str) -> Gateway:
+    """A cloud model that answers `retry` to the coverage re-prompt (and its
+    repairs) and `first` to everything else."""
+    def cloud(request):
+        return retry if "left these values uncovered" in request.system_prompt else first
+
+    return Gateway(BackendProfile.scripted(ScriptedBackend(cloud)), PHASE_CLOUD,
+                   sleep=lambda _s: None)
+
+
+def _vessel_cases_reply(smv_values) -> str:
+    cases = [{"input": f"synthetic report {i}",
+              "expected": {"smv_contact": smv_values[i % len(smv_values)],
+                           "celiac_contact": ("true", "false")[i % 2]}}
+             for i in range(10)]
+    return json.dumps({"cases": cases})
+
+
+def test_generate_synthetic_keeps_a_retry_that_covers_more(task):
+    gateway = _vessel_gateway(_vessel_cases_reply(("none",)),
+                              _vessel_cases_reply(("none", "abutment")))
+    with pytest.warns(CoverageIncompleteWarning) as caught:
+        cases = generate_synthetic(golden_subtasks()[1], task.guideline, gateway, count=10)
+    assert [str(w.message) for w in caught] == [
+        "subtask 'vessel_involvement': values still uncovered after retry: "
+        "smv_contact=encasement"]
+    assert {c.expected.get("smv_contact") for c in cases} == {"none", "abutment"}
+
+
+def test_generate_synthetic_keeps_the_first_set_when_the_retry_fails(task):
+    gateway = _vessel_gateway(_vessel_cases_reply(("none",)), "no json here")
+    with pytest.warns(CoverageIncompleteWarning) as caught:
+        cases = generate_synthetic(golden_subtasks()[1], task.guideline, gateway, count=10)
+    assert [str(w.message) for w in caught] == [
+        "subtask 'vessel_involvement': values still uncovered after retry: "
+        "smv_contact=abutment, smv_contact=encasement"]
+    assert {c.expected.get("smv_contact") for c in cases} == {"none"}
+
+
 def test_generate_synthetic_malformed_everywhere(task):
     spread = golden_subtasks()[0]
     harness = Harness("", always_bad="no json here")

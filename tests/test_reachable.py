@@ -59,3 +59,10 @@ def test_every_public_name_is_reached_by_the_program():
             if used[node.name] - _uses(node)[node.name] <= 0:
                 unreached.append(f"{path.stem}.{qualname}")
     assert unreached == [], f"public names no program path reaches: {unreached}"
+
+
+def test_the_package_root_is_its_docstring_only():
+    """Each name has one import path, its module: the package root binds nothing."""
+    module = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(module)
+    assert len(module.body) == 1, "src/orchkit/__init__.py must bind nothing"
