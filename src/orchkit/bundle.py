@@ -26,6 +26,7 @@ from .errors import BundleError, DslError
 from .gateway import DEFAULT_CONTEXT, DEFAULT_TEMPERATURE, PHASE_LOCAL
 from .jsonio import canonical_json, decode, digest, read_json, sha256_text, write_json
 from .model import (
+    CaseResult,
     FeatureSchema,
     FeatureSet,
     OutcomeLabel,
@@ -34,9 +35,9 @@ from .model import (
     Subtask,
     SubtaskRun,
     SyntheticCase,
+    ValidationReport,
     validate_plan,
 )
-from .validator import CaseResult, ValidationReport
 
 FORMAT_VERSION = "1.0.0"
 _TRAILER_PREFIX = "#sha256:"
@@ -110,7 +111,7 @@ def _prompt_to_dict(prompt: PromptSpec) -> dict:
             "system_prompt": prompt.system_prompt,
             "revision": prompt.revision,
             "status": prompt.status,
-            "report": _report_to_dict(report) if isinstance(report, ValidationReport) else None}
+            "report": None if report is None else _report_to_dict(report)}
 
 
 def _prompt_from_dict(data: Mapping) -> PromptSpec:

@@ -31,11 +31,8 @@ import argparse
 import sys
 import threading
 from dataclasses import fields
-from datetime import datetime, timezone
 from pathlib import Path
 
-from . import bundle as bundlemod
-from . import evalkit, executor, planner, validator
 from .config import Config, load_config
 from .errors import OrchError, PhaseViolationError, PlannerError
 from .gateway import (
@@ -48,7 +45,6 @@ from .gateway import (
 )
 from .jsonio import read_json, read_text, write_json
 from .model import TaskSpec, UserPrefs, validate_plan
-from .planner import TemplateSet
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -61,6 +57,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def _now_iso() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -78,15 +76,16 @@ def _load_prefs(path: Path, config: Config) -> UserPrefs:
     return read_json(path, build)
 
 
-def _templates(config: Config) -> TemplateSet:
-    return TemplateSet.load(config.templates_dir)
-
-
 # ---------------------------------------------------------------------------
 # Commands
+#
+# Each command imports the modules it runs, so a process loads only those.
 # ---------------------------------------------------------------------------
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from . import bundle as bundlemod
+    from . import planner
+
     config = load_config(args.config)
     task = TaskSpec(
         task_description=read_text(args.task),
@@ -94,7 +93,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         preferences=_load_prefs(Path(args.prefs), config))
     clock = None if args.deterministic else _now_iso
     with Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD) as gateway:
-        plan = planner.build_plan(task, gateway, templates=_templates(config), clock=clock)
+        plan = planner.build_plan(task, gateway,
+                                  templates=planner.TemplateSet.load(config.templates_dir),
+                                  clock=clock)
     violations = validate_plan(plan, min_cases=config.min_synthetic_cases)
     if violations:
         raise PlannerError("planned artifact failed validation: " + "; ".join(violations))
@@ -105,13 +106,16 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import bundle as bundlemod
+    from . import planner, validator
+
     config = load_config(args.config)
     plan = bundlemod.load_plan(args.plan)
     violations = validate_plan(plan, min_cases=config.min_synthetic_cases)
     if violations:
         raise ValueError(f"{args.plan}: " + "; ".join(violations))
     local_gateway = Gateway(config.local.to_profile("local"), PHASE_LOCAL)
-    templates = _templates(config)
+    templates = planner.TemplateSet.load(config.templates_dir)
     max_iters = args.max_iters if args.max_iters is not None else config.max_iters
 
     cloud_gateway: list[Gateway] = []  # built lazily: only refinement needs it
@@ -152,6 +156,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
+    from . import bundle as bundlemod
+
     config = load_config(args.config)
     plan = bundlemod.load_plan(args.plan)
     local = config.local
@@ -173,6 +179,8 @@ def cmd_pack(args: argparse.Namespace) -> int:
 
 
 def cmd_unpack(args: argparse.Namespace) -> int:
+    from . import bundle as bundlemod
+
     artifact = bundlemod.read_bundle(args.bundle)
     bundlemod.save_plan(artifact.to_plan(), args.out)
     print(f"bundle {args.bundle} verified (format {artifact.format_version}); "
@@ -181,6 +189,9 @@ def cmd_unpack(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    from . import bundle as bundlemod
+    from . import executor
+
     config = load_config(args.config)
 
     # Privacy guard comes before anything else is even read.
@@ -201,6 +212,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
     rounds = args.rounds if args.rounds is not None else runtime.rounds
     with Gateway(config.local.to_profile("local"), PHASE_LOCAL) as gateway:
         if args.revalidate:
+            from . import validator
+
             checked = [s for s in plan.subtasks if plan.synthetic_sets.get(s.id)]
             reports = validator.validate_prompt(
                 [(s, plan.prompt_for(s.id), plan.synthetic_sets[s.id]) for s in checked],
@@ -232,6 +245,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _label_order(summary: dict) -> list[str]:
+    from . import evalkit
+
     labels = summary["label_order"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("an infer summary's label_order must be a list of strings")
@@ -240,11 +255,15 @@ def _label_order(summary: dict) -> list[str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import evalkit
+
     pred = evalkit.load_labeled(args.pred, source="system")
     gt = evalkit.load_labeled(args.gt, source="gt")
     labels = None
     if args.labels:
         labels = [x.strip() for x in args.labels.split(",") if x.strip()]
+        if not labels:
+            raise ValueError("evaluate: --labels names no label")
     elif args.labels_from_summary:
         labels = read_json(args.labels_from_summary, _label_order)
     report = evalkit.evaluate_report(pred, gt, labels)

@@ -16,8 +16,12 @@ import functools
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from .errors import DslError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 UNKNOWN = "unknown"
 
@@ -323,7 +327,7 @@ class PromptSpec:
     system_prompt: str
     revision: int = 0
     status: str = "draft"
-    report: object | None = None  # ValidationReport; duck-typed to avoid a cycle
+    report: ValidationReport | None = None
 
     def __post_init__(self):
         _nonempty_text(self.subtask_id, "PromptSpec.subtask_id")
@@ -334,7 +338,7 @@ class PromptSpec:
         if self.status == "refined":
             _require(self.report is not None, "PromptSpec.report",
                      "refined prompt requires an attached validation report")
-            _require(getattr(self.report, "verdict", None) == "passed",
+            _require(self.report.verdict == "passed",
                      "PromptSpec.report", "refined prompt requires a passing report")
 
     @classmethod
@@ -346,11 +350,11 @@ class PromptSpec:
         return PromptSpec(subtask_id=self.subtask_id, system_prompt=system_prompt,
                           revision=self.revision + 1, status="draft")
 
-    def refined(self, report: object) -> "PromptSpec":
+    def refined(self, report: ValidationReport) -> "PromptSpec":
         return PromptSpec(subtask_id=self.subtask_id, system_prompt=self.system_prompt,
                           revision=self.revision, status="refined", report=report)
 
-    def failed(self, report: object) -> "PromptSpec":
+    def failed(self, report: ValidationReport) -> "PromptSpec":
         return PromptSpec(subtask_id=self.subtask_id, system_prompt=self.system_prompt,
                           revision=self.revision, status="failed", report=report)
 
@@ -384,6 +388,41 @@ class SubtaskRun:
         _nonempty_text(self.subtask_id, "SubtaskRun.subtask_id")
         _require(self.parse_status in PARSE_STATUSES, "SubtaskRun.parse_status",
                  f"must be one of {PARSE_STATUSES}, got {self.parse_status!r}")
+
+
+@dataclass(frozen=True)
+class CaseResult:
+    """One synthetic case scored against the run its prompt produced."""
+
+    case_index: int
+    case: SyntheticCase
+    run: SubtaskRun
+    passed: bool
+    reason: str = ""
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """One prompt revision's validation run over its synthetic set."""
+
+    subtask_id: str
+    revision: int
+    results: tuple[CaseResult, ...]
+    passes: int
+    total: int
+    verdict: str  # passed | refine
+
+    @property
+    def pass_rate(self) -> float:
+        return self.passes / self.total if self.total else 0.0
+
+    def exact_rate(self) -> Fraction:
+        from fractions import Fraction  # late import: only the refinement loop ranks reports
+
+        return Fraction(self.passes, self.total) if self.total else Fraction(0)
+
+    def failures(self) -> list[tuple[SyntheticCase, SubtaskRun]]:
+        return [(r.case, r.run) for r in self.results if not r.passed]
 
 
 @dataclass(frozen=True)

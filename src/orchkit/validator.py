@@ -29,7 +29,15 @@ from itertools import islice
 from .errors import ModelCallError, OutputParseError
 from .executor import iter_lanes
 from .gateway import Gateway
-from .model import FeatureSet, PromptSpec, Subtask, SubtaskRun, SyntheticCase
+from .model import (
+    CaseResult,
+    FeatureSet,
+    PromptSpec,
+    Subtask,
+    SubtaskRun,
+    SyntheticCase,
+    ValidationReport,
+)
 from .parsing import parse_subtask_output
 
 DEFAULT_THRESHOLD = 0.80
@@ -41,35 +49,6 @@ VALIDATION_DOC_ID = "synthetic-validation"
 def _as_fraction(threshold: float | str | Fraction) -> Fraction:
     # str() first so 0.8 means the decimal 8/10, not its binary float.
     return threshold if isinstance(threshold, Fraction) else Fraction(str(threshold))
-
-
-@dataclass(frozen=True)
-class CaseResult:
-    case_index: int
-    case: SyntheticCase
-    run: SubtaskRun
-    passed: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    subtask_id: str
-    revision: int
-    results: tuple[CaseResult, ...]
-    passes: int
-    total: int
-    verdict: str  # passed | refine
-
-    @property
-    def pass_rate(self) -> float:
-        return self.passes / self.total if self.total else 0.0
-
-    def exact_rate(self) -> Fraction:
-        return Fraction(self.passes, self.total) if self.total else Fraction(0)
-
-    def failures(self) -> list[tuple[SyntheticCase, SubtaskRun]]:
-        return [(r.case, r.run) for r in self.results if not r.passed]
 
 
 def _run_case(gateway: Gateway, prompt: PromptSpec, subtask: Subtask,

@@ -149,8 +149,7 @@ def golden_task() -> TaskSpec:
 
 def refined_plan(per_subtask_cases: int = 3) -> Plan:
     """Golden plan with every prompt refined via a hand-built passing report."""
-    from orchkit.model import SubtaskRun
-    from orchkit.validator import CaseResult, ValidationReport
+    from orchkit.model import CaseResult, SubtaskRun, ValidationReport
 
     base = golden_plan(per_subtask_cases)
     new_prompts = []

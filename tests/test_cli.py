@@ -896,3 +896,80 @@ def test_bad_input_is_one_error_line_before_any_model_call(workspace, tmp_path, 
     assert ("--rounds" if name is None else str(bad)) in err[0]
     assert calls == []
     assert not out.exists()
+
+
+UTC_STAMP = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
+
+
+def test_plan_pack_and_infer_without_deterministic_stamp_utc_times(workspace, tmp_path):
+    plan_file = tmp_path / "plan.json"
+    validated = tmp_path / "validated.json"
+    bundle_file = tmp_path / "a.orchb"
+    summary = tmp_path / "summary.json"
+    config = ["--config", str(workspace["config"])]
+    assert run_cli("plan", "--task", str(workspace["task"]),
+                   "--guideline", str(workspace["guideline"]),
+                   "--prefs", str(workspace["prefs"]), "--out", str(plan_file), *config) == 0
+    assert UTC_STAMP.match(load_plan(plan_file).provenance["created_at"])
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated), *config) == 0
+    assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file), *config) == 0
+    assert UTC_STAMP.match(read_bundle(bundle_file).created_at)
+    assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
+                   "--out", str(tmp_path / "p.jsonl"), "--summary", str(summary),
+                   *config) == 0
+    assert UTC_STAMP.match(json.loads(summary.read_text(encoding="utf-8"))["completed_at"])
+
+
+def _refusals(ws, tmp):
+    """Case -> (the input file it writes, that file's text, its command line,
+    the one error line it prints)."""
+    cfg, docs, gt = tmp / "orch.cfg", tmp / "docs.jsonl", tmp / "gt.csv"
+    plan_file, bundle_file = tmp / "plan.json", tmp / "a.orchb"
+    write_bundle(pack(refined_plan()), bundle_file)
+    plan_file.write_text(json.dumps({"format": "orchkit-plan/1",
+                                     "plan": plan_to_dict(refined_plan())}), encoding="utf-8")
+
+    def infer(config=ws["config"], documents=ws["docs"]):
+        return ["infer", "--bundle", str(bundle_file), "--docs", str(documents),
+                "--config", str(config)]
+
+    def evaluate(truth, *extra):
+        return ["evaluate", "--pred", str(ws["gt"]), "--gt", str(truth), *extra]
+
+    too_few = "synthetic cases, minimum is 50"
+    return {
+        "config line without '='": (
+            cfg, "rounds 5\n", infer(config=cfg),
+            f"{cfg}: config line 1: expected key = value, got 'rounds 5'"),
+        "local_http without an endpoint": (
+            cfg, "local.kind = local_http\nlocal.model = small-extractor\n", infer(config=cfg),
+            "config: local.endpoint required for local_http"),
+        "docs file with no document": (
+            docs, "", infer(documents=docs), f"no documents in {docs}"),
+        "ground-truth row with one field": (
+            gt, "id,label\nd1,Resectable\nb\n", evaluate(gt),
+            f"{gt}: row ['b'] needs id,label"),
+        "pack below min_synthetic_cases": (
+            cfg, ws["config"].read_text(encoding="utf-8") + "min_synthetic_cases = 50\n",
+            ["pack", "--plan", str(plan_file), "--config", str(cfg)],
+            f"subtask 'distant_spread' has 3 {too_few}; "
+            f"subtask 'vessel_involvement' has 3 {too_few}"),
+        "--labels naming no label": (
+            None, None, evaluate(ws["gt"], "--labels", " , "),
+            "evaluate: --labels names no label"),
+    }
+
+
+@pytest.mark.parametrize("case", ["config line without '='", "local_http without an endpoint",
+                                  "docs file with no document", "ground-truth row with one field",
+                                  "pack below min_synthetic_cases", "--labels naming no label"])
+def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_path, capsys,
+                                                                  case):
+    path, text, argv, message = _refusals(workspace, tmp_path)[case]
+    if path is not None:
+        path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
