@@ -69,7 +69,9 @@ def _case_from_dict(data: Mapping, subtask_id: str) -> SyntheticCase:
                          expected=FeatureSet(data["expected"]))
 
 
-def _report_to_dict(report: ValidationReport) -> dict:
+def report_to_dict(report: ValidationReport) -> dict:
+    """A validation run as the bundle stores it, and `validate --emit-history`
+    writes each revision's."""
     return {
         "subtask_id": report.subtask_id,
         "revision": report.revision,
@@ -111,7 +113,7 @@ def _prompt_to_dict(prompt: PromptSpec) -> dict:
             "system_prompt": prompt.system_prompt,
             "revision": prompt.revision,
             "status": prompt.status,
-            "report": None if report is None else _report_to_dict(report)}
+            "report": None if report is None else report_to_dict(report)}
 
 
 def _prompt_from_dict(data: Mapping) -> PromptSpec:

@@ -140,7 +140,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             gateway.close()
     histories: list[dict] = []
     for subtask, outcome in zip(plan.subtasks, outcomes):
-        histories.extend(validator.history_to_dict(outcome.history))
+        histories.extend(bundlemod.report_to_dict(report) for report in outcome.history)
         final = outcome.history[-1]
         print(f"{subtask.id}: {outcome.prompt.status} at revision "
               f"{outcome.prompt.revision} (pass rate {final.passes}/{final.total}, "
@@ -260,7 +260,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pred = evalkit.load_labeled(args.pred, source="system")
     gt = evalkit.load_labeled(args.gt, source="gt")
     labels = None
-    if args.labels:
+    if args.labels is not None:
         labels = [x.strip() for x in args.labels.split(",") if x.strip()]
         if not labels:
             raise ValueError("evaluate: --labels names no label")

@@ -11,12 +11,13 @@ label through the rule program's unknown handling.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+import threading
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
+from queue import SimpleQueue
 from typing import TypeVar
 
 from .errors import ModelCallError, OutputParseError, PhaseViolationError
@@ -151,35 +152,65 @@ def _predict(logic: SynthesisLogic, doc: Document,
 
 def iter_lanes(fn: Callable[[T], R], items: Iterable[T], *, width: int) -> Iterator[R]:
     """`fn` over every item, at most `width` lanes running at once; yields
-    lane i's result once lanes 0..i are done, keeping no future it yields.
+    lane i's result once lanes 0..i are done.
 
-    `items` is read lazily, a lane submitted only while fewer than `width`
-    run, so none waits in the pool's queue; a slot freed while an earlier
-    lane stalls takes the next one, and only results wait behind the stall.
-    After a lane raises none is submitted; running lanes finish, and the
-    first failed lane's error in input order is raised after the results
-    before it. Closing the iterator early also submits nothing more.
+    Lanes are handed to at most `width` threads, each started only when a
+    lane finds no idle one, that pull lanes from one queue and report each
+    finished lane on another. `items` is read lazily, a lane handed over
+    only while fewer than `width` run, so none waits for a thread; a thread
+    freed while an earlier lane stalls takes the next one, and only results
+    wait behind the stall. After a lane raises none is handed over; running
+    lanes finish, and the first failed lane's error in input order is raised
+    after the results before it. Closing the iterator early also hands over
+    nothing more. However the iterator ends, every thread is stopped and
+    joined before it does.
     """
     limit = max(width, 1)  # width 0 comes with no items
     pending = iter(items)
-    futures: deque[Future[R]] = deque()  # submitted, not yet yielded, in input order
-    running: set[Future[R]] = set()  # submitted, not yet seen done
+    lanes: SimpleQueue = SimpleQueue()  # (index, item), or None to stop a thread
+    finished: SimpleQueue = SimpleQueue()  # (index, error, result), in finishing order
+
+    def pull() -> None:
+        while (lane := lanes.get()) is not None:
+            index, item = lane
+            try:
+                finished.put((index, None, fn(item)))
+            except BaseException as exc:  # raised by the consumer, in input order
+                finished.put((index, exc, None))
+
+    threads: list[threading.Thread] = []
+    done: dict[int, tuple] = {}  # index -> (error, result): finished, not yielded
+    started = yielded = running = 0
     failed = False
-    with ThreadPoolExecutor(max_workers=limit) as pool:
+    try:
         while True:
-            for item in islice(pending, 0 if failed else limit - len(running)):
-                futures.append(pool.submit(fn, item))
-                running.add(futures[-1])
-            if not futures:
-                return
-            if futures[0] not in running:
-                yield futures.popleft().result()
+            for item in islice(pending, 0 if failed else limit - running):
+                if running == len(threads):  # every thread is busy
+                    threads.append(threading.Thread(target=pull, daemon=True))
+                    threads[-1].start()
+                lanes.put((started, item))
+                started += 1
+                running += 1
+            if yielded in done:
+                error, result = done.pop(yielded)
+                if error is not None:
+                    raise error
+                yielded += 1
+                yield result
                 continue
-            # wait() sees every lane at one instant, so a lane seen done is
-            # seen with every error raised before it finished.
-            unfinished = wait(running, return_when=FIRST_COMPLETED).not_done
-            failed = failed or any(f.exception() is not None for f in running - unfinished)
-            running = unfinished
+            if yielded == started:
+                return
+            # Completions arrive in the order lanes finished, so a lane seen
+            # done is seen with every error raised before it finished.
+            index, error, result = finished.get()
+            running -= 1
+            failed = failed or error is not None
+            done[index] = error, result
+    finally:
+        for _ in threads:
+            lanes.put(None)
+        for thread in threads:
+            thread.join()
 
 
 def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,

@@ -459,9 +459,10 @@ def estimate_tokens(text: str) -> int:
 class Gateway:
     """A phase-tagged handle to one backend profile.
 
-    Safe for concurrent use; the caller's thread pool bounds calls in flight,
-    and so the connections an HTTP backend holds open. Close it, or use it as
-    a context manager, to close them.
+    Safe for concurrent use; the caller's lanes (executor.iter_lanes, on at
+    most `width` threads) bound calls in flight, and so the connections an
+    HTTP backend holds open. Close it, or use it as a context manager, to
+    close them.
     """
 
     def __init__(self, profile: BackendProfile, phase: str, *,

@@ -412,10 +412,6 @@ class ValidationReport:
     total: int
     verdict: str  # passed | refine
 
-    @property
-    def pass_rate(self) -> float:
-        return self.passes / self.total if self.total else 0.0
-
     def exact_rate(self) -> Fraction:
         from fractions import Fraction  # late import: only the refinement loop ranks reports
 

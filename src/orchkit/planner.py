@@ -2,8 +2,8 @@
 prompts and synthesis logic, generate synthetic validation cases, and
 rewrite prompts that failed validation.
 
-build_plan requests every subtask's synthetic set at once, one lane per
-subtask on the executor's lane pool, since no set depends on another; the
+build_plan requests every subtask's synthetic set at once, one
+executor.iter_lanes lane per subtask, since no set depends on another; the
 width is the number of subtasks, not the operator's `workers`.
 
 No operation in this module accepts a Document, so real document content

@@ -203,24 +203,3 @@ def run_refinement_loop(subtask: Subtask, draft: PromptSpec,
         [(subtask, draft, cases)], gateway,
         lambda _subtask, prompt, failures: refine(prompt, failures),
         max_iters=max_iters, threshold=threshold, repeats=repeats, width=width)[0]
-
-
-def history_to_dict(history: Sequence[ValidationReport]) -> list[dict]:
-    """JSON-friendly audit trail of every revision's validation run."""
-    return [{
-        "subtask_id": report.subtask_id,
-        "revision": report.revision,
-        "passes": report.passes,
-        "total": report.total,
-        "pass_rate": report.pass_rate,
-        "verdict": report.verdict,
-        "cases": [{
-            "case_index": r.case_index,
-            "passed": r.passed,
-            "reason": r.reason,
-            "expected": dict(r.case.expected.values),
-            "predicted": dict(r.run.output.values),
-            "parse_status": r.run.parse_status,
-            "reasoning_excerpt": r.run.reasoning[:300],
-        } for r in report.results],
-    } for report in history]

@@ -29,7 +29,7 @@ REFINED_BUNDLE = "9d50339aa9b948acd2cf4ef5048c32a017ed092a8e37a2c463446c438188b3
 CLI_FILES = {
     "plan.json": "e890bf25a766776a625e00b26bf031f83ef81bcc41ff0c222501b7fb57e36844",
     "validated.json": "b82280fa6e0094abf941676342efe775ef15c37d82e18809993417a47215f07b",
-    "history.json": "2193ce4bcf6ee5a088464f1af79b25e5c92c179e5651dd6faa6707ce70c80092",
+    "history.json": "fe96d95cfca7b686db5238940ecac3489156ab8399d1652e9d1fddca7abeae93",
     "artifact.orchb": "9640ba7d0cb30f8c5c88988d2ac4a17329d213b3a35aeba52f76e84eee2b2db3",
     "unpacked.json": "b82280fa6e0094abf941676342efe775ef15c37d82e18809993417a47215f07b",
     "preds.jsonl": "fad9285371bd692adee36a2735735777c6a937f7d4aeb9b3abbfd122a8207001",

@@ -251,6 +251,10 @@ def test_validate_pack_infer_evaluate_chain(workspace, tmp_path, capsys):
     entries = json.loads(history.read_text(encoding="utf-8"))
     assert {e["subtask_id"] for e in entries} == {"distant_spread", "vessel_involvement"}
     assert all(e["verdict"] == "passed" for e in entries)
+    # Each revision's report is written as the plan stores a prompt's report.
+    stored = json.loads(validated.read_text(encoding="utf-8"))["plan"]["prompts"]
+    assert [p["report"] for p in stored] == [
+        [e for e in entries if e["subtask_id"] == p["subtask_id"]][-1] for p in stored]
 
     assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file),
                    "--config", str(workspace["config"]), "--deterministic") == 0
@@ -957,12 +961,16 @@ def _refusals(ws, tmp):
         "--labels naming no label": (
             None, None, evaluate(ws["gt"], "--labels", " , "),
             "evaluate: --labels names no label"),
+        "--labels empty": (
+            None, None, evaluate(ws["gt"], "--labels", ""),
+            "evaluate: --labels names no label"),
     }
 
 
 @pytest.mark.parametrize("case", ["config line without '='", "local_http without an endpoint",
                                   "docs file with no document", "ground-truth row with one field",
-                                  "pack below min_synthetic_cases", "--labels naming no label"])
+                                  "pack below min_synthetic_cases", "--labels naming no label",
+                                  "--labels empty"])
 def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_path, capsys,
                                                                   case):
     path, text, argv, message = _refusals(workspace, tmp_path)[case]

@@ -28,16 +28,20 @@ LOADED = ("import json, sys\n"
 _BUNDLE_ONLY = ("orchkit.planner", "orchkit.validator", "orchkit.executor", "orchkit.parsing",
                 "orchkit.evalkit", "concurrent.futures", "fractions")
 
+# executor.iter_lanes starts its own threads, so a command that runs lanes
+# loads neither concurrent.futures nor the logging it would bring.
+_FUTURES = ("concurrent.futures", "logging")
+
 # (command, modules it must not load); commands run in this order, each
 # reading what the one before wrote.
 ABSENT = {
     "import orchkit.cli": ("orchkit.bundle", "orchkit.executor", "orchkit.planner",
                            "orchkit.validator", "orchkit.evalkit"),
-    "plan": ("orchkit.validator", "orchkit.evalkit"),
-    "validate": ("orchkit.evalkit",),
+    "plan": ("orchkit.validator", "orchkit.evalkit", *_FUTURES),
+    "validate": ("orchkit.evalkit", *_FUTURES),
     "pack": _BUNDLE_ONLY,
     "unpack": _BUNDLE_ONLY,
-    "infer": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit"),
+    "infer": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit", *_FUTURES),
     "evaluate": ("orchkit.bundle", "orchkit.executor", "orchkit.planner",
                  "orchkit.validator"),
 }

@@ -17,7 +17,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import wait
 
 import pytest
 
@@ -281,31 +280,31 @@ def test_lane_results_and_first_error_hold_under_thread_switch_stress():
         sys.setswitchinterval(interval)
 
 
-class RecordingPool(executor.ThreadPoolExecutor):
-    """The pool `iter_lanes` builds, keeping every future it submits."""
+class RecordingQueue(executor.SimpleQueue):
+    """The queues `iter_lanes` builds, recording every item once it is on its
+    queue: lanes handed to the threads as (index, item), stop markers as
+    None, and finished lanes as (index, error, result)."""
 
-    submitted: list = []
+    puts: list = []
+    changed = threading.Condition()
 
-    def submit(self, fn, /, *args, **kwargs):
-        future = super().submit(fn, *args, **kwargs)
-        self.submitted.append(future)
-        return future
+    def put(self, item, block=True, timeout=None):
+        super().put(item, block, timeout)
+        with self.changed:
+            self.puts.append(item)
+            self.changed.notify_all()
+
+    @classmethod
+    def wait_for(cls, predicate, timeout: float = 10) -> bool:
+        with cls.changed:
+            return cls.changed.wait_for(lambda: predicate(cls.puts), timeout)
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    monkeypatch.setattr(RecordingPool, "submitted", [])
-    monkeypatch.setattr(executor, "ThreadPoolExecutor", RecordingPool)
-    return RecordingPool
-
-
-def test_iter_lanes_submits_through_the_module_global_pool(recording_pool):
-    # bench/tracer.py replaces executor.ThreadPoolExecutor so that lane spans
-    # keep their parent; lanes submitted any other way would lose it.
-    assert list(iter_lanes(lambda i: i * i, list(range(7)), width=3)) == [
-        i * i for i in range(7)]
-    assert [future.result() for future in recording_pool.submitted] == [
-        i * i for i in range(7)]
+def recording_queue(monkeypatch):
+    monkeypatch.setattr(RecordingQueue, "puts", [])
+    monkeypatch.setattr(executor, "SimpleQueue", RecordingQueue)
+    return RecordingQueue
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -341,12 +340,15 @@ def test_lanes_pull_only_width_items_while_every_lane_is_blocked(width):
 
 
 @pytest.mark.parametrize("width", [2, 4])
-def test_lane_failing_after_width_lanes_run_starts_no_later_lane(width, recording_pool):
+def test_lane_failing_after_width_lanes_run_starts_no_later_lane(width, recording_queue):
     # Lane 0 raises once all `width` lanes are running; lanes 1..width-1
-    # finish only after lane 0's future holds its error, freeing every slot.
+    # finish only after lane 0's error is queued, freeing every thread.
     barrier = threading.Barrier(width, timeout=10)
     lock = threading.Lock()
     finished, late = [], []
+
+    def lane_0_failed(puts):
+        return any(p is not None and len(p) == 3 and p[0] == 0 for p in puts)
 
     def lane(i):
         if i >= width:
@@ -356,7 +358,7 @@ def test_lane_failing_after_width_lanes_run_starts_no_later_lane(width, recordin
         barrier.wait()
         if i == 0:
             raise ValueError("lane 0")
-        assert wait(recording_pool.submitted[:1], timeout=10).done, "lane 0 never failed"
+        assert recording_queue.wait_for(lane_0_failed), "lane 0 never failed"
         with lock:
             finished.append(i)
         return i
@@ -365,7 +367,45 @@ def test_lane_failing_after_width_lanes_run_starts_no_later_lane(width, recordin
         list(iter_lanes(lane, iter(range(3 * width)), width=width))
     assert sorted(finished) == list(range(1, width))
     assert late == []
-    assert len(recording_pool.submitted) == width
+    handed = [p[0] for p in recording_queue.puts if p is not None and len(p) == 2]
+    assert handed == list(range(width))
+
+
+def test_no_lane_thread_outlives_the_iterator(monkeypatch):
+    # However the iterator ends (exhausted, a lane's error, an early close),
+    # every thread it started has been joined, and it started at most `width`.
+    original_start = threading.Thread.start
+    starts = []
+
+    def start(thread):
+        starts.append(thread)
+        return original_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+    def fails_at_5(i):
+        if i == 5:
+            raise ValueError("lane 5")
+        return i
+
+    def exhausted(width):
+        assert list(iter_lanes(lambda i: i, range(20), width=width)) == list(range(20))
+
+    def raised(width):
+        with pytest.raises(ValueError, match="^lane 5$"):
+            list(iter_lanes(fails_at_5, range(20), width=width))
+
+    def closed(width):
+        lanes = iter_lanes(lambda i: i, range(20), width=width)
+        assert next(lanes) == 0
+        lanes.close()
+
+    for end in (exhausted, raised, closed):
+        for width in (1, 3, 8):
+            starts.clear()
+            end(width)
+            assert 1 <= len(starts) <= width, (end.__name__, width)
+            assert not any(thread.is_alive() for thread in starts), (end.__name__, width)
 
 
 def revalidation_peak(monkeypatch, ws, together: int) -> int:

@@ -85,7 +85,7 @@ def test_threshold_examples(passes, verdict):
     gw = local_gateway(LocalScript(lambda rev: passes))
     [report] = validate_prompt([(SPREAD, draft_prompt(), make_cases(10))], gw)
     assert report.passes == passes
-    assert report.pass_rate == pytest.approx(passes / 10)
+    assert report.exact_rate() == Fraction(passes, 10)
     assert report.verdict == verdict
 
 
