@@ -15,10 +15,16 @@ Backends:
   * scripted    -- a handler callable (ScriptedBackend) or a recorded
                    session (ReplayBackend), for tests and air-gap rehearsal.
 
-The two HTTP backends POST over persistent http.client connections, at
-most one per call in flight, that Gateway.close closes. A connection the
-server closed while it sat idle is replaced and the request sent again at
-once; that is not a retry. Proxies and certificate checks follow urllib.
+The two HTTP backends speak HTTP/1.1 on the socket themselves, over
+persistent connections, at most one per call in flight, that Gateway.close
+closes. A request is one send of its head and body. A reply is read through
+one buffered reader per connection: its status line, and of its headers
+only Content-Length, Transfer-Encoding: chunked and Connection, with
+HTTP_MAX_LINE bytes a line and HTTP_MAX_HEADERS lines at most. A connection
+the server closed while it sat idle is replaced and the request sent again
+at once; that is not a retry. Proxies and certificate checks follow urllib;
+ssl is loaded only for an https origin or tunnel, and urllib.request only
+when a `*_proxy` variable is set or on macOS and Windows.
 
 Every call enters through Gateway.chat, which builds the request from the
 profile's defaults. A TransportError is retried with a fixed policy: up
@@ -34,6 +40,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 import threading
 import time
 from collections.abc import Callable
@@ -261,58 +268,223 @@ def _schema_to_json_schema(schema: FeatureSchema) -> dict:
     }
 
 
-def _route(url: str, timeout: float) -> tuple[str, Callable[[], object], dict[str, str]]:
-    """How urllib's default opener reaches `url`: the request target, a
-    function that makes a connection (opened on its first request) and the
-    headers a proxy needs. The proxy variables are read here, through
-    urllib's own lookup: a proxied `http` request goes to the proxy with its
-    absolute URI, an `https` one through a CONNECT tunnel, and credentials in
-    the proxy URL become `Proxy-Authorization: Basic`."""
-    import base64
-    import http.client
-    import ssl
-    import urllib.parse
+# HTTP/1.1 as this client speaks it (RFC 9112). A reply's status line, each
+# header, trailer and chunk-size line may hold at most HTTP_MAX_LINE bytes,
+# and its headers (or trailers) at most HTTP_MAX_HEADERS lines: the limits
+# of Python's own HTTP client.
+HTTP_MAX_LINE = 65536
+HTTP_MAX_HEADERS = 100
+
+# The only reply headers the client acts on: how the body is framed and
+# whether the connection stays open.
+_FRAMING = (b"content-length", b"transfer-encoding", b"connection")
+_HEX = b"0123456789abcdefABCDEF"
+_DEFAULT_PORT = {"http": 80, "https": 443}
+
+
+class _Connection:
+    """One HTTP/1.1 connection: its socket, and the one buffered reader its
+    replies are read through."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+def _read_line(reader) -> bytes:
+    line = reader.readline(HTTP_MAX_LINE + 1)
+    if len(line) > HTTP_MAX_LINE:
+        raise ValueError(f"got more than {HTTP_MAX_LINE} bytes when reading a line")
+    return line
+
+
+def _read_fields(reader, what: str) -> dict[bytes, bytes]:
+    """Read header (or trailer) lines up to the blank line that ends them;
+    return the framing ones, by lower-cased name."""
+    fields = {}
+    for _ in range(HTTP_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line == b"\r\n" or line == b"\n":
+            return fields
+        if not line:
+            raise ValueError(f"reply cut short in its {what}")
+        name, _, value = line.partition(b":")
+        name = name.lower()
+        if name in _FRAMING:
+            fields[name] = value.strip()
+    raise ValueError(f"got more than {HTTP_MAX_HEADERS} {what}")
+
+
+def _read_head(reader) -> tuple[int, str, bool, dict[bytes, bytes]]:
+    """Read a reply's status line and headers, past any interim (1xx)
+    replies: its status, its reason, whether it leaves the connection open
+    and its framing headers. A connection closed before a status line
+    raises ConnectionResetError."""
+    while True:
+        line = _read_line(reader)
+        if not line:
+            raise ConnectionResetError("Remote end closed connection without response")
+        version, _, rest = line.rstrip().partition(b" ")
+        code, _, reason = rest.partition(b" ")
+        status = int(code) if len(code) == 3 and code.isdigit() else 0
+        if not version.startswith(b"HTTP/") or status < 100:
+            raise ValueError(f"bad status line: {line[:100]!r}")
+        fields = _read_fields(reader, "headers")
+        if status >= 200:
+            break
+    connection = fields.get(b"connection", b"").lower()
+    keep = b"close" not in connection and (version != b"HTTP/1.0" or b"keep-alive" in connection)
+    return status, reason.decode("latin-1"), keep, fields
+
+
+def _read_body(reader, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, bool]:
+    """Read a reply's body as RFC 9112 section 6.3 frames it; return it and
+    whether it ended before the connection did."""
+    if status == 204:
+        return b"", True
+    coding = fields.get(b"transfer-encoding")
+    if coding is not None:
+        if coding.rpartition(b",")[2].strip().lower() != b"chunked":
+            return reader.read(), False
+        chunks = []
+        while True:
+            line = _read_line(reader)
+            size = line.partition(b";")[0].strip()  # drop any chunk extension
+            if not size or size.strip(_HEX):
+                raise ValueError(f"bad chunk size line: {line[:100]!r}")
+            n = int(size, 16)
+            if not n:
+                _read_fields(reader, "trailers")
+                return b"".join(chunks), True
+            chunk = reader.read(n + 2)
+            if chunk[n:] != b"\r\n":
+                raise ValueError(f"reply cut short in a {n}-byte chunk")
+            chunks.append(chunk[:n])
+    length = fields.get(b"content-length")
+    if length is None:
+        return reader.read(), False
+    if not length.isdigit():
+        raise ValueError(f"bad Content-Length: {length[:40]!r}")
+    n = int(length)
+    data = reader.read(n)
+    if len(data) < n:
+        raise ValueError(f"reply cut short: {len(data)} of {n} body bytes")
+    return data, True
+
+
+def _head(start: str, headers: dict[str, str]) -> bytes:
+    """A request line and its header lines, CRLF-joined, without the blank
+    line that ends them. A request line that is not three words of printable
+    ASCII, or a header value that is not printable ASCII (a line break, say),
+    raises ValueError naming the header but not its value."""
+    if len(start.split(" ")) != 3 or not (start.isascii() and start.isprintable()):
+        raise ValueError(f"cannot send the request line {start!r}")
+    for name, value in headers.items():
+        if not (value.isascii() and value.isprintable()):
+            raise ValueError(f"cannot send the {name} header: its value holds a line "
+                             f"break, another control character or a non-ASCII character")
+    return "\r\n".join([start, *(f"{name}: {value}" for name, value in headers.items())]
+                       ).encode("ascii")
+
+
+def _environment_proxy(scheme: str, netloc: str) -> str | None:
+    """The proxy urllib would use for `scheme` to `netloc`, if any. Off
+    macOS and Windows, which also keep proxies in system settings, urllib
+    reads them only from variables named `*_proxy` (any case), so
+    urllib.request, which loads Python's HTTP client and ssl, is imported
+    only when one is set."""
+    if sys.platform not in ("darwin", "win32") and not any(
+            name[-6:].lower() == "_proxy" for name in os.environ):
+        return None
     import urllib.request
 
-    origin = urllib.parse.urlsplit(url)
-    target = urllib.parse.urlunsplit(("", "", origin.path or "/", origin.query, ""))
-    scheme, host, tunnel, headers = origin.scheme, origin.netloc, None, {}
     proxy = urllib.request.getproxies().get(scheme)
-    if proxy and not urllib.request.proxy_bypass(host):
+    return proxy if proxy and not urllib.request.proxy_bypass(netloc) else None
+
+
+def _route(url: str, headers: dict[str, str],
+           timeout: float) -> tuple[bytes, Callable[[], _Connection]]:
+    """How urllib's default opener reaches `url`: the head of each POST, up
+    to its Content-Length value, and a function that opens a connection.
+    A proxied `http` request goes to the proxy with its absolute URI, an
+    `https` one through a CONNECT tunnel, and credentials in the proxy URL
+    become `Proxy-Authorization: Basic`. A header value or URL that HTTP
+    cannot carry (a line break, say) raises ValueError here."""
+    import socket
+    import urllib.parse
+
+    origin = urllib.parse.urlsplit(url)
+    netloc = origin.netloc.rpartition("@")[2]
+    target = urllib.parse.urlunsplit(("", "", origin.path or "/", origin.query, ""))
+    scheme, host, port, tunnel = origin.scheme, origin.hostname, origin.port, None
+    proxy = _environment_proxy(scheme, netloc)
+    if proxy:
         via = urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")
+        credentials = {}
         if via.username and via.password:
-            credentials = urllib.parse.unquote(f"{via.username}:{via.password}")
-            headers["Proxy-Authorization"] = "Basic " + base64.b64encode(
-                credentials.encode()).decode("ascii")
-        if scheme == "https":
-            tunnel, headers = (host, None, headers), {}  # CONNECT carries the credentials
+            import base64
+
+            secret = urllib.parse.unquote(f"{via.username}:{via.password}").encode()
+            credentials["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                secret).decode("ascii")
+        if scheme == "https":  # CONNECT carries the credentials
+            authority = netloc if origin.port else f"{netloc}:443"
+            tunnel = _head(f"CONNECT {authority} HTTP/1.1",
+                           {"Host": authority, **credentials}) + b"\r\n\r\n"
         else:
             scheme = via.scheme or scheme
             target = urllib.parse.urlunsplit((*origin[:4], ""))
-        host = urllib.parse.unquote(via.netloc.rpartition("@")[2])
-    # One verifying context per backend; it reads SSL_CERT_FILE and SSL_CERT_DIR.
-    context = ssl.create_default_context() if scheme == "https" else None
+            headers = {**headers, **credentials}
+        host, port = via.hostname, via.port
+    if scheme not in _DEFAULT_PORT:
+        raise ValueError(f"unknown url type: {url!r}"
+                         + (f" through a {scheme} proxy" if proxy else ""))
+    address = (host, port or _DEFAULT_PORT[scheme])
+    # The head ends in "Content-Length: "; each call appends its body's length.
+    head = _head(f"POST {target} HTTP/1.1", {
+        "Host": netloc, "Accept-Encoding": "identity", **headers, "Content-Length": ""})
+    context = server_name = None
+    if scheme == "https":
+        import ssl
 
-    def connect():
-        if scheme == "http":
-            return http.client.HTTPConnection(host, timeout=timeout)
-        if context is None:
-            raise ValueError(f"unknown url type: {url!r}")
-        conn = http.client.HTTPSConnection(host, timeout=timeout, context=context)
-        if tunnel is not None:
-            conn.set_tunnel(*tunnel)
-        return conn
+        # One verifying context per backend; it reads SSL_CERT_FILE and SSL_CERT_DIR.
+        context = ssl.create_default_context()
+        server_name = origin.hostname if tunnel else host
 
-    return target, connect, headers
+    def connect() -> _Connection:
+        sock = socket.create_connection(address, timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if tunnel is not None:
+                sock.sendall(tunnel)
+                with sock.makefile("rb") as reader:
+                    status, reason, _keep, _fields = _read_head(reader)
+                if status != 200:
+                    raise OSError(f"Tunnel connection failed: {status} {reason}")
+            if context is not None:
+                sock = context.wrap_socket(sock, server_hostname=server_name)
+        except BaseException:
+            sock.close()
+            raise
+        return _Connection(sock)
+
+    return head, connect
 
 
 class _HttpBackend:
     """JSON POSTs to one URL over persistent HTTP/1.1 connections.
 
-    A call takes an idle connection or opens one, and gives it back after a
-    complete reply unless the reply asks to close it, so no more connections
-    are open than calls in flight. `close` closes the idle ones; a connection
-    given back after that is closed at once.
+    A call takes an idle connection or opens one, writes the request's head
+    and body in one send, and reads the reply through the connection's
+    buffered reader. It gives the connection back after a complete reply
+    unless the reply asks to close it or ends only when the connection
+    does, so no more connections are open than calls in flight. `close`
+    closes the idle ones; a connection given back after that is closed at
+    once.
     """
 
     channel: str
@@ -320,14 +492,14 @@ class _HttpBackend:
     def __init__(self, url: str, headers: dict[str, str]):
         import socket
 
-        self._target, self._connect, proxy_headers = _route(url, HTTP_TIMEOUT[self.channel])
-        self._headers = {"Content-Type": "application/json", **headers, **proxy_headers}
+        self._head, self._connect = _route(url, {"Content-Type": "application/json", **headers},
+                                           HTTP_TIMEOUT[self.channel])
         # A server that writes a reply's headers and body in two sends with
         # Nagle on holds the body until the headers are acknowledged; a
         # delayed ACK would cost a reused connection about 40 ms a call.
         self._quickack = ((socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
                           if hasattr(socket, "TCP_QUICKACK") else None)
-        self._idle: list | None = []
+        self._idle: list[_Connection] | None = []
         self._lock = threading.Lock()
 
     def close(self) -> None:
@@ -336,57 +508,59 @@ class _HttpBackend:
         for conn in idle:
             conn.close()
 
-    def _exchange(self, body: bytes):
-        """Send one POST and read its whole reply. A connection taken idle
-        that fails with a ConnectionError before a status line (the server
-        closed it while it sat idle) is replaced, and the POST sent again
-        once, at once, on the fresh one."""
+    def _exchange(self, body: bytes) -> tuple[int, str, bytes]:
+        """Send one POST and read its whole reply: its status, reason and
+        body. A connection taken idle that fails with a ConnectionError
+        before a status line (the server closed it while it sat idle) is
+        replaced, and the POST sent again once, at once, on the fresh one."""
+        request = self._head + b"%d\r\n\r\n" % len(body) + body
         with self._lock:
             idle = self._idle.pop() if self._idle else None
         conn = idle or self._connect()
         try:
             while True:
                 try:
-                    conn.request("POST", self._target, body, self._headers)
+                    conn.sock.sendall(request)
                     if self._quickack is not None:
                         conn.sock.setsockopt(*self._quickack)
-                    response = conn.getresponse()
+                    status, reason, keep, fields = _read_head(conn.reader)
                     break
                 except ConnectionError:
                     if conn is not idle:
                         raise
                     conn.close()
                     conn = self._connect()
-            data = response.read()
+            data, delimited = _read_body(conn.reader, status, fields)
         except BaseException:
             conn.close()
             raise
         with self._lock:
-            keep = not response.will_close and self._idle is not None
+            keep = keep and delimited and self._idle is not None
             if keep:
                 self._idle.append(conn)
         if not keep:
             conn.close()
-        return response, data
+        return status, reason, data
 
     def _post(self, payload: dict,
               reply: Callable[[dict], tuple[str | None, bool]]) -> ChatResponse:
         """POST a JSON payload; `reply` reads the decoded reply's completion
         text (null when there is none) and whether it was cut off. A non-2xx
-        status (worded as urllib words it, `HTTP Error 503: Service
-        Unavailable`), a connection fault or timeout and a reply that is not
-        JSON each become a TransportError naming the channel; a reply of the
-        wrong shape, its text not a string included, is a malformed reply."""
-        import http.client
-
+        status (`HTTP Error 503: Service Unavailable`, followed by the
+        server's own error text when its body carries one), a connection
+        fault or timeout, a reply HTTP cannot frame and a reply that is not
+        JSON each become a TransportError naming the channel; a reply of
+        the wrong shape, its text not a string included, is a malformed
+        reply."""
         started = time.perf_counter()
         try:
-            response, data = self._exchange(json.dumps(payload, allow_nan=False).encode("utf-8"))
-            if not 200 <= response.status < 300:
+            status, reason, data = self._exchange(
+                json.dumps(payload, allow_nan=False).encode("utf-8"))
+            if not 200 <= status < 300:
                 raise TransportError(f"{self.channel} chat call failed: "
-                                     f"HTTP Error {response.status}: {response.reason}")
+                                     f"HTTP Error {status}: {reason}{_server_words(data)}")
             body = json.loads(data)
-        except (OSError, ValueError, http.client.HTTPException) as exc:
+        except (OSError, ValueError) as exc:
             raise TransportError(f"{self.channel} chat call failed: {exc}") from exc
         latency = (time.perf_counter() - started) * 1000.0
 
@@ -397,6 +571,20 @@ class _HttpBackend:
 
         return decode(build, body, lambda message: ModelCallError(
             f"malformed {self.channel} chat reply: {message}", "malformed reply"))
+
+
+def _server_words(data: bytes) -> str:
+    """`: ` and the error text of a non-2xx reply's JSON body, cut to 200
+    characters: Ollama's `error` string or OpenAI's `error.message`. Empty
+    when the body carries neither."""
+    try:
+        error = json.loads(data)
+    except ValueError:
+        return ""
+    error = error.get("error") if isinstance(error, dict) else None
+    if isinstance(error, dict):
+        error = error.get("message")
+    return f": {error[:200]}" if isinstance(error, str) and error else ""
 
 
 def _messages(request: ChatRequest) -> list[dict]:

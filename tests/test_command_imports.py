@@ -3,7 +3,8 @@
 Every command is a short-lived process, and importing a module it never
 calls costs that process start-up time and memory. Each command below runs
 in its own interpreter over the end-to-end replay sessions, then reports
-`sys.modules`; the modules it has no use for must be absent.
+`sys.modules`; the modules it has no use for must be absent. One more
+`infer` calls a local model over plain HTTP, at a stdlib keep-alive server.
 """
 
 from __future__ import annotations
@@ -12,11 +13,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import build_e2e_workspace
+from conftest import build_e2e_workspace, fake_local_extractor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +37,11 @@ _BUNDLE_ONLY = ("orchkit.planner", "orchkit.validator", "orchkit.executor", "orc
 # loads neither concurrent.futures nor the logging it would bring.
 _FUTURES = ("concurrent.futures", "logging")
 
+# The gateway speaks HTTP/1.1 on the socket itself: a plain-HTTP model call
+# with no proxy variable set loads neither Python's HTTP client (nor the
+# email parser its headers go through) nor TLS nor urllib's opener.
+_HTTP_CLIENT = ("http.client", "email.parser", "ssl", "urllib.request")
+
 # (command, modules it must not load); commands run in this order, each
 # reading what the one before wrote.
 ABSENT = {
@@ -42,9 +52,50 @@ ABSENT = {
     "pack": _BUNDLE_ONLY,
     "unpack": _BUNDLE_ONLY,
     "infer": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit", *_FUTURES),
+    "infer over local_http": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit",
+                              *_FUTURES, *_HTTP_CLIENT),
     "evaluate": ("orchkit.bundle", "orchkit.executor", "orchkit.planner",
                  "orchkit.validator"),
 }
+
+
+class _LocalModel(BaseHTTPRequestHandler):
+    """A keep-alive stand-in for Ollama's /api/chat that answers as the
+    fixture's extractor."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 10  # a connection left idle this long is closed
+
+    def do_POST(self):  # noqa: N802 - http.server's method name
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        system, user = (message["content"] for message in payload["messages"])
+        text = fake_local_extractor(SimpleNamespace(system_prompt=system, user_content=user))
+        data = json.dumps({"message": {"role": "assistant", "content": text},
+                           "done": True, "done_reason": "stop"}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.server.calls += 1
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def _local_model():
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _LocalModel)
+    httpd.calls = 0
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield httpd
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +104,7 @@ def loaded(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("imports")
     ws = build_e2e_workspace(tmp / "ws")
     config = ["--config", str(ws["config"])]
+    local_http = tmp / "local_http.cfg"
     argv = {
         "import orchkit.cli": [],
         "plan": ["plan", "--task", ws["task"], "--guideline", ws["guideline"],
@@ -68,16 +120,29 @@ def loaded(tmp_path_factory):
                   "--deterministic"],
         "evaluate": ["evaluate", "--pred", tmp / "preds.jsonl", "--gt", ws["gt"],
                      "--labels-from-summary", tmp / "summary.json"],
+        "infer over local_http": ["infer", "--bundle", tmp / "a.orchb", "--docs", ws["docs"],
+                                  "--out", tmp / "http_preds.jsonl", "--config", local_http,
+                                  "--deterministic"],
     }
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     modules = {}
-    for command, args in argv.items():
-        done = subprocess.run([sys.executable, "-c", LOADED, *map(str, args)], cwd=tmp,
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        code, names = json.loads(done.stdout.splitlines()[-1])
-        assert code == 0, (command, done.stderr)
-        modules[command] = set(names)
+    with _local_model() as server:
+        local_http.write_text("cloud.kind = scripted\ncloud.session = unused.jsonl\n"
+                              "local.kind = local_http\nlocal.model = small-extractor\n"
+                              f"local.endpoint = http://127.0.0.1:{server.server_port}\n",
+                              encoding="utf-8")
+        for command, args in argv.items():
+            child_env = env
+            if command == "infer over local_http":  # the route with no proxy
+                child_env = {name: value for name, value in env.items()
+                             if not name.lower().endswith("_proxy")}
+            done = subprocess.run([sys.executable, "-c", LOADED, *map(str, args)], cwd=tmp,
+                                  env=child_env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            code, names = json.loads(done.stdout.splitlines()[-1])
+            assert code == 0, (command, done.stderr)
+            modules[command] = set(names)
+    assert server.calls > 0  # the local_http infer called the model
     return modules
 
 

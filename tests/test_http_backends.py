@@ -630,3 +630,224 @@ def test_no_socket_outlives_its_command(tmp_path, monkeypatch):
     assert "distant_spread: refined at revision 1" in done.stdout
     assert cloud.calls == 4  # decompose, two synthetic sets, one rewrite
     assert cloud.connections < cloud.calls and local.connections < local.calls
+
+
+class _RawServer:
+    """A scripted HTTP/1.1 server on a bare socket. It answers the n-th
+    request with the n-th of `replies` (the last one repeats), each a reply's
+    exact bytes and whether to close the connection after it. It counts
+    connections and requests, and releases `client_closed` each time the
+    client closes a connection."""
+
+    def __init__(self, replies: list[tuple[bytes, bool]]):
+        self.replies = replies
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.base = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.lock = threading.Lock()
+        self.connections = self.requests = 0
+        self.client_closed = threading.Semaphore(0)
+        self.stopping = threading.Event()
+        self.threads = [threading.Thread(target=self._accept, daemon=True)]
+        self.threads[0].start()
+
+    def _accept(self) -> None:
+        while not self.stopping.is_set():
+            try:
+                sock, _address = self.listener.accept()
+            except TimeoutError:
+                continue
+            with self.lock:
+                self.connections += 1
+            thread = threading.Thread(target=self._serve, args=(sock,), daemon=True)
+            self.threads.append(thread)
+            thread.start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        sock.settimeout(10)
+        with sock, sock.makefile("rb") as reader:
+            while True:
+                line = reader.readline()
+                if not line:
+                    self.client_closed.release()
+                    return
+                length = 0
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                reader.read(length)
+                with self.lock:
+                    n, self.requests = self.requests, self.requests + 1
+                reply, close = self.replies[min(n, len(self.replies) - 1)]
+                sock.sendall(reply)
+                if close:
+                    return
+
+    def stop(self) -> None:
+        self.stopping.set()
+        self.threads[0].join(timeout=10)
+        self.listener.close()
+        for thread in self.threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in self.threads)
+
+
+@contextmanager
+def _raw_server(monkeypatch, *replies: tuple[bytes, bool]):
+    _clear_environment(monkeypatch)
+    server = _RawServer(list(replies))
+    try:
+        yield server
+    finally:
+        server.stop()
+
+
+def _within(seconds: float, call):
+    """`call()`'s result, or its exception raised, on a thread given
+    `seconds` to finish."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, call()))
+        except Exception as exc:  # handed to the caller
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"the call took more than {seconds} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+def _raw(status: str, headers: list[str], body: bytes = b"", version: str = "HTTP/1.1") -> bytes:
+    return ("\r\n".join([f"{version} {status}", *headers, "", ""])).encode("latin-1") + body
+
+
+def _ok(channel: str, text: str, *headers: str, version: str = "HTTP/1.1") -> bytes:
+    """A 200 carrying `text` in the channel's reply form, with its Content-Length."""
+    body = json.dumps(_reply(channel, text)).encode("utf-8")
+    return _raw("200 OK", [*headers, f"Content-Length: {len(body)}"], body, version)
+
+
+def _chunked(channel: str, text: str) -> bytes:
+    """A 200 carrying `text` in two chunks, the first with a chunk
+    extension, and a trailer after the last chunk."""
+    body = json.dumps(_reply(channel, text)).encode("utf-8")
+    first, second = body[:7], body[7:]
+    return (_raw("200 OK", ["Content-Type: application/json", "Transfer-Encoding: chunked"])
+            + b"%x;name=value\r\n%s\r\n%x\r\n%s\r\n" % (len(first), first, len(second), second)
+            + b"0\r\nX-Checksum: none\r\n\r\n")
+
+
+def _headers(count: int) -> list[str]:
+    return [f"X-Header-{i}: {i}" for i in range(count)]
+
+
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+@pytest.mark.parametrize("case", ["chunked", "continue", "100 headers"])
+def test_a_framed_reply_keeps_its_connection(monkeypatch, channel, case):
+    if case == "chunked":
+        reply = _chunked(channel, "framed")
+    elif case == "continue":
+        reply = _raw("100 Continue", []) + _ok(channel, "framed")
+    else:
+        reply = _ok(channel, "framed", *_headers(99))  # and its Content-Length
+    with _raw_server(monkeypatch, (reply, False)) as server, _gateway(server, channel) as gateway:
+        for _ in range(3):
+            response = _within(10, lambda: gateway.chat("sys", "doc"))
+            assert (response.raw_text, response.retries) == ("framed", 0)
+    assert (server.requests, server.connections) == (3, 1)
+
+
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+def test_a_reply_read_to_close_is_not_pooled(monkeypatch, channel):
+    # HTTP/1.0 without Content-Length: the body ends when the server closes.
+    body = json.dumps(_reply(channel, "to close")).encode("utf-8")
+    reply = _raw("200 OK", ["Content-Type: application/json"], body, version="HTTP/1.0")
+    with _raw_server(monkeypatch, (reply, True)) as server, _gateway(server, channel) as gateway:
+        for _ in range(3):
+            response = _within(10, lambda: gateway.chat("sys", "doc"))
+            assert (response.raw_text, response.retries) == ("to close", 0)
+    assert (server.requests, server.connections) == (3, 3)
+
+
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+@pytest.mark.parametrize("version, header", [("HTTP/1.1", "Connection: close"),
+                                             ("HTTP/1.0", "Content-Type: application/json")])
+def test_a_reply_that_closes_its_connection_is_not_pooled(monkeypatch, channel, version,
+                                                           header):
+    # The server leaves the connection open; the client must close it.
+    reply = _ok(channel, "once", header, version=version)
+    with _raw_server(monkeypatch, (reply, False)) as server, _gateway(server, channel) as gateway:
+        for _ in range(3):
+            assert _within(10, lambda: gateway.chat("sys", "doc")).raw_text == "once"
+            assert server.client_closed.acquire(timeout=10), "the client kept the connection"
+    assert (server.requests, server.connections) == (3, 3)
+
+
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+def test_a_204_fails_without_waiting_for_the_server_to_close(monkeypatch, channel):
+    with (_raw_server(monkeypatch, (_raw("204 No Content", []), False)) as server,
+          _gateway(server, channel) as gateway):
+        with pytest.raises(TransportError, match=f"{channel} chat call failed"):
+            _within(10, lambda: gateway.chat("sys", "doc"))
+    assert (server.requests, server.connections) == (RETRY_ATTEMPTS, 1)
+
+
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+@pytest.mark.parametrize("bad", ["long header line", "101 headers", "cut-short body"])
+def test_a_reply_http_cannot_frame_fails_and_closes_its_connection(monkeypatch, channel, bad):
+    # The bad reply fails its attempt; the policy's retry, on a fresh
+    # connection, gets the good one.
+    good = _ok(channel, "fine")
+    if bad == "long header line":
+        reply = _ok(channel, "never", "X-Long: " + "a" * 65536)
+    elif bad == "101 headers":
+        reply = _ok(channel, "never", *_headers(100))  # and its Content-Length
+    else:
+        body = json.dumps(_reply(channel, "cut")).encode("utf-8")
+        reply = _raw("200 OK", [f"Content-Length: {len(body)}"], body[:-5])
+    sleeps = []
+    with (_raw_server(monkeypatch, (reply, bad == "cut-short body"), (good, False)) as server,
+          _gateway(server, channel, sleeps.append) as gateway):
+        response = _within(10, lambda: gateway.chat("sys", "doc"))
+        assert (response.raw_text, response.retries) == ("fine", 1)
+        if bad != "cut-short body":
+            assert server.client_closed.acquire(timeout=10), "the client kept the connection"
+    assert len(sleeps) == 1
+    assert (server.requests, server.connections) == (2, 2)
+
+
+@pytest.mark.parametrize("status, body, words", [
+    ("404 Not Found", {"error": "model \"qwen\" not found, try pulling it first"},
+     ': model "qwen" not found, try pulling it first'),
+    ("401 Unauthorized", {"error": {"message": "bad key"}}, ": bad key"),
+    ("500 Internal Server Error", {"error": "x" * 300}, ": " + "x" * 200),
+    ("503 Service Unavailable", "<html>busy</html>", ""),
+    ("502 Bad Gateway", {"error": {"code": 7}}, ""),
+], ids=["ollama-404", "openai-401", "cut-to-200", "not-json", "no-text"])
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+def test_a_non_2xx_reply_keeps_the_servers_words(monkeypatch, channel, status, body, words):
+    data = body.encode("utf-8") if isinstance(body, str) else json.dumps(body).encode("utf-8")
+    reply = _raw(status, [f"Content-Length: {len(data)}"], data)
+    with (_raw_server(monkeypatch, (reply, False)) as server,
+          _gateway(server, channel) as gateway):
+        with pytest.raises(TransportError) as err:
+            _within(10, lambda: gateway.chat("sys", "doc"))
+    code, _, reason = status.partition(" ")
+    assert str(err.value).endswith(
+        f"{channel} chat call failed: HTTP Error {code}: {reason}{words}")
+    assert (server.requests, server.connections) == (RETRY_ATTEMPTS, 1)
+
+
+def test_an_api_key_holding_a_line_break_sends_nothing(server, monkeypatch):
+    monkeypatch.setenv("ORCH_CLOUD_API_KEY", "sk-test\r\nX-Injected: yes")
+    with pytest.raises(ValueError, match="Authorization header") as err:
+        _gateway(server, "cloud")
+    assert "sk-test" not in str(err.value)
+    assert server.seen == []
