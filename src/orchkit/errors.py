@@ -23,7 +23,8 @@ class ModelCallError(OrchError):
     """A model call gave no usable completion.
 
     `failure` names the kind in the reasons recorded for failed calls:
-    transport failure, truncation, empty reply or malformed reply.
+    transport failure, refused request, truncation, empty reply or
+    malformed reply.
     """
 
     exit_code = 4

@@ -80,45 +80,49 @@ def majority_vote(labels: Sequence[OutcomeLabel]) -> OutcomeLabel:
     return max(lbl for lbl, n in counts.items() if n == best)
 
 
-def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
-                doc: Document, *, seed: int | None = None) -> SubtaskRun:
-    """Execute one prompt over one document, sending `seed` (an inference
-    round's number) with every call. The prompt's status is not read here:
-    a bundle holds only the statuses pack accepts (bundle.unpack).
+def extract(gateway: Gateway, subtask: Subtask, prompt: PromptSpec, source_id: str,
+            text: str, *, seed: int | None = None) -> SubtaskRun:
+    """Run one prompt over `text`, a document's body or a synthetic case's
+    input, recording the run under `source_id`. Every call sends `seed`:
+    infer's round r sends r and validation's repeat k sends k, so repeat k
+    is round k's sample. The prompt's status is not read here: a bundle
+    holds only the statuses pack accepts (bundle.unpack).
 
     Parse failure gets one repair round-trip, with the same seed and the
     format contract restated; a second failure, or a failed model call,
-    yields an all-unknown run marked unparseable rather than an exception.
+    yields an all-unknown run marked unparseable, its reason as reasoning.
     """
     _require_local(gateway)
     schema = subtask.output_schema
 
-    def attempt(system_prompt: str) -> tuple[str, FeatureSet]:
-        response = gateway.chat(system_prompt, doc.body, response_schema=schema, seed=seed)
-        return parse_subtask_output(schema, response.raw_text)
+    def attempt(system_prompt: str, status: str) -> SubtaskRun:
+        response = gateway.chat(system_prompt, text, response_schema=schema, seed=seed)
+        reasoning, output = parse_subtask_output(schema, response.raw_text)
+        return SubtaskRun(subtask.id, source_id, reasoning, output, status)
+
+    def unparseable(reason: str) -> SubtaskRun:
+        return SubtaskRun(subtask.id, source_id, reason, FeatureSet.all_unknown(schema),
+                          "unparseable")
 
     try:
-        reasoning, output = attempt(prompt.system_prompt)
-        return SubtaskRun(subtask_id=subtask.id, document_id=doc.id,
-                          reasoning=reasoning, output=output, parse_status="ok")
+        return attempt(prompt.system_prompt, "ok")
     except OutputParseError:
         pass
     except ModelCallError as exc:
-        return SubtaskRun(subtask_id=subtask.id, document_id=doc.id,
-                          reasoning=f"{exc.failure}: {exc}",
-                          output=FeatureSet.all_unknown(schema),
-                          parse_status="unparseable")
-    repair_system = f"{prompt.system_prompt}\n\n{_REPAIR_NOTE}\n\n{format_block(schema)}"
+        return unparseable(f"{exc.failure}: {exc}")
     try:
-        reasoning, output = attempt(repair_system)
-        return SubtaskRun(subtask_id=subtask.id, document_id=doc.id,
-                          reasoning=reasoning, output=output, parse_status="repaired")
+        return attempt(f"{prompt.system_prompt}\n\n{_REPAIR_NOTE}\n\n{format_block(schema)}",
+                       "repaired")
     except OutputParseError as exc:
-        reason = f"unparseable after repair: {exc}"
+        return unparseable(f"unparseable after repair: {exc}")
     except ModelCallError as exc:
-        reason = f"{exc.failure} after repair: {exc}"
-    return SubtaskRun(subtask_id=subtask.id, document_id=doc.id, reasoning=reason,
-                      output=FeatureSet.all_unknown(schema), parse_status="unparseable")
+        return unparseable(f"{exc.failure} after repair: {exc}")
+
+
+def run_subtask(gateway: Gateway, subtask: Subtask, prompt: PromptSpec,
+                doc: Document, *, seed: int | None = None) -> SubtaskRun:
+    """extract over one document's body, recorded under its id."""
+    return extract(gateway, subtask, prompt, doc.id, doc.body, seed=seed)
 
 
 def run_document(gateway: Gateway, plan: Plan, doc: Document, *,

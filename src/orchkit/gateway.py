@@ -29,7 +29,8 @@ when a `*_proxy` variable is set or on macOS and Windows.
 Every call enters through Gateway.chat, which builds the request from the
 profile's defaults. A TransportError is retried with a fixed policy: up
 to RETRY_ATTEMPTS attempts, waiting RETRY_BASE_DELAY * 2**attempt seconds
-plus up to RETRY_JITTER of that between them. RecordingBackend wraps any
+plus up to RETRY_JITTER of that between them; a refused request (a 4xx
+other than 408 and 429) is not retried. RecordingBackend wraps any
 backend and appends each request/response pair to a session file, JSON
 lines keyed by a content digest of the request;
 BackendProfile.scripted(session=...) builds the profile that replays it.
@@ -186,8 +187,9 @@ class ScriptedBackend:
 class ReplayBackend:
     """Serves recorded responses byte-identically; unseen requests error.
 
-    A request recorded more than once (validation repeats, documents with
-    identical text) is served its recordings in turn, then the last again.
+    A request recorded more than once (documents with identical text, or a
+    case validated again under an unchanged prompt, as at --revalidate) is
+    served its recordings in turn, then the last again.
     Every line is read into its ChatResponse when the backend is built, so
     a malformed line fails there, naming the file and line.
     """
@@ -546,19 +548,23 @@ class _HttpBackend:
               reply: Callable[[dict], tuple[str | None, bool]]) -> ChatResponse:
         """POST a JSON payload; `reply` reads the decoded reply's completion
         text (null when there is none) and whether it was cut off. A non-2xx
-        status (`HTTP Error 503: Service Unavailable`, followed by the
-        server's own error text when its body carries one), a connection
-        fault or timeout, a reply HTTP cannot frame and a reply that is not
-        JSON each become a TransportError naming the channel; a reply of
-        the wrong shape, its text not a string included, is a malformed
-        reply."""
+        status is worded `HTTP Error 503: Service Unavailable`, followed by
+        the server's own error text when its body carries one. A 4xx other
+        than 408 and 429 is a refused request, which no retry can fix. Any
+        other non-2xx status, a connection fault or timeout, a reply HTTP
+        cannot frame and a reply that is not JSON each become a
+        TransportError naming the channel; a reply of the wrong shape, its
+        text not a string included, is a malformed reply."""
         started = time.perf_counter()
         try:
             status, reason, data = self._exchange(
                 json.dumps(payload, allow_nan=False).encode("utf-8"))
             if not 200 <= status < 300:
-                raise TransportError(f"{self.channel} chat call failed: "
-                                     f"HTTP Error {status}: {reason}{_server_words(data)}")
+                message = (f"{self.channel} chat call failed: "
+                           f"HTTP Error {status}: {reason}{_server_words(data)}")
+                if 400 <= status < 500 and status not in (408, 429):
+                    raise ModelCallError(message, "refused request")
+                raise TransportError(message)
             body = json.loads(data)
         except (OSError, ValueError) as exc:
             raise TransportError(f"{self.channel} chat call failed: {exc}") from exc

@@ -1,14 +1,15 @@
 """Prompt validation against synthetic test sets, and the refinement loop.
 
-A check is one subtask's prompt revision with its synthetic cases. It is
-scored by running every case on the local channel, `repeats` times in a
-row (once by default), and comparing the parsed extraction field-by-field
-after normalization (trim, case-fold, declared aliases). validate_prompt
-runs every case of every check it is given as lanes of one
-executor.iter_lanes call, `width` x checks wide, and reports each check in
-check order with its cases in case order. The CLI sets `width` to
-workers x rounds, so validation has at most as many local calls in flight
-as `infer`: workers x rounds x subtasks in all.
+A check is one subtask's prompt revision with its synthetic cases. Each
+case runs through executor.extract, infer's subtask runner and its repair,
+`repeats` times in a row (once by default), repeat k sending seed k as
+infer's round k does. An unparseable run fails its case; any other is
+compared field-by-field after normalization (trim, case-fold, declared
+aliases). validate_prompt runs every case of every check it is given as
+lanes of one executor.iter_lanes call, `width` x checks wide, and reports
+each check in check order with its cases in case order. The CLI sets
+`width` to workers x rounds, so validation has at most as many local calls
+in flight as `infer`: workers x rounds x subtasks in all.
 
 run_refinement_loops refines in waves: each wave validates every check
 still refining in one validate_prompt call, then rewrites the checks below
@@ -26,19 +27,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .errors import ModelCallError, OutputParseError
-from .executor import iter_lanes
+from .executor import extract, iter_lanes
 from .gateway import Gateway
 from .model import (
     CaseResult,
-    FeatureSet,
     PromptSpec,
     Subtask,
     SubtaskRun,
     SyntheticCase,
     ValidationReport,
 )
-from .parsing import parse_subtask_output
+from .parsing import parse_subtask_output  # noqa: F401 - bench/tracer.py wraps it by name
 
 DEFAULT_THRESHOLD = 0.80
 DEFAULT_MAX_ITERS = 5
@@ -52,30 +51,14 @@ def _as_fraction(threshold: float | str | Fraction) -> Fraction:
 
 
 def _run_case(gateway: Gateway, prompt: PromptSpec, subtask: Subtask,
-              index: int, case: SyntheticCase) -> CaseResult:
-    schema = subtask.output_schema
-    try:
-        response = gateway.chat(prompt.system_prompt, case.input_text,
-                                response_schema=schema)
-    except ModelCallError as exc:
-        run = SubtaskRun(subtask_id=subtask.id, document_id=VALIDATION_DOC_ID,
-                         reasoning="", output=FeatureSet.all_unknown(schema),
-                         parse_status="unparseable")
-        return CaseResult(index, case, run, passed=False, reason=f"{exc.failure}: {exc}")
-    try:
-        reasoning, predicted = parse_subtask_output(schema, response.raw_text)
-    except OutputParseError as exc:
-        run = SubtaskRun(subtask_id=subtask.id, document_id=VALIDATION_DOC_ID,
-                         reasoning=response.raw_text[:500],
-                         output=FeatureSet.all_unknown(schema),
-                         parse_status="unparseable")
-        return CaseResult(index, case, run, passed=False, reason=f"unparseable: {exc}")
-    run = SubtaskRun(subtask_id=subtask.id, document_id=VALIDATION_DOC_ID,
-                     reasoning=reasoning, output=predicted, parse_status="ok")
+              index: int, case: SyntheticCase, seed: int) -> CaseResult:
+    run = extract(gateway, subtask, prompt, VALIDATION_DOC_ID, case.input_text, seed=seed)
+    if run.parse_status == "unparseable":
+        return CaseResult(index, case, run, passed=False, reason=run.reasoning)
     mismatches = [
-        f"{name}: expected {case.expected.get(name)!r}, got {predicted.get(name)!r}"
-        for name in schema.field_names()
-        if case.expected.get(name) != predicted.get(name)
+        f"{name}: expected {case.expected.get(name)!r}, got {run.output.get(name)!r}"
+        for name in subtask.output_schema.field_names()
+        if case.expected.get(name) != run.output.get(name)
     ]
     if mismatches:
         return CaseResult(index, case, run, passed=False, reason="; ".join(mismatches))
@@ -92,13 +75,14 @@ def validate_prompt(checks: Sequence[Check], gateway: Gateway, *,
     report per check, in check order.
 
     Every case of every check is a lane of one iter_lanes call, `width` x
-    len(checks) at once. A failed model call (ModelCallError) marks its case
-    failed; any other error, such as a replay miss (UnseenRequestError), is
-    raised once the cases in flight end, and no later case of any check
-    starts. With repeats > 1 a case only counts as passed when every repeat
-    passes (a stricter reading of "consistently passes"); a case's repeats
-    run in order in its lane and stop at the first that fails. The default
-    is a single execution per case per revision.
+    len(checks) at once. A failed model call fails its case, as it leaves
+    infer's run unparseable; any other error, such as a replay miss
+    (UnseenRequestError), is raised once the cases in flight end, and no
+    later case of any check starts. With repeats > 1 a case only counts as
+    passed when every repeat passes (a stricter reading of "consistently
+    passes"); a case's repeats run in order in its lane, repeat k with seed
+    k, and stop at the first that fails. The default is a single execution
+    per case per revision.
     """
     for subtask, _prompt, cases in checks:
         if not cases:
@@ -108,11 +92,10 @@ def validate_prompt(checks: Sequence[Check], gateway: Gateway, *,
 
     def lane(item: tuple[Subtask, PromptSpec, int, SyntheticCase]) -> CaseResult:
         subtask, prompt, index, case = item
-        result = _run_case(gateway, prompt, subtask, index, case)
-        for _ in range(repeats - 1):
+        for seed in range(1, repeats + 1):
+            result = _run_case(gateway, prompt, subtask, index, case, seed)
             if not result.passed:
                 break
-            result = _run_case(gateway, prompt, subtask, index, case)
         return result
 
     lanes = [(subtask, prompt, index, case) for subtask, prompt, cases in checks

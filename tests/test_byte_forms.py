@@ -39,7 +39,7 @@ CLI_FILES = {
     # Both sessions are recorded from concurrent lanes (plan's synthetic sets,
     # validation's cases), so only the set of lines is stable.
     "cloud.jsonl (sorted lines)": "19d9f330386ff6d3d54dcea0762abd5d626344f049235a5692334f97c5b51365",
-    "local.jsonl (sorted lines)": "9a4c3156f988061302a24afb58d8ce913f4d58f9d764cc532bb3223ad0658399",
+    "local.jsonl (sorted lines)": "37928ef04d808c6509bd4412bf44abaa563fa984b686ac6f3b1141f59d7d9a19",
 }
 
 # Table, confusion matrix and accuracy line, byte for byte (table cells are

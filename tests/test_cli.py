@@ -655,8 +655,9 @@ def test_infer_over_session_recorded_before_seeds_exit_4(workspace, tmp_path, ca
     validated = tmp_path / "validated.json"
     bundle_file = tmp_path / "a.orchb"
     assert plan_cmd(workspace, plan_file) == 0
+    # Validation sends seeds too, so it validates over the seeded session.
     assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated),
-                   "--config", str(config)) == 0  # validation sends no seed
+                   "--config", str(workspace["config"])) == 0
     assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file),
                    "--config", str(config), "--deterministic") == 0
     capsys.readouterr()
@@ -668,6 +669,29 @@ def test_infer_over_session_recorded_before_seeds_exit_4(workspace, tmp_path, ca
     assert f"replay session {old_session} records no seeded request" in err
     assert "recorded before per-round seeds must be re-recorded" in err
     assert not (tmp_path / "p.jsonl").exists()
+
+
+def test_validate_over_session_recorded_before_seeds_exit_4(workspace, tmp_path, capsys):
+    # Validation repeat k sends seed k, so a session recorded before requests
+    # carried seeds serves validation no more than it serves infer.
+    old_session = tmp_path / "pre-seed.jsonl"
+    records = [json.loads(line) for line in
+               workspace["local_session"].read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        record["request"].pop("seed", None)
+        record["digest"] = digest(record["request"])
+    old_session.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    config = tmp_path / "pre-seed.cfg"
+    config.write_text(workspace["config"].read_text(encoding="utf-8").replace(
+        str(workspace["local_session"]), str(old_session)), encoding="utf-8")
+    plan_file = tmp_path / "plan.json"
+    assert plan_cmd(workspace, plan_file) == 0
+    capsys.readouterr()
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(tmp_path / "v.json"),
+                   "--config", str(config)) == 4
+    err = capsys.readouterr().err
+    assert f"replay session {old_session} records no seeded request" in err
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_infer_with_a_missing_replay_session_exits_2_naming_it(workspace, tmp_path, capsys):

@@ -830,19 +830,34 @@ def test_a_reply_http_cannot_frame_fails_and_closes_its_connection(monkeypatch, 
     ("500 Internal Server Error", {"error": "x" * 300}, ": " + "x" * 200),
     ("503 Service Unavailable", "<html>busy</html>", ""),
     ("502 Bad Gateway", {"error": {"code": 7}}, ""),
-], ids=["ollama-404", "openai-401", "cut-to-200", "not-json", "no-text"])
+    ("400 Bad Request", {"error": "invalid format schema"}, ": invalid format schema"),
+    ("408 Request Timeout", "", ""),
+    ("429 Too Many Requests", {"error": {"message": "slow down"}}, ": slow down"),
+], ids=["ollama-404", "openai-401", "cut-to-200", "not-json", "no-text",
+        "bad-request-400", "timeout-408", "busy-429"])
 @pytest.mark.parametrize("channel", ["cloud", "local"])
 def test_a_non_2xx_reply_keeps_the_servers_words(monkeypatch, channel, status, body, words):
+    # A 4xx other than 408 and 429 is refused at once, unretried and unslept;
+    # any other status is retried. Either way the gateway's next call, to a
+    # healthy reply, succeeds on the same connection.
+    code, _, reason = status.partition(" ")
+    refused = code.startswith("4") and code not in ("408", "429")
+    posts = 1 if refused else RETRY_ATTEMPTS
     data = body.encode("utf-8") if isinstance(body, str) else json.dumps(body).encode("utf-8")
     reply = _raw(status, [f"Content-Length: {len(data)}"], data)
-    with (_raw_server(monkeypatch, (reply, False)) as server,
-          _gateway(server, channel) as gateway):
-        with pytest.raises(TransportError) as err:
+    sleeps = []
+    with (_raw_server(monkeypatch, *[(reply, False)] * posts, (_ok(channel, "fine"), False))
+          as server, _gateway(server, channel, sleeps.append) as gateway):
+        with pytest.raises(ModelCallError) as err:
             _within(10, lambda: gateway.chat("sys", "doc"))
-    code, _, reason = status.partition(" ")
+        assert server.requests == posts
+        assert _within(10, lambda: gateway.chat("sys", "doc")).raw_text == "fine"
+    assert type(err.value) is (ModelCallError if refused else TransportError)
+    assert err.value.failure == ("refused request" if refused else "transport failure")
     assert str(err.value).endswith(
         f"{channel} chat call failed: HTTP Error {code}: {reason}{words}")
-    assert (server.requests, server.connections) == (RETRY_ATTEMPTS, 1)
+    assert len(sleeps) == posts - 1
+    assert (server.requests, server.connections) == (posts + 1, 1)
 
 
 def test_an_api_key_holding_a_line_break_sends_nothing(server, monkeypatch):

@@ -3,10 +3,10 @@
 of one pool, in waves.
 
 The CLI's channels are served by scripted handlers: the local model reads
-the fixture's token markers, can flip the spread field on chosen sightings
-of an unseeded request or on chosen seeds (so output bytes depend on each
-request's sightings keeping their order, and on each round's reply landing
-in its own round) and counts the calls in flight.
+the fixture's token markers, can flip the spread field on chosen seeds or
+on chosen sightings of a synthetic case under one prompt (so output bytes
+depend on each round's reply landing in its own round, and on a case's
+sightings keeping their order) and counts the calls in flight.
 """
 
 from __future__ import annotations
@@ -38,20 +38,24 @@ from conftest import fake_local_extractor, fixture_documents, golden_plan, refin
 
 class LocalModel:
     """The fixture's perfect extractor, with `distant_metastasis` flipped in
-    a seeded request whose seed is in `flip_on`, and on the sightings of an
-    unseeded request listed there. Counts each request's sightings, the calls
-    in flight and their peak.
+    a request whose seed is in `flip_on`, and on the sightings of a
+    synthetic case's (system, user) pair, counted across seeds, listed in
+    `flip_sightings`. Counts each request's sightings, the calls in flight
+    and their peak.
 
     With `together`, calls are held at a barrier until that many are in
     flight at once, so the peak does not depend on the host's speed: a pool
     narrower than `together` breaks the barrier, and a wider one shows in
     the peak."""
 
-    def __init__(self, *, flip_on=(), delay: float = 0.0, together: int = 0):
+    def __init__(self, *, flip_on=(), flip_sightings=(), delay: float = 0.0,
+                 together: int = 0):
         self.flip_on = frozenset(flip_on)
+        self.flip_sightings = frozenset(flip_sightings)
         self.delay = delay
         self.barrier = threading.Barrier(together, timeout=5) if together else None
         self.seen: Counter = Counter()
+        self.pairs: Counter = Counter()
         self.inflight = 0
         self.peak = 0
         self.lock = threading.Lock()
@@ -61,6 +65,8 @@ class LocalModel:
         with self.lock:
             self.seen[key] += 1
             n = self.seen[key]
+            self.pairs[key[:2]] += 1
+            sighting = self.pairs[key[:2]]
             self.inflight += 1
             self.peak = max(self.peak, self.inflight)
         try:
@@ -68,8 +74,9 @@ class LocalModel:
                 self.barrier.wait()
             time.sleep(self.delay)
             values = json.loads(fake_local_extractor(request))["values"]
-            flip = n if request.seed is None else request.seed
-            if flip in self.flip_on and "distant_metastasis" in values:
+            flip = request.seed in self.flip_on or (
+                sighting in self.flip_sightings and request.user_content.startswith("synthetic"))
+            if flip and "distant_metastasis" in values:
                 values["distant_metastasis"] = (
                     "absent" if values["distant_metastasis"] == "present" else "present")
             return json.dumps({"reasoning": f"sighting {n}", "values": values})
@@ -135,9 +142,10 @@ def infer(ws, *extra: str) -> int:
 
 
 def test_validation_bytes_do_not_depend_on_workers(tmp_path, monkeypatch, capsys):
-    # Every spread case fails on its second and fourth sighting, so with two
-    # repeats per case the spread prompt refines three times, revisions 1-3
-    # sending identical requests; vessel passes at revision 0.
+    # Every spread case fails on its second and fourth sighting under one
+    # prompt, so with two repeats per case (seeds 1 and 2) the spread prompt
+    # refines three times, revisions 1-3 sending identical requests; vessel
+    # passes at revision 0.
     outputs = set()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave threads as often as possible
@@ -145,7 +153,7 @@ def test_validation_bytes_do_not_depend_on_workers(tmp_path, monkeypatch, capsys
         for workers in (1, 2, 3, 8, 16):
             ws = write_inputs(tmp_path / f"workers-{workers}", workers=workers,
                               validation_repeats=2, max_iters=3)
-            scripted_channels(monkeypatch, LocalModel(flip_on=(2, 4)))
+            scripted_channels(monkeypatch, LocalModel(flip_sightings=(2, 4)))
             codes = (validate(ws, "--emit-history", str(ws / "history.json")),
                      pack(ws, "validated.json"), infer(ws, "--revalidate"))
             assert codes == (0, 0, 0)
@@ -531,6 +539,8 @@ def test_revalidate_honours_validation_repeats(tmp_path, monkeypatch):
     scripted_channels(monkeypatch, model)
     assert pack(ws, "refined.json") == 0
     assert infer(ws, "--revalidate") == 0
-    case_sightings = [n for (_system, user, _seed), n in model.seen.items()
-                      if user.startswith("synthetic")]
-    assert case_sightings == [2] * 6
+    case_sightings = sorted((user, seed, n) for (_system, user, seed), n in model.seen.items()
+                            if user.startswith("synthetic"))
+    cases = sorted({user for user, _seed, _n in case_sightings})
+    assert len(cases) == 6
+    assert case_sightings == [(user, seed, 1) for user in cases for seed in (1, 2)]

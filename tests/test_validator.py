@@ -18,15 +18,22 @@ from fractions import Fraction
 import pytest
 
 from orchkit.errors import UnseenRequestError
-from orchkit.gateway import PHASE_LOCAL, BackendProfile, Gateway, ScriptedBackend
-from orchkit.model import FeatureSet, PromptSpec, SyntheticCase
+from orchkit.executor import run_document, run_subtask
+from orchkit.gateway import (
+    PHASE_LOCAL,
+    BackendProfile,
+    Gateway,
+    ScriptedBackend,
+    request_digest,
+)
+from orchkit.model import Document, FeatureSet, PromptSpec, SyntheticCase
 from orchkit.validator import (
     run_refinement_loop,
     run_refinement_loops,
     validate_prompt,
 )
 
-from conftest import golden_subtasks
+from conftest import fake_local_extractor, golden_cases, golden_plan, golden_subtasks
 
 SPREAD = golden_subtasks()[0]
 OTHER = dataclasses.replace(SPREAD, id="other_spread")
@@ -223,6 +230,59 @@ def test_normalization_accepts_alias_case_and_whitespace():
                          FeatureSet({"distant_metastasis": "present"}))
     [report] = validate_prompt([(SPREAD, draft_prompt(), [case])], gw)
     assert report.passes == 1  # "METS" -> alias -> "present"
+
+
+# --- the same runner as infer ------------------------------------------------------
+
+def test_validation_passes_the_cases_infer_repairs():
+    # The model answers prose until the repair note is in its system prompt.
+    # Validation gives each reply infer's repair round-trip, repeat k sending
+    # seed k, so it passes every case that infer's runs repair.
+    seeds = []
+
+    def prose_until_repaired(request):
+        seeds.append(request.seed)
+        if "could not be parsed against the output contract" not in request.system_prompt:
+            return "The report states the spread plainly."
+        return fake_local_extractor(request)
+
+    plan = golden_plan()
+    spread, prompt = plan.subtasks[0], plan.prompt_for(SPREAD.id)
+    cases = golden_cases()[SPREAD.id]
+    gw = local_gateway(prose_until_repaired)
+    [report] = validate_prompt([(spread, prompt, cases)], gw, repeats=2)
+    assert (report.passes, report.total, report.verdict) == (3, 3, "passed")
+    assert [r.run.parse_status for r in report.results] == ["repaired"] * 3
+    assert sorted(seeds) == [1] * 6 + [2] * 6  # a failed parse and its repair per repeat
+    for case in cases:
+        run = run_subtask(gw, spread, prompt, Document("d", case.input_text), seed=2)
+        assert (run.parse_status, run.output) == ("repaired", case.expected)
+
+
+def test_a_case_failing_only_seed_2_fails_on_infer_round_2s_request():
+    requests = []
+
+    def wrong_on_seed_2(request):
+        requests.append(request)
+        reply = json.loads(fake_local_extractor(request))
+        if request.seed == 2 and "distant_metastasis" in reply["values"]:
+            reply["values"]["distant_metastasis"] = "absent"
+        return json.dumps(reply)
+
+    plan = golden_plan()
+    spread, prompt = plan.subtasks[0], plan.prompt_for(SPREAD.id)
+    case = golden_cases()[SPREAD.id][0]  # mets=present
+    gw = local_gateway(wrong_on_seed_2)
+    [report] = validate_prompt([(spread, prompt, [case])], gw, repeats=2)
+    assert (report.passes, report.verdict) == (0, "refine")
+    assert report.results[0].reason == "distant_metastasis: expected 'present', got 'absent'"
+    assert [r.seed for r in requests] == [1, 2]
+    repeat_2 = request_digest(requests[1])
+    requests.clear()
+    run_document(gw, plan, Document("d", case.input_text), rounds=2)
+    round_2 = [request_digest(r) for r in requests
+               if r.seed == 2 and r.system_prompt == prompt.system_prompt]
+    assert round_2 == [repeat_2]
 
 
 # --- refinement loop ---------------------------------------------------------------
