@@ -110,6 +110,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from . import planner, validator
 
     config = load_config(args.config)
+    if args.max_iters is not None and args.max_iters < 1:
+        raise ValueError(f"validate: --max-iters must be >= 1, got {args.max_iters}")
     plan = bundlemod.load_plan(args.plan)
     violations = validate_plan(plan, min_cases=config.min_synthetic_cases)
     if violations:

@@ -52,6 +52,7 @@ from .jsonio import read_text
 CONFIG_ENV = "ORCH_CONFIG"
 
 _PROFILE_KEYS = ("kind", "endpoint", "model", "temperature", "context", "session")
+_KINDS = (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP, KIND_SCRIPTED)
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
@@ -66,7 +67,7 @@ class ProfileConfig:
 
     def to_profile(self, channel: str) -> BackendProfile:
         scripted = self.kind == KIND_SCRIPTED
-        if not scripted and self.kind not in (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP):
+        if self.kind is None:  # a kind that is set was checked at load
             raise ValueError(f"config: {channel}.kind is not configured")
         if scripted and not self.session:
             raise ValueError(f"config: {channel}.session required for scripted kind")
@@ -136,6 +137,9 @@ def _apply(config: Config, key: str, value: str, lineno: int) -> None:
             profile.temperature = temperature
         elif attr == "context":
             setattr(profile, attr, _number(int, key, value, lineno))
+        elif attr == "kind" and value not in _KINDS:
+            raise ValueError(f"config line {lineno}: {key} must be one of "
+                             f"{', '.join(_KINDS)}, got {value!r}")
         elif attr == "endpoint" and not _is_http_url(value):
             raise ValueError(f"config line {lineno}: {key} must be an http:// or https:// "
                              f"URL, got {value!r}")

@@ -26,6 +26,10 @@ else the mandatory default. The sentinel value "unknown" is matchable only by
 is_unknown() and by "!=": equality and membership against concrete values are
 false on unknown, which keeps unparseable extractions from silently matching
 severity rules.
+
+The AST has one node per construct: Compare(field, op, values) for "==",
+"!=" (one value each) and "in"; IsUnknown(field); Not(inner); and
+Chain(op, parts) for "and" and "or", never holding a Chain of its own op.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DslError
 from .model import UNKNOWN, FeatureSchema, FeatureSet, OutcomeLabel, merge_schemas
@@ -42,21 +47,10 @@ from .model import UNKNOWN, FeatureSchema, FeatureSet, OutcomeLabel, merge_schem
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Eq:
+class Compare:
     field: str
-    value: str
-
-
-@dataclass(frozen=True)
-class Ne:
-    field: str
-    value: str
-
-
-@dataclass(frozen=True)
-class In:
-    field: str
-    values: tuple[str, ...]
+    op: str  # "==", "!=" or "in"
+    values: tuple[str, ...]  # one value for "==" and "!="
 
 
 @dataclass(frozen=True)
@@ -70,12 +64,8 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
-    parts: tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class Or:
+class Chain:
+    op: str  # "and" or "or"
     parts: tuple[object, ...]
 
 
@@ -89,7 +79,6 @@ class Rule:
 class SynthesisLogic:
     rules: tuple[Rule, ...]
     default_label: OutcomeLabel
-    schema: FeatureSchema
     source: str
 
 
@@ -108,8 +97,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # op | ident | string | keyword | eof
     text: str
     offset: int
@@ -187,7 +175,7 @@ class _Parser:
                 self.take("';' between statements", texts=(";",))
         if default is None:
             raise DslError("program has no default rule")
-        return SynthesisLogic(tuple(rules), default, self.schema, self.source)
+        return SynthesisLogic(tuple(rules), default, self.source)
 
     def parse_label(self) -> OutcomeLabel:
         tok = self.take("a label", kinds=("ident", "string"))
@@ -201,13 +189,14 @@ class _Parser:
         """`or` over `and` chains, `and` over terms. Nested nodes of the
         chain's own kind are flattened so the AST is canonical however the
         source was parenthesized; pretty() then round-trips."""
-        node, part = (Or, lambda: self.parse_chain("and")) if op == "or" else (And, self.parse_term)
+        part = (lambda: self.parse_chain("and")) if op == "or" else self.parse_term
         parts = [part()]
         while self.accept(op):
             parts.append(part())
         if len(parts) == 1:
             return parts[0]
-        return node(tuple(q for p in parts for q in (p.parts if isinstance(p, node) else [p])))
+        return Chain(op, tuple(q for p in parts for q in
+                               (p.parts if isinstance(p, Chain) and p.op == op else [p])))
 
     def parse_term(self) -> object:
         if self.accept("not"):
@@ -224,13 +213,13 @@ class _Parser:
         field = self.take_field()
         op = self.take("'==', '!=' or 'in'", texts=("==", "!=", "in")).text
         if op != "in":
-            return (Eq if op == "==" else Ne)(field.name, self.parse_value(field))
+            return Compare(field.name, op, (self.parse_value(field),))
         self.take("'{'", texts=("{",))
         values = [self.parse_value(field)]
         while self.accept(","):
             values.append(self.parse_value(field))
         self.take("'}'", texts=("}",))
-        return In(field.name, tuple(values))
+        return Compare(field.name, op, tuple(values))
 
     def take_field(self):
         tok = self.take("a field name", kinds=("ident",))
@@ -270,23 +259,18 @@ def parse_logic(source: str, schemas: Sequence[FeatureSchema],
 # ---------------------------------------------------------------------------
 
 def _holds(node: object, features: FeatureSet) -> bool:
-    if isinstance(node, Eq):
+    if isinstance(node, Compare):
         v = features.get(node.field)
-        return v != UNKNOWN and v.casefold() == node.value.casefold()
-    if isinstance(node, Ne):
-        v = features.get(node.field)
-        return v == UNKNOWN or v.casefold() != node.value.casefold()
-    if isinstance(node, In):
-        v = features.get(node.field)
-        return v != UNKNOWN and any(v.casefold() == x.casefold() for x in node.values)
+        if v == UNKNOWN:
+            return node.op == "!="
+        hit = any(v.casefold() == x.casefold() for x in node.values)
+        return not hit if node.op == "!=" else hit
     if isinstance(node, IsUnknown):
         return features.get(node.field) == UNKNOWN
     if isinstance(node, Not):
         return not _holds(node.inner, features)
-    if isinstance(node, And):
-        return all(_holds(p, features) for p in node.parts)
-    if isinstance(node, Or):
-        return any(_holds(p, features) for p in node.parts)
+    if isinstance(node, Chain):
+        return (all if node.op == "and" else any)(_holds(p, features) for p in node.parts)
     raise TypeError(f"not a condition node: {node!r}")
 
 
@@ -306,29 +290,18 @@ def evaluate(logic: SynthesisLogic, features: FeatureSet) -> OutcomeLabel:
 # under `and` or `not` keeps both pairs of parentheses, `a and ((b or c))`, or
 # unpack refuses every bundle packed with one. tests/test_ruledsl.py pins it.
 def _render(node: object, parent: str = "") -> str:
-    if isinstance(node, Eq):
-        return f"{node.field} == {_quote_if_needed(node.value)}"
-    if isinstance(node, Ne):
-        return f"{node.field} != {_quote_if_needed(node.value)}"
-    if isinstance(node, In):
-        inner = ", ".join(_quote_if_needed(v) for v in node.values)
-        return f"{node.field} in {{{inner}}}"
+    if isinstance(node, Compare):
+        values = ", ".join(_quote_if_needed(v) for v in node.values)
+        return f"{node.field} {node.op} " + (f"{{{values}}}" if node.op == "in" else values)
     if isinstance(node, IsUnknown):
         return f"is_unknown({node.field})"
     if isinstance(node, Not):
-        inner = _render(node.inner, "not")
-        if isinstance(node.inner, (And, Or)):
-            inner = f"({inner})"
-        return f"not {inner}"
-    if isinstance(node, And):
-        parts = []
-        for p in node.parts:
-            text = _render(p, "and")
-            parts.append(f"({text})" if isinstance(p, Or) else text)
-        return " and ".join(parts)
-    if isinstance(node, Or):
-        text = " or ".join(_render(p, "or") for p in node.parts)
-        return f"({text})" if parent in ("and", "not") else text
+        return f"not {_render(node.inner, 'not')}"
+    if isinstance(node, Chain):
+        text = f" {node.op} ".join(_render(p, node.op) for p in node.parts)
+        if node.op == "or" and parent in ("and", "not"):
+            return f"(({text}))"
+        return f"({text})" if parent == "not" else text
     raise TypeError(f"not a condition node: {node!r}")
 
 

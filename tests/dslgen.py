@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from orchkit.model import UNKNOWN, FeatureSchema, FieldSpec, make_labels
-from orchkit.ruledsl import And, Eq, In, IsUnknown, Ne, Not, Or, SynthesisLogic
+from orchkit.ruledsl import Chain, Compare, IsUnknown, Not, SynthesisLogic
 
 LABELS = make_labels(("L0", "L1", "L2", "L3"))
 
@@ -85,17 +85,17 @@ def all_inputs(schema: FeatureSchema):
 
 
 def _oracle_holds(node, features) -> bool:
-    if isinstance(node, Eq):
+    if isinstance(node, Compare) and node.op == "==":
         value = features.get(node.field, UNKNOWN)
         if value == UNKNOWN:
             return False
-        return value.casefold() == node.value.casefold()
-    if isinstance(node, Ne):
+        return value.casefold() == node.values[0].casefold()
+    if isinstance(node, Compare) and node.op == "!=":
         value = features.get(node.field, UNKNOWN)
         if value == UNKNOWN:
             return True
-        return value.casefold() != node.value.casefold()
-    if isinstance(node, In):
+        return value.casefold() != node.values[0].casefold()
+    if isinstance(node, Compare) and node.op == "in":
         value = features.get(node.field, UNKNOWN)
         if value == UNKNOWN:
             return False
@@ -104,12 +104,12 @@ def _oracle_holds(node, features) -> bool:
         return features.get(node.field, UNKNOWN) == UNKNOWN
     if isinstance(node, Not):
         return not _oracle_holds(node.inner, features)
-    if isinstance(node, And):
+    if isinstance(node, Chain) and node.op == "and":
         for part in node.parts:
             if not _oracle_holds(part, features):
                 return False
         return True
-    if isinstance(node, Or):
+    if isinstance(node, Chain) and node.op == "or":
         for part in node.parts:
             if _oracle_holds(part, features):
                 return True

@@ -597,6 +597,28 @@ def test_infer_local_settings_from_bundle_unless_configured(workspace, tmp_path,
         [(0.35, 4096), (0.5, 4096)]
 
 
+def test_revalidate_twice_over_one_session_prints_and_writes_the_same(workspace, tmp_path,
+                                                                      capsys):
+    plan_file, validated = tmp_path / "plan.json", tmp_path / "validated.json"
+    bundle_file, preds = tmp_path / "artifact.orchb", tmp_path / "preds.jsonl"
+    config = tmp_path / "orch.cfg"
+    config.write_text(workspace["config"].read_text(encoding="utf-8") + "workers = 3\n",
+                      encoding="utf-8")
+    assert plan_cmd(workspace, plan_file) == 0
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated),
+                   "--config", str(config)) == 0
+    assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file),
+                   "--config", str(config), "--deterministic") == 0
+    runs = []
+    for _ in range(2):
+        capsys.readouterr()
+        assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
+                       "--out", str(preds), "--config", str(config), "--revalidate") == 0
+        runs.append((capsys.readouterr().out, preds.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0].count("(passed)") == 2
+
+
 def test_infer_single_round_no_vote(workspace, tmp_path):
     plan_file = tmp_path / "plan.json"
     validated = tmp_path / "validated.json"
@@ -988,13 +1010,17 @@ def _refusals(ws, tmp):
         "--labels empty": (
             None, None, evaluate(ws["gt"], "--labels", ""),
             "evaluate: --labels names no label"),
+        "--max-iters 0": (
+            None, None, ["validate", "--plan", str(plan_file), "--config", str(ws["config"]),
+                         "--max-iters", "0"],
+            "validate: --max-iters must be >= 1, got 0"),
     }
 
 
 @pytest.mark.parametrize("case", ["config line without '='", "local_http without an endpoint",
                                   "docs file with no document", "ground-truth row with one field",
                                   "pack below min_synthetic_cases", "--labels naming no label",
-                                  "--labels empty"])
+                                  "--labels empty", "--max-iters 0"])
 def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_path, capsys,
                                                                   case):
     path, text, argv, message = _refusals(workspace, tmp_path)[case]

@@ -160,3 +160,27 @@ def test_infer_refuses_an_endpoint_without_a_scheme_before_any_model_call(
         f"error: {path}: config line 2: local.endpoint must be an http:// or https:// "
         "URL, got '127.0.0.1:11434'\n")
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("channel", ["local", "cloud"])
+def test_unknown_channel_kind_names_its_line(channel, tmp_path, capsys):
+    text = f"rounds = 3\n{channel}.kind = ollama\n"
+    message = (f"config line 2: {channel}.kind must be one of cloud_http, local_http, "
+               "scripted, got 'ollama'")
+    with pytest.raises(ValueError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+    path = tmp_path / "orch.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "preds.jsonl"
+    assert main(["infer", "--bundle", str(tmp_path / "a.orchb"), "--docs",
+                 str(tmp_path / "docs.jsonl"), "--out", str(out), "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+def test_unset_channel_kind_keeps_its_message():
+    config = parse_config("local.endpoint = http://127.0.0.1:11434\n")
+    with pytest.raises(ValueError) as info:
+        config.local.to_profile("local")
+    assert str(info.value) == "config: local.kind is not configured"

@@ -35,6 +35,7 @@ from orchkit.config import ProfileConfig
 from orchkit.errors import ModelCallError, TransportError
 from orchkit.executor import run_subtask
 from orchkit.gateway import (
+    HTTP_TIMEOUT,
     KIND_CLOUD_HTTP,
     KIND_LOCAL_HTTP,
     PHASE_CLOUD,
@@ -858,6 +859,55 @@ def test_a_non_2xx_reply_keeps_the_servers_words(monkeypatch, channel, status, b
         f"{channel} chat call failed: HTTP Error {code}: {reason}{words}")
     assert len(sleeps) == posts - 1
     assert (server.requests, server.connections) == (posts + 1, 1)
+
+
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+def test_a_refused_connection_is_retried_then_gives_up(monkeypatch, channel):
+    # A socket bound but not listening: a connection to its port is refused,
+    # and no other process can take the port while the test runs.
+    _clear_environment(monkeypatch)
+    connects = []
+    create_connection = socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        connects.append(address)
+        return create_connection(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    sleeps = []
+    with socket.socket() as unheard:
+        unheard.bind(("127.0.0.1", 0))
+        nowhere = SimpleNamespace(base=f"http://127.0.0.1:{unheard.getsockname()[1]}")
+        with _gateway(nowhere, channel, sleeps.append) as gateway:
+            with pytest.raises(TransportError) as err:
+                _within(10, lambda: gateway.chat("sys", "doc"))
+    assert type(err.value) is TransportError and err.value.failure == "transport failure"
+    assert f"{channel} chat call failed: " in str(err.value)
+    assert "Connection refused" in str(err.value)
+    assert len(connects) == RETRY_ATTEMPTS
+    assert len(sleeps) == RETRY_ATTEMPTS - 1
+
+
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+def test_a_reply_slower_than_the_timeout_is_retried_and_not_pooled(monkeypatch, channel):
+    # The server reads each of the first RETRY_ATTEMPTS requests and writes
+    # nothing back until the client closes; the next request gets a reply.
+    for phase in (PHASE_CLOUD, PHASE_LOCAL):
+        monkeypatch.setitem(HTTP_TIMEOUT, phase, 0.2)
+    silent = [(b"", False)] * RETRY_ATTEMPTS
+    sleeps = []
+    with (_raw_server(monkeypatch, *silent, (_ok(channel, "fine"), False)) as server,
+          _gateway(server, channel, sleeps.append) as gateway):
+        with pytest.raises(TransportError) as err:
+            _within(10, lambda: gateway.chat("sys", "doc"))
+        for _ in range(RETRY_ATTEMPTS):
+            assert server.client_closed.acquire(timeout=10), "the client kept the connection"
+        assert (server.requests, server.connections) == (RETRY_ATTEMPTS, RETRY_ATTEMPTS)
+        assert _within(10, lambda: gateway.chat("sys", "doc")).raw_text == "fine"
+    assert type(err.value) is TransportError and err.value.failure == "transport failure"
+    assert f"{channel} chat call failed: timed out" in str(err.value)
+    assert len(sleeps) == RETRY_ATTEMPTS - 1
+    assert (server.requests, server.connections) == (RETRY_ATTEMPTS + 1, RETRY_ATTEMPTS + 1)
 
 
 def test_an_api_key_holding_a_line_break_sends_nothing(server, monkeypatch):
