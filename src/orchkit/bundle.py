@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BundleError, DslError
@@ -32,6 +31,7 @@ from .model import (
     OutcomeLabel,
     Plan,
     PromptSpec,
+    Record,
     Subtask,
     SubtaskRun,
     SyntheticCase,
@@ -176,8 +176,7 @@ def load_plan(path: str | Path) -> Plan:
 # Bundle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RuntimeDefaults:
+class RuntimeDefaults(Record):
     """Execution-side knobs that travel with the bundle."""
 
     rounds: int = 5
@@ -207,8 +206,7 @@ class RuntimeDefaults:
                    local_context=data["local_context"], threshold=data["threshold"])
 
 
-@dataclass(frozen=True)
-class ArtifactBundle:
+class ArtifactBundle(Record):
     """Verified view over unpacked bundle sections."""
 
     sections: Mapping[str, object]

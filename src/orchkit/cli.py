@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
-from dataclasses import fields
 from pathlib import Path
 
 from .config import Config, load_config
@@ -44,7 +43,7 @@ from .gateway import (
     Gateway,
 )
 from .jsonio import read_json, read_text, write_json
-from .model import TaskSpec, UserPrefs, validate_plan
+from .model import TaskSpec, UserPrefs, record_fields, replace, validate_plan
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -68,7 +67,7 @@ def _load_prefs(path: Path, config: Config) -> UserPrefs:
     def build(data: dict) -> UserPrefs:
         prefs = {"output_labels": data["output_labels"],
                  "synthetic_cases_per_subtask": config.synthetic_cases_per_subtask, **data}
-        unknown = [key for key in prefs if key not in {f.name for f in fields(UserPrefs)}]
+        unknown = [key for key in prefs if key not in record_fields(UserPrefs)]
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r}")
         return UserPrefs(**prefs)
@@ -116,6 +115,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     violations = validate_plan(plan, min_cases=config.min_synthetic_cases)
     if violations:
         raise ValueError(f"{args.plan}: " + "; ".join(violations))
+    for subtask in plan.subtasks:  # min_synthetic_cases = 0 lets a set be empty
+        if not plan.synthetic_sets.get(subtask.id):
+            raise ValueError(f"{args.plan}: subtask {subtask.id!r} has no synthetic cases "
+                             "to validate")
     local_gateway = Gateway(config.local.to_profile("local"), PHASE_LOCAL)
     templates = planner.TemplateSet.load(config.templates_dir)
     max_iters = args.max_iters if args.max_iters is not None else config.max_iters
@@ -207,12 +210,13 @@ def cmd_infer(args: argparse.Namespace) -> int:
     plan = artifact.to_plan()
     runtime = artifact.runtime()
     # Where the config is silent, the bundle's local temperature and context apply.
-    if config.local.temperature is None:
-        config.local.temperature = runtime.local_temperature
-    if config.local.context is None:
-        config.local.context = runtime.local_context
+    local = config.local
+    local = replace(local,
+                    temperature=(runtime.local_temperature if local.temperature is None
+                                 else local.temperature),
+                    context=runtime.local_context if local.context is None else local.context)
     rounds = args.rounds if args.rounds is not None else runtime.rounds
-    with Gateway(config.local.to_profile("local"), PHASE_LOCAL) as gateway:
+    with Gateway(local.to_profile("local"), PHASE_LOCAL) as gateway:
         if args.revalidate:
             from . import validator
 
@@ -259,6 +263,8 @@ def _label_order(summary: dict) -> list[str]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from . import evalkit
 
+    if args.labels is not None and args.labels_from_summary is not None:
+        raise ValueError("evaluate: give --labels or --labels-from-summary, not both")
     pred = evalkit.load_labeled(args.pred, source="system")
     gt = evalkit.load_labeled(args.gt, source="gt")
     labels = None

@@ -36,7 +36,6 @@ from __future__ import annotations
 import os
 import re
 import urllib.parse
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .gateway import (
@@ -48,6 +47,7 @@ from .gateway import (
     BackendProfile,
 )
 from .jsonio import read_text
+from .model import Record
 
 CONFIG_ENV = "ORCH_CONFIG"
 
@@ -56,8 +56,7 @@ _KINDS = (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP, KIND_SCRIPTED)
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-@dataclass
-class ProfileConfig:
+class ProfileConfig(Record):
     kind: str | None = None
     endpoint: str | None = None
     model: str | None = None
@@ -81,10 +80,9 @@ class ProfileConfig:
             default_context=DEFAULT_CONTEXT if self.context is None else self.context)
 
 
-@dataclass
-class Config:
-    cloud: ProfileConfig = field(default_factory=ProfileConfig)
-    local: ProfileConfig = field(default_factory=ProfileConfig)
+class Config(Record):
+    cloud: ProfileConfig = ProfileConfig()
+    local: ProfileConfig = ProfileConfig()
     rounds: int = 5
     threshold: float = 0.80
     max_iters: int = 5
@@ -109,7 +107,8 @@ class Config:
 
 
 def parse_config(text: str) -> Config:
-    config = Config()
+    values: dict[str, object] = {}
+    profiles: dict[str, dict[str, object]] = {"cloud": {}, "local": {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
@@ -117,44 +116,44 @@ def parse_config(text: str) -> Config:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")
-        _apply(config, key.strip(), value.strip(), lineno)
-    # Re-run invariant checks after all assignments.
-    Config.__post_init__(config)
-    return config
-
-
-def _apply(config: Config, key: str, value: str, lineno: int) -> None:
-    if "." in key:
-        channel, _, attr = key.partition(".")
-        if channel not in ("cloud", "local") or attr not in _PROFILE_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        profile = getattr(config, channel)
-        if attr == "temperature":
-            temperature = _number(float, key, value, lineno)
-            if not 0.0 <= temperature <= 2.0:  # also rejects nan
-                raise ValueError(
-                    f"config line {lineno}: {key} must be in [0, 2], got {value!r}")
-            profile.temperature = temperature
-        elif attr == "context":
-            setattr(profile, attr, _number(int, key, value, lineno))
-        elif attr == "kind" and value not in _KINDS:
-            raise ValueError(f"config line {lineno}: {key} must be one of "
-                             f"{', '.join(_KINDS)}, got {value!r}")
-        elif attr == "endpoint" and not _is_http_url(value):
-            raise ValueError(f"config line {lineno}: {key} must be an http:// or https:// "
-                             f"URL, got {value!r}")
+        key, value = key.strip(), value.strip()
+        channel, dot, attr = key.partition(".")
+        if dot:
+            if channel not in profiles or attr not in _PROFILE_KEYS:
+                raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            profiles[channel][attr] = _profile_value(key, attr, value, lineno)
         else:
-            setattr(profile, attr, value)
-        return
+            values[key] = _value(key, value, lineno)
+    return Config(cloud=ProfileConfig(**profiles["cloud"]),
+                  local=ProfileConfig(**profiles["local"]), **values)
+
+
+def _profile_value(key: str, attr: str, value: str, lineno: int) -> object:
+    if attr == "temperature":
+        temperature = _number(float, key, value, lineno)
+        if not 0.0 <= temperature <= 2.0:  # also rejects nan
+            raise ValueError(f"config line {lineno}: {key} must be in [0, 2], got {value!r}")
+        return temperature
+    if attr == "context":
+        return _number(int, key, value, lineno)
+    if attr == "kind" and value not in _KINDS:
+        raise ValueError(f"config line {lineno}: {key} must be one of "
+                         f"{', '.join(_KINDS)}, got {value!r}")
+    if attr == "endpoint" and not _is_http_url(value):
+        raise ValueError(f"config line {lineno}: {key} must be an http:// or https:// "
+                         f"URL, got {value!r}")
+    return value
+
+
+def _value(key: str, value: str, lineno: int) -> object:
     if key in ("rounds", "max_iters", "synthetic_cases_per_subtask",
                "min_synthetic_cases", "validation_repeats", "workers"):
-        setattr(config, key, _number(int, key, value, lineno))
-    elif key == "threshold":
-        config.threshold = _number(float, key, value, lineno)
-    elif key == "templates_dir":
-        config.templates_dir = value
-    else:
-        raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        return _number(int, key, value, lineno)
+    if key == "threshold":
+        return _number(float, key, value, lineno)
+    if key == "templates_dir":
+        return value
+    raise ValueError(f"config line {lineno}: unknown key {key!r}")
 
 
 def _is_http_url(value: str) -> bool:

@@ -14,11 +14,11 @@ import csv
 import io
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .jsonio import read_jsonl, read_text, record_id
+from .model import Record
 
 INDETERMINATE = "indeterminate"
 
@@ -27,8 +27,7 @@ def _canon(label: str) -> str:
     return label.strip().casefold()
 
 
-@dataclass(frozen=True)
-class LabeledSet:
+class LabeledSet(Record):
     """Document id -> label from one source (gt, system, annotator-k), in
     file order; `load_labeled` refuses a repeated id."""
 
@@ -67,8 +66,7 @@ def label_index(labels: Sequence[str]) -> dict[str, int]:
     return index
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     source: str
     n_total: int
     n_excluded: int

@@ -14,7 +14,6 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 from queue import SimpleQueue
@@ -29,6 +28,7 @@ from .model import (
     OutcomeLabel,
     Plan,
     PromptSpec,
+    Record,
     Subtask,
     SubtaskRun,
 )
@@ -52,16 +52,14 @@ def _require_local(gateway: Gateway) -> None:
         raise PhaseViolationError("document inference requires a local-phase gateway")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(Record):
     index: int
     runs: tuple[SubtaskRun, ...]
     features: FeatureSet
     label: OutcomeLabel
 
 
-@dataclass(frozen=True)
-class DocumentPrediction:
+class DocumentPrediction(Record):
     document_id: str
     rounds: tuple[RoundRecord, ...]
     candidates: tuple[OutcomeLabel, ...]

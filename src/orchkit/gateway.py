@@ -45,12 +45,11 @@ import sys
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ModelCallError, PhaseViolationError, TransportError, UnseenRequestError
 from .jsonio import decode, digest, jsonl_line, read_jsonl
-from .model import FeatureSchema
+from .model import FeatureSchema, Record, replace
 
 PHASE_CLOUD = "cloud"
 PHASE_LOCAL = "local"
@@ -78,8 +77,7 @@ RETRY_BASE_DELAY = 0.25
 RETRY_JITTER = 0.1
 
 
-@dataclass(frozen=True)
-class ChatRequest:
+class ChatRequest(Record):
     """One single-shot model call; the pipeline never holds conversations."""
 
     system_prompt: str
@@ -98,8 +96,7 @@ class ChatRequest:
             raise ValueError("ChatRequest.max_context_tokens: must be positive")
 
 
-@dataclass(frozen=True)
-class ChatResponse:
+class ChatResponse(Record):
     raw_text: str
     finish_reason: str = "complete"
     latency_ms: float = 0.0
@@ -134,8 +131,7 @@ def request_digest(request: ChatRequest) -> str:
     return digest(_request_dict(request))
 
 
-@dataclass(frozen=True)
-class BackendProfile:
+class BackendProfile(Record, hidden=("backend",)):
     """Where and how a channel talks to a model. config.ProfileConfig.to_profile
     builds the program's profiles; `scripted` builds a test or benchmark one."""
 
@@ -145,7 +141,7 @@ class BackendProfile:
     default_temperature: float = DEFAULT_TEMPERATURE[PHASE_LOCAL]
     default_context: int = DEFAULT_CONTEXT
     session: str | None = None
-    backend: object | None = field(default=None, compare=False, repr=False)
+    backend: object | None = None
 
     def __post_init__(self):
         kinds = (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP, KIND_SCRIPTED)

@@ -1,8 +1,15 @@
 """Core domain types shared across the pipeline.
 
-All types are frozen dataclasses: construction validates structural
-invariants and raises ValueError naming the offending field; after that
-instances are immutable and safe to share across workers.
+Every type here, and every other value type in orchkit, is a `Record`:
+its fields are its class annotations, in order, read once when the class
+is defined; no code is generated for it. A record is built positionally or
+by keyword, a field with a class-attribute value defaults to it, and a
+missing, unknown or repeated argument raises TypeError. Construction then
+runs the class's `__post_init__`, which validates structural invariants
+and raises ValueError naming the offending field. After that the instance
+is immutable and safe to share across workers: it compares, hashes and
+prints field-wise, its `__dict__` holds exactly its fields in order, and
+`replace(record, **changes)` builds a changed copy through the same checks.
 
 Feature values are plain strings throughout. Booleans canonicalize to
 "true"/"false" and every field kind reserves the sentinel "unknown" for
@@ -15,8 +22,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 from .errors import DslError
 
@@ -29,6 +35,91 @@ FIELD_KINDS = ("categorical", "boolean", "text")
 PROMPT_STATUSES = ("draft", "refined", "failed")
 PARSE_STATUSES = ("ok", "repaired", "unparseable")
 FORMAT_TAGS = ("free_text", "structured", "other")
+
+
+R = TypeVar("R", bound="Record")
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of orchkit's immutable value types (see the module docstring).
+
+    A class lists fields to leave out of ==, hash and repr as a keyword:
+    `class BackendProfile(Record, hidden=("backend",))`.
+    """
+
+    # Set per subclass, from its annotations: the field names, the defaults
+    # and the fields that ==, hash and repr read. Not annotated themselves,
+    # so that they are not fields.
+    _fields = _shown = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, *, hidden: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        cls._shown = tuple(name for name in cls._fields if name not in hidden)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments "
+                            f"but {len(args)} were given")
+        # Fields are set one by one, in order, never through self.__dict__:
+        # an instance whose __dict__ is never asked for keeps its values
+        # inline, which is smaller and faster to read.
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                _set(self, name, kwargs.pop(name))
+            elif name in cls._defaults:
+                _set(self, name, cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing required argument {name!r}")
+        if kwargs:  # what is left was given positionally too, or names no field
+            name = next(iter(kwargs))
+            given = name in names[:len(args)]
+            problem = "multiple values for" if given else "an unexpected keyword"
+            raise TypeError(f"{cls.__qualname__}() got {problem} argument {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._shown])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+
+def replace(record: R, /, **changes: object) -> R:
+    """A copy of `record` with `changes` applied; the class's checks run again."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
+def record_fields(cls: type[Record]) -> tuple[str, ...]:
+    """The field names of a record class, in order."""
+    return cls._fields
 
 
 def _require(condition: bool, where: str, message: str) -> None:
@@ -57,8 +148,7 @@ def _count(value: object, where: str, least: int) -> None:
 # Feature schemas and feature sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """One typed output field of a subtask.
 
     For categorical fields `values` lists the canonical allowed spellings;
@@ -70,7 +160,7 @@ class FieldSpec:
     kind: str
     values: tuple[str, ...] = ()
     required: bool = True
-    aliases: Mapping[str, str] = field(default_factory=dict)
+    aliases: Mapping[str, str] = {}
 
     def __post_init__(self):
         _nonempty_text(self.name, "FieldSpec.name")
@@ -131,8 +221,7 @@ class FieldSpec:
         return None
 
 
-@dataclass(frozen=True)
-class FeatureSchema:
+class FeatureSchema(Record):
     """Declares every field a subtask may emit (and synthesis may read)."""
 
     fields: tuple[FieldSpec, ...]
@@ -176,8 +265,7 @@ def merge_schemas(schemas: Sequence[FeatureSchema]) -> FeatureSchema:
     return FeatureSchema(tuple(f for schema in schemas for f in schema.fields))
 
 
-@dataclass(frozen=True)
-class FeatureSet:
+class FeatureSet(Record):
     """Mapping from field name to canonical value, conforming to a schema."""
 
     values: Mapping[str, str]
@@ -224,8 +312,7 @@ class FeatureSet:
 # ---------------------------------------------------------------------------
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class OutcomeLabel:
+class OutcomeLabel(Record):
     """Final classification label; ordinal is its index in the preference
     list and defines the 'more severe' relation used for tie-breaking."""
 
@@ -244,8 +331,7 @@ def make_labels(names: Sequence[str]) -> tuple[OutcomeLabel, ...]:
     return tuple(OutcomeLabel(name, i) for i, name in enumerate(names))
 
 
-@dataclass(frozen=True)
-class UserPrefs:
+class UserPrefs(Record):
     """User-side knobs: label universe, granularity, format notes."""
 
     output_labels: tuple[OutcomeLabel, ...]
@@ -278,8 +364,7 @@ class UserPrefs:
             object.__setattr__(self, name, _strings(getattr(self, name), f"UserPrefs.{name}"))
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Record):
     """The planning input: what to decide, the guideline, and preferences."""
 
     task_description: str
@@ -297,8 +382,7 @@ class TaskSpec:
 # Subtasks, prompts, cases, runs, documents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subtask:
+class Subtask(Record):
     """An independently executable unit of extraction with a typed schema."""
 
     id: str
@@ -314,8 +398,7 @@ class Subtask:
                  "Subtask.output_schema", "must be a FeatureSchema")
 
 
-@dataclass(frozen=True)
-class PromptSpec:
+class PromptSpec(Record):
     """A system prompt for one subtask, tracked through refinement.
 
     Fresh drafts come from PromptSpec.draft() at revision 0; refinement
@@ -359,8 +442,7 @@ class PromptSpec:
                           revision=self.revision, status="failed", report=report)
 
 
-@dataclass(frozen=True)
-class SyntheticCase:
+class SyntheticCase(Record):
     """Guideline-derived input/expected pair used to validate a prompt."""
 
     subtask_id: str
@@ -374,8 +456,7 @@ class SyntheticCase:
                  "must be a FeatureSet")
 
 
-@dataclass(frozen=True)
-class SubtaskRun:
+class SubtaskRun(Record):
     """One model execution of a prompt: reasoning trace plus parsed output."""
 
     subtask_id: str
@@ -390,8 +471,7 @@ class SubtaskRun:
                  f"must be one of {PARSE_STATUSES}, got {self.parse_status!r}")
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(Record):
     """One synthetic case scored against the run its prompt produced."""
 
     case_index: int
@@ -401,8 +481,7 @@ class CaseResult:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """One prompt revision's validation run over its synthetic set."""
 
     subtask_id: str
@@ -421,8 +500,7 @@ class ValidationReport:
         return [(r.case, r.run) for r in self.results if not r.passed]
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     """A sensitive input document; only ever touched by the local phase."""
 
     id: str
@@ -440,8 +518,7 @@ class Document:
 # Plan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Record):
     """Complete planning output: subtasks, prompts, synthesis logic source,
     label universe, synthetic test sets, and provenance.
 
@@ -460,8 +537,8 @@ class Plan:
     prompts: tuple[PromptSpec, ...]
     logic_source: str
     labels: tuple[OutcomeLabel, ...]
-    synthetic_sets: Mapping[str, tuple[SyntheticCase, ...]] = field(default_factory=dict)
-    provenance: Mapping[str, object] = field(default_factory=dict)
+    synthetic_sets: Mapping[str, tuple[SyntheticCase, ...]] = {}
+    provenance: Mapping[str, object] = {}
 
     def __post_init__(self):
         object.__setattr__(self, "subtasks", tuple(self.subtasks))

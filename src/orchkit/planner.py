@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import warnings
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
@@ -40,6 +39,7 @@ from .model import (
     FeatureSet,
     Plan,
     PromptSpec,
+    Record,
     Subtask,
     SubtaskRun,
     SyntheticCase,
@@ -65,8 +65,7 @@ def render(template: str, values: Mapping[str, str]) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class TemplateSet:
+class TemplateSet(Record):
     """The four meta-prompts the planner runs on the cloud channel."""
 
     decompose: str

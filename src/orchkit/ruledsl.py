@@ -36,47 +36,40 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DslError
-from .model import UNKNOWN, FeatureSchema, FeatureSet, OutcomeLabel, merge_schemas
+from .model import UNKNOWN, FeatureSchema, FeatureSet, OutcomeLabel, Record, merge_schemas
 
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Compare:
+class Compare(Record):
     field: str
     op: str  # "==", "!=" or "in"
     values: tuple[str, ...]  # one value for "==" and "!="
 
 
-@dataclass(frozen=True)
-class IsUnknown:
+class IsUnknown(Record):
     field: str
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     inner: object
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     op: str  # "and" or "or"
     parts: tuple[object, ...]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     condition: object
     label: OutcomeLabel
 
 
-@dataclass(frozen=True)
-class SynthesisLogic:
+class SynthesisLogic(Record):
     rules: tuple[Rule, ...]
     default_label: OutcomeLabel
     source: str

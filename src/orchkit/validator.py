@@ -23,7 +23,6 @@ when the budget runs out.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -32,6 +31,7 @@ from .gateway import Gateway
 from .model import (
     CaseResult,
     PromptSpec,
+    Record,
     Subtask,
     SubtaskRun,
     SyntheticCase,
@@ -113,8 +113,7 @@ def validate_prompt(checks: Sequence[Check], gateway: Gateway, *,
     return reports
 
 
-@dataclass(frozen=True)
-class RefinementOutcome:
+class RefinementOutcome(Record):
     prompt: PromptSpec  # status refined, or failed with the best report attached
     history: tuple[ValidationReport, ...]
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 
@@ -22,7 +21,7 @@ from orchkit.bundle import (
 )
 from orchkit.errors import BundleError
 from orchkit.cli import main
-from orchkit.model import FeatureSet, SyntheticCase
+from orchkit.model import FeatureSet, SyntheticCase, replace
 
 from conftest import golden_plan, refined_plan
 
@@ -131,7 +130,7 @@ def test_bundle_logic_digest_matches_reparse():
 def test_guideline_body_inclusion_is_opt_in():
     body = "full guideline text"
     plan = refined_plan()
-    plan = dataclasses.replace(plan, provenance={
+    plan = replace(plan, provenance={
         **plan.provenance, "guideline_digest": hashlib.sha256(body.encode()).hexdigest()})
     lean = unpack(pack(plan))
     assert "guideline_body" not in lean.sections["meta"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from types import SimpleNamespace
@@ -20,10 +19,11 @@ from orchkit.gateway import (
     ScriptedBackend,
 )
 from orchkit.jsonio import digest
-from orchkit.model import FeatureSchema, FeatureSet
+from orchkit.model import FeatureSchema, FeatureSet, record_fields, replace
 
 from conftest import (
     E2E_PLAN_REPLY,
+    LABEL_NAMES,
     build_e2e_workspace,
     e2e_cloud_handler,
     golden_plan,
@@ -387,13 +387,13 @@ def test_validate_refuses_a_plan_pack_refuses_before_any_model_call_exit_2(
 def _same_fields(subtask, other):
     """`subtask` also declaring the first field of `other`."""
     schema = FeatureSchema((*subtask.output_schema.fields, other.output_schema.fields[0]))
-    return dataclasses.replace(subtask, output_schema=schema)
+    return replace(subtask, output_schema=schema)
 
 
 def _with_expected(plan, subtask_id, index, values):
     """`plan`'s synthetic sets with one case's expected values replaced."""
     cases = list(plan.synthetic_sets[subtask_id])
-    cases[index] = dataclasses.replace(cases[index], expected=FeatureSet(values))
+    cases[index] = replace(cases[index], expected=FeatureSet(values))
     return {"synthetic_sets": {**plan.synthetic_sets, subtask_id: tuple(cases)}}
 
 
@@ -402,7 +402,7 @@ def _with_expected(plan, subtask_id, index, values):
 STRUCTURE_VIOLATIONS = {
     "duplicate subtask id": (
         lambda p: {"subtasks": (p.subtasks[0],
-                                dataclasses.replace(p.subtasks[1], id=p.subtasks[0].id))},
+                                replace(p.subtasks[1], id=p.subtasks[0].id))},
         "Plan.subtasks: duplicate subtask id 'distant_spread'"),
     "missing prompt": (
         lambda p: {"prompts": p.prompts[:1]},
@@ -411,7 +411,7 @@ STRUCTURE_VIOLATIONS = {
         lambda p: {"prompts": (*p.prompts, p.prompts[0])},
         "Plan.prompts: subtask 'distant_spread' has 2 prompts, expected exactly 1"),
     "prompt for an unknown subtask": (
-        lambda p: {"prompts": (*p.prompts, dataclasses.replace(p.prompts[0],
+        lambda p: {"prompts": (*p.prompts, replace(p.prompts[0],
                                                                subtask_id="ghost"))},
         "Plan.prompts: prompt for unknown subtask 'ghost'"),
     "set for an unknown subtask": (
@@ -456,10 +456,10 @@ def test_plan_structure_is_refused_by_the_constructor_a_plan_file_and_a_bundle(
     change, message = STRUCTURE_VIOLATIONS[case]
     plan = refined_plan()
     with pytest.raises(ValueError, match=re.escape(message)):
-        dataclasses.replace(plan, **change(plan))
+        replace(plan, **change(plan))
     if case == "mis-tagged case":
         return  # a file holds no tag: a case is read as tagged for its set
-    fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+    fields = {name: getattr(plan, name) for name in record_fields(type(plan))}
     raw = plan_to_dict(SimpleNamespace(**{**fields, **change(plan)}))
     calls = []
     monkeypatch.setattr(Gateway, "complete", lambda gw, request: calls.append(request))
@@ -974,10 +974,15 @@ def _refusals(ws, tmp):
     """Case -> (the input file it writes, that file's text, its command line,
     the one error line it prints)."""
     cfg, docs, gt = tmp / "orch.cfg", tmp / "docs.jsonl", tmp / "gt.csv"
+    summary = tmp / "summary.json"
     plan_file, bundle_file = tmp / "plan.json", tmp / "a.orchb"
+    sparse_file = tmp / "sparse.json"  # no synthetic case for distant_spread
     write_bundle(pack(refined_plan()), bundle_file)
-    plan_file.write_text(json.dumps({"format": "orchkit-plan/1",
-                                     "plan": plan_to_dict(refined_plan())}), encoding="utf-8")
+    sparse = replace(refined_plan(), synthetic_sets={
+        **refined_plan().synthetic_sets, "distant_spread": ()})
+    for path, plan in ((plan_file, refined_plan()), (sparse_file, sparse)):
+        path.write_text(json.dumps({"format": "orchkit-plan/1", "plan": plan_to_dict(plan)}),
+                        encoding="utf-8")
 
     def infer(config=ws["config"], documents=ws["docs"]):
         return ["infer", "--bundle", str(bundle_file), "--docs", str(documents),
@@ -1014,13 +1019,24 @@ def _refusals(ws, tmp):
             None, None, ["validate", "--plan", str(plan_file), "--config", str(ws["config"]),
                          "--max-iters", "0"],
             "validate: --max-iters must be >= 1, got 0"),
+        "validate with an empty synthetic set": (
+            cfg, ws["config"].read_text(encoding="utf-8") + "min_synthetic_cases = 0\n",
+            ["validate", "--plan", str(sparse_file), "--config", str(cfg)],
+            f"{sparse_file}: subtask 'distant_spread' has no synthetic cases to validate"),
+        "--labels with --labels-from-summary": (
+            summary, json.dumps({"label_order": list(LABEL_NAMES)}),
+            evaluate(ws["gt"], "--labels", ",".join(reversed(LABEL_NAMES)),
+                     "--labels-from-summary", str(summary)),
+            "evaluate: give --labels or --labels-from-summary, not both"),
     }
 
 
 @pytest.mark.parametrize("case", ["config line without '='", "local_http without an endpoint",
                                   "docs file with no document", "ground-truth row with one field",
                                   "pack below min_synthetic_cases", "--labels naming no label",
-                                  "--labels empty", "--max-iters 0"])
+                                  "--labels empty", "--max-iters 0",
+                                  "validate with an empty synthetic set",
+                                  "--labels with --labels-from-summary"])
 def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_path, capsys,
                                                                   case):
     path, text, argv, message = _refusals(workspace, tmp_path)[case]

@@ -42,20 +42,25 @@ _FUTURES = ("concurrent.futures", "logging")
 # email parser its headers go through) nor TLS nor urllib's opener.
 _HTTP_CLIENT = ("http.client", "email.parser", "ssl", "urllib.request")
 
+# orchkit's records are built without `dataclasses`, whose import also
+# loads `inspect` (and with it `ast`, `dis` and `tokenize`).
+_RECORDS = ("dataclasses", "inspect")
+
 # (command, modules it must not load); commands run in this order, each
 # reading what the one before wrote.
 ABSENT = {
     "import orchkit.cli": ("orchkit.bundle", "orchkit.executor", "orchkit.planner",
-                           "orchkit.validator", "orchkit.evalkit"),
-    "plan": ("orchkit.validator", "orchkit.evalkit", *_FUTURES),
-    "validate": ("orchkit.evalkit", *_FUTURES),
-    "pack": _BUNDLE_ONLY,
-    "unpack": _BUNDLE_ONLY,
-    "infer": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit", *_FUTURES),
+                           "orchkit.validator", "orchkit.evalkit", *_RECORDS),
+    "plan": ("orchkit.validator", "orchkit.evalkit", *_FUTURES, *_RECORDS),
+    "validate": ("orchkit.evalkit", *_FUTURES, *_RECORDS),
+    "pack": (*_BUNDLE_ONLY, *_RECORDS),
+    "unpack": (*_BUNDLE_ONLY, *_RECORDS),
+    "infer": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit", *_FUTURES,
+              *_RECORDS),
     "infer over local_http": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit",
-                              *_FUTURES, *_HTTP_CLIENT),
+                              *_FUTURES, *_HTTP_CLIENT, *_RECORDS),
     "evaluate": ("orchkit.bundle", "orchkit.executor", "orchkit.planner",
-                 "orchkit.validator"),
+                 "orchkit.validator", *_RECORDS),
 }
 
 

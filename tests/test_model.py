@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -24,6 +23,7 @@ from orchkit.model import (
     UserPrefs,
     make_labels,
     merge_schemas,
+    replace,
     validate_plan,
 )
 

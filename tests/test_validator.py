@@ -8,7 +8,6 @@ so threshold arithmetic can be pinned exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 import threading
@@ -26,7 +25,7 @@ from orchkit.gateway import (
     ScriptedBackend,
     request_digest,
 )
-from orchkit.model import Document, FeatureSet, PromptSpec, SyntheticCase
+from orchkit.model import Document, FeatureSet, PromptSpec, SyntheticCase, replace
 from orchkit.validator import (
     run_refinement_loop,
     run_refinement_loops,
@@ -36,7 +35,7 @@ from orchkit.validator import (
 from conftest import fake_local_extractor, golden_cases, golden_plan, golden_subtasks
 
 SPREAD = golden_subtasks()[0]
-OTHER = dataclasses.replace(SPREAD, id="other_spread")
+OTHER = replace(SPREAD, id="other_spread")
 VALUES = ("present", "absent", "unknown")
 
 
