@@ -12,6 +12,9 @@ file is human-auditable before it crosses the air gap, and any single-byte
 mutation is caught by the trailer hash before content is yielded. Bundles
 carry only planner-phase artifacts; the synthetic sets ride along so the
 isolated side can re-validate prompts before touching real documents.
+
+unpack is the one place a bundle becomes a plan: it returns the verified
+sections with the Plan and RuntimeDefaults it built while checking them.
 """
 
 from __future__ import annotations
@@ -207,32 +210,14 @@ class RuntimeDefaults(Record):
 
 
 class ArtifactBundle(Record):
-    """Verified view over unpacked bundle sections."""
+    """What unpack verified: the sections, their plan and its runtime defaults."""
 
     sections: Mapping[str, object]
-
-    @property
-    def format_version(self) -> str:
-        return self.sections["meta"]["format_version"]  # type: ignore[index]
-
-    @property
-    def created_at(self) -> str:
-        return self.sections["meta"]["created_at"]  # type: ignore[index]
-
-    @property
-    def allow_failed(self) -> bool:
-        return self.sections["meta"].get("allow_failed", False)  # type: ignore[union-attr]
-
-    def runtime(self) -> RuntimeDefaults:
-        return RuntimeDefaults.from_dict(self.sections["runtime"])  # type: ignore[arg-type]
+    plan: Plan
+    runtime: RuntimeDefaults
 
     def to_plan(self) -> Plan:
-        s = self.sections
-        return plan_from_dict({
-            "subtasks": s["subtasks"], "prompts": s["prompts"],
-            "logic_source": s["logic"]["source"], "labels": s["labels"],
-            "synthetic_sets": s["synthetic"], "provenance": s["provenance"],
-        })
+        return self.plan
 
 
 def _sections_for(plan: Plan, runtime: RuntimeDefaults, *, created_at: str,
@@ -304,7 +289,8 @@ def pack(plan: Plan, runtime: RuntimeDefaults | None = None, *,
 
 
 def unpack(data: bytes) -> ArtifactBundle:
-    """Verify every hash, then yield the bundle contents.
+    """Verify every hash, then return the bundle's sections with the Plan
+    and RuntimeDefaults they hold, each built once, here.
 
     Nothing is returned unless the whole-file trailer, the per-section
     hashes, the format major version, and the digests written inside the
@@ -356,37 +342,34 @@ def unpack(data: bytes) -> ArtifactBundle:
     if major != ours:
         raise BundleError(
             f"bundle format {version} is incompatible with reader {FORMAT_VERSION}")
-    bundle = ArtifactBundle(sections=sections)
-    _check_written_digests(bundle)
-    return bundle
-
-
-def _check_written_digests(bundle: ArtifactBundle) -> None:
-    """Section hashes prove the bytes are as packed, not that the digests
-    written in them are true or the plan usable: a bundle re-rendered around
-    a false claim, or around a plan pack refuses, passes every hash."""
+    # Section hashes prove the bytes are as packed, not that the digests
+    # written in them are true or the plan usable: a bundle re-rendered
+    # around a false claim, or around a plan pack refuses, passes every hash.
     from .ruledsl import pretty
 
-    def check(artifact: ArtifactBundle) -> None:
-        plan = artifact.to_plan()
+    def build(s: dict) -> ArtifactBundle:
+        plan = plan_from_dict({
+            "subtasks": s["subtasks"], "prompts": s["prompts"],
+            "logic_source": s["logic"]["source"], "labels": s["labels"],
+            "synthetic_sets": s["synthetic"], "provenance": s["provenance"]})
         logic = plan.parsed_logic()
-        artifact.runtime()
-        if not isinstance(artifact.allow_failed, bool):
-            raise ValueError(f"meta.allow_failed: must be true or false, "
-                             f"got {artifact.allow_failed!r}")
-        _require_refined(plan, artifact.allow_failed)
-        if sha256_text(pretty(logic)) != artifact.sections["logic"]["parsed_digest"]:
+        runtime = RuntimeDefaults.from_dict(s["runtime"])
+        allow_failed = meta.get("allow_failed", False)
+        if not isinstance(allow_failed, bool):
+            raise ValueError(f"meta.allow_failed: must be true or false, got {allow_failed!r}")
+        _require_refined(plan, allow_failed)
+        if sha256_text(pretty(logic)) != s["logic"]["parsed_digest"]:
             raise BundleError("rule program does not match logic.parsed_digest")
-        meta = artifact.sections["meta"]
-        body = meta.get("guideline_body")
-        if body is not None and sha256_text(body) != meta.get("guideline_digest"):
+        guideline = meta.get("guideline_body")
+        if guideline is not None and sha256_text(guideline) != meta.get("guideline_digest"):
             raise BundleError("guideline_body does not match meta.guideline_digest")
+        return ArtifactBundle(s, plan, runtime)
 
     def unusable(message: str) -> BundleError:
         return BundleError(f"bundle does not hold a usable plan: {message}")
 
     try:
-        decode(check, bundle, unusable)
+        return decode(build, sections, unusable)
     except (DslError, ValueError) as exc:
         raise unusable(str(exc)) from exc
 

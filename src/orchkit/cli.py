@@ -188,8 +188,8 @@ def cmd_unpack(args: argparse.Namespace) -> int:
 
     artifact = bundlemod.read_bundle(args.bundle)
     bundlemod.save_plan(artifact.to_plan(), args.out)
-    print(f"bundle {args.bundle} verified (format {artifact.format_version}); "
-          f"plan written to {args.out}")
+    version = artifact.sections["meta"]["format_version"]
+    print(f"bundle {args.bundle} verified (format {version}); plan written to {args.out}")
     return EXIT_OK
 
 
@@ -207,8 +207,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if args.rounds is not None and args.rounds < 1:
         raise ValueError(f"infer: --rounds must be >= 1, got {args.rounds}")
     artifact = bundlemod.read_bundle(args.bundle)
-    plan = artifact.to_plan()
-    runtime = artifact.runtime()
+    plan, runtime = artifact.to_plan(), artifact.runtime
     # Where the config is silent, the bundle's local temperature and context apply.
     local = config.local
     local = replace(local,
@@ -272,7 +271,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         labels = [x.strip() for x in args.labels.split(",") if x.strip()]
         if not labels:
             raise ValueError("evaluate: --labels names no label")
-    elif args.labels_from_summary:
+    elif args.labels_from_summary is not None:
+        if not args.labels_from_summary:
+            raise ValueError("evaluate: --labels-from-summary names no file")
         labels = read_json(args.labels_from_summary, _label_order)
     report = evalkit.evaluate_report(pred, gt, labels)
     print(evalkit.render_table([report]))

@@ -20,11 +20,12 @@ persistent connections, at most one per call in flight, that Gateway.close
 closes. A request is one send of its head and body. A reply is read through
 one buffered reader per connection: its status line, and of its headers
 only Content-Length, Transfer-Encoding: chunked and Connection, with
-HTTP_MAX_LINE bytes a line and HTTP_MAX_HEADERS lines at most. A connection
-the server closed while it sat idle is replaced and the request sent again
-at once; that is not a retry. Proxies and certificate checks follow urllib;
-ssl is loaded only for an https origin or tunnel, and urllib.request only
-when a `*_proxy` variable is set or on macOS and Windows.
+HTTP_MAX_LINE bytes a line, HTTP_MAX_HEADERS lines and HTTP_MAX_BODY
+declared body bytes at most. A connection the server closed while it sat
+idle is replaced and the request sent again at once; that is not a retry.
+Proxies and certificate checks follow urllib; ssl is loaded only for an
+https origin or tunnel, and urllib.request only when a `*_proxy` variable
+is set or on macOS and Windows.
 
 Every call enters through Gateway.chat, which builds the request from the
 profile's defaults. A TransportError is retried with a fixed policy: up
@@ -273,6 +274,11 @@ def _schema_to_json_schema(schema: FeatureSchema) -> dict:
 HTTP_MAX_LINE = 65536
 HTTP_MAX_HEADERS = 100
 
+# The most body bytes a reply's Content-Length or chunk sizes may declare. A
+# completion fills at most the context window (32,768 tokens by default, under
+# 1 MB even JSON-escaped), so 16 MiB leaves a wide margin.
+HTTP_MAX_BODY = 16 * 1024 * 1024
+
 # The only reply headers the client acts on: how the body is framed and
 # whether the connection stays open.
 _FRAMING = (b"content-length", b"transfer-encoding", b"connection")
@@ -339,16 +345,24 @@ def _read_head(reader) -> tuple[int, str, bool, dict[bytes, bytes]]:
     return status, reason.decode("latin-1"), keep, fields
 
 
+def _within_limit(n: int, what: str) -> int:
+    if n > HTTP_MAX_BODY:
+        raise ValueError(f"reply {what} of {n} bytes is over the {HTTP_MAX_BODY}-byte limit")
+    return n
+
+
 def _read_body(reader, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, bool]:
     """Read a reply's body as RFC 9112 section 6.3 frames it; return it and
-    whether it ended before the connection did."""
+    whether it ended before the connection did. A Content-Length or a sum of
+    chunk sizes over HTTP_MAX_BODY raises ValueError before the bytes it
+    declares are read, so no reply can make the client allocate more."""
     if status == 204:
         return b"", True
     coding = fields.get(b"transfer-encoding")
     if coding is not None:
         if coding.rpartition(b",")[2].strip().lower() != b"chunked":
             return reader.read(), False
-        chunks = []
+        chunks, total = [], 0
         while True:
             line = _read_line(reader)
             size = line.partition(b";")[0].strip()  # drop any chunk extension
@@ -358,6 +372,7 @@ def _read_body(reader, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, 
             if not n:
                 _read_fields(reader, "trailers")
                 return b"".join(chunks), True
+            total = _within_limit(total + n, "chunked body")
             chunk = reader.read(n + 2)
             if chunk[n:] != b"\r\n":
                 raise ValueError(f"reply cut short in a {n}-byte chunk")
@@ -367,7 +382,7 @@ def _read_body(reader, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, 
         return reader.read(), False
     if not length.isdigit():
         raise ValueError(f"bad Content-Length: {length[:40]!r}")
-    n = int(length)
+    n = _within_limit(int(length), "Content-Length")
     data = reader.read(n)
     if len(data) < n:
         raise ValueError(f"reply cut short: {len(data)} of {n} body bytes")

@@ -222,9 +222,10 @@ def test_criterion_6_bundle_integrity():
         assert pack(refined_plan(per_subtask_cases=2)) == data  # byte-determinism
         bundle = unpack(data)
         assert bundle.to_plan() == plan                          # lossless
-        assert pack(bundle.to_plan(), bundle.runtime(), created_at=bundle.created_at,
-                    allow_failed=bundle.allow_failed,
-                    guideline_body=bundle.sections["meta"].get("guideline_body")) == data
+        meta = bundle.sections["meta"]
+        assert pack(bundle.plan, bundle.runtime, created_at=meta["created_at"],
+                    allow_failed=meta["allow_failed"],
+                    guideline_body=meta.get("guideline_body")) == data
 
         detected = 0
         for pos in range(len(data)):

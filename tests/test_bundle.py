@@ -33,17 +33,21 @@ def test_pack_is_byte_deterministic():
 def test_pack_unpack_round_trips_plan_content():
     plan = refined_plan()
     bundle = unpack(pack(plan))
-    assert bundle.to_plan() == plan
-    assert bundle.format_version == FORMAT_VERSION
-    assert bundle.runtime() == RuntimeDefaults()
+    assert bundle.plan == plan and bundle.to_plan() is bundle.plan
+    assert bundle.sections["meta"]["format_version"] == FORMAT_VERSION
+    assert bundle.runtime == RuntimeDefaults()
+    runtime = RuntimeDefaults(rounds=3, local_temperature=0.5, local_context=4096,
+                              threshold=0.9)
+    assert unpack(pack(plan, runtime)).runtime == runtime
 
 
 def test_unpack_pack_is_identity_on_bytes():
     data = pack(refined_plan(), RuntimeDefaults(rounds=3, threshold=0.9))
     b = unpack(data)
-    assert pack(b.to_plan(), b.runtime(), created_at=b.created_at,
-                allow_failed=b.allow_failed,
-                guideline_body=b.sections["meta"].get("guideline_body")) == data
+    meta = b.sections["meta"]
+    assert pack(b.plan, b.runtime, created_at=meta["created_at"],
+                allow_failed=meta["allow_failed"],
+                guideline_body=meta.get("guideline_body")) == data
 
 
 def test_pack_rejects_invalid_plan():
@@ -67,8 +71,8 @@ def test_pack_allow_failed_gate():
     with pytest.raises(ValueError, match="prompts not refined .*allow_failed"):
         pack(half_failed)
     bundle = unpack(pack(half_failed, allow_failed=True))
-    assert bundle.allow_failed is True
-    assert bundle.to_plan().prompts[0].status == "failed"
+    assert bundle.sections["meta"]["allow_failed"] is True
+    assert bundle.plan.prompts[0].status == "failed"
 
 
 def test_single_byte_flip_detected_sampled():
@@ -226,9 +230,9 @@ def test_non_object_bundle_structure_exits_6_with_one_error_line(tmp_path, capsy
 
 def test_created_at_defaults_to_epoch_and_is_overridable():
     plan = refined_plan()
-    assert unpack(pack(plan)).created_at == "1970-01-01T00:00:00Z"
+    assert unpack(pack(plan)).sections["meta"]["created_at"] == "1970-01-01T00:00:00Z"
     stamped = pack(plan, created_at="2025-06-01T12:00:00Z")
-    assert unpack(stamped).created_at == "2025-06-01T12:00:00Z"
+    assert unpack(stamped).sections["meta"]["created_at"] == "2025-06-01T12:00:00Z"
     assert stamped != pack(plan)
 
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from orchkit import cli, errors, executor
+from orchkit import bundle, cli, errors, executor
 from orchkit.bundle import load_plan, pack, plan_to_dict, read_bundle, write_bundle
 from orchkit.cli import main
 from orchkit.gateway import (
@@ -259,7 +259,7 @@ def test_validate_pack_infer_evaluate_chain(workspace, tmp_path, capsys):
     assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file),
                    "--config", str(workspace["config"]), "--deterministic") == 0
     artifact = read_bundle(bundle_file)
-    assert artifact.runtime().rounds == 3
+    assert artifact.runtime.rounds == 3
 
     assert run_cli("infer", "--bundle", str(bundle_file), "--docs",
                    str(workspace["docs"]), "--out", str(preds),
@@ -315,6 +315,27 @@ def test_unpack_round_trip_and_tamper_exit_6(workspace, tmp_path):
                    "--out", str(tmp_path / "y.json")) == 6
 
 
+@pytest.mark.parametrize("command", ["infer", "unpack"])
+def test_infer_and_unpack_build_the_plan_once(workspace, tmp_path, monkeypatch, command):
+    # unpack builds the plan while it verifies the bundle; the command uses that plan.
+    plan_file, validated = tmp_path / "plan.json", tmp_path / "validated.json"
+    bundle_file, out = tmp_path / "a.orchb", tmp_path / "out"
+    config = ["--config", str(workspace["config"])]
+    assert plan_cmd(workspace, plan_file) == 0
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated), *config) == 0
+    assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file), *config,
+                   "--deterministic") == 0
+    built = []
+    plan_from_dict = bundle.plan_from_dict
+    monkeypatch.setattr(bundle, "plan_from_dict",
+                        lambda data: built.append(data) or plan_from_dict(data))
+    argv = {"infer": ["--docs", str(workspace["docs"]), *config, "--revalidate"],
+            "unpack": []}[command]
+    assert run_cli(command, "--bundle", str(bundle_file), "--out", str(out), *argv) == 0
+    assert len(built) == 1
+    assert out.exists()
+
+
 def test_validate_stuck_prompt_exit_5(tmp_path):
     ws = build_e2e_workspace(tmp_path / "stuck", stuck=True, max_iters=1)
     plan_file = tmp_path / "plan.json"
@@ -339,7 +360,7 @@ def test_validate_stuck_prompt_exit_5(tmp_path):
     assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file),
                    "--config", str(ws["config"]), "--deterministic",
                    "--allow-failed") == 0
-    assert read_bundle(bundle_file).allow_failed is True
+    assert read_bundle(bundle_file).sections["meta"]["allow_failed"] is True
 
 
 def test_validate_subtask_without_prompt_exit_2(tmp_path, monkeypatch, capsys):
@@ -963,7 +984,7 @@ def test_plan_pack_and_infer_without_deterministic_stamp_utc_times(workspace, tm
     assert UTC_STAMP.match(load_plan(plan_file).provenance["created_at"])
     assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated), *config) == 0
     assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file), *config) == 0
-    assert UTC_STAMP.match(read_bundle(bundle_file).created_at)
+    assert UTC_STAMP.match(read_bundle(bundle_file).sections["meta"]["created_at"])
     assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
                    "--out", str(tmp_path / "p.jsonl"), "--summary", str(summary),
                    *config) == 0
@@ -1015,6 +1036,9 @@ def _refusals(ws, tmp):
         "--labels empty": (
             None, None, evaluate(ws["gt"], "--labels", ""),
             "evaluate: --labels names no label"),
+        "--labels-from-summary empty": (
+            None, None, evaluate(ws["gt"], "--labels-from-summary", ""),
+            "evaluate: --labels-from-summary names no file"),
         "--max-iters 0": (
             None, None, ["validate", "--plan", str(plan_file), "--config", str(ws["config"]),
                          "--max-iters", "0"],
@@ -1034,7 +1058,8 @@ def _refusals(ws, tmp):
 @pytest.mark.parametrize("case", ["config line without '='", "local_http without an endpoint",
                                   "docs file with no document", "ground-truth row with one field",
                                   "pack below min_synthetic_cases", "--labels naming no label",
-                                  "--labels empty", "--max-iters 0",
+                                  "--labels empty", "--labels-from-summary empty",
+                                  "--max-iters 0",
                                   "validate with an empty synthetic set",
                                   "--labels with --labels-from-summary"])
 def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_path, capsys,

@@ -7,6 +7,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 import shutil
 import socket
 import ssl
@@ -822,6 +823,52 @@ def test_a_reply_http_cannot_frame_fails_and_closes_its_connection(monkeypatch, 
             assert server.client_closed.acquire(timeout=10), "the client kept the connection"
     assert len(sleeps) == 1
     assert (server.requests, server.connections) == (2, 2)
+
+
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+@pytest.mark.parametrize("header, body", [
+    ("Content-Length: 99999999999999999999", b""),
+    ("Transfer-Encoding: chunked", b"ffffffffffffffffffff\r\n"),
+], ids=["20-digit length", "20-digit chunk size"])
+def test_a_body_length_over_the_limit_is_a_transport_failure(monkeypatch, channel, header,
+                                                              body):
+    # Refused before any byte of the body is read or allocated; the next
+    # call, to a healthy reply, succeeds.
+    reply = _raw("200 OK", [header], body)
+    sleeps = []
+    with (_raw_server(monkeypatch, *[(reply, False)] * RETRY_ATTEMPTS,
+                      (_ok(channel, "fine"), False)) as server,
+          _gateway(server, channel, sleeps.append) as gateway):
+        with pytest.raises(TransportError) as err:
+            _within(10, lambda: gateway.chat("sys", "doc"))
+        assert server.requests == RETRY_ATTEMPTS
+        assert _within(10, lambda: gateway.chat("sys", "doc")).raw_text == "fine"
+    assert type(err.value) is TransportError and err.value.failure == "transport failure"
+    assert re.search(f"{channel} chat call failed: reply .* bytes is over the "
+                     r"\d+-byte limit$", str(err.value))
+    assert len(sleeps) == RETRY_ATTEMPTS - 1
+
+
+@pytest.mark.parametrize("reply, read", [
+    (b"Content-Length: 8\r\n\r\n12345678", b"12345678"),
+    (b"Content-Length: 9\r\n\r\n123456789", None),
+    (b"Transfer-Encoding: chunked\r\n\r\n4\r\n1234\r\n4\r\n5678\r\n0\r\n\r\n",
+     b"12345678"),
+    (b"Transfer-Encoding: chunked\r\n\r\n4\r\n1234\r\n5\r\n56789\r\n0\r\n\r\n", None),
+], ids=["length at the limit", "length over", "chunks at the limit", "chunks over"])
+def test_a_framed_body_may_hold_at_most_http_max_body_bytes(monkeypatch, reply, read):
+    from io import BytesIO
+
+    from orchkit import gateway as gatewaymod
+
+    monkeypatch.setattr(gatewaymod, "HTTP_MAX_BODY", 8)
+    reader = BytesIO(b"HTTP/1.1 200 OK\r\n" + reply)
+    status, _reason, _keep, fields = gatewaymod._read_head(reader)
+    if read is None:
+        with pytest.raises(ValueError, match="is over the 8-byte limit"):
+            gatewaymod._read_body(reader, status, fields)
+    else:
+        assert gatewaymod._read_body(reader, status, fields) == (read, True)
 
 
 @pytest.mark.parametrize("status, body, words", [
