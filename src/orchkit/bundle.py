@@ -24,8 +24,8 @@ import re
 from collections.abc import Mapping
 from pathlib import Path
 
+from .config import RuntimeDefaults
 from .errors import BundleError, DslError
-from .gateway import DEFAULT_CONTEXT, DEFAULT_TEMPERATURE, PHASE_LOCAL
 from .jsonio import canonical_json, decode, digest, read_json, sha256_text, write_json
 from .model import (
     CaseResult,
@@ -178,36 +178,6 @@ def load_plan(path: str | Path) -> Plan:
 # ---------------------------------------------------------------------------
 # Bundle
 # ---------------------------------------------------------------------------
-
-class RuntimeDefaults(Record):
-    """Execution-side knobs that travel with the bundle."""
-
-    rounds: int = 5
-    local_temperature: float = DEFAULT_TEMPERATURE[PHASE_LOCAL]
-    local_context: int = DEFAULT_CONTEXT
-    threshold: float = 0.80
-
-    def __post_init__(self):
-        # The config's bounds; a bool is not a number here, as in JSON.
-        for name, kinds, holds, bounds in (
-                ("rounds", int, lambda v: v >= 1, "an integer >= 1"),
-                ("local_temperature", (int, float), lambda v: 0.0 <= v <= 2.0,
-                 "a number in [0, 2]"),
-                ("local_context", int, lambda v: v >= 1, "an integer >= 1"),
-                ("threshold", (int, float), lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds) or not holds(value):
-                raise ValueError(f"RuntimeDefaults.{name}: must be {bounds}, got {value!r}")
-
-    def to_dict(self) -> dict:
-        return {"rounds": self.rounds, "local_temperature": self.local_temperature,
-                "local_context": self.local_context, "threshold": self.threshold}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RuntimeDefaults":
-        return cls(rounds=data["rounds"], local_temperature=data["local_temperature"],
-                   local_context=data["local_context"], threshold=data["threshold"])
-
 
 class ArtifactBundle(Record):
     """What unpack verified: the sections, their plan and its runtime defaults."""

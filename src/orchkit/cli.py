@@ -32,18 +32,11 @@ import sys
 import threading
 from pathlib import Path
 
-from .config import Config, load_config
+from .config import Config, load_config, setting_problem
 from .errors import OrchError, PhaseViolationError, PlannerError
-from .gateway import (
-    DEFAULT_CONTEXT,
-    DEFAULT_TEMPERATURE,
-    KIND_CLOUD_HTTP,
-    PHASE_CLOUD,
-    PHASE_LOCAL,
-    Gateway,
-)
+from .gateway import KIND_CLOUD_HTTP, KIND_SCRIPTED, PHASE_CLOUD, PHASE_LOCAL, Gateway
 from .jsonio import read_json, read_text, write_json
-from .model import TaskSpec, UserPrefs, record_fields, replace, validate_plan
+from .model import TaskSpec, UserPrefs, record_fields, validate_plan
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -109,8 +102,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from . import planner, validator
 
     config = load_config(args.config)
-    if args.max_iters is not None and args.max_iters < 1:
-        raise ValueError(f"validate: --max-iters must be >= 1, got {args.max_iters}")
+    max_iters = config.max_iters if args.max_iters is None else args.max_iters
+    if problem := setting_problem("max_iters", max_iters):  # the flag's: the config's was checked
+        raise ValueError(f"validate: --max-iters {problem}, got {max_iters}")
     plan = bundlemod.load_plan(args.plan)
     violations = validate_plan(plan, min_cases=config.min_synthetic_cases)
     if violations:
@@ -121,7 +115,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
                              "to validate")
     local_gateway = Gateway(config.local.to_profile("local"), PHASE_LOCAL)
     templates = planner.TemplateSet.load(config.templates_dir)
-    max_iters = args.max_iters if args.max_iters is not None else config.max_iters
 
     cloud_gateway: list[Gateway] = []  # built lazily: only refinement needs it
     cloud_lock = threading.Lock()  # a wave's rewrites run at once
@@ -165,15 +158,8 @@ def cmd_pack(args: argparse.Namespace) -> int:
 
     config = load_config(args.config)
     plan = bundlemod.load_plan(args.plan)
-    local = config.local
-    runtime = bundlemod.RuntimeDefaults(
-        rounds=config.rounds,
-        local_temperature=(DEFAULT_TEMPERATURE[PHASE_LOCAL] if local.temperature is None
-                           else local.temperature),
-        local_context=DEFAULT_CONTEXT if local.context is None else local.context,
-        threshold=config.threshold)
     guideline_body = read_text(args.include_guideline) if args.include_guideline else None
-    data = bundlemod.pack(plan, runtime,
+    data = bundlemod.pack(plan, config.runtime(),
                           created_at=None if args.deterministic else _now_iso(),
                           allow_failed=args.allow_failed,
                           guideline_body=guideline_body,
@@ -201,21 +187,15 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
     # Privacy guard comes before anything else is even read.
     cloud_active = config.cloud.kind == KIND_CLOUD_HTTP or config.local.kind == KIND_CLOUD_HTTP
-    if cloud_active and not (args.i_know_this_is_scripted and config.local.kind == "scripted"):
+    if cloud_active and not (args.i_know_this_is_scripted and config.local.kind == KIND_SCRIPTED):
         raise PhaseViolationError("a cloud profile is active; refusing to run inference "
                                   "over documents in this environment")
-    if args.rounds is not None and args.rounds < 1:
-        raise ValueError(f"infer: --rounds must be >= 1, got {args.rounds}")
+    if args.rounds is not None and (problem := setting_problem("rounds", args.rounds)):
+        raise ValueError(f"infer: --rounds {problem}, got {args.rounds}")
     artifact = bundlemod.read_bundle(args.bundle)
     plan, runtime = artifact.to_plan(), artifact.runtime
-    # Where the config is silent, the bundle's local temperature and context apply.
-    local = config.local
-    local = replace(local,
-                    temperature=(runtime.local_temperature if local.temperature is None
-                                 else local.temperature),
-                    context=runtime.local_context if local.context is None else local.context)
     rounds = args.rounds if args.rounds is not None else runtime.rounds
-    with Gateway(local.to_profile("local"), PHASE_LOCAL) as gateway:
+    with Gateway(config.local.to_profile(PHASE_LOCAL, runtime), PHASE_LOCAL) as gateway:
         if args.revalidate:
             from . import validator
 

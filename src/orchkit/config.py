@@ -1,5 +1,5 @@
-"""Operator configuration: a plain-text key-value file with environment
-overrides for secrets and flag overrides on top.
+"""Run settings: each one's name, default, range and precedence, and the
+operator's file that sets them. Every other module asks here.
 
     # channels
     cloud.kind = cloud_http          # cloud_http | scripted
@@ -29,6 +29,11 @@ Secrets never live in the file: the cloud API key comes from
 ORCH_CLOUD_API_KEY, and ORCH_CONFIG names the config file when the CLI
 flag is absent. Scripted channels replace endpoint/model with
 `<channel>.session = <recorded session file>`.
+
+The values above are the defaults. setting_problem holds each numeric
+setting's type and range, for the file, a bundle's `runtime` section, the
+command line and a model request alike. Precedence is Config.runtime() at
+`pack` and ProfileConfig.to_profile(channel, runtime) at `infer`.
 """
 
 from __future__ import annotations
@@ -36,24 +41,81 @@ from __future__ import annotations
 import os
 import re
 import urllib.parse
+from collections.abc import Mapping
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .gateway import (
-    DEFAULT_CONTEXT,
-    DEFAULT_TEMPERATURE,
-    KIND_CLOUD_HTTP,
-    KIND_LOCAL_HTTP,
-    KIND_SCRIPTED,
-    BackendProfile,
-)
 from .jsonio import read_text
-from .model import Record
+from .model import Record, record_fields
+
+if TYPE_CHECKING:
+    from .gateway import BackendProfile
 
 CONFIG_ENV = "ORCH_CONFIG"
 
-_PROFILE_KEYS = ("kind", "endpoint", "model", "temperature", "context", "session")
-_KINDS = (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP, KIND_SCRIPTED)
+PHASE_CLOUD = "cloud"
+PHASE_LOCAL = "local"
+
+KIND_CLOUD_HTTP = "cloud_http"
+KIND_LOCAL_HTTP = "local_http"
+KIND_SCRIPTED = "scripted"
+KINDS = (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP, KIND_SCRIPTED)
+
+# Operating defaults per channel: cloud runs hot to diversify planning
+# output, local runs cold for consistent extraction.
+DEFAULT_TEMPERATURE = {PHASE_CLOUD: 0.8, PHASE_LOCAL: 0.2}
+DEFAULT_CONTEXT = 32768
+
+# Rounds per document, a prompt's pass-rate threshold and its refinement budget.
+DEFAULT_ROUNDS = 5
+DEFAULT_THRESHOLD = 0.80
+DEFAULT_MAX_ITERS = 5
+
 _COMMENT = re.compile(r"(?:^|\s)#")
+
+
+# Each numeric setting, a channel's by its key after the dot: its type, and
+# its range in words and as a test (which NaN fails).
+_COUNT = (int, ">= 1", lambda value: value >= 1)
+_RANGES = {
+    "rounds": _COUNT, "max_iters": _COUNT, "synthetic_cases_per_subtask": _COUNT,
+    "validation_repeats": _COUNT, "workers": _COUNT, "context": _COUNT,
+    "min_synthetic_cases": (int, ">= 0", lambda value: value >= 0),
+    "threshold": (float, "in (0, 1]", lambda value: 0 < value <= 1),
+    "temperature": (float, "in [0, 2]", lambda value: 0 <= value <= 2),
+}
+
+
+def setting_problem(name: str, value: object) -> str | None:
+    """What keeps `value` from being numeric setting `name`, as in
+    "must be >= 1", or None when nothing does. An integer is a number too;
+    a bool is neither, as in JSON."""
+    kind, bounds, holds = _RANGES[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        return "must be an integer" if kind is int else "must be a number"
+    return None if holds(value) else f"must be {bounds}"
+
+
+class RuntimeDefaults(Record):
+    """The run settings a bundle's `runtime` section carries to `infer`."""
+
+    rounds: int = DEFAULT_ROUNDS
+    local_temperature: float = DEFAULT_TEMPERATURE[PHASE_LOCAL]
+    local_context: int = DEFAULT_CONTEXT
+    threshold: float = DEFAULT_THRESHOLD
+
+    def __post_init__(self):
+        for field in record_fields(RuntimeDefaults):
+            value = getattr(self, field)
+            if problem := setting_problem(field.removeprefix("local_"), value):
+                raise ValueError(f"RuntimeDefaults.{field}: {problem}, got {value!r}")
+
+    def to_dict(self) -> dict:
+        return {field: getattr(self, field) for field in record_fields(RuntimeDefaults)}
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "RuntimeDefaults":
+        return cls(**{field: data[field] for field in record_fields(cls)})
 
 
 class ProfileConfig(Record):
@@ -64,7 +126,11 @@ class ProfileConfig(Record):
     context: int | None = None
     session: str | None = None
 
-    def to_profile(self, channel: str) -> BackendProfile:
+    def to_profile(self, channel: str, runtime: RuntimeDefaults | None = None) -> BackendProfile:
+        """The profile `channel` calls its model with: its temperature and context are
+        this config's, else `runtime`'s (a bundle's), else the channel's defaults."""
+        from .gateway import BackendProfile  # loaded only here
+
         scripted = self.kind == KIND_SCRIPTED
         if self.kind is None:  # a kind that is set was checked at load
             raise ValueError(f"config: {channel}.kind is not configured")
@@ -72,20 +138,25 @@ class ProfileConfig(Record):
             raise ValueError(f"config: {channel}.session required for scripted kind")
         if not scripted and not self.endpoint:
             raise ValueError(f"config: {channel}.endpoint required for {self.kind}")
+        temperature, context = self._settings(channel, runtime)
         return BackendProfile(
             kind=self.kind, endpoint=self.endpoint, session=self.session,
             model=self.model or ("scripted" if scripted else ""),
-            default_temperature=(DEFAULT_TEMPERATURE[channel] if self.temperature is None
-                                 else self.temperature),
-            default_context=DEFAULT_CONTEXT if self.context is None else self.context)
+            default_temperature=temperature, default_context=context)
+
+    def _settings(self, channel: str, runtime: RuntimeDefaults | None = None) -> tuple[float, int]:
+        temperature, context = ((runtime.local_temperature, runtime.local_context) if runtime
+                                else (DEFAULT_TEMPERATURE[channel], DEFAULT_CONTEXT))
+        return (temperature if self.temperature is None else self.temperature,
+                context if self.context is None else self.context)
 
 
 class Config(Record):
     cloud: ProfileConfig = ProfileConfig()
     local: ProfileConfig = ProfileConfig()
-    rounds: int = 5
-    threshold: float = 0.80
-    max_iters: int = 5
+    rounds: int = DEFAULT_ROUNDS
+    threshold: float = DEFAULT_THRESHOLD
+    max_iters: int = DEFAULT_MAX_ITERS
     synthetic_cases_per_subtask: int = 10
     min_synthetic_cases: int = 1
     validation_repeats: int = 1
@@ -93,17 +164,15 @@ class Config(Record):
     templates_dir: str | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.threshold <= 1.0):
-            raise ValueError(f"config: threshold must be in (0, 1], got {self.threshold}")
-        for name, least in (("rounds", 1), ("max_iters", 1), ("workers", 1),
-                            ("validation_repeats", 1), ("synthetic_cases_per_subtask", 1),
-                            ("min_synthetic_cases", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"config: {name} must be >= {least}, got {getattr(self, name)}")
-        for channel in ("cloud", "local"):
-            context = getattr(self, channel).context
-            if context is not None and context < 1:
-                raise ValueError(f"config: {channel}.context must be >= 1, got {context}")
+        # A channel's settings were checked as their lines were read.
+        for name in record_fields(Config):
+            value = getattr(self, name)
+            if name in _RANGES and (problem := setting_problem(name, value)):
+                raise ValueError(f"config: {name} {problem}, got {value}")
+
+    def runtime(self) -> RuntimeDefaults:
+        """The runtime section `pack` writes from this config."""
+        return RuntimeDefaults(self.rounds, *self.local._settings(PHASE_LOCAL), self.threshold)
 
 
 def parse_config(text: str) -> Config:
@@ -118,42 +187,34 @@ def parse_config(text: str) -> Config:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         channel, dot, attr = key.partition(".")
-        if dot:
-            if channel not in profiles or attr not in _PROFILE_KEYS:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            profiles[channel][attr] = _profile_value(key, attr, value, lineno)
+        if dot and channel in profiles and attr in record_fields(ProfileConfig):
+            profiles[channel][attr] = _value(key, attr, value, lineno, ranged=True)
+        elif not dot and key in record_fields(Config) and key not in profiles:
+            values[key] = _value(key, key, value, lineno, ranged=False)
         else:
-            values[key] = _value(key, value, lineno)
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
     return Config(cloud=ProfileConfig(**profiles["cloud"]),
                   local=ProfileConfig(**profiles["local"]), **values)
 
 
-def _profile_value(key: str, attr: str, value: str, lineno: int) -> object:
-    if attr == "temperature":
-        temperature = _number(float, key, value, lineno)
-        if not 0.0 <= temperature <= 2.0:  # also rejects nan
-            raise ValueError(f"config line {lineno}: {key} must be in [0, 2], got {value!r}")
-        return temperature
-    if attr == "context":
-        return _number(int, key, value, lineno)
-    if attr == "kind" and value not in _KINDS:
-        raise ValueError(f"config line {lineno}: {key} must be one of "
-                         f"{', '.join(_KINDS)}, got {value!r}")
-    if attr == "endpoint" and not _is_http_url(value):
-        raise ValueError(f"config line {lineno}: {key} must be an http:// or https:// "
-                         f"URL, got {value!r}")
+def _value(key: str, name: str, text: str, lineno: int, *, ranged: bool) -> object:
+    """Line `lineno`'s `text` for setting `name`, set as `key`. A number out
+    of its range names the line only if `ranged`; Config checks the rest."""
+    value, problem = text, None
+    if name in _RANGES:
+        try:
+            value = _RANGES[name][0](text)
+        except ValueError:  # then the problem is its type
+            problem = setting_problem(name, text)
+        else:
+            problem = setting_problem(name, value) if ranged else None
+    elif name == "kind" and text not in KINDS:
+        problem = f"must be one of {', '.join(KINDS)}"
+    elif name == "endpoint" and not _is_http_url(text):
+        problem = "must be an http:// or https:// URL"
+    if problem:
+        raise ValueError(f"config line {lineno}: {key} {problem}, got {text!r}")
     return value
-
-
-def _value(key: str, value: str, lineno: int) -> object:
-    if key in ("rounds", "max_iters", "synthetic_cases_per_subtask",
-               "min_synthetic_cases", "validation_repeats", "workers"):
-        return _number(int, key, value, lineno)
-    if key == "threshold":
-        return _number(float, key, value, lineno)
-    if key == "templates_dir":
-        return value
-    raise ValueError(f"config line {lineno}: unknown key {key!r}")
 
 
 def _is_http_url(value: str) -> bool:
@@ -163,15 +224,6 @@ def _is_http_url(value: str) -> bool:
         return url.scheme in ("http", "https") and bool(url.hostname)
     except ValueError:  # that, or an unbalanced IPv6 bracket
         return False
-
-
-def _number(kind: type, key: str, value: str, lineno: int) -> int | float:
-    try:
-        return kind(value)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(
-            f"config line {lineno}: {key} must be {what}, got {value!r}") from None
 
 
 def load_config(path: str | Path | None = None) -> Config:

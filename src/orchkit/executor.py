@@ -19,6 +19,7 @@ from pathlib import Path
 from queue import SimpleQueue
 from typing import TypeVar
 
+from .config import DEFAULT_ROUNDS, setting_problem
 from .errors import ModelCallError, OutputParseError, PhaseViolationError
 from .gateway import KIND_CLOUD_HTTP, PHASE_LOCAL, Gateway
 from .jsonio import jsonl_line, read_jsonl, read_text, record_id
@@ -34,8 +35,6 @@ from .model import (
 )
 from .parsing import format_block, parse_subtask_output
 from .ruledsl import SynthesisLogic, evaluate
-
-DEFAULT_ROUNDS = 5
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -232,8 +231,8 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
     Prompts run whatever their status: only a bundle's reader gates it.
     """
     _require_local(gateway)
-    if rounds < 1:
-        raise ValueError("iter_documents: rounds must be >= 1")
+    if problem := setting_problem("rounds", rounds):
+        raise ValueError(f"iter_documents: rounds {problem}, got {rounds!r}")
     logic = plan.parsed_logic()
     pairs = [(s, plan.prompt_for(s.id)) for s in plan.subtasks]
 

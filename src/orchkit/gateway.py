@@ -48,25 +48,24 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
+from .config import (
+    DEFAULT_CONTEXT,
+    DEFAULT_TEMPERATURE,
+    KIND_CLOUD_HTTP,
+    KIND_LOCAL_HTTP,
+    KIND_SCRIPTED,
+    KINDS,
+    PHASE_CLOUD,
+    PHASE_LOCAL,
+    setting_problem,
+)
 from .errors import ModelCallError, PhaseViolationError, TransportError, UnseenRequestError
 from .jsonio import decode, digest, jsonl_line, read_jsonl
 from .model import FeatureSchema, Record, replace
 
-PHASE_CLOUD = "cloud"
-PHASE_LOCAL = "local"
-
-KIND_CLOUD_HTTP = "cloud_http"
-KIND_LOCAL_HTTP = "local_http"
-KIND_SCRIPTED = "scripted"
-
 CLOUD_API_KEY_ENV = "ORCH_CLOUD_API_KEY"
 
 FINISH_REASONS = ("complete", "truncated")
-
-# Operating defaults per channel: cloud runs hot to diversify planning
-# output, local runs cold for consistent extraction.
-DEFAULT_TEMPERATURE = {PHASE_CLOUD: 0.8, PHASE_LOCAL: 0.2}
-DEFAULT_CONTEXT = 32768
 
 # Seconds an HTTP chat call may take, per channel.
 HTTP_TIMEOUT = {PHASE_CLOUD: 120.0, PHASE_LOCAL: 600.0}
@@ -89,12 +88,12 @@ class ChatRequest(Record):
     seed: int | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.temperature <= 2.0):
-            raise ValueError(f"ChatRequest.temperature: must be in [0, 2], got {self.temperature}")
+        if problem := setting_problem("temperature", self.temperature):
+            raise ValueError(f"ChatRequest.temperature: {problem}, got {self.temperature!r}")
         if not isinstance(self.user_content, str) or not self.user_content.strip():
             raise ValueError("ChatRequest.user_content: must be non-empty")
-        if self.max_context_tokens < 1:
-            raise ValueError("ChatRequest.max_context_tokens: must be positive")
+        if problem := setting_problem("context", self.max_context_tokens):
+            raise ValueError(f"ChatRequest.max_context_tokens: {problem}")
 
 
 class ChatResponse(Record):
@@ -145,9 +144,8 @@ class BackendProfile(Record, hidden=("backend",)):
     backend: object | None = None
 
     def __post_init__(self):
-        kinds = (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP, KIND_SCRIPTED)
-        if self.kind not in kinds:
-            raise ValueError(f"BackendProfile.kind: must be one of {kinds}, got {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"BackendProfile.kind: must be one of {KINDS}, got {self.kind!r}")
         if self.kind in (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP) and not self.endpoint:
             raise ValueError(f"BackendProfile.endpoint: required for kind {self.kind!r}")
         if self.kind == KIND_SCRIPTED and self.backend is None and not self.session:

@@ -26,6 +26,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import islice
 
+from .config import DEFAULT_MAX_ITERS, DEFAULT_THRESHOLD, setting_problem
 from .executor import extract, iter_lanes
 from .gateway import Gateway
 from .model import (
@@ -38,9 +39,6 @@ from .model import (
     ValidationReport,
 )
 from .parsing import parse_subtask_output  # noqa: F401 - bench/tracer.py wraps it by name
-
-DEFAULT_THRESHOLD = 0.80
-DEFAULT_MAX_ITERS = 5
 
 VALIDATION_DOC_ID = "synthetic-validation"
 
@@ -87,8 +85,8 @@ def validate_prompt(checks: Sequence[Check], gateway: Gateway, *,
     for subtask, _prompt, cases in checks:
         if not cases:
             raise ValueError(f"validate_prompt: cases for {subtask.id!r} must be non-empty")
-    if repeats < 1:
-        raise ValueError("validate_prompt: repeats must be >= 1")
+    if problem := setting_problem("validation_repeats", repeats):
+        raise ValueError(f"validate_prompt: repeats {problem}, got {repeats!r}")
 
     def lane(item: tuple[Subtask, PromptSpec, int, SyntheticCase]) -> CaseResult:
         subtask, prompt, index, case = item
@@ -141,8 +139,8 @@ def run_refinement_loops(checks: Sequence[Check], gateway: Gateway,
     report. An error raised while validating or rewriting ends every loop:
     no later case or rewrite starts.
     """
-    if max_iters < 1:
-        raise ValueError("run_refinement_loops: max_iters must be >= 1")
+    if problem := setting_problem("max_iters", max_iters):
+        raise ValueError(f"run_refinement_loops: max_iters {problem}, got {max_iters!r}")
     prompts = [prompt for _subtask, prompt, _cases in checks]
     tried: list[list[tuple[PromptSpec, ValidationReport]]] = [[] for _ in checks]
     refining = list(range(len(checks)))
