@@ -15,18 +15,22 @@ isolated side can re-validate prompts before touching real documents.
 
 unpack is the one place a bundle becomes a plan: it returns the verified
 sections with the Plan and RuntimeDefaults it built while checking them.
+A body canonical JSON cannot hold (NaN, an infinity, a number out of
+range, or nesting too deep to parse) is a malformed bundle. RuntimeDefaults,
+the `runtime` section, is orchkit.config's, with the defaults and bounds of
+its settings; it is importable from here as well.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import re
 from collections.abc import Mapping
 from pathlib import Path
 
 from .config import RuntimeDefaults
 from .errors import BundleError, DslError
-from .jsonio import canonical_json, decode, digest, read_json, sha256_text, write_json
+from .jsonio import canonical_json, decode, digest, loads, read_json, sha256_text, write_json
 from .model import (
     CaseResult,
     FeatureSchema,
@@ -258,6 +262,15 @@ def pack(plan: Plan, runtime: RuntimeDefaults | None = None, *,
     return _render(sections)
 
 
+def _finite(text: str) -> float:
+    """A JSON number, or the NaN or Infinity json also reads, as a float
+    canonical JSON can hold."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a number canonical JSON can hold")
+    return value
+
+
 def unpack(data: bytes) -> ArtifactBundle:
     """Verify every hash, then return the bundle's sections with the Plan
     and RuntimeDefaults they hold, each built once, here.
@@ -288,8 +301,8 @@ def unpack(data: bytes) -> ArtifactBundle:
         raise BundleError(
             f"whole-file hash mismatch: trailer {expected[:12]}…, computed {actual[:12]}…")
     try:
-        document = json.loads(body)
-    except json.JSONDecodeError as exc:
+        document = loads(body, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
         raise BundleError(f"bundle body is not JSON: {exc}") from exc
     if not (isinstance(document, dict) and isinstance(document.get("sections"), dict)
             and isinstance(document.get("integrity"), dict)):

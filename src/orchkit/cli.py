@@ -103,7 +103,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     config = load_config(args.config)
     max_iters = config.max_iters if args.max_iters is None else args.max_iters
-    if problem := setting_problem("max_iters", max_iters):  # the flag's: the config's was checked
+    if problem := setting_problem("max_iters", max_iters):  # only the flag can be out of range
         raise ValueError(f"validate: --max-iters {problem}, got {max_iters}")
     plan = bundlemod.load_plan(args.plan)
     violations = validate_plan(plan, min_cases=config.min_synthetic_cases)

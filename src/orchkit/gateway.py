@@ -20,18 +20,21 @@ persistent connections, at most one per call in flight, that Gateway.close
 closes. A request is one send of its head and body. A reply is read through
 one buffered reader per connection: its status line, and of its headers
 only Content-Length, Transfer-Encoding: chunked and Connection, with
-HTTP_MAX_LINE bytes a line, HTTP_MAX_HEADERS lines and HTTP_MAX_BODY
-declared body bytes at most. A connection the server closed while it sat
-idle is replaced and the request sent again at once; that is not a retry.
+HTTP_MAX_LINE bytes a line, HTTP_MAX_HEADERS lines and HTTP_MAX_BODY body
+bytes at most, declared or read to the close. A connection the server
+closed while it sat idle is replaced and the request sent again at once;
+that is not a retry.
 Proxies and certificate checks follow urllib; ssl is loaded only for an
 https origin or tunnel, and urllib.request only when a `*_proxy` variable
 is set or on macOS and Windows.
 
 Every call enters through Gateway.chat, which builds the request from the
-profile's defaults. A TransportError is retried with a fixed policy: up
-to RETRY_ATTEMPTS attempts, waiting RETRY_BASE_DELAY * 2**attempt seconds
-plus up to RETRY_JITTER of that between them; a refused request (a 4xx
-other than 408 and 429) is not retried. RecordingBackend wraps any
+profile's defaults. The phases, the kinds and each channel's default
+temperature and context are config's, imported here under the same names.
+A TransportError is retried with a fixed policy: up to RETRY_ATTEMPTS
+attempts, waiting RETRY_BASE_DELAY * 2**attempt seconds plus up to
+RETRY_JITTER of that between them; a refused request (a 4xx other than
+408 and 429) is not retried. RecordingBackend wraps any
 backend and appends each request/response pair to a session file, JSON
 lines keyed by a content digest of the request;
 BackendProfile.scripted(session=...) builds the profile that replays it.
@@ -60,7 +63,7 @@ from .config import (
     setting_problem,
 )
 from .errors import ModelCallError, PhaseViolationError, TransportError, UnseenRequestError
-from .jsonio import decode, digest, jsonl_line, read_jsonl
+from .jsonio import decode, digest, jsonl_line, loads, read_jsonl
 from .model import FeatureSchema, Record, replace
 
 CLOUD_API_KEY_ENV = "ORCH_CLOUD_API_KEY"
@@ -272,7 +275,8 @@ def _schema_to_json_schema(schema: FeatureSchema) -> dict:
 HTTP_MAX_LINE = 65536
 HTTP_MAX_HEADERS = 100
 
-# The most body bytes a reply's Content-Length or chunk sizes may declare. A
+# The most body bytes a reply may hold: as its Content-Length or chunk sizes
+# declare them, or as read up to the close when it declares neither. A
 # completion fills at most the context window (32,768 tokens by default, under
 # 1 MB even JSON-escaped), so 16 MiB leaves a wide margin.
 HTTP_MAX_BODY = 16 * 1024 * 1024
@@ -349,17 +353,31 @@ def _within_limit(n: int, what: str) -> int:
     return n
 
 
+def _read_to_close(reader) -> bytes:
+    """The rest of a reply, up to the close. It is read as it arrives, one
+    buffer at a time, so nothing is reserved ahead of the bytes."""
+    chunks, total = [], 0
+    while chunk := reader.read1():
+        total += len(chunk)
+        if total > HTTP_MAX_BODY:
+            raise ValueError(f"reply body read to the close is over the "
+                             f"{HTTP_MAX_BODY}-byte limit")
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 def _read_body(reader, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, bool]:
     """Read a reply's body as RFC 9112 section 6.3 frames it; return it and
     whether it ended before the connection did. A Content-Length or a sum of
     chunk sizes over HTTP_MAX_BODY raises ValueError before the bytes it
-    declares are read, so no reply can make the client allocate more."""
+    declares are read, and a body read to the close does once it passes
+    HTTP_MAX_BODY bytes, so no reply can make the client hold more."""
     if status == 204:
         return b"", True
     coding = fields.get(b"transfer-encoding")
     if coding is not None:
         if coding.rpartition(b",")[2].strip().lower() != b"chunked":
-            return reader.read(), False
+            return _read_to_close(reader), False
         chunks, total = [], 0
         while True:
             line = _read_line(reader)
@@ -377,7 +395,7 @@ def _read_body(reader, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, 
             chunks.append(chunk[:n])
     length = fields.get(b"content-length")
     if length is None:
-        return reader.read(), False
+        return _read_to_close(reader), False
     if not length.isdigit():
         raise ValueError(f"bad Content-Length: {length[:40]!r}")
     n = _within_limit(int(length), "Content-Length")
@@ -561,9 +579,10 @@ class _HttpBackend:
         the server's own error text when its body carries one. A 4xx other
         than 408 and 429 is a refused request, which no retry can fix. Any
         other non-2xx status, a connection fault or timeout, a reply HTTP
-        cannot frame and a reply that is not JSON each become a
-        TransportError naming the channel; a reply of the wrong shape, its
-        text not a string included, is a malformed reply."""
+        cannot frame and a reply that is not JSON (or nests it too deeply to
+        parse) each become a TransportError naming the channel; a reply of
+        the wrong shape, its text not a string included, is a malformed
+        reply."""
         started = time.perf_counter()
         try:
             status, reason, data = self._exchange(
@@ -574,7 +593,7 @@ class _HttpBackend:
                 if 400 <= status < 500 and status not in (408, 429):
                     raise ModelCallError(message, "refused request")
                 raise TransportError(message)
-            body = json.loads(data)
+            body = loads(data)
         except (OSError, ValueError) as exc:
             raise TransportError(f"{self.channel} chat call failed: {exc}") from exc
         latency = (time.perf_counter() - started) * 1000.0
@@ -593,7 +612,7 @@ def _server_words(data: bytes) -> str:
     characters: Ollama's `error` string or OpenAI's `error.message`. Empty
     when the body carries neither."""
     try:
-        error = json.loads(data)
+        error = loads(data)
     except ValueError:
         return ""
     error = error.get("error") if isinstance(error, dict) else None

@@ -19,9 +19,13 @@ files and digests, so these forms are the interface between them:
     directory document files. With read_jsonl it decodes every file
     orchkit reads as text, so bytes that are not UTF-8 name file and line.
 
-decode is the one reader of JSON orchkit did not write, and record_id the
-one reader of a document id in it. Imports nothing from orchkit, so any
-module can use it without a cycle.
+loads parses every JSON document orchkit reads, a model reply's envelope
+included; only a completion's text, which may wrap its object in prose,
+is scanned by parsing.extract_json_object instead. Either refuses JSON
+nested too deeply to parse as it refuses JSON that does not parse. decode
+builds a value from JSON orchkit did not write, and record_id reads a
+document id in it. Imports nothing from orchkit, so any module can use it
+without a cycle.
 """
 
 from __future__ import annotations
@@ -53,6 +57,16 @@ def jsonl_line(record: object) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def loads(text: str | bytes, **hooks: Callable[[str], object]) -> object:
+    """json.loads with `hooks`, except that JSON nested too deeply for the
+    parser raises ValueError, as JSON that does not parse does, rather than
+    RecursionError."""
+    try:
+        return json.loads(text, **hooks)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def decode(build: Callable[[object], T], value: object,
            error: Callable[[str], Exception]) -> T:
     """`build` over an untrusted JSON value. The KeyError, IndexError,
@@ -77,7 +91,7 @@ def record_id(value: object) -> str:
 def _build(build: Callable[[object], T], text: str, where: str) -> T:
     """decode over the JSON in `text`; any failure raises ValueError naming `where`."""
     try:
-        return decode(build, json.loads(text), ValueError)
+        return decode(build, loads(text), ValueError)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 

@@ -9,7 +9,8 @@ for inclusion in system prompts; `parse_subtask_output` is the authoritative
 parser on the way back in. Transport-level constrained decoding is
 best-effort only, so parsing here is what actually decides conformance.
 `extract_json_object`, which the planner also uses on cloud replies, reads
-the reply's first JSON object with the standard library's decoder.
+the reply's first JSON object with the standard library's decoder; a reply
+nested too deeply for it has none.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ def extract_json_object(text: str) -> dict:
             return parsed
         except json.JSONDecodeError:
             start = stripped.find("{", start + 1)
+        except RecursionError:  # nested deeper than the decoder goes: search no further
+            raise OutputParseError("reply nests JSON too deeply to parse") from None
     raise OutputParseError("reply contains no parseable JSON object")
 
 

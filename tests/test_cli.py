@@ -26,6 +26,7 @@ from conftest import (
     LABEL_NAMES,
     build_e2e_workspace,
     e2e_cloud_handler,
+    fake_local_extractor,
     golden_plan,
     refined_plan,
 )
@@ -1071,4 +1072,79 @@ def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_
     capsys.readouterr()
     assert run_cli(*argv, "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# JSON nested far deeper than the decoder recurses, yet far under any size
+# limit: about 200 KB.
+_DEEP = '{"a":' * 100_000 + "0" + "}" * 100_000
+
+
+def test_a_completion_nested_too_deeply_is_an_unparseable_run(workspace, tmp_path, monkeypatch):
+    def local(request):
+        if "Report one." in request.user_content and "Distant spread" in request.system_prompt:
+            return _DEEP
+        return fake_local_extractor(request)
+
+    monkeypatch.setattr(cli, "Gateway", lambda profile, phase: Gateway(
+        BackendProfile.scripted(ScriptedBackend(local)), phase, sleep=lambda _s: None))
+    bundle_file, preds = tmp_path / "a.orchb", tmp_path / "preds.jsonl"
+    write_bundle(pack(refined_plan()), bundle_file)
+    assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
+                   "--out", str(preds), "--config", str(workspace["config"]),
+                   "--deterministic") == 0
+    runs = {(line["document_id"], run["subtask_id"]): run
+            for line in map(json.loads, preds.read_text(encoding="utf-8").splitlines())
+            for round_ in line["rounds"] for run in round_["runs"]}
+    deep = runs.pop(("d1", "distant_spread"))
+    assert deep["parse_status"] == "unparseable"
+    assert deep["reasoning"] == ("unparseable after repair: reply nests JSON too deeply "
+                                 "to parse")
+    assert {run["parse_status"] for run in runs.values()} == {"ok"}
+
+
+def test_a_labels_line_nested_too_deeply_names_its_file_and_line(workspace, tmp_path, capsys):
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text('{"id": "d1", "label": "Metastatic"}\n' + _DEEP + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--pred", str(gt), "--gt", str(workspace["gt"])) == 2
+    assert capsys.readouterr().err == (
+        f"error: {gt}:2: JSON nested too deeply to parse\n")
+
+
+def _rehashed_bundle(path, body: str) -> None:
+    """A bundle file of `body` and its whole-file hash trailer."""
+    from orchkit.jsonio import sha256_text
+
+    path.write_bytes((body + "#sha256:" + sha256_text(body) + "\n").encode("utf-8"))
+
+
+def _packed_body() -> str:
+    return pack(refined_plan()).decode("utf-8").rpartition("#sha256:")[0]
+
+
+_MALFORMED_BODIES = {
+    "nested too deeply": lambda body: _DEEP + "\n",
+    "NaN": lambda body: body.replace('"threshold":0.8', '"threshold":NaN'),
+    "Infinity": lambda body: body.replace('"threshold":0.8', '"threshold":Infinity'),
+    "1e999": lambda body: body.replace('"threshold":0.8', '"threshold":1e999'),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_BODIES))
+@pytest.mark.parametrize("command", ["unpack", "infer"])
+def test_a_bundle_body_canonical_json_cannot_hold_exits_6_naming_the_file(
+        workspace, tmp_path, capsys, case, command):
+    body = _packed_body()
+    assert body.count('"threshold":0.8') == 1
+    bundle_file, out = tmp_path / "a.orchb", tmp_path / "out"
+    _rehashed_bundle(bundle_file, _MALFORMED_BODIES[case](body))
+    argv = {"unpack": ["unpack", "--bundle", str(bundle_file)],
+            "infer": ["infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
+                      "--config", str(workspace["config"])]}[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(out)) == 6
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {bundle_file}: bundle body is not JSON: ")
     assert not out.exists()

@@ -5,6 +5,7 @@ calls costs that process start-up time and memory. Each command below runs
 in its own interpreter over the end-to-end replay sessions, then reports
 `sys.modules`; the modules it has no use for must be absent. One more
 `infer` calls a local model over plain HTTP, at a stdlib keep-alive server.
+Two rows import one module alone: the run settings, and the bundle format.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ LOADED = ("import json, sys\n"
           "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
           "print(json.dumps([code, sorted(sys.modules)]))\n")
 
+# A row that imports one module alone runs this, given the module's name.
+IMPORTED = ("import importlib, json, sys\n"
+            "importlib.import_module(sys.argv[1])\n"
+            "print(json.dumps([0, sorted(sys.modules)]))\n")
+
 _BUNDLE_ONLY = ("orchkit.planner", "orchkit.validator", "orchkit.executor", "orchkit.parsing",
                 "orchkit.evalkit", "concurrent.futures", "fractions")
 
@@ -49,6 +55,9 @@ _RECORDS = ("dataclasses", "inspect")
 # (command, modules it must not load); commands run in this order, each
 # reading what the one before wrote.
 ABSENT = {
+    # The run settings and the bundle format make no model call.
+    "import orchkit.config": ("orchkit.gateway",),
+    "import orchkit.bundle": ("orchkit.gateway",),
     "import orchkit.cli": ("orchkit.bundle", "orchkit.executor", "orchkit.planner",
                            "orchkit.validator", "orchkit.evalkit", *_RECORDS),
     "plan": ("orchkit.validator", "orchkit.evalkit", *_FUTURES, *_RECORDS),
@@ -111,6 +120,8 @@ def loaded(tmp_path_factory):
     config = ["--config", str(ws["config"])]
     local_http = tmp / "local_http.cfg"
     argv = {
+        "import orchkit.config": ["orchkit.config"],
+        "import orchkit.bundle": ["orchkit.bundle"],
         "import orchkit.cli": [],
         "plan": ["plan", "--task", ws["task"], "--guideline", ws["guideline"],
                  "--prefs", ws["prefs"], "--out", tmp / "plan.json", *config,
@@ -141,7 +152,9 @@ def loaded(tmp_path_factory):
             if command == "infer over local_http":  # the route with no proxy
                 child_env = {name: value for name, value in env.items()
                              if not name.lower().endswith("_proxy")}
-            done = subprocess.run([sys.executable, "-c", LOADED, *map(str, args)], cwd=tmp,
+            script = IMPORTED if command in ("import orchkit.config",
+                                             "import orchkit.bundle") else LOADED
+            done = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=tmp,
                                   env=child_env, capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr
             code, names = json.loads(done.stdout.splitlines()[-1])

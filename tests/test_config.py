@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from orchkit.bundle import pack, write_bundle
+from orchkit import bundle
+from orchkit.bundle import pack, read_bundle, write_bundle
 from orchkit.cli import main
 from orchkit.config import Config, load_config, parse_config
 from orchkit.gateway import Gateway
@@ -184,3 +187,62 @@ def test_unset_channel_kind_keeps_its_message():
     with pytest.raises(ValueError) as info:
         config.local.to_profile("local")
     assert str(info.value) == "config: local.kind is not configured"
+
+
+@pytest.mark.parametrize("channel", ["local", "cloud"])
+def test_context_below_1_names_its_line(channel):
+    with pytest.raises(ValueError) as info:
+        parse_config(f"rounds = 3\n{channel}.context = 0\n")
+    assert str(info.value) == f"config line 2: {channel}.context must be >= 1, got '0'"
+
+
+# Setting -> (its config line, its key in a bundle's runtime section). The
+# config file and the bundle share one range check, so each refuses or
+# accepts every value below alike.
+_SETTINGS = {"rounds": ("rounds = {}", "rounds"), "threshold": ("threshold = {}", "threshold"),
+             "temperature": ("local.temperature = {}", "local_temperature"),
+             "context": ("local.context = {}", "local_context")}
+_OUT_OF_RANGE = [("rounds", 0), ("threshold", 0), ("threshold", 1.5), ("temperature", -0.1),
+                 ("temperature", 2.5), ("context", 0), ("rounds", True)]
+_EDGES = [("rounds", 1), ("threshold", 1), ("temperature", 0), ("temperature", 2),
+          ("context", 1)]
+
+
+def _config_and_bundle(tmp_path, setting, value):
+    """A config file and a re-rendered bundle, each setting `setting` to `value`."""
+    line, key = _SETTINGS[setting]
+    config = tmp_path / "orch.cfg"
+    config.write_text("local.kind = scripted\nlocal.session = local.jsonl\n"
+                      + line.format(json.dumps(value)) + "\n", encoding="utf-8")
+    sections = json.loads(json.dumps(bundle.unpack(pack(refined_plan())).sections))
+    sections["runtime"][key] = value
+    bundle_file = tmp_path / "a.orchb"
+    bundle_file.write_bytes(bundle._render(sections))
+    return config, bundle_file
+
+
+@pytest.mark.parametrize("setting, value", _OUT_OF_RANGE,
+                         ids=[f"{s} {v}" for s, v in _OUT_OF_RANGE])
+def test_config_file_and_bundle_refuse_the_same_values(tmp_path, capsys, setting, value):
+    config, bundle_file = _config_and_bundle(tmp_path, setting, value)
+    out = tmp_path / "plan.json"
+    capsys.readouterr()
+    assert main(["pack", "--plan", str(tmp_path / "none.json"), "--out", str(out),
+                 "--config", str(config)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {config}: config")
+    assert main(["unpack", "--bundle", str(bundle_file), "--out", str(out)]) == 6
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bundle_file}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, value", _EDGES, ids=[f"{s} {v}" for s, v in _EDGES])
+def test_config_file_and_bundle_accept_the_same_edges(tmp_path, setting, value):
+    config, bundle_file = _config_and_bundle(tmp_path, setting, value)
+    loaded = load_config(config)
+    profile = loaded.local if setting in ("temperature", "context") else loaded
+    assert getattr(profile, setting) == value
+    assert main(["unpack", "--bundle", str(bundle_file), "--out",
+                 str(tmp_path / "plan.json")]) == 0
+    assert getattr(read_bundle(bundle_file).runtime, _SETTINGS[setting][1]) == value

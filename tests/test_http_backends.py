@@ -871,6 +871,54 @@ def test_a_framed_body_may_hold_at_most_http_max_body_bytes(monkeypatch, reply, 
         assert gatewaymod._read_body(reader, status, fields) == (read, True)
 
 
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+def test_a_reply_nested_too_deeply_is_a_transport_failure(monkeypatch, channel):
+    # About 200 KB, far under HTTP_MAX_BODY, but deeper than the decoder goes.
+    data = ('{"message":' * 100_000 + "0" + "}" * 100_000).encode("utf-8")
+    reply = _raw("200 OK", [f"Content-Length: {len(data)}"], data)
+    sleeps = []
+    with (_raw_server(monkeypatch, *[(reply, False)] * RETRY_ATTEMPTS,
+                      (_ok(channel, "fine"), False)) as server,
+          _gateway(server, channel, sleeps.append) as gateway):
+        with pytest.raises(TransportError) as err:
+            _within(10, lambda: gateway.chat("sys", "doc"))
+        assert server.requests == RETRY_ATTEMPTS
+        assert _within(10, lambda: gateway.chat("sys", "doc")).raw_text == "fine"
+    assert type(err.value) is TransportError and err.value.failure == "transport failure"
+    assert str(err.value).endswith(
+        f"{channel} chat call failed: JSON nested too deeply to parse")
+    assert len(sleeps) == RETRY_ATTEMPTS - 1
+
+
+@pytest.mark.parametrize("channel", ["cloud", "local"])
+@pytest.mark.parametrize("framing", [[], ["Transfer-Encoding: identity"]],
+                         ids=["no length", "a coding other than chunked"])
+@pytest.mark.parametrize("over", [1, 0], ids=["one byte over", "at the limit"])
+def test_a_body_read_to_the_close_may_hold_at_most_http_max_body_bytes(monkeypatch, channel,
+                                                                      framing, over):
+    # The server closes the connection after a well-formed reply that
+    # declares no length: the client reads up to the close, and no further
+    # than HTTP_MAX_BODY bytes.
+    from orchkit import gateway as gatewaymod
+
+    body = json.dumps(_reply(channel, "to close")).encode("utf-8")
+    monkeypatch.setattr(gatewaymod, "HTTP_MAX_BODY", len(body) - over)
+    sleeps = []
+    with (_raw_server(monkeypatch, (_raw("200 OK", framing, body), True)) as server,
+          _gateway(server, channel, sleeps.append) as gateway):
+        if over:
+            with pytest.raises(TransportError) as err:
+                _within(10, lambda: gateway.chat("sys", "doc"))
+            assert type(err.value) is TransportError
+            assert str(err.value).endswith(
+                f"{channel} chat call failed: reply body read to the close is over the "
+                f"{len(body) - 1}-byte limit")
+        else:
+            assert _within(10, lambda: gateway.chat("sys", "doc")).raw_text == "to close"
+    assert server.requests == (RETRY_ATTEMPTS if over else 1)
+    assert len(sleeps) == (RETRY_ATTEMPTS - 1 if over else 0)
+
+
 @pytest.mark.parametrize("status, body, words", [
     ("404 Not Found", {"error": "model \"qwen\" not found, try pulling it first"},
      ': model "qwen" not found, try pulling it first'),
@@ -881,8 +929,9 @@ def test_a_framed_body_may_hold_at_most_http_max_body_bytes(monkeypatch, reply, 
     ("400 Bad Request", {"error": "invalid format schema"}, ": invalid format schema"),
     ("408 Request Timeout", "", ""),
     ("429 Too Many Requests", {"error": {"message": "slow down"}}, ": slow down"),
+    ("503 Service Unavailable", '{"error":' * 100_000 + "0" + "}" * 100_000, ""),
 ], ids=["ollama-404", "openai-401", "cut-to-200", "not-json", "no-text",
-        "bad-request-400", "timeout-408", "busy-429"])
+        "bad-request-400", "timeout-408", "busy-429", "nested-too-deeply"])
 @pytest.mark.parametrize("channel", ["cloud", "local"])
 def test_a_non_2xx_reply_keeps_the_servers_words(monkeypatch, channel, status, body, words):
     # A 4xx other than 408 and 429 is refused at once, unretried and unslept;
