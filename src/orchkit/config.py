@@ -164,7 +164,7 @@ class Config(Record):
     templates_dir: str | None = None
 
     def __post_init__(self):
-        # A channel's settings were checked as their lines were read.
+        # A channel's settings are checked as their lines are read, and by ChatRequest.
         for name in record_fields(Config):
             value = getattr(self, name)
             if name in _RANGES and (problem := setting_problem(name, value)):
