@@ -28,7 +28,7 @@ import re
 from collections.abc import Mapping
 from pathlib import Path
 
-from .config import RuntimeDefaults
+from .config import DEFAULT_MIN_CASES, RuntimeDefaults
 from .errors import BundleError, DslError
 from .jsonio import canonical_json, decode, digest, loads, read_json, sha256_text, write_json
 from .model import (
@@ -243,14 +243,13 @@ def _require_refined(plan: Plan, allow_failed: bool) -> None:
 
 def pack(plan: Plan, runtime: RuntimeDefaults | None = None, *,
          created_at: str | None = None, allow_failed: bool = False,
-         guideline_body: str | None = None, min_cases: int = 1) -> bytes:
+         guideline_body: str | None = None, min_cases: int = DEFAULT_MIN_CASES) -> bytes:
     """Serialize a validated plan for the air-gapped handoff.
 
     created_at defaults to the epoch so packing is reproducible; pass a real
     timestamp explicitly when provenance matters more than determinism.
     """
-    violations = validate_plan(plan, min_cases=min_cases)
-    if violations:
+    if violations := validate_plan(plan, min_cases=min_cases):
         raise ValueError("; ".join(violations))
     if guideline_body is not None and \
             sha256_text(guideline_body) != plan.provenance.get("guideline_digest"):

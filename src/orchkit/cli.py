@@ -30,13 +30,12 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
-from pathlib import Path
 
-from .config import Config, load_config, setting_problem
+from .config import load_config, setting_problem
 from .errors import OrchError, PhaseViolationError, PlannerError
 from .gateway import KIND_CLOUD_HTTP, KIND_SCRIPTED, PHASE_CLOUD, PHASE_LOCAL, Gateway
 from .jsonio import read_json, read_text, write_json
-from .model import TaskSpec, UserPrefs, record_fields, validate_plan
+from .model import TaskSpec, validate_plan
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -54,20 +53,6 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _load_prefs(path: Path, config: Config) -> UserPrefs:
-    """Preferences JSON; a case count it omits comes from the config, any
-    other key it omits from UserPrefs, and a key UserPrefs lacks is refused."""
-    def build(data: dict) -> UserPrefs:
-        prefs = {"output_labels": data["output_labels"],
-                 "synthetic_cases_per_subtask": config.synthetic_cases_per_subtask, **data}
-        unknown = [key for key in prefs if key not in record_fields(UserPrefs)]
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r}")
-        return UserPrefs(**prefs)
-
-    return read_json(path, build)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 #
@@ -82,14 +67,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     task = TaskSpec(
         task_description=read_text(args.task),
         guideline=read_text(args.guideline),
-        preferences=_load_prefs(Path(args.prefs), config))
+        preferences=read_json(args.prefs, config.preferences))
     clock = None if args.deterministic else _now_iso
     with Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD) as gateway:
         plan = planner.build_plan(task, gateway,
                                   templates=planner.TemplateSet.load(config.templates_dir),
                                   clock=clock)
-    violations = validate_plan(plan, min_cases=config.min_synthetic_cases)
-    if violations:
+    if violations := validate_plan(plan, min_cases=config.min_synthetic_cases):
         raise PlannerError("planned artifact failed validation: " + "; ".join(violations))
     bundlemod.save_plan(plan, args.out)
     print(f"plan written to {args.out}: {len(plan.subtasks)} subtasks, "
@@ -106,8 +90,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if problem := setting_problem("max_iters", max_iters):  # only the flag can be out of range
         raise ValueError(f"validate: --max-iters {problem}, got {max_iters}")
     plan = bundlemod.load_plan(args.plan)
-    violations = validate_plan(plan, min_cases=config.min_synthetic_cases)
-    if violations:
+    if violations := validate_plan(plan, min_cases=config.min_synthetic_cases):
         raise ValueError(f"{args.plan}: " + "; ".join(violations))
     for subtask in plan.subtasks:  # min_synthetic_cases = 0 lets a set be empty
         if not plan.synthetic_sets.get(subtask.id):

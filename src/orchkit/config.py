@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .jsonio import read_text
-from .model import Record, record_fields
+from .model import DEFAULT_MIN_CASES, Record, UserPrefs, record_fields
 
 if TYPE_CHECKING:
     from .gateway import BackendProfile
@@ -70,6 +70,12 @@ DEFAULT_CONTEXT = 32768
 DEFAULT_ROUNDS = 5
 DEFAULT_THRESHOLD = 0.80
 DEFAULT_MAX_ITERS = 5
+
+# Synthetic cases per subtask (UserPrefs' default; the fewest a plan may hold
+# is validate_plan's), validation runs per case, and documents in flight.
+DEFAULT_CASES = UserPrefs.synthetic_cases_per_subtask
+DEFAULT_REPEATS = 1
+DEFAULT_WORKERS = 1
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
@@ -157,10 +163,10 @@ class Config(Record):
     rounds: int = DEFAULT_ROUNDS
     threshold: float = DEFAULT_THRESHOLD
     max_iters: int = DEFAULT_MAX_ITERS
-    synthetic_cases_per_subtask: int = 10
-    min_synthetic_cases: int = 1
-    validation_repeats: int = 1
-    workers: int = 1
+    synthetic_cases_per_subtask: int = DEFAULT_CASES
+    min_synthetic_cases: int = DEFAULT_MIN_CASES
+    validation_repeats: int = DEFAULT_REPEATS
+    workers: int = DEFAULT_WORKERS
     templates_dir: str | None = None
 
     def __post_init__(self):
@@ -173,6 +179,15 @@ class Config(Record):
     def runtime(self) -> RuntimeDefaults:
         """The runtime section `pack` writes from this config."""
         return RuntimeDefaults(self.rounds, *self.local._settings(PHASE_LOCAL), self.threshold)
+
+    def preferences(self, data: dict) -> UserPrefs:
+        """The planning preferences in a prefs file's JSON `data`: a case count it
+        omits is this config's, another key UserPrefs's; an unknown key is refused."""
+        prefs = {"output_labels": data["output_labels"],
+                 "synthetic_cases_per_subtask": self.synthetic_cases_per_subtask, **data}
+        if unknown := [key for key in prefs if key not in record_fields(UserPrefs)]:
+            raise ValueError(f"unknown key {unknown[0]!r}")
+        return UserPrefs(**prefs)
 
 
 def parse_config(text: str) -> Config:

@@ -19,7 +19,7 @@ from pathlib import Path
 from queue import SimpleQueue
 from typing import TypeVar
 
-from .config import DEFAULT_ROUNDS, setting_problem
+from .config import DEFAULT_ROUNDS, DEFAULT_WORKERS, setting_problem
 from .errors import ModelCallError, OutputParseError, PhaseViolationError
 from .gateway import KIND_CLOUD_HTTP, PHASE_LOCAL, Gateway
 from .jsonio import jsonl_line, read_jsonl, read_text, record_id
@@ -216,7 +216,7 @@ def iter_lanes(fn: Callable[[T], R], items: Iterable[T], *, width: int) -> Itera
 
 def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
                    rounds: int = DEFAULT_ROUNDS,
-                   workers: int = 1) -> Iterator[DocumentPrediction]:
+                   workers: int = DEFAULT_WORKERS) -> Iterator[DocumentPrediction]:
     """T inference rounds over every document, majority-voted; yields each
     document's prediction in input order once it and every earlier document
     are voted.
@@ -249,7 +249,8 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
 
 
 def run_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
-                  rounds: int = DEFAULT_ROUNDS, workers: int = 1) -> list[DocumentPrediction]:
+                  rounds: int = DEFAULT_ROUNDS,
+                  workers: int = DEFAULT_WORKERS) -> list[DocumentPrediction]:
     """iter_documents, collected: every document's prediction in input order,
     held until the last document is voted. `infer` streams iter_documents
     instead; this list form serves callers that need every prediction at once."""

@@ -35,6 +35,7 @@ FIELD_KINDS = ("categorical", "boolean", "text")
 PROMPT_STATUSES = ("draft", "refined", "failed")
 PARSE_STATUSES = ("ok", "repaired", "unparseable")
 FORMAT_TAGS = ("free_text", "structured", "other")
+DEFAULT_MIN_CASES = 1  # the fewest synthetic cases a plan's subtask may have; config's too
 
 
 R = TypeVar("R", bound="Record")
@@ -605,7 +606,7 @@ class Plan(Record):
         return replace(self, synthetic_sets=sets)
 
 
-def validate_plan(plan: Plan, *, min_cases: int = 1) -> list[str]:
+def validate_plan(plan: Plan, *, min_cases: int = DEFAULT_MIN_CASES) -> list[str]:
     """Policy over a plan whose structure and cases its constructor already
     checked: every subtask has at least `min_cases` cases, and the rule
     program parses.

@@ -23,6 +23,7 @@ import warnings
 from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 
+from .config import DEFAULT_CASES
 from .errors import (
     CoverageIncompleteWarning,
     CoverageUnreachableWarning,
@@ -240,7 +241,7 @@ def _uncovered_values(subtask: Subtask, cases: Sequence[SyntheticCase]) -> list[
 
 
 def generate_synthetic(subtask: Subtask, guideline: str, gateway: Gateway, *,
-                       count: int = 10,
+                       count: int = DEFAULT_CASES,
                        templates: TemplateSet | None = None) -> list[SyntheticCase]:
     """Generate exactly `count` schema-conforming synthetic cases.
 

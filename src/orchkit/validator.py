@@ -26,7 +26,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import islice
 
-from .config import DEFAULT_MAX_ITERS, DEFAULT_THRESHOLD, setting_problem
+from .config import DEFAULT_MAX_ITERS, DEFAULT_REPEATS, DEFAULT_THRESHOLD, setting_problem
 from .executor import extract, iter_lanes
 from .gateway import Gateway
 from .model import (
@@ -68,7 +68,7 @@ Check = tuple[Subtask, PromptSpec, Sequence[SyntheticCase]]
 
 def validate_prompt(checks: Sequence[Check], gateway: Gateway, *,
                     threshold: float | Fraction = DEFAULT_THRESHOLD,
-                    repeats: int = 1, width: int = 1) -> list[ValidationReport]:
+                    repeats: int = DEFAULT_REPEATS, width: int = 1) -> list[ValidationReport]:
     """Score each (subtask, prompt, cases) check over its synthetic set; one
     report per check, in check order.
 
@@ -127,7 +127,7 @@ def run_refinement_loops(checks: Sequence[Check], gateway: Gateway,
                          refine: Callable[[Subtask, PromptSpec, Failures], PromptSpec], *,
                          max_iters: int = DEFAULT_MAX_ITERS,
                          threshold: float | Fraction = DEFAULT_THRESHOLD,
-                         repeats: int = 1, width: int = 1) -> list[RefinementOutcome]:
+                         repeats: int = DEFAULT_REPEATS, width: int = 1) -> list[RefinementOutcome]:
     """Validate-refine every check until it meets the threshold or spends
     its budget; one outcome per check, in check order.
 
@@ -176,7 +176,7 @@ def run_refinement_loop(subtask: Subtask, draft: PromptSpec,
                         refine: Callable[[PromptSpec, Failures], PromptSpec], *,
                         max_iters: int = DEFAULT_MAX_ITERS,
                         threshold: float | Fraction = DEFAULT_THRESHOLD,
-                        repeats: int = 1, width: int = 1) -> RefinementOutcome:
+                        repeats: int = DEFAULT_REPEATS, width: int = 1) -> RefinementOutcome:
     """run_refinement_loops over the one check (subtask, draft, cases), with
     `refine(prompt, failures)` as its rewrite."""
     return run_refinement_loops(
