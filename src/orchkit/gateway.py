@@ -285,6 +285,7 @@ HTTP_MAX_BODY = 16 * 1024 * 1024
 # whether the connection stays open.
 _FRAMING = (b"content-length", b"transfer-encoding", b"connection")
 _HEX = b"0123456789abcdefABCDEF"
+_READ_STEP = 65536  # the most body bytes one read asks for
 _DEFAULT_PORT = {"http": 80, "https": 443}
 
 
@@ -353,16 +354,14 @@ def _within_limit(n: int, what: str) -> int:
     return n
 
 
-def _read_to_close(reader) -> bytes:
-    """The rest of a reply, up to the close. It is read as it arrives, one
-    buffer at a time, so nothing is reserved ahead of the bytes."""
-    chunks, total = [], 0
-    while chunk := reader.read1():
-        total += len(chunk)
-        if total > HTTP_MAX_BODY:
-            raise ValueError(f"reply body read to the close is over the "
-                             f"{HTTP_MAX_BODY}-byte limit")
+def _read_upto(reader, n: int) -> bytes:
+    """The next n bytes of a reply, fewer if the connection closes first. They
+    are read as they arrive, _READ_STEP bytes at most at a time, so nothing is
+    reserved ahead of the bytes."""
+    chunks = []
+    while n > 0 and (chunk := reader.read1(min(n, _READ_STEP))):
         chunks.append(chunk)
+        n -= len(chunk)
     return b"".join(chunks)
 
 
@@ -375,9 +374,7 @@ def _read_body(reader, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, 
     if status == 204:
         return b"", True
     coding = fields.get(b"transfer-encoding")
-    if coding is not None:
-        if coding.rpartition(b",")[2].strip().lower() != b"chunked":
-            return _read_to_close(reader), False
+    if coding is not None and coding.rpartition(b",")[2].strip().lower() == b"chunked":
         chunks, total = [], 0
         while True:
             line = _read_line(reader)
@@ -389,17 +386,20 @@ def _read_body(reader, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, 
                 _read_fields(reader, "trailers")
                 return b"".join(chunks), True
             total = _within_limit(total + n, "chunked body")
-            chunk = reader.read(n + 2)
+            chunk = _read_upto(reader, n + 2)
             if chunk[n:] != b"\r\n":
                 raise ValueError(f"reply cut short in a {n}-byte chunk")
             chunks.append(chunk[:n])
     length = fields.get(b"content-length")
-    if length is None:
-        return _read_to_close(reader), False
+    if coding is not None or length is None:  # then the body ends at the close
+        data = _read_upto(reader, HTTP_MAX_BODY + 1)
+        if len(data) > HTTP_MAX_BODY:
+            raise ValueError(f"reply body read to the close is over the {HTTP_MAX_BODY}-byte limit")
+        return data, False
     if not length.isdigit():
         raise ValueError(f"bad Content-Length: {length[:40]!r}")
     n = _within_limit(int(length), "Content-Length")
-    data = reader.read(n)
+    data = _read_upto(reader, n)
     if len(data) < n:
         raise ValueError(f"reply cut short: {len(data)} of {n} body bytes")
     return data, True

@@ -871,6 +871,33 @@ def test_a_framed_body_may_hold_at_most_http_max_body_bytes(monkeypatch, reply, 
         assert gatewaymod._read_body(reader, status, fields) == (read, True)
 
 
+@pytest.mark.parametrize("framing, error", [
+    (b"Content-Length: 16000000\r\n\r\n", "reply cut short: 100 of 16000000 body bytes"),
+    (b"Transfer-Encoding: chunked\r\n\r\nf42400\r\n", "reply cut short in a 16000000-byte chunk"),
+], ids=["length", "chunk size"])
+def test_a_declared_length_reserves_nothing_ahead_of_its_bytes(framing, error):
+    # 16 MB declared, under HTTP_MAX_BODY, then 100 bytes and the close: the
+    # reader holds about what arrived, not what was declared.
+    import tracemalloc
+
+    from orchkit import gateway as gatewaymod
+
+    server, client = socket.socketpair()
+    with server, client, client.makefile("rb") as reader:
+        server.sendall(b"HTTP/1.1 200 OK\r\n" + framing + b"x" * 100)
+        server.shutdown(socket.SHUT_WR)
+        status, _reason, _keep, fields = gatewaymod._read_head(reader)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                gatewaymod._read_body(reader, status, fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert str(err.value) == error
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("channel", ["cloud", "local"])
 def test_a_reply_nested_too_deeply_is_a_transport_failure(monkeypatch, channel):
     # About 200 KB, far under HTTP_MAX_BODY, but deeper than the decoder goes.
