@@ -20,6 +20,7 @@ uncertainty explicitly instead of silently overstaging.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, TypeVar
@@ -50,9 +51,9 @@ class Record:
     `class BackendProfile(Record, hidden=("backend",))`.
     """
 
-    # Set per subclass, from its annotations: the field names, the defaults
-    # and the fields that ==, hash and repr read. Not annotated themselves,
-    # so that they are not fields.
+    # Set per subclass, from its annotations: the field names, the defaults,
+    # the fields that ==, hash and repr read, and `_key(record)`, their values
+    # as a tuple. Not annotated themselves, so that they are not fields.
     _fields = _shown = ()
     _defaults = {}
 
@@ -60,7 +61,9 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
-        cls._shown = tuple(name for name in cls._fields if name not in hidden)
+        cls._shown = shown = tuple(name for name in cls._fields if name not in hidden)
+        key = operator.attrgetter(*shown) if shown else lambda record: ()
+        cls._key = staticmethod(key if len(shown) != 1 else lambda record: (key(record),))
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -96,16 +99,13 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._shown])
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()  # type: ignore[attr-defined]
+        return self._key(self) == self._key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
