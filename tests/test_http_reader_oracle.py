@@ -1,0 +1,148 @@
+"""The gateway's HTTP/1.1 reply reader against Python's `http.client`, the
+reference.
+
+Whatever the bytes, `_read_head` and `_read_body` raise only ValueError or
+OSError, which the gateway turns into a retried TransportError. On generated
+well-formed replies (a status line, framing by Content-Length or chunked
+coding with random chunk splits, extensions and trailers, header names in
+any case, kept alive or closed, fed over a socket pair in random segment
+sizes) both readers give the same status, body and keep-alive.
+
+Where the two differ by design, the generator does not go. The reader
+refuses `Content-Length: 7, 7` (RFC 9110 section 8.6 lets a recipient take
+it), a `0x`-prefixed chunk size, a last chunk with no final CRLF and
+`Content-Length: -1` (where `http.client` reads to the close). It accepts an
+`HTTP/2` status line, skips a `101` as an interim reply, reads
+`Transfer-Encoding: gzip, chunked` as chunked and `Transfer-Encoding:
+identity` beside a length up to the close. Both refuse a lower-case
+`http/1.1` status line and a four-digit status, with different classes. It
+also reads only the last of a repeated header, where `http.client` reads the
+first, keeps an HTTP/1.0 reply open only on `Connection: keep-alive` (not on
+a `Keep-Alive` or `Proxy-Connection` header), and frames a 304 by its
+headers; so no reply here repeats a header, sends those two headers or is a
+304 or 204.
+"""
+
+from __future__ import annotations
+
+import http.client
+import io
+import socket
+import threading
+
+import pytest
+
+from orchkit.gateway import _read_body, _read_head
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+# --- any bytes: only ValueError or OSError -----------------------------------
+
+_PIECES = [b"HTTP/1.1 ", b"HTTP/1.0 ", b"HTTP/2 ", b"http/1.1 ", b"200 OK", b"100 Continue",
+           b"101 Switching", b"204", b"2000", b"\r\n", b"\n", b"\r", b":", b" ", b";x=y",
+           b"Content-Length: ", b"Transfer-Encoding: ", b"chunked", b"gzip, chunked",
+           b"identity", b"Connection: ", b"close", b"keep-alive", b"0", b"5", b"7, 7",
+           b"-1", b"0x5", b"fF", b"99999999999999999999", b"hello"]
+_replies = st.lists(st.one_of(st.sampled_from(_PIECES), st.binary(max_size=6)),
+                    max_size=24).map(b"".join)
+
+
+@hypothesis.settings(max_examples=1500)
+@hypothesis.given(_replies)
+def test_any_bytes_raise_only_value_or_os_errors(data):
+    reader = io.BytesIO(data)
+    try:
+        status, _reason, _keep, fields = _read_head(reader)
+        _read_body(reader, status, fields)
+    except (ValueError, OSError):
+        pass
+
+
+# --- well-formed replies: the same status, body and keep-alive ---------------
+
+def _cased(name: str):
+    return st.sampled_from([name, name.lower(), name.upper()])
+
+
+@st.composite
+def _well_formed(draw) -> bytes:
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    status = draw(st.sampled_from([200, 201, 202, 301, 400, 404, 429, 500, 503]))
+    reason = draw(st.sampled_from(["", " OK", " Not Found", " Service Unavailable"]))
+    body = draw(st.binary(max_size=300))
+    headers = [f"X-Extra-{i}: {draw(st.sampled_from(['a', 'b c', '']))}"
+               for i in range(draw(st.integers(0, 3)))]
+    connection = draw(st.sampled_from([None, "close", "keep-alive", "Keep-Alive", "upgrade"]))
+    if connection is not None:
+        headers.append(f"{draw(_cased('Connection'))}: {connection}")
+    chunked = draw(st.booleans())
+    if chunked:
+        headers.append(f"{draw(_cased('Transfer-Encoding'))}: {draw(_cased('chunked'))}")
+        cuts = sorted(draw(st.lists(st.integers(0, len(body)), max_size=4)))
+        pieces = [body[i:j] for i, j in zip([0, *cuts], [*cuts, len(body)]) if j > i]
+        framed = b"".join(
+            b"%s%s\r\n%s\r\n" % (draw(st.sampled_from(["%x", "%X", "0%x"])).encode() % len(p),
+                                 draw(st.sampled_from([b"", b";ext=1", b" ;name"])), p)
+            for p in pieces)
+        trailers = draw(st.sampled_from([b"", b"X-Checksum: none\r\n"]))
+        framed += b"0\r\n" + trailers + b"\r\n"
+    else:
+        space = draw(st.sampled_from(["", " ", "  "]))
+        headers.append(f"{draw(_cased('Content-Length'))}:{space}{len(body)}{space}")
+        framed = body
+    draw(st.randoms()).shuffle(headers)
+    interim = draw(st.sampled_from([b"", b"HTTP/1.1 100 Continue\r\n\r\n"]))
+    head = "\r\n".join([f"{version} {status}{reason}", *headers, "", ""]).encode("latin-1")
+    return interim + head + framed
+
+
+def _segments(data: bytes, sizes: list[int]) -> list[bytes]:
+    out, start = [], 0
+    for size in sizes:
+        out.append(data[start:start + size])
+        start += size
+    return [*out, data[start:]]
+
+
+def _fed(segments: list[bytes], read):
+    """`read(sock)` while a thread sends `segments` on the other end, one send
+    each; the sending end stays open, as a kept-alive server's would."""
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        ours.settimeout(10)
+
+        def send():
+            for segment in segments:
+                theirs.sendall(segment)
+
+        sender = threading.Thread(target=send, daemon=True)
+        sender.start()
+        try:
+            return read(ours)
+        finally:
+            sender.join(timeout=10)
+
+
+def _read_ours(sock) -> tuple[int, bytes, bool]:
+    with sock.makefile("rb") as reader:
+        status, _reason, keep, fields = _read_head(reader)
+        body, delimited = _read_body(reader, status, fields)
+    return status, body, keep and delimited
+
+
+def _read_theirs(sock) -> tuple[int, bytes, bool]:
+    response = http.client.HTTPResponse(sock, method="POST")
+    try:
+        response.begin()
+        return response.status, response.read(), not response.will_close
+    finally:
+        response.close()
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(_well_formed(), st.lists(st.integers(1, 40), max_size=6))
+def test_a_well_formed_reply_reads_as_http_client_reads_it(reply, sizes):
+    segments = _segments(reply, sizes)
+    assert _fed(segments, _read_ours) == _fed(segments, _read_theirs)
