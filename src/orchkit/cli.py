@@ -23,6 +23,9 @@ Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
 Every error class carries its code as `exit_code` and `main` exits with
 it; a class exists only where code branches on it or its code differs
 from its parent's (see errors.py). Exit 5 is a result, not an error.
+
+Run settings, their defaults and precedence are config's (`plan` reads its
+prefs file through Config.preferences); a flag overrides only its setting.
 """
 
 from __future__ import annotations

@@ -30,10 +30,12 @@ ORCH_CLOUD_API_KEY, and ORCH_CONFIG names the config file when the CLI
 flag is absent. Scripted channels replace endpoint/model with
 `<channel>.session = <recorded session file>`.
 
-The values above are the defaults. setting_problem holds each numeric
-setting's type and range, for the file, a bundle's `runtime` section, the
-command line and a model request alike. Precedence is Config.runtime() at
-`pack` and ProfileConfig.to_profile(channel, runtime) at `infer`.
+The values above are the defaults, each written once: here, or for the case
+count and its minimum in model, whose UserPrefs and validate_plan need them.
+setting_problem holds each numeric setting's type and range, for the file, a
+bundle's `runtime` section, the command line and a model request alike.
+Precedence is Config.preferences(data) at `plan`, Config.runtime() at `pack`
+and ProfileConfig.to_profile(channel, runtime) at `infer`.
 """
 
 from __future__ import annotations
@@ -243,9 +245,6 @@ def _is_http_url(value: str) -> bool:
 
 def load_config(path: str | Path | None = None) -> Config:
     """Load from the given path, else $ORCH_CONFIG, else built-in defaults."""
-    if path is None:
-        env = os.environ.get(CONFIG_ENV)
-        if not env:
-            return Config()
-        path = env
+    if path is None and not (path := os.environ.get(CONFIG_ENV)):
+        return Config()
     return read_text(path, parse_config)

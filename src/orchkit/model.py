@@ -36,7 +36,7 @@ FIELD_KINDS = ("categorical", "boolean", "text")
 PROMPT_STATUSES = ("draft", "refined", "failed")
 PARSE_STATUSES = ("ok", "repaired", "unparseable")
 FORMAT_TAGS = ("free_text", "structured", "other")
-DEFAULT_MIN_CASES = 1  # the fewest synthetic cases a plan's subtask may have; config's too
+DEFAULT_MIN_CASES = 1  # the fewest synthetic cases a plan's subtask may have; config reads it
 
 
 R = TypeVar("R", bound="Record")
@@ -333,7 +333,8 @@ def make_labels(names: Sequence[str]) -> tuple[OutcomeLabel, ...]:
 
 
 class UserPrefs(Record):
-    """User-side knobs: label universe, granularity, format notes."""
+    """User-side knobs: label universe, granularity, format notes. Its case
+    count's default is config's too (config.DEFAULT_CASES reads it here)."""
 
     output_labels: tuple[OutcomeLabel, ...]
     max_subtasks: int = 6
@@ -614,12 +615,9 @@ def validate_plan(plan: Plan, *, min_cases: int = DEFAULT_MIN_CASES) -> list[str
     Returns a list of violation messages; empty means the plan is sound.
     Nothing is raised: callers (plan, validate, pack) decide the cost.
     """
-    violations: list[str] = []
-    for s in plan.subtasks:
-        cases = plan.synthetic_sets.get(s.id, ())
-        if len(cases) < min_cases:
-            violations.append(
-                f"subtask {s.id!r} has {len(cases)} synthetic cases, minimum is {min_cases}")
+    violations = [f"subtask {s.id!r} has {n} synthetic cases, minimum is {min_cases}"
+                  for s in plan.subtasks
+                  if (n := len(plan.synthetic_sets.get(s.id, ()))) < min_cases]
     try:
         plan.parsed_logic()
     except DslError as exc:

@@ -45,6 +45,7 @@ from .model import (
     SubtaskRun,
     SyntheticCase,
     TaskSpec,
+    record_fields,
 )
 from .parsing import extract_json_object, format_block
 from .ruledsl import parse_logic
@@ -77,12 +78,10 @@ class TemplateSet(Record):
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "TemplateSet":
         base = Path(directory) if directory else _TEMPLATE_DIR
-        return cls(**{name: read_text(base / f"{name}.txt")
-                      for name in ("decompose", "synthetic", "refine", "repair")})
+        return cls(**{name: read_text(base / f"{name}.txt") for name in record_fields(cls)})
 
     def digests(self) -> dict[str, str]:
-        return {name: sha256_text(getattr(self, name))
-                for name in ("decompose", "synthetic", "refine", "repair")}
+        return {name: sha256_text(getattr(self, name)) for name in record_fields(TemplateSet)}
 
 
 def task_digest(task: TaskSpec) -> str:
