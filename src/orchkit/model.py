@@ -62,8 +62,8 @@ class Record:
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
         cls._shown = shown = tuple(name for name in cls._fields if name not in hidden)
-        key = operator.attrgetter(*shown) if shown else lambda record: ()
-        cls._key = staticmethod(key if len(shown) != 1 else lambda record: (key(record),))
+        key = operator.attrgetter(*shown)
+        cls._key = staticmethod(key if len(shown) > 1 else lambda record: (key(record),))
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
