@@ -32,10 +32,12 @@ Every call enters through Gateway.chat, which builds the request from the
 profile's defaults. The phases, the kinds and each channel's default
 temperature and context are config's, imported here under the same names.
 A TransportError is retried with a fixed policy: up to RETRY_ATTEMPTS
-attempts, waiting RETRY_BASE_DELAY * 2**attempt seconds plus up to
+attempts, waiting up to RETRY_BASE_DELAY * 2**attempt seconds plus up to
 RETRY_JITTER of that between them; a refused request (a 4xx other than
-408 and 429) is not retried. RecordingBackend wraps any
-backend and appends each request/response pair to a session file, JSON
+408 and 429) is not retried. A reply to another call on the same gateway
+ends the oldest such wait early: each reply releases at most one retry, so
+retries go out no faster than the backend answers. RecordingBackend wraps
+any backend and appends each request/response pair to a session file, JSON
 lines keyed by a content digest of the request;
 BackendProfile.scripted(session=...) builds the profile that replays it.
 """
@@ -48,6 +50,7 @@ import random
 import sys
 import threading
 import time
+from collections import deque
 from collections.abc import Callable
 from pathlib import Path
 
@@ -685,10 +688,17 @@ class Gateway:
     most `width` threads) bound calls in flight, and so the connections an
     HTTP backend holds open. Close it, or use it as a context manager, to
     close them.
+
+    A call retried after a TransportError waits for its backoff, or less: a
+    reply to another call (any response its backend returns) is proof that
+    the backend answers again, and releases the oldest waiting retry at once.
+    Each reply releases at most one, so retries go out no faster than replies
+    come back; with no reply, as from a dead endpoint or on a single lane, a
+    retry waits its whole backoff. `sleep`, a test seam, replaces that wait.
     """
 
     def __init__(self, profile: BackendProfile, phase: str, *,
-                 sleep: Callable[[float], None] = time.sleep):
+                 sleep: Callable[[float], None] | None = None):
         if phase not in (PHASE_CLOUD, PHASE_LOCAL):
             raise ValueError(f"Gateway.phase: must be cloud or local, got {phase!r}")
         if phase == PHASE_CLOUD and profile.kind == KIND_LOCAL_HTTP:
@@ -697,7 +707,9 @@ class Gateway:
             raise PhaseViolationError("local phase cannot use a cloud_http profile")
         self.profile = profile
         self.phase = phase
-        self._sleep = sleep
+        self._sleep = sleep or self._wait
+        self._lock = threading.Lock()
+        self._waiting: deque[threading.Event] = deque()  # retries' waits, oldest first
         if profile.kind == KIND_CLOUD_HTTP:
             self._backend = OpenAIChatBackend(profile.endpoint, profile.model or "")
         elif profile.kind == KIND_LOCAL_HTTP:
@@ -711,6 +723,22 @@ class Gateway:
         """Close the idle connections of an HTTP backend this gateway built."""
         if self.profile.kind in (KIND_CLOUD_HTTP, KIND_LOCAL_HTTP):
             self._backend.close()
+
+    def _wait(self, seconds: float) -> None:
+        """Wait `seconds` before a retry, unless a reply releases it sooner."""
+        event = threading.Event()
+        with self._lock:
+            self._waiting.append(event)
+        if not event.wait(seconds):
+            with self._lock:
+                if not event.is_set():
+                    self._waiting.remove(event)
+
+    def _replied(self) -> None:
+        """Release the oldest waiting retry, if any."""
+        with self._lock:
+            if self._waiting:
+                self._waiting.popleft().set()
 
     def __enter__(self) -> "Gateway":
         return self
@@ -744,6 +772,7 @@ class Gateway:
                     backoff = RETRY_BASE_DELAY * 2 ** attempt
                     self._sleep(backoff * (1.0 + RETRY_JITTER * random.random()))
                 continue
+            self._replied()
             if response.finish_reason == "truncated":
                 raise ModelCallError("backend reported a truncated completion", "truncation")
             if not response.raw_text.strip():

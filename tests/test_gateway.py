@@ -1,13 +1,20 @@
-"""Gateway behavior: scripted backends, retry policy, truncation, phase
-separation, and record/replay sessions."""
+"""Gateway behavior: scripted backends, retry policy and its reply clock,
+truncation, phase separation, and record/replay sessions."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import socket
+import threading
+import time
+from collections import defaultdict
 
 import pytest
 
+from conftest import build_e2e_workspace
+from orchkit import cli
 from orchkit.config import ProfileConfig
 from orchkit.errors import (
     ModelCallError,
@@ -21,6 +28,7 @@ from orchkit.gateway import (
     PHASE_CLOUD,
     PHASE_LOCAL,
     RETRY_ATTEMPTS,
+    RETRY_BASE_DELAY,
     BackendProfile,
     ChatRequest,
     Gateway,
@@ -129,6 +137,136 @@ def test_backoff_delays_grow(monkeypatch):
     assert 0.25 <= delays[0] <= 0.25 * 1.1 and 0.5 <= delays[1] <= 0.5 * 1.1
     assert delays_with(0.0) == [0.25, 0.5]
     assert delays_with(0.999999) == pytest.approx([0.275, 0.55], abs=1e-5)
+
+
+# --- retries clocked by replies ---------------------------------------------------
+
+class _FailsFirst:
+    """Handler: a request whose text starts with `flaky` fails its first
+    attempt with a TransportError, and while `hold` is clear its later
+    attempts wait for it before replying. Every attempt's time is kept."""
+
+    def __init__(self):
+        self.attempts: dict[str, list[float]] = defaultdict(list)
+        self.hold = threading.Event()
+        self.hold.set()
+        self._lock = threading.Lock()
+
+    def __call__(self, request):
+        with self._lock:
+            times = self.attempts[request.user_content]
+            times.append(time.monotonic())
+            first = len(times) == 1
+        if request.user_content.startswith("flaky"):
+            if first:
+                raise TransportError("scripted 503")
+            assert self.hold.wait(10)
+        return "ok"
+
+    def retries(self) -> int:
+        with self._lock:
+            return sum(len(times) - 1 for times in self.attempts.values())
+
+
+def _clocked_gateway(handler) -> Gateway:
+    """A gateway that waits its own way between attempts (no `sleep` given)."""
+    return Gateway(BackendProfile.scripted(ScriptedBackend(handler)), PHASE_LOCAL)
+
+
+def _lanes(gateway, *texts) -> list[threading.Thread]:
+    threads = [threading.Thread(target=gateway.chat, args=("s", text), daemon=True)
+               for text in texts]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+def _until(condition, seconds: float = 10.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+def _joined(threads) -> bool:
+    for thread in threads:
+        thread.join(timeout=10)
+    return not any(thread.is_alive() for thread in threads)
+
+
+def test_a_reply_to_another_call_releases_a_waiting_retry():
+    handler = _FailsFirst()
+    gateway = _clocked_gateway(handler)
+    lane = _lanes(gateway, "flaky")
+    _until(lambda: gateway._waiting)
+    replied = time.monotonic()
+    assert gateway.chat("s", "steady").raw_text == "ok"
+    assert _joined(lane)
+    _failed, retried = handler.attempts["flaky"]
+    assert retried - replied < 0.2 < RETRY_BASE_DELAY
+
+
+def test_with_no_other_reply_a_retry_waits_its_whole_backoff():
+    handler = _FailsFirst()
+    assert _clocked_gateway(handler).chat("s", "flaky").retries == 1
+    failed, retried = handler.attempts["flaky"]
+    assert retried - failed >= RETRY_BASE_DELAY
+
+
+def test_one_reply_releases_only_the_oldest_waiting_retry(monkeypatch):
+    monkeypatch.setattr("orchkit.gateway.RETRY_BASE_DELAY", 30.0)  # only replies end waits
+    handler = _FailsFirst()
+    handler.hold.clear()
+    gateway = _clocked_gateway(handler)
+    lanes = _lanes(gateway, "flaky 1", "flaky 2")
+    _until(lambda: len(gateway._waiting) == 2)
+    oldest, newest = gateway._waiting
+    assert gateway.chat("s", "steady").raw_text == "ok"
+    _until(lambda: handler.retries() == 1)
+    time.sleep(0.05)  # room for a second release, were there one
+    assert handler.retries() == 1
+    assert oldest.is_set() and not newest.is_set()
+    handler.hold.set()  # the released retry replies, which releases the other
+    assert _joined(lanes)
+    assert handler.retries() == 2 and not gateway._waiting
+
+
+def test_infer_against_a_refusing_port_waits_out_every_backoff(tmp_path, monkeypatch):
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    ws = build_e2e_workspace(tmp_path / "ws")
+    config = ["--config", str(ws["config"])]
+    plan, validated, bundle = tmp_path / "plan.json", tmp_path / "v.json", tmp_path / "a.orchb"
+    assert cli.main(["plan", "--task", str(ws["task"]), "--guideline", str(ws["guideline"]),
+                     "--prefs", str(ws["prefs"]), "--out", str(plan), *config]) == 0
+    assert cli.main(["validate", "--plan", str(plan), "--out", str(validated), *config]) == 0
+    assert cli.main(["pack", "--plan", str(validated), "--out", str(bundle), *config]) == 0
+    connects = []
+    create_connection = socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        connects.append(address)
+        return create_connection(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    dead = tmp_path / "dead.cfg"
+    preds = tmp_path / "preds.jsonl"
+    with socket.socket() as unheard:  # bound, never listening: connections are refused
+        unheard.bind(("127.0.0.1", 0))
+        dead.write_text("cloud.kind = scripted\ncloud.session = unused.jsonl\n"
+                        "local.kind = local_http\nlocal.model = m\nlocal.endpoint = "
+                        f"http://127.0.0.1:{unheard.getsockname()[1]}\n", encoding="utf-8")
+        started = time.monotonic()
+        assert cli.main(["infer", "--bundle", str(bundle), "--docs", str(ws["docs"]),
+                         "--out", str(preds), "--config", str(dead), "--rounds", "1"]) == 0
+        took = time.monotonic() - started
+    runs = [run for line in preds.read_text(encoding="utf-8").splitlines()
+            for run in json.loads(line)["rounds"][0]["runs"]]
+    assert len(runs) == 10  # 5 documents, 1 round, 2 subtasks
+    assert all(f"gave up after {RETRY_ATTEMPTS} attempts" in run["reasoning"] for run in runs)
+    assert len(connects) == RETRY_ATTEMPTS * len(runs)
+    assert took >= sum(RETRY_BASE_DELAY * 2 ** attempt for attempt in range(RETRY_ATTEMPTS - 1))
 
 
 def test_context_overflow_is_truncated_error():
