@@ -314,7 +314,9 @@ def _read_line(reader) -> bytes:
 
 def _read_fields(reader, what: str) -> dict[bytes, bytes]:
     """Read header (or trailer) lines up to the blank line that ends them;
-    return the framing ones, by lower-cased name."""
+    return the framing ones, by lower-cased name. A Content-Length or
+    Transfer-Encoding repeated with a different value raises ValueError: the
+    body's end is then unknown (RFC 9112 section 6.3)."""
     fields = {}
     for _ in range(HTTP_MAX_HEADERS + 1):
         line = _read_line(reader)
@@ -323,9 +325,11 @@ def _read_fields(reader, what: str) -> dict[bytes, bytes]:
         if not line:
             raise ValueError(f"reply cut short in its {what}")
         name, _, value = line.partition(b":")
-        name = name.lower()
+        name, value = name.lower(), value.strip()
         if name in _FRAMING:
-            fields[name] = value.strip()
+            if fields.setdefault(name, value) != value and name != b"connection":
+                raise ValueError(f"reply repeats {name.decode()} with differing values")
+            fields[name] = value
     raise ValueError(f"got more than {HTTP_MAX_HEADERS} {what}")
 
 

@@ -16,11 +16,13 @@ it), a `0x`-prefixed chunk size, a last chunk with no final CRLF and
 `Transfer-Encoding: gzip, chunked` as chunked and `Transfer-Encoding:
 identity` beside a length up to the close. Both refuse a lower-case
 `http/1.1` status line and a four-digit status, with different classes. It
-also reads only the last of a repeated header, where `http.client` reads the
-first, keeps an HTTP/1.0 reply open only on `Connection: keep-alive` (not on
-a `Keep-Alive` or `Proxy-Connection` header), and frames a 304 by its
-headers; so no reply here repeats a header, sends those two headers or is a
-304 or 204.
+refuses a Content-Length or Transfer-Encoding repeated with a different value
+(RFC 9112 section 6.3), where `http.client` reads the first; it reads the
+last of a repeated Connection header, where `http.client` reads the first;
+it keeps an HTTP/1.0 reply open only on `Connection: keep-alive` (not on a
+`Keep-Alive` or `Proxy-Connection` header), and frames a 304 by its headers.
+So no generated reply repeats a header, sends those two headers or is a 304
+or 204; the repeated framing headers are rows of their own.
 """
 
 from __future__ import annotations
@@ -146,3 +148,22 @@ def _read_theirs(sock) -> tuple[int, bytes, bool]:
 def test_a_well_formed_reply_reads_as_http_client_reads_it(reply, sizes):
     segments = _segments(reply, sizes)
     assert _fed(segments, _read_ours) == _fed(segments, _read_theirs)
+
+
+# --- a repeated framing header ------------------------------------------------
+
+@pytest.mark.parametrize("headers", [
+    b"Content-Length: 5\r\nContent-Length: 3\r\n",
+    b"Content-Length: 3\r\ncontent-length: 5\r\n",
+    b"Transfer-Encoding: chunked\r\nTransfer-Encoding: identity\r\nContent-Length: 5\r\n",
+])
+def test_a_framing_header_repeated_with_a_different_value_is_refused(headers):
+    # Read as either value, the reply would leave bytes of its body, or take
+    # bytes of the next reply, on a connection that goes back to the pool.
+    with pytest.raises(ValueError, match="repeats .* with differing values"):
+        _fed([b"HTTP/1.1 200 OK\r\n" + headers + b"\r\nhello"], _read_ours)
+
+
+def test_a_framing_header_repeated_with_the_same_value_reads_as_http_client_reads_it():
+    reply = [b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length:5 \r\n\r\nhello"]
+    assert _fed(reply, _read_ours) == _fed(reply, _read_theirs) == (200, b"hello", True)
