@@ -479,7 +479,10 @@ def _route(url: str, headers: dict[str, str],
     if scheme not in _DEFAULT_PORT:
         raise ValueError(f"unknown url type: {url!r}"
                          + (f" through a {scheme} proxy" if proxy else ""))
-    address = (host, port or _DEFAULT_PORT[scheme])
+    # An ASCII host goes to getaddrinfo as bytes, which spares the process
+    # the idna codec (and the stringprep and unicodedata it loads).
+    address = (host.encode("ascii") if host and host.isascii() else host,
+               port or _DEFAULT_PORT[scheme])
     # The head ends in "Content-Length: "; each call appends its body's length.
     head = _head(f"POST {target} HTTP/1.1", {
         "Host": netloc, "Accept-Encoding": "identity", **headers, "Content-Length": ""})

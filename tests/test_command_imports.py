@@ -48,6 +48,10 @@ _FUTURES = ("concurrent.futures", "logging")
 # email parser its headers go through) nor TLS nor urllib's opener.
 _HTTP_CLIENT = ("http.client", "email.parser", "ssl", "urllib.request")
 
+# An ASCII host reaches getaddrinfo as bytes, so the idna codec and what it
+# loads stay out of a plain-HTTP call.
+_IDNA = ("encodings.idna", "stringprep", "unicodedata")
+
 # orchkit's records are built without `dataclasses`, whose import also
 # loads `inspect` (and with it `ast`, `dis` and `tokenize`).
 _RECORDS = ("dataclasses", "inspect")
@@ -67,7 +71,7 @@ ABSENT = {
     "infer": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit", *_FUTURES,
               *_RECORDS),
     "infer over local_http": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit",
-                              *_FUTURES, *_HTTP_CLIENT, *_RECORDS),
+                              *_FUTURES, *_HTTP_CLIENT, *_IDNA, *_RECORDS),
     "evaluate": ("orchkit.bundle", "orchkit.executor", "orchkit.planner",
                  "orchkit.validator", *_RECORDS),
 }
