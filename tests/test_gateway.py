@@ -140,6 +140,7 @@ def test_backoff_delays_grow(monkeypatch):
 
 
 # --- retries clocked by replies ---------------------------------------------------
+# These gateways get sleep=None: they wait their own way, which a reply can end.
 
 class _FailsFirst:
     """Handler: a request whose text starts with `flaky` fails its first
@@ -168,11 +169,6 @@ class _FailsFirst:
             return sum(len(times) - 1 for times in self.attempts.values())
 
 
-def _clocked_gateway(handler) -> Gateway:
-    """A gateway that waits its own way between attempts (no `sleep` given)."""
-    return Gateway(BackendProfile.scripted(ScriptedBackend(handler)), PHASE_LOCAL)
-
-
 def _lanes(gateway, *texts) -> list[threading.Thread]:
     threads = [threading.Thread(target=gateway.chat, args=("s", text), daemon=True)
                for text in texts]
@@ -196,7 +192,7 @@ def _joined(threads) -> bool:
 
 def test_a_reply_to_another_call_releases_a_waiting_retry():
     handler = _FailsFirst()
-    gateway = _clocked_gateway(handler)
+    gateway = scripted_gateway(handler, sleep=None)
     lane = _lanes(gateway, "flaky")
     _until(lambda: gateway._waiting)
     replied = time.monotonic()
@@ -208,7 +204,7 @@ def test_a_reply_to_another_call_releases_a_waiting_retry():
 
 def test_with_no_other_reply_a_retry_waits_its_whole_backoff():
     handler = _FailsFirst()
-    assert _clocked_gateway(handler).chat("s", "flaky").retries == 1
+    assert scripted_gateway(handler, sleep=None).chat("s", "flaky").retries == 1
     failed, retried = handler.attempts["flaky"]
     assert retried - failed >= RETRY_BASE_DELAY
 
@@ -217,7 +213,7 @@ def test_one_reply_releases_only_the_oldest_waiting_retry(monkeypatch):
     monkeypatch.setattr("orchkit.gateway.RETRY_BASE_DELAY", 30.0)  # only replies end waits
     handler = _FailsFirst()
     handler.hold.clear()
-    gateway = _clocked_gateway(handler)
+    gateway = scripted_gateway(handler, sleep=None)
     lanes = _lanes(gateway, "flaky 1", "flaky 2")
     _until(lambda: len(gateway._waiting) == 2)
     oldest, newest = gateway._waiting
