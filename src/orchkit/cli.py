@@ -117,8 +117,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         outcomes = validator.run_refinement_loops(
             [(subtask, plan.prompt_for(subtask.id), plan.synthetic_sets.get(subtask.id, ()))
              for subtask in plan.subtasks],
-            local_gateway, refine, max_iters=max_iters, threshold=config.threshold,
-            repeats=config.validation_repeats, width=config.workers * config.rounds)
+            local_gateway, refine, max_iters=max_iters, repeats=config.validation_repeats,
+            threshold=config.threshold, width=config.workers * config.rounds * len(plan.subtasks))
     finally:
         for gateway in (local_gateway, *cloud_gateway):
             gateway.close()
@@ -189,7 +189,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
             reports = validator.validate_prompt(
                 [(s, plan.prompt_for(s.id), plan.synthetic_sets[s.id]) for s in checked],
                 gateway, threshold=runtime.threshold, repeats=config.validation_repeats,
-                width=config.workers * rounds)
+                width=config.workers * rounds * len(plan.subtasks))
             below = []
             for subtask, report in zip(checked, reports):
                 print(f"revalidate {subtask.id}: {report.passes}/{report.total} "

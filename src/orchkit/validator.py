@@ -6,10 +6,10 @@ case runs through executor.extract, infer's subtask runner and its repair,
 infer's round k does. An unparseable run fails its case; any other is
 compared field-by-field after normalization (trim, case-fold, declared
 aliases). validate_prompt runs every case of every check it is given as
-lanes of one executor.iter_lanes call, `width` x checks wide, and reports
+lanes of one executor.iter_lanes call, at most `width` at once, and reports
 each check in check order with its cases in case order. The CLI sets
-`width` to workers x rounds, so validation has at most as many local calls
-in flight as `infer`: workers x rounds x subtasks in all.
+`width` to workers x rounds x subtasks, as `infer` does, so every wave has
+the whole budget however many checks are still refining.
 
 run_refinement_loops refines in waves: each wave validates every check
 still refining in one validate_prompt call, then rewrites the checks below
@@ -72,8 +72,8 @@ def validate_prompt(checks: Sequence[Check], gateway: Gateway, *,
     """Score each (subtask, prompt, cases) check over its synthetic set; one
     report per check, in check order.
 
-    Every case of every check is a lane of one iter_lanes call, `width` x
-    len(checks) at once. A failed model call fails its case, as it leaves
+    Every case of every check is a lane of one iter_lanes call, at most
+    `width` at once. A failed model call fails its case, as it leaves
     infer's run unparseable; any other error, such as a replay miss
     (UnseenRequestError), is raised once the cases in flight end, and no
     later case of any check starts. With repeats > 1 a case only counts as
@@ -98,7 +98,7 @@ def validate_prompt(checks: Sequence[Check], gateway: Gateway, *,
 
     lanes = [(subtask, prompt, index, case) for subtask, prompt, cases in checks
              for index, case in enumerate(cases)]
-    done = iter(list(iter_lanes(lane, lanes, width=width * len(checks))))
+    done = iter(list(iter_lanes(lane, lanes, width=width)))
     bar = _as_fraction(threshold)
     reports = []
     for subtask, prompt, cases in checks:
@@ -133,11 +133,11 @@ def run_refinement_loops(checks: Sequence[Check], gateway: Gateway,
 
     `refine(subtask, prompt, failures)` is the cloud-channel rewrite
     (planner.refine_prompt bound to its gateway). Each wave validates the
-    checks still refining in one validate_prompt call, then runs the
-    rewrites of those below the threshold as lanes together; a check's
-    revisions are sequential because each rewrite reads its previous
-    report. An error raised while validating or rewriting ends every loop:
-    no later case or rewrite starts.
+    checks still refining in one validate_prompt call, `width` wide however
+    few they are, then rewrites those below the threshold as lanes
+    together; a check's revisions are sequential because each rewrite reads
+    its previous report. An error raised while validating or rewriting ends
+    every loop: no later case or rewrite starts.
     """
     if problem := setting_problem("max_iters", max_iters):
         raise ValueError(f"run_refinement_loops: max_iters {problem}, got {max_iters!r}")

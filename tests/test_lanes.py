@@ -440,6 +440,21 @@ def test_validate_and_revalidate_run_subtasks_at_once(tmp_path, monkeypatch):
     assert revalidation_peak(monkeypatch, ws, 2 * 3) == 2 * 3
 
 
+def test_a_subtask_refining_alone_gets_the_whole_pool(tmp_path, monkeypatch, capsys):
+    # Every spread case fails on its first sighting under a prompt, so spread
+    # refines twice while vessel passes at once: the second and third waves
+    # hold spread's 6 cases alone, and the pool stays workers x rounds x
+    # subtasks = 6 wide, so all six are in flight at once.
+    ws = write_inputs(tmp_path / "ws", cases=6, workers=1)
+    model = LocalModel(flip_sightings=(1,), together=2 * 3)
+    scripted_channels(monkeypatch, model)
+    assert validate(ws) == 0
+    out = capsys.readouterr().out
+    assert "distant_spread: refined at revision 2 (pass rate 6/6, 2 refinements)" in out
+    assert "vessel_involvement: refined at revision 0" in out
+    assert model.peak == 2 * 3
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_calls_in_flight_stay_within_workers_times_subtasks(tmp_path, monkeypatch,
                                                             workers):

@@ -372,7 +372,7 @@ def test_checks_get_reports_in_check_order_each_with_its_own_counts():
 
 
 def test_a_case_error_starts_no_case_of_another_check_and_no_rewrite():
-    # width 1 gives one lane per check. Every call waits at a two-party
+    # width 2 keeps two lanes in flight. Every call waits at a two-party
     # barrier, so the two lanes in flight leave it together.
     barrier = threading.Barrier(2, timeout=10)
     lock = threading.Lock()
@@ -401,7 +401,7 @@ def test_a_case_error_starts_no_case_of_another_check_and_no_rewrite():
     # the second check's cases starts.
     with pytest.raises(UnseenRequestError):
         run_refinement_loops([(SPREAD, raising, make_cases(2)),
-                              (OTHER, wrong, make_cases(3))], gw, refine, width=1)
+                              (OTHER, wrong, make_cases(3))], gw, refine, width=2)
     assert sorted(started) == [("raising", 0), ("raising", 1)]
 
     # The first check's only case fails while the second's raises: its loop
@@ -409,7 +409,7 @@ def test_a_case_error_starts_no_case_of_another_check_and_no_rewrite():
     started.clear()
     with pytest.raises(UnseenRequestError):
         run_refinement_loops([(OTHER, wrong, make_cases(1)),
-                              (SPREAD, raising, make_cases(1))], gw, refine, width=1)
+                              (SPREAD, raising, make_cases(1))], gw, refine, width=2)
     assert sorted(started) == [("raising", 0), ("wrong", 0)]
     assert rewrites == []
 
