@@ -21,7 +21,10 @@ closes. A request is one send of its head and body. A reply is read through
 one buffered reader per connection: its status line, and of its headers
 only Content-Length, Transfer-Encoding: chunked and Connection, with
 HTTP_MAX_LINE bytes a line, HTTP_MAX_HEADERS lines and HTTP_MAX_BODY body
-bytes at most, declared or read to the close. A connection the server
+bytes at most, declared or read to the close. Repeated Connection lines
+combine, so `close` on any of them closes the connection; a Content-Length
+or Transfer-Encoding repeated with a different value is refused; a 204 or
+304 has no body whatever its headers declare. A connection the server
 closed while it sat idle is replaced and the request sent again at once;
 that is not a retry.
 Proxies and certificate checks follow urllib; ssl is loaded only for an
@@ -314,7 +317,8 @@ def _read_line(reader) -> bytes:
 
 def _read_fields(reader, what: str) -> dict[bytes, bytes]:
     """Read header (or trailer) lines up to the blank line that ends them;
-    return the framing ones, by lower-cased name. A Content-Length or
+    return the framing ones, by lower-cased name. Repeated Connection lines
+    are joined with ", " (RFC 9110 section 5.3). A Content-Length or
     Transfer-Encoding repeated with a different value raises ValueError: the
     body's end is then unknown (RFC 9112 section 6.3)."""
     fields = {}
@@ -326,10 +330,10 @@ def _read_fields(reader, what: str) -> dict[bytes, bytes]:
             raise ValueError(f"reply cut short in its {what}")
         name, _, value = line.partition(b":")
         name, value = name.lower(), value.strip()
-        if name in _FRAMING:
-            if fields.setdefault(name, value) != value and name != b"connection":
-                raise ValueError(f"reply repeats {name.decode()} with differing values")
-            fields[name] = value
+        if name == b"connection" and name in fields:
+            fields[name] += b", " + value
+        elif name in _FRAMING and fields.setdefault(name, value) != value:
+            raise ValueError(f"reply repeats {name.decode()} with differing values")
     raise ValueError(f"got more than {HTTP_MAX_HEADERS} {what}")
 
 
@@ -378,7 +382,7 @@ def _read_body(reader, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, 
     chunk sizes over HTTP_MAX_BODY raises ValueError before the bytes it
     declares are read, and a body read to the close does once it passes
     HTTP_MAX_BODY bytes, so no reply can make the client hold more."""
-    if status == 204:
+    if status in (204, 304):
         return b"", True
     coding = fields.get(b"transfer-encoding")
     if coding is not None and coding.rpartition(b",")[2].strip().lower() == b"chunked":

@@ -17,12 +17,13 @@ it), a `0x`-prefixed chunk size, a last chunk with no final CRLF and
 identity` beside a length up to the close. Both refuse a lower-case
 `http/1.1` status line and a four-digit status, with different classes. It
 refuses a Content-Length or Transfer-Encoding repeated with a different value
-(RFC 9112 section 6.3), where `http.client` reads the first; it reads the
-last of a repeated Connection header, where `http.client` reads the first;
-it keeps an HTTP/1.0 reply open only on `Connection: keep-alive` (not on a
-`Keep-Alive` or `Proxy-Connection` header), and frames a 304 by its headers.
-So no generated reply repeats a header, sends those two headers or is a 304
-or 204; the repeated framing headers are rows of their own.
+(RFC 9112 section 6.3), where `http.client` reads the first. It joins
+repeated Connection lines (RFC 9110 section 5.3), where `http.client` reads
+only the first: after `keep-alive` then `close` the reader closes the
+connection and `http.client` keeps it. It keeps an HTTP/1.0 reply open only
+on `Connection: keep-alive` (not on a `Keep-Alive` or `Proxy-Connection`
+header). So no generated reply repeats a header, sends those two headers or
+is a 304 or 204; the repeated headers and the 304 are rows of their own.
 """
 
 from __future__ import annotations
@@ -167,3 +168,43 @@ def test_a_framing_header_repeated_with_a_different_value_is_refused(headers):
 def test_a_framing_header_repeated_with_the_same_value_reads_as_http_client_reads_it():
     reply = [b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length:5 \r\n\r\nhello"]
     assert _fed(reply, _read_ours) == _fed(reply, _read_theirs) == (200, b"hello", True)
+
+
+# --- a repeated Connection header ---------------------------------------------
+
+@pytest.mark.parametrize("version", [b"HTTP/1.1", b"HTTP/1.0"])
+@pytest.mark.parametrize("connection", [
+    b"Connection: close\r\nConnection: keep-alive\r\n",
+    b"Connection: close\r\nconnection: upgrade\r\n",
+    b"Connection: keep-alive\r\nConnection: keep-alive\r\n",
+    b"Connection: upgrade\r\nConnection: upgrade\r\n",
+])
+def test_repeated_connection_lines_read_as_http_client_reads_them(version, connection):
+    # The lines combine, so a close on the first closes the connection.
+    reply = [version + b" 200 OK\r\n" + connection + b"Content-Length: 5\r\n\r\nhello"]
+    assert _fed(reply, _read_ours) == _fed(reply, _read_theirs)
+
+
+# --- a 304 has no body ----------------------------------------------------------
+
+@pytest.mark.parametrize("after", [b"", b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"])
+def test_a_304_reads_no_body_whatever_its_length(after):
+    # Its Content-Length describes the resource, not bytes on the wire: read
+    # as a body, it would take the next reply's first bytes, or wait for
+    # bytes that never come.
+    reply = [b"HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n" + after]
+    assert _fed(reply, _read_ours) == _fed(reply, _read_theirs) == (304, b"", True)
+
+
+def test_the_reply_after_a_304_reads_whole():
+    def two_replies(sock):
+        with sock.makefile("rb") as reader:
+            replies = []
+            for _ in range(2):
+                status, _reason, _keep, fields = _read_head(reader)
+                replies.append((status, _read_body(reader, status, fields)[0]))
+            return replies
+
+    reply = [b"HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n"
+             b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"]
+    assert _fed(reply, two_replies) == [(304, b""), (200, b"hello")]
