@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
+from pathlib import Path
 
 from .config import load_config, setting_problem
 from .errors import OrchError, PhaseViolationError, PlannerError
@@ -48,6 +49,16 @@ EXIT_VALIDATION = 5
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _removing_first(path: str | None, items):
+    """Yield `items`, removing the file at `path`, if any, before the first.
+    write_predictions truncates --out only when its first prediction arrives,
+    so a previous run's --summary is gone before its predictions are."""
+    for n, item in enumerate(items):
+        if not n and path:
+            Path(path).unlink(missing_ok=True)
+        yield item
 
 
 def _now_iso() -> str:
@@ -205,7 +216,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
         preds = executor.iter_documents(gateway, plan, docs, rounds=rounds,
                                         workers=config.workers)
         tally = executor.Tally()
-        executor.write_predictions(tally.counted(preds), args.out)
+        executor.write_predictions(tally.counted(_removing_first(args.summary, preds)),
+                                   args.out)
         summary = executor.summarize(tally, plan.labels, rounds=rounds)
         if not args.deterministic:
             summary["completed_at"] = _now_iso()

@@ -147,6 +147,26 @@ def test_infer_failing_on_document_k_leaves_documents_before_it(tmp_path, worker
         assert read_lines(ws / "preds.jsonl") == expected[:k - 1]
 
 
+def test_a_failed_infer_leaves_no_summary_beside_new_predictions(tmp_path):
+    docs = fixture_documents()
+    ws = replay_inputs(tmp_path / "ws", docs, 2)
+    summary = ws / "s.json"
+    assert infer(ws, "--summary", str(summary)) == 0
+    previous = read_lines(ws / "preds.jsonl"), summary.read_bytes()
+    assert json.loads(previous[1])["documents"] == len(docs)
+
+    # Failing on document 1 writes nothing: both files are the previous run's.
+    record_session(ws, docs[1:], ws / "session.jsonl")
+    assert infer(ws, "--summary", str(summary)) == 4
+    assert (read_lines(ws / "preds.jsonl"), summary.read_bytes()) == previous
+
+    # Failing on document 4 leaves a new prefix of 3 lines, and no summary.
+    record_session(ws, docs[:3], ws / "session.jsonl")
+    assert infer(ws, "--summary", str(summary)) == 4
+    assert len(read_lines(ws / "preds.jsonl")) == 3
+    assert not summary.exists()
+
+
 def drop_second_prompt(path: Path) -> None:
     """Re-render the bundle with the first prompt in both places."""
     sections = json.loads(json.dumps(bundle.read_bundle(path).sections))
