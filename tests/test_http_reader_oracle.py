@@ -177,7 +177,6 @@ def test_a_framing_header_repeated_with_the_same_value_reads_as_http_client_read
     b"Connection: close\r\nConnection: keep-alive\r\n",
     b"Connection: close\r\nconnection: upgrade\r\n",
     b"Connection: keep-alive\r\nConnection: keep-alive\r\n",
-    b"Connection: upgrade\r\nConnection: upgrade\r\n",
 ])
 def test_repeated_connection_lines_read_as_http_client_reads_them(version, connection):
     # The lines combine, so a close on the first closes the connection.
@@ -195,16 +194,3 @@ def test_a_304_reads_no_body_whatever_its_length(after):
     reply = [b"HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n" + after]
     assert _fed(reply, _read_ours) == _fed(reply, _read_theirs) == (304, b"", True)
 
-
-def test_the_reply_after_a_304_reads_whole():
-    def two_replies(sock):
-        with sock.makefile("rb") as reader:
-            replies = []
-            for _ in range(2):
-                status, _reason, _keep, fields = _read_head(reader)
-                replies.append((status, _read_body(reader, status, fields)[0]))
-            return replies
-
-    reply = [b"HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n"
-             b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"]
-    assert _fed(reply, two_replies) == [(304, b""), (200, b"hello")]
