@@ -129,24 +129,23 @@ def run_document(gateway: Gateway, plan: Plan, doc: Document, *,
     return run_documents(gateway, plan, [doc], rounds=rounds)[0]
 
 
-def _predict(logic: SynthesisLogic, doc: Document,
-             rounds: Sequence[tuple[SubtaskRun, ...]]) -> DocumentPrediction:
-    """Entry r of `rounds` holds round r's runs, in subtask order. A Plan refuses
-    a field declared by two subtasks, so the merge is a disjoint union."""
+def _predict(logic: SynthesisLogic, runs: tuple[SubtaskRun, ...],
+             subtasks: int) -> DocumentPrediction:
+    """A document's prediction from its runs, recorded under its id: round by
+    round, `subtasks` runs a round in subtask order. A Plan refuses a field
+    declared by two subtasks, so each round's merge is a disjoint union."""
     round_records: list[RoundRecord] = []
-    for index, runs in enumerate(rounds, start=1):
-        merged: dict[str, str] = {}
-        for run in runs:
-            merged.update(run.output.values)
-        features = FeatureSet(merged)
-        round_records.append(RoundRecord(index=index, runs=runs, features=features,
+    for index, start in enumerate(range(0, len(runs), subtasks), start=1):
+        round_runs = runs[start:start + subtasks]
+        features = FeatureSet({k: v for run in round_runs for k, v in run.output.values.items()})
+        round_records.append(RoundRecord(index=index, runs=round_runs, features=features,
                                          label=evaluate(logic, features)))
     candidates = tuple(r.label for r in round_records)
     final = majority_vote(candidates)
     counts = Counter(candidates)
     best = max(counts.values())
     votes = {lbl.name: counts[lbl] for lbl in sorted(counts)}
-    return DocumentPrediction(document_id=doc.id, rounds=tuple(round_records),
+    return DocumentPrediction(document_id=runs[0].document_id, rounds=tuple(round_records),
                               candidates=candidates, final=final, votes=votes,
                               tie=sum(1 for n in counts.values() if n == best) > 1)
 
@@ -214,7 +213,7 @@ def iter_lanes(fn: Callable[[T], R], items: Iterable[T], *, width: int) -> Itera
             thread.join()
 
 
-def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
+def iter_documents(gateway: Gateway, plan: Plan, docs: Iterable[Document], *,
                    rounds: int = DEFAULT_ROUNDS,
                    workers: int = DEFAULT_WORKERS) -> Iterator[DocumentPrediction]:
     """T inference rounds over every document, majority-voted; yields each
@@ -222,10 +221,12 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
     are voted.
 
     The gateway and rounds are checked, and the rule program parsed, before
-    any lane starts. iter_lanes takes a lane per (document, round,
-    subtask) only as a slot frees, at most workers x rounds x subtasks
-    running, so nothing the size of the corpus is built besides `docs` and
-    only results wait behind a stalled document. Round r sends seed r, so a
+    any lane starts. `docs` is walked once, by iter_lanes, which takes a lane
+    per (document, round, subtask) only as a slot frees, at most workers x
+    rounds x subtasks running: a document is read when its first lane can
+    start, nothing the size of the corpus is built, and only results wait
+    behind a stalled document. Each prediction is built from the next rounds
+    x subtasks results, its document's own. Round r sends seed r, so a
     round's reply cannot land in another round, and only identical documents
     repeat a request. A lane's error is raised after the documents before it.
     Prompts run whatever their status: only a bundle's reader gates it.
@@ -240,15 +241,14 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
         doc, seed, subtask, prompt = item
         return run_subtask(gateway, subtask, prompt, doc, seed=seed)
 
-    seeds = range(1, rounds + 1)
     lanes = iter_lanes(lane, ((doc, seed, subtask, prompt) for doc in docs
-                              for seed in seeds for subtask, prompt in pairs),
+                              for seed in range(1, rounds + 1) for subtask, prompt in pairs),
                        width=workers * rounds * len(pairs))
-    return (_predict(logic, doc, [tuple(next(lanes) for _ in pairs) for _ in seeds])
-            for doc in docs)
+    return (_predict(logic, runs, len(pairs))
+            for runs in iter(lambda: tuple(islice(lanes, rounds * len(pairs))), ()))
 
 
-def run_documents(gateway: Gateway, plan: Plan, docs: Sequence[Document], *,
+def run_documents(gateway: Gateway, plan: Plan, docs: Iterable[Document], *,
                   rounds: int = DEFAULT_ROUNDS,
                   workers: int = DEFAULT_WORKERS) -> list[DocumentPrediction]:
     """iter_documents, collected: every document's prediction in input order,

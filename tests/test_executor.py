@@ -16,6 +16,7 @@ import pytest
 from orchkit.errors import PhaseViolationError, TransportError, UnseenRequestError
 from orchkit.executor import (
     Tally,
+    iter_documents,
     load_documents,
     majority_vote,
     prediction_to_dict,
@@ -335,6 +336,53 @@ def test_run_documents_order_and_labels(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(outputs) == 1
+
+
+class WalkedOnce:
+    """Documents that may be walked once: a second walk, or an index, raises.
+    `read` counts the documents handed out so far."""
+
+    def __init__(self, docs):
+        self.docs = docs
+        self.walked = False
+        self.read = 0
+
+    def __iter__(self):
+        if self.walked:
+            raise AssertionError("the documents were walked twice")
+        self.walked = True
+        for doc in self.docs:
+            self.read += 1
+            yield doc
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_documents_from_an_iterator_predict_as_the_list_does(workers):
+    plan = refined_plan()
+    docs = fixture_documents()
+    expected = [prediction_to_dict(p) for p in run_documents(
+        local_gateway(RoundWobble()), plan, docs, rounds=3, workers=workers)]
+    assert [p["document_id"] for p in expected] == ["d1", "d2", "d3", "d4", "d5"]
+    for source in (iter(docs), (doc for doc in docs), WalkedOnce(docs)):
+        preds = iter_documents(local_gateway(RoundWobble()), plan, source, rounds=3,
+                               workers=workers)
+        assert [prediction_to_dict(p) for p in preds] == expected
+    preds = run_documents(local_gateway(RoundWobble()), plan, WalkedOnce(docs), rounds=3,
+                          workers=workers)
+    assert [prediction_to_dict(p) for p in preds] == expected
+
+
+def test_a_document_is_read_when_a_lane_for_it_can_start():
+    # workers 1: one document's rounds x subtasks lanes run at once, so when
+    # the first prediction arrives at most the next document has been read.
+    docs = WalkedOnce(fixture_documents())
+    preds = iter_documents(local_gateway(fake_local_extractor), refined_plan(), docs,
+                           rounds=2, workers=1)
+    assert docs.read == 0
+    assert next(preds).document_id == "d1"
+    assert docs.read <= 2
+    assert [p.document_id for p in preds] == ["d2", "d3", "d4", "d5"]
+    assert docs.read == 5
 
 
 def test_run_documents_raises_lane_error_and_cancels_unstarted_lanes():
