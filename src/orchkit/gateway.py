@@ -24,9 +24,16 @@ HTTP_MAX_LINE bytes a line, HTTP_MAX_HEADERS lines and HTTP_MAX_BODY body
 bytes at most, declared or read to the close. Repeated Connection lines
 combine, so `close` on any of them closes the connection; a Content-Length
 or Transfer-Encoding repeated with a different value is refused; a 204 or
-304 has no body whatever its headers declare. A connection the server
-closed while it sat idle is replaced and the request sent again at once;
-that is not a retry.
+304 has no body whatever its headers declare. Only an HTTP/1.x status line
+is read, and a 101 is refused, since no request asks to switch protocols;
+other 1xx replies are skipped. Where the reader differs from Python's
+http.client it does so by design, as RFC 9110 section 8.6 and RFC 9112
+sections 6.3 and 7.1 allow or require: `Content-Length: 7, 7`, a negative
+Content-Length, a chunk size that is not bare hex digits (`0x5`) and a
+last chunk with no final CRLF are refused, a Transfer-Encoding whose last
+coding is not chunked (`identity` beside a length, say) is read to the
+close, and `gzip, chunked` is read as chunked. A connection the server closed while it sat idle is replaced and
+the request sent again at once; that is not a retry.
 Proxies and certificate checks follow urllib; ssl is loaded only for an
 https origin or tunnel, and urllib.request only when a `*_proxy` variable
 is set or on macOS and Windows.
@@ -70,7 +77,7 @@ from .config import (
 )
 from .errors import ModelCallError, PhaseViolationError, TransportError, UnseenRequestError
 from .jsonio import decode, digest, jsonl_line, loads, read_jsonl
-from .model import FeatureSchema, Record, replace
+from .model import UNKNOWN, FeatureSchema, Record, replace
 
 CLOUD_API_KEY_ENV = "ORCH_CLOUD_API_KEY"
 
@@ -261,7 +268,7 @@ def _schema_to_json_schema(schema: FeatureSchema) -> dict:
         if f.kind == "text":
             properties[f.name] = {"type": "string"}
         else:
-            allowed = list(f.legal_values()) + ["unknown"]
+            allowed = [*f.legal_values(), UNKNOWN]
             properties[f.name] = {"type": "string", "enum": allowed}
     return {
         "type": "object",
@@ -290,6 +297,7 @@ HTTP_MAX_BODY = 16 * 1024 * 1024
 # The only reply headers the client acts on: how the body is framed and
 # whether the connection stays open.
 _FRAMING = (b"content-length", b"transfer-encoding", b"connection")
+_HTTP1 = frozenset(b"HTTP/1.%d" % minor for minor in range(10))  # the versions read
 _HEX = b"0123456789abcdefABCDEF"
 _READ_STEP = 65536  # the most body bytes one read asks for
 _DEFAULT_PORT = {"http": 80, "https": 443}
@@ -340,7 +348,8 @@ def _read_fields(reader, what: str) -> dict[bytes, bytes]:
 def _read_head(reader) -> tuple[int, str, bool, dict[bytes, bytes]]:
     """Read a reply's status line and headers, past any interim (1xx)
     replies: its status, its reason, whether it leaves the connection open
-    and its framing headers. A connection closed before a status line
+    and its framing headers. A status line of another version than HTTP/1.x,
+    and a 101, raise ValueError; a connection closed before a status line
     raises ConnectionResetError."""
     while True:
         line = _read_line(reader)
@@ -349,8 +358,10 @@ def _read_head(reader) -> tuple[int, str, bool, dict[bytes, bytes]]:
         version, _, rest = line.rstrip().partition(b" ")
         code, _, reason = rest.partition(b" ")
         status = int(code) if len(code) == 3 and code.isdigit() else 0
-        if not version.startswith(b"HTTP/") or status < 100:
+        if version not in _HTTP1 or status < 100:
             raise ValueError(f"bad status line: {line[:100]!r}")
+        if status == 101:
+            raise ValueError("reply switches protocols, which no request asked for")
         fields = _read_fields(reader, "headers")
         if status >= 200:
             break

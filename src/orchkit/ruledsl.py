@@ -227,8 +227,6 @@ class _Parser:
         if raw.casefold() == UNKNOWN:
             raise self.error(f"{UNKNOWN!r} cannot be compared directly; "
                              f"use is_unknown({field.name})", tok)
-        if field.kind == "text":
-            return raw.strip().casefold()
         canonical = field.normalize_strict(raw)
         if canonical is None or canonical == UNKNOWN:
             raise self.error(f"value {raw!r} is not legal for field {field.name!r} "
@@ -241,8 +239,10 @@ def parse_logic(source: str, schemas: Sequence[FeatureSchema],
     """Parse and statically check a rule program.
 
     Field existence and value legality are checked against the union of the
-    given schemas; rule labels must come from `labels`, whose ordinals drive
-    tie-breaking downstream.
+    given schemas. A value is canonicalized as an extracted one is, by
+    FieldSpec.normalize_strict, and one that reads as unknown is refused. Rule
+    labels must come from `labels`, whose ordinals drive tie-breaking
+    downstream.
     """
     return _Parser(source, merge_schemas(schemas), labels).parse_program()
 

@@ -44,7 +44,7 @@ from orchkit.gateway import (
     RETRY_ATTEMPTS,
     Gateway,
 )
-from orchkit.model import Document
+from orchkit.model import Document, FeatureSchema, FieldSpec
 
 PROXY_VARS = ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
               "http_proxy", "https_proxy", "all_proxy", "no_proxy")
@@ -269,6 +269,25 @@ def test_local_payload(server, with_schema):
         expected["format"] = VESSEL_JSON_SCHEMA
     assert body == _wire(expected)
     assert "Authorization" not in headers
+
+
+def test_local_payload_lets_a_text_field_hold_any_string(server):
+    # A text field has no enum, and an optional one is not required.
+    server.reply = (200, _reply("local", "extracted"))
+    schema = FeatureSchema((*vessel_schema().fields, FieldSpec("finding", "text"),
+                            FieldSpec("note", "text", required=False)))
+    _gateway(server, "local").chat("sys", "doc", response_schema=schema)
+    [(_path, _headers, body)] = server.seen
+    assert body == (
+        b'{"model": "small-extractor", "messages": [{"role": "system", "content": "sys"}, '
+        b'{"role": "user", "content": "doc"}], "stream": false, "options": '
+        b'{"temperature": 0.2, "num_ctx": 32768}, "format": {"type": "object", '
+        b'"properties": {"reasoning": {"type": "string"}, "values": {"type": "object", '
+        b'"properties": {"smv_contact": {"type": "string", "enum": ["none", "abutment", '
+        b'"encasement", "unknown"]}, "celiac_contact": {"type": "string", "enum": '
+        b'["true", "false", "unknown"]}, "finding": {"type": "string"}, "note": '
+        b'{"type": "string"}}, "required": ["smv_contact", "celiac_contact", "finding"]}}, '
+        b'"required": ["reasoning", "values"]}}')
 
 
 def test_seeded_local_payload_sends_options_seed(server):
@@ -802,7 +821,8 @@ def test_a_204_fails_without_waiting_for_the_server_to_close(monkeypatch, channe
 
 
 @pytest.mark.parametrize("channel", ["cloud", "local"])
-@pytest.mark.parametrize("bad", ["long header line", "101 headers", "cut-short body"])
+@pytest.mark.parametrize("bad", ["long header line", "101 headers", "cut-short body",
+                                 "HTTP/2 status line", "101 status"])
 def test_a_reply_http_cannot_frame_fails_and_closes_its_connection(monkeypatch, channel, bad):
     # The bad reply fails its attempt; the policy's retry, on a fresh
     # connection, gets the good one.
@@ -811,6 +831,11 @@ def test_a_reply_http_cannot_frame_fails_and_closes_its_connection(monkeypatch, 
         reply = _ok(channel, "never", "X-Long: " + "a" * 65536)
     elif bad == "101 headers":
         reply = _ok(channel, "never", *_headers(100))  # and its Content-Length
+    elif bad == "HTTP/2 status line":
+        reply = _ok(channel, "never", version="HTTP/2")
+    elif bad == "101 status":
+        reply = _raw("101 Switching Protocols", ["Upgrade: h2c", "Connection: Upgrade"]
+                     ) + _ok(channel, "never")
     else:
         body = json.dumps(_reply(channel, "cut")).encode("utf-8")
         reply = _raw("200 OK", [f"Content-Length: {len(body)}"], body[:-5])

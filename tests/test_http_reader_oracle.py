@@ -8,22 +8,24 @@ coding with random chunk splits, extensions and trailers, header names in
 any case, kept alive or closed, fed over a socket pair in random segment
 sizes) both readers give the same status, body and keep-alive.
 
-Where the two differ by design, the generator does not go. The reader
-refuses `Content-Length: 7, 7` (RFC 9110 section 8.6 lets a recipient take
-it), a `0x`-prefixed chunk size, a last chunk with no final CRLF and
-`Content-Length: -1` (where `http.client` reads to the close). It accepts an
-`HTTP/2` status line, skips a `101` as an interim reply, reads
-`Transfer-Encoding: gzip, chunked` as chunked and `Transfer-Encoding:
-identity` beside a length up to the close. Both refuse a lower-case
-`http/1.1` status line and a four-digit status, with different classes. It
-refuses a Content-Length or Transfer-Encoding repeated with a different value
-(RFC 9112 section 6.3), where `http.client` reads the first. It joins
-repeated Connection lines (RFC 9110 section 5.3), where `http.client` reads
-only the first: after `keep-alive` then `close` the reader closes the
-connection and `http.client` keeps it. It keeps an HTTP/1.0 reply open only
-on `Connection: keep-alive` (not on a `Keep-Alive` or `Proxy-Connection`
-header). So no generated reply repeats a header, sends those two headers or
-is a 304 or 204; the repeated headers and the 304 are rows of their own.
+Where the two differ by design, the generator does not go; `gateway`'s
+docstring lists those differences and the RFC text behind them. The reader
+refuses `Content-Length: 7, 7`, a `0x`-prefixed chunk size, a last chunk
+with no final CRLF and `Content-Length: -1` (where `http.client` reads to
+the close). It reads `Transfer-Encoding: gzip, chunked` as chunked and
+`Transfer-Encoding: identity` beside a length up to the close. Both refuse a
+lower-case `http/1.1` status line and a four-digit status, with different
+classes. It keeps an HTTP/1.0 reply open only on `Connection: keep-alive`
+(not on a `Keep-Alive` or `Proxy-Connection` header). So no generated reply
+repeats a header, sends those two headers or is a 204 or 304, and no
+generated status line is of another version or a 101. Rows cover these: a
+framing header repeated with a different value (refused, RFC 9112 section
+6.3, where `http.client` reads the first), repeated Connection lines
+(joined, RFC 9110 section 5.3, where `http.client` reads only the first:
+after `keep-alive` then `close` the reader closes the connection and
+`http.client` keeps it), a 304 (no body), a status line of a version other
+than HTTP/1.x (refused by both, but for `HTTP/0.9`, which `http.client`
+reads as HTTP/1.0) and a 101 (refused, where `http.client` returns it).
 """
 
 from __future__ import annotations
@@ -194,3 +196,27 @@ def test_a_304_reads_no_body_whatever_its_length(after):
     reply = [b"HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n" + after]
     assert _fed(reply, _read_ours) == _fed(reply, _read_theirs) == (304, b"", True)
 
+
+
+# --- only HTTP/1.x, and no 101 ------------------------------------------------
+
+@pytest.mark.parametrize("version", [b"HTTP/2", b"HTTP/2.0", b"HTTP/3.1", b"HTTP/0.9"])
+def test_a_status_line_of_another_version_is_refused(version):
+    # Read as HTTP/1.1, its connection would go back to the pool. http.client
+    # refuses each too but HTTP/0.9, which it reads as HTTP/1.0.
+    reply = [version + b" 200 OK\r\nContent-Length: 2\r\n\r\nok"]
+    with pytest.raises(ValueError, match="bad status line"):
+        _fed(reply, _read_ours)
+    if version != b"HTTP/0.9":
+        with pytest.raises(http.client.UnknownProtocol):
+            _fed(reply, _read_theirs)
+
+
+def test_a_101_is_refused_not_skipped():
+    # No request asks to switch protocols, so the bytes after a 101 are not
+    # HTTP/1.1; http.client returns the 101 as the reply.
+    reply = [b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: h2c\r\nConnection: Upgrade\r\n\r\n"
+             b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"]
+    with pytest.raises(ValueError, match="switches protocols"):
+        _fed(reply, _read_ours)
+    assert _fed(reply, _read_theirs)[0] == 101

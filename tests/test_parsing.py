@@ -36,10 +36,13 @@ def test_extract_rejects_plain_prose():
 
 
 def test_format_block_lists_every_field_and_unknown():
-    block = format_block(vessel_schema())
+    block = format_block(FeatureSchema((*vessel_schema().fields, FieldSpec("finding", "text"),
+                                        FieldSpec("note", "text", required=False))))
     assert "smv_contact" in block and "celiac_contact" in block
     assert "none | abutment | encasement | unknown" in block
     assert "true | false | unknown" in block
+    assert "\n- finding (text, required): free text, or unknown\n" in block
+    assert "\n- note (text, optional): free text, or unknown\n" in block
 
 
 def test_parse_subtask_output_values_envelope():

@@ -109,6 +109,33 @@ def test_boolean_values_and_quoted_labels():
                     [schema], labels)
 
 
+def text_schema() -> FeatureSchema:
+    return FeatureSchema((FieldSpec("finding", "text",
+                                    aliases={"mets": "metastasis", "n/a": "unknown"}),))
+
+
+@pytest.mark.parametrize("condition", ["finding == mets", "finding == Metastasis",
+                                       'finding == " METS "', "finding in {nodes, mets}",
+                                       "not (finding != mets)"])
+@pytest.mark.parametrize("reply", ["mets", "metastasis", " Metastasis"])
+def test_a_text_literal_is_read_as_an_extracted_value_is(condition, reply):
+    # An alias key in the program means what the same word means in a reply.
+    labels = make_labels(("low", "high"))
+    logic = parse_logic(f"when {condition} -> high; default -> low", [text_schema()], labels)
+    assert "metastasis" in re.findall(r"\w+", pretty(logic))  # the literal, canonicalized
+    features = FeatureSet.from_raw(text_schema(), {"finding": reply})
+    assert evaluate(logic, features).name == "high"
+
+
+@pytest.mark.parametrize("literal", ['""', '"  "', '"n/a"', "unknown"])
+def test_a_text_literal_read_as_unknown_is_refused(literal):
+    # An empty or unknown-aliased reply is unknown, so `==` on it could never hold.
+    with pytest.raises(DslError, match=r"(is not legal for field 'finding' of kind text"
+                                       r"|cannot be compared directly)"):
+        parse_logic(f"when finding == {literal} -> high; default -> low", [text_schema()],
+                    make_labels(("low", "high")))
+
+
 # --- evaluation ---------------------------------------------------------------
 
 def test_first_match_forced_by_first_rule():
