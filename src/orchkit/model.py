@@ -212,7 +212,7 @@ class FieldSpec(Record):
         if folded in ("", UNKNOWN):
             return UNKNOWN
         folded = self.aliases.get(folded, folded).casefold()
-        if folded == UNKNOWN:
+        if folded in ("", UNKNOWN):  # a text alias may target either
             return UNKNOWN
         if self.kind == "text":
             return folded

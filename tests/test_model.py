@@ -82,6 +82,13 @@ def test_boolean_normalization():
     assert spec.normalize_strict("") == UNKNOWN
 
 
+def test_text_normalization_reads_blank_as_unknown_through_an_alias_too():
+    spec = FieldSpec("finding", "text",
+                     aliases={"mets": "Metastasis", "none": " ", "n/a": "unknown"})
+    assert spec.normalize_strict(" METS ") == "metastasis"
+    assert [spec.normalize_strict(raw) for raw in ("", "  ", "none", "N/A")] == [UNKNOWN] * 4
+
+
 def test_schema_rejects_duplicate_names():
     with pytest.raises(ValueError, match="unique"):
         FeatureSchema((FieldSpec("a", "boolean"), FieldSpec("a", "text")))

@@ -111,7 +111,8 @@ def test_boolean_values_and_quoted_labels():
 
 def text_schema() -> FeatureSchema:
     return FeatureSchema((FieldSpec("finding", "text",
-                                    aliases={"mets": "metastasis", "n/a": "unknown"}),))
+                                    aliases={"mets": "metastasis", "n/a": "unknown",
+                                             "none": ""}),))
 
 
 @pytest.mark.parametrize("condition", ["finding == mets", "finding == Metastasis",
@@ -127,7 +128,7 @@ def test_a_text_literal_is_read_as_an_extracted_value_is(condition, reply):
     assert evaluate(logic, features).name == "high"
 
 
-@pytest.mark.parametrize("literal", ['""', '"  "', '"n/a"', "unknown"])
+@pytest.mark.parametrize("literal", ['""', '"  "', '"n/a"', "none", "unknown"])
 def test_a_text_literal_read_as_unknown_is_refused(literal):
     # An empty or unknown-aliased reply is unknown, so `==` on it could never hold.
     with pytest.raises(DslError, match=r"(is not legal for field 'finding' of kind text"
