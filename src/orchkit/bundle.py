@@ -10,8 +10,8 @@ whole-file hash trailer appended as the final line:
 Canonical form means identical plans pack to byte-identical bundles, the
 file is human-auditable before it crosses the air gap, and any single-byte
 mutation is caught by the trailer hash before content is yielded. Bundles
-carry only planner-phase artifacts; the synthetic sets ride along so the
-isolated side can re-validate prompts before touching real documents.
+carry only planner-phase artifacts; at least one synthetic case per subtask
+rides along, so the isolated side can re-validate every prompt first.
 
 unpack is the one place a bundle becomes a plan: it returns the verified
 sections with the Plan and RuntimeDefaults it built while checking them.
@@ -43,6 +43,7 @@ from .model import (
     SubtaskRun,
     SyntheticCase,
     ValidationReport,
+    case_shortfalls,
     validate_plan,
 )
 
@@ -278,8 +279,8 @@ def unpack(data: bytes) -> ArtifactBundle:
     hashes, the format major version, and the digests written inside the
     bundle (the parsed rule program's, and the guideline's when its body
     rides along) all check out, and the bundle holds a plan `pack` would
-    write: one Plan accepts, cases included, whose prompts `pack`'s status
-    rule accepts. Only pack and unpack check that rule.
+    write: one Plan accepts with a case per subtask (case_shortfalls), whose
+    prompts `pack`'s status rule accepts. Only pack and unpack check that rule.
     """
     try:
         text = data.decode("utf-8")
@@ -340,6 +341,8 @@ def unpack(data: bytes) -> ArtifactBundle:
         if not isinstance(allow_failed, bool):
             raise ValueError(f"meta.allow_failed: must be true or false, got {allow_failed!r}")
         _require_refined(plan, allow_failed)
+        if shortfalls := case_shortfalls(plan, DEFAULT_MIN_CASES):
+            raise ValueError("; ".join(shortfalls))
         if sha256_text(pretty(logic)) != s["logic"]["parsed_digest"]:
             raise BundleError("rule program does not match logic.parsed_digest")
         guideline = meta.get("guideline_body")

@@ -106,10 +106,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     plan = bundlemod.load_plan(args.plan)
     if violations := validate_plan(plan, min_cases=config.min_synthetic_cases):
         raise ValueError(f"{args.plan}: " + "; ".join(violations))
-    for subtask in plan.subtasks:  # min_synthetic_cases = 0 lets a set be empty
-        if not plan.synthetic_sets.get(subtask.id):
-            raise ValueError(f"{args.plan}: subtask {subtask.id!r} has no synthetic cases "
-                             "to validate")
     local_gateway = Gateway(config.local.to_profile("local"), PHASE_LOCAL)
     templates = planner.TemplateSet.load(config.templates_dir)
 
@@ -126,7 +122,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # stdout, history and plan follow plan order.
     try:
         outcomes = validator.run_refinement_loops(
-            [(subtask, plan.prompt_for(subtask.id), plan.synthetic_sets.get(subtask.id, ()))
+            [(subtask, plan.prompt_for(subtask.id), plan.synthetic_sets[subtask.id])
              for subtask in plan.subtasks],
             local_gateway, refine, max_iters=max_iters, repeats=config.validation_repeats,
             threshold=config.threshold, width=config.workers * config.rounds * len(plan.subtasks))
@@ -196,21 +192,16 @@ def cmd_infer(args: argparse.Namespace) -> int:
         if args.revalidate:
             from . import validator
 
-            checked = [s for s in plan.subtasks if plan.synthetic_sets.get(s.id)]
             reports = validator.validate_prompt(
-                [(s, plan.prompt_for(s.id), plan.synthetic_sets[s.id]) for s in checked],
+                [(s, plan.prompt_for(s.id), plan.synthetic_sets[s.id]) for s in plan.subtasks],
                 gateway, threshold=runtime.threshold, repeats=config.validation_repeats,
                 width=config.workers * rounds * len(plan.subtasks))
-            below = []
-            for subtask, report in zip(checked, reports):
-                print(f"revalidate {subtask.id}: {report.passes}/{report.total} "
+            for report in reports:
+                print(f"revalidate {report.subtask_id}: {report.passes}/{report.total} "
                       f"({report.verdict})")
-                if report.verdict != "passed":
-                    below.append(subtask.id)
-            if below:
-                return _fail(EXIT_VALIDATION,
-                             "revalidation below threshold for: " + ", ".join(below)
-                             + "; not touching documents")
+            if below := [report.subtask_id for report in reports if report.verdict != "passed"]:
+                return _fail(EXIT_VALIDATION, "revalidation below threshold for: "
+                             f"{', '.join(below)}; not touching documents")
 
         docs = executor.load_documents(args.docs)
         preds = executor.iter_documents(gateway, plan, docs, rounds=rounds,

@@ -32,8 +32,9 @@ flag is absent. Scripted channels replace endpoint/model with
 
 The values above are the defaults, each written once: here, or for the case
 count and its minimum in model, whose UserPrefs and validate_plan need them.
-setting_problem holds each numeric setting's type and range, for the file, a
-bundle's `runtime` section, the command line and a model request alike.
+setting_problem holds each numeric setting's type and range (every count,
+`min_synthetic_cases` too, is >= 1) for the file, a bundle's `runtime`
+section, a flag and a model request alike.
 Precedence is Config.preferences(data) at `plan`, Config.runtime() at `pack`
 and ProfileConfig.to_profile(channel, runtime) at `infer`.
 """
@@ -87,8 +88,8 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 _COUNT = (int, ">= 1", lambda value: value >= 1)
 _RANGES = {
     "rounds": _COUNT, "max_iters": _COUNT, "synthetic_cases_per_subtask": _COUNT,
-    "validation_repeats": _COUNT, "workers": _COUNT, "context": _COUNT,
-    "min_synthetic_cases": (int, ">= 0", lambda value: value >= 0),
+    "min_synthetic_cases": _COUNT, "validation_repeats": _COUNT, "workers": _COUNT,
+    "context": _COUNT,
     "threshold": (float, "in (0, 1]", lambda value: 0 < value <= 1),
     "temperature": (float, "in [0, 2]", lambda value: 0 <= value <= 2),
 }

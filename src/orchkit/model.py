@@ -607,17 +607,21 @@ class Plan(Record):
         return replace(self, synthetic_sets=sets)
 
 
+def case_shortfalls(plan: Plan, min_cases: int) -> list[str]:
+    """One message per subtask with fewer than `min_cases` synthetic cases."""
+    return [f"subtask {s.id!r} has {n} synthetic cases, minimum is {min_cases}"
+            for s in plan.subtasks if (n := len(plan.synthetic_sets.get(s.id, ()))) < min_cases]
+
+
 def validate_plan(plan: Plan, *, min_cases: int = DEFAULT_MIN_CASES) -> list[str]:
     """Policy over a plan whose structure and cases its constructor already
-    checked: every subtask has at least `min_cases` cases, and the rule
-    program parses.
+    checked: every subtask has at least `min_cases` cases (case_shortfalls,
+    which unpack applies at 1), and the rule program parses.
 
     Returns a list of violation messages; empty means the plan is sound.
     Nothing is raised: callers (plan, validate, pack) decide the cost.
     """
-    violations = [f"subtask {s.id!r} has {n} synthetic cases, minimum is {min_cases}"
-                  for s in plan.subtasks
-                  if (n := len(plan.synthetic_sets.get(s.id, ()))) < min_cases]
+    violations = case_shortfalls(plan, min_cases)
     try:
         plan.parsed_logic()
     except DslError as exc:

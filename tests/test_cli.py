@@ -524,6 +524,82 @@ def test_infer_refuses_a_bundle_whose_prompt_status_pack_refuses_exit_6(
     assert read == [] and not out.exists()
 
 
+@pytest.mark.parametrize("edit", [lambda s: s["synthetic"].pop("vessel_involvement"),
+                                  lambda s: s["synthetic"].update(vessel_involvement=[])],
+                         ids=["set removed", "set empty"])
+@pytest.mark.parametrize("command", ["unpack", "infer"])
+def test_a_bundle_subtask_without_synthetic_cases_exits_6(workspace, tmp_path, monkeypatch,
+                                                         capsys, edit, command):
+    bundle_file, out = tmp_path / "a.orchb", tmp_path / "out"
+    _rerendered_bundle(bundle_file, edit)
+    read = []
+    monkeypatch.setattr(executor, "load_documents", read.append)
+    argv = {"unpack": ["unpack", "--bundle", str(bundle_file)],
+            "infer": ["infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
+                      "--config", str(workspace["config"]), "--revalidate"]}[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(out)) == 6
+    assert capsys.readouterr() == ("", (
+        f"error: {bundle_file}: bundle does not hold a usable plan: "
+        "subtask 'vessel_involvement' has 0 synthetic cases, minimum is 1\n"))
+    assert read == [] and not out.exists()
+
+
+def test_revalidate_checks_every_subtask_so_a_bundle_packed_without_a_set_exits_6(
+        workspace, tmp_path, capsys):
+    """A validated plan without vessel_involvement's cases, packed with min_cases 0: its
+    revalidation once checked distant_spread alone, passed, and labelled every document."""
+    plan_file, validated = tmp_path / "plan.json", tmp_path / "validated.json"
+    bundle_file, preds = tmp_path / "a.orchb", tmp_path / "preds.jsonl"
+    config = ["--config", str(workspace["config"])]
+    assert plan_cmd(workspace, plan_file) == 0
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated), *config) == 0
+    plan = load_plan(validated)
+    sparse = replace(plan, synthetic_sets={"distant_spread": plan.synthetic_sets["distant_spread"]})
+    write_bundle(pack(sparse, min_cases=0), bundle_file)
+    capsys.readouterr()
+    assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(workspace["docs"]),
+                   "--out", str(preds), *config, "--revalidate") == 6
+    captured = capsys.readouterr()
+    assert "revalidate" not in captured.out
+    assert captured.err.endswith("subtask 'vessel_involvement' has 0 synthetic cases, "
+                                 "minimum is 1\n")
+    assert not preds.exists()
+
+
+def test_each_command_parses_the_rule_program_as_often_as_before(workspace, tmp_path,
+                                                                 monkeypatch):
+    # unpack checks a bundle's cases without a parse of its own; infer parses
+    # once to verify the bundle and once to run it, and revalidation not at all.
+    from orchkit import planner, ruledsl
+
+    parses = []
+    for module in (ruledsl, planner):
+        monkeypatch.setattr(module, "parse_logic", lambda *args, _parse=module.parse_logic,
+                            **kwargs: parses.append(1) or _parse(*args, **kwargs))
+    plan_file, validated = tmp_path / "plan.json", tmp_path / "validated.json"
+    bundle_file, out = tmp_path / "a.orchb", tmp_path / "out"
+    config = ["--config", str(workspace["config"])]
+    commands = {
+        "plan": lambda: plan_cmd(workspace, plan_file),
+        "validate": lambda: run_cli("validate", "--plan", str(plan_file),
+                                    "--out", str(validated), *config),
+        "pack": lambda: run_cli("pack", "--plan", str(validated), "--out", str(bundle_file),
+                                *config, "--deterministic"),
+        "unpack": lambda: run_cli("unpack", "--bundle", str(bundle_file),
+                                  "--out", str(tmp_path / "unpacked.json")),
+        "infer": lambda: run_cli("infer", "--bundle", str(bundle_file), "--docs",
+                                 str(workspace["docs"]), "--out", str(out), *config,
+                                 "--revalidate"),
+    }
+    counts = {}
+    for command, run in commands.items():
+        before = len(parses)
+        assert run() == 0
+        counts[command] = len(parses) - before
+    assert counts == {"plan": 2, "validate": 1, "pack": 2, "unpack": 1, "infer": 2}
+
+
 def _local_only(config, tmp_path):
     """`config` with its cloud channel left out."""
     path = tmp_path / "local-only.cfg"
@@ -1047,7 +1123,7 @@ def _refusals(ws, tmp):
         "validate with an empty synthetic set": (
             cfg, ws["config"].read_text(encoding="utf-8") + "min_synthetic_cases = 0\n",
             ["validate", "--plan", str(sparse_file), "--config", str(cfg)],
-            f"{sparse_file}: subtask 'distant_spread' has no synthetic cases to validate"),
+            f"{cfg}: config: min_synthetic_cases must be >= 1, got 0"),
         "--labels with --labels-from-summary": (
             summary, json.dumps({"label_order": list(LABEL_NAMES)}),
             evaluate(ws["gt"], "--labels", ",".join(reversed(LABEL_NAMES)),

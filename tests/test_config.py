@@ -78,12 +78,22 @@ def test_invariants_rejected():
 @pytest.mark.parametrize("text, message", [
     ("synthetic_cases_per_subtask = 0\n",
      "config: synthetic_cases_per_subtask must be >= 1, got 0"),
-    ("min_synthetic_cases = -3\n", "config: min_synthetic_cases must be >= 0, got -3"),
+    ("min_synthetic_cases = 0\n", "config: min_synthetic_cases must be >= 1, got 0"),
 ], ids=["synthetic_cases_per_subtask", "min_synthetic_cases"])
 def test_case_counts_bounded_at_load(text, message):
     with pytest.raises(ValueError) as err:
         parse_config(text)
     assert str(err.value) == message
+
+
+def test_a_config_allowing_an_empty_synthetic_set_is_refused_naming_its_file(tmp_path):
+    # Every subtask keeps at least one case, so `validate` and `--revalidate`
+    # have something to run for each.
+    path = tmp_path / "orch.cfg"
+    path.write_text("min_synthetic_cases = 0\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: config: min_synthetic_cases must be >= 1, got 0"
 
 
 def test_env_var_names_the_config(tmp_path, monkeypatch):
