@@ -3,13 +3,14 @@
 Phase separation is structural: `plan`/`validate` drive the cloud channel
 and never touch documents; `infer` drives the local channel, refuses to
 start while a cloud profile is configured, and only reads documents after
-that guard (and any requested revalidation) has passed.
+that guard (and any requested revalidation, over every subtask) has passed.
 
 Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
     0  success
     2  invalid input (missing/malformed files, a malformed replay-session
-       line, id mismatches): OrchError, OutputParseError, ValueError,
-       OSError; a file's error names it, and a JSON-lines file's its line
+       line, id mismatches, an output flag naming another flag's file):
+       OrchError, OutputParseError, ValueError, OSError; a file's error
+       names it, and a JSON-lines file's its line
     3  planner failure (unusable or repeatedly invalid plan replies, a bad
        rule program): PlannerError, DslError
     4  failed model call (transport failure, malformed reply or completion
@@ -51,6 +52,17 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _own_files(command: str, outputs: dict[str, str | None],
+               inputs: dict[str, str] | None = None) -> None:
+    """Refuse an output flag that names, once resolved, the file of another
+    output flag or of an input flag: one write would replace the other, or
+    truncate a file the command reads."""
+    named = {Path(path).resolve(): flag for flag, path in (inputs or {}).items()}
+    for flag, path in outputs.items():
+        if path and (other := named.setdefault(Path(path).resolve(), flag)) != flag:
+            raise ValueError(f"{command}: {other} and {flag} name the same file, {path}")
+
+
 def _removing_first(path: str | None, items):
     """Yield `items`, removing the file at `path`, if any, before the first.
     write_predictions truncates --out only when its first prediction arrives,
@@ -70,7 +82,9 @@ def _now_iso() -> str:
 # ---------------------------------------------------------------------------
 # Commands
 #
-# Each command imports the modules it runs, so a process loads only those.
+# Each command imports the modules it runs. Every command also loads gateway
+# (with config, jsonio and model): `Gateway` is imported above as the seam
+# tests patch.
 # ---------------------------------------------------------------------------
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -99,6 +113,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from . import bundle as bundlemod
     from . import planner, validator
 
+    _own_files("validate", {"--out": args.out, "--emit-history": args.emit_history})
     config = load_config(args.config)
     max_iters = config.max_iters if args.max_iters is None else args.max_iters
     if problem := setting_problem("max_iters", max_iters):  # only the flag can be out of range
@@ -185,6 +200,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
                                   "over documents in this environment")
     if args.rounds is not None and (problem := setting_problem("rounds", args.rounds)):
         raise ValueError(f"infer: --rounds {problem}, got {args.rounds}")
+    _own_files("infer", {"--out": args.out, "--summary": args.summary},
+               {"--bundle": args.bundle, "--docs": args.docs})
     artifact = bundlemod.read_bundle(args.bundle)
     plan, runtime = artifact.to_plan(), artifact.runtime
     rounds = args.rounds if args.rounds is not None else runtime.rounds
@@ -233,6 +250,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if args.labels is not None and args.labels_from_summary is not None:
         raise ValueError("evaluate: give --labels or --labels-from-summary, not both")
+    _own_files("evaluate", {"--out": args.out, "--confusion-csv": args.confusion_csv})
     pred = evalkit.load_labeled(args.pred, source="system")
     gt = evalkit.load_labeled(args.gt, source="gt")
     labels = None

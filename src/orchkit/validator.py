@@ -1,9 +1,12 @@
 """Prompt validation against synthetic test sets, and the refinement loop.
 
-A check is one subtask's prompt revision with its synthetic cases. Each
-case runs through executor.extract, infer's subtask runner and its repair,
-`repeats` times in a row (once by default), repeat k sending seed k as
-infer's round k does. An unparseable run fails its case; any other is
+A check is one subtask's prompt revision with its synthetic cases, at
+least one: `validate` and `infer --revalidate` check every subtask, since
+the config holds min_synthetic_cases at 1 or more and unpack refuses a
+bundle subtask with none (validate_prompt still refuses an empty check).
+Each case runs through executor.extract, infer's subtask runner and its
+repair, `repeats` times in a row (once by default), repeat k sending seed k
+as infer's round k does. An unparseable run fails its case; any other is
 compared field-by-field after normalization (trim, case-fold, declared
 aliases). validate_prompt runs every case of every check it is given as
 lanes of one executor.iter_lanes call, at most `width` at once, and reports

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -1129,6 +1130,18 @@ def _refusals(ws, tmp):
             evaluate(ws["gt"], "--labels", ",".join(reversed(LABEL_NAMES)),
                      "--labels-from-summary", str(summary)),
             "evaluate: give --labels or --labels-from-summary, not both"),
+        # Two outputs of one command naming one file: the later write would
+        # leave only itself.
+        "infer --summary naming --out": (
+            None, None, [*infer(), "--summary", str(tmp / "out")],
+            f"infer: --out and --summary name the same file, {tmp / 'out'}"),
+        "validate --emit-history naming --out": (
+            None, None, ["validate", "--plan", str(plan_file), "--config", str(ws["config"]),
+                         "--emit-history", str(tmp / "out")],
+            f"validate: --out and --emit-history name the same file, {tmp / 'out'}"),
+        "evaluate --confusion-csv naming --out": (
+            None, None, evaluate(ws["gt"], "--confusion-csv", str(tmp / "out")),
+            f"evaluate: --out and --confusion-csv name the same file, {tmp / 'out'}"),
     }
 
 
@@ -1138,7 +1151,10 @@ def _refusals(ws, tmp):
                                   "--labels empty", "--labels-from-summary empty",
                                   "--max-iters 0",
                                   "validate with an empty synthetic set",
-                                  "--labels with --labels-from-summary"])
+                                  "--labels with --labels-from-summary",
+                                  "infer --summary naming --out",
+                                  "validate --emit-history naming --out",
+                                  "evaluate --confusion-csv naming --out"])
 def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_path, capsys,
                                                                   case):
     path, text, argv, message = _refusals(workspace, tmp_path)[case]
@@ -1149,6 +1165,29 @@ def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_
     assert run_cli(*argv, "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("output", ["--out", "--summary"])
+@pytest.mark.parametrize("source", ["--docs", "--bundle"])
+def test_infer_refuses_an_output_naming_its_input_before_any_model_call_exit_2(
+        workspace, tmp_path, monkeypatch, capsys, source, output):
+    docs, bundle_file = tmp_path / "docs.jsonl", tmp_path / "a.orchb"
+    docs.write_bytes(workspace["docs"].read_bytes())
+    write_bundle(pack(refined_plan()), bundle_file)
+    inputs = {path: path.read_bytes() for path in (docs, bundle_file)}
+    monkeypatch.chdir(tmp_path)
+    paths = {"--docs": str(docs), "--bundle": str(bundle_file),
+             "--out": str(tmp_path / "p.jsonl"), "--summary": str(tmp_path / "s.json")}
+    paths[output] = Path(paths[source]).name  # relative: one file once resolved
+    calls = []
+    monkeypatch.setattr(Gateway, "complete", lambda gw, request: calls.append(request))
+    capsys.readouterr()
+    assert run_cli("infer", *(arg for flag, path in paths.items() for arg in (flag, path)),
+                   "--config", str(workspace["config"])) == 2
+    assert capsys.readouterr().err == (
+        f"error: infer: {source} and {output} name the same file, {paths[output]}\n")
+    assert {path: path.read_bytes() for path in inputs} == inputs
+    assert calls == [] and sorted(tmp_path.iterdir()) == sorted(inputs)
 
 
 # JSON nested far deeper than the decoder recurses, yet far under any size
