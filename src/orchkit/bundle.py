@@ -43,7 +43,6 @@ from .model import (
     SubtaskRun,
     SyntheticCase,
     ValidationReport,
-    case_shortfalls,
     validate_plan,
 )
 
@@ -169,10 +168,15 @@ def save_plan(plan: Plan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> Plan:
+    """The plan a plan file holds. Every failure raises ValueError naming the
+    file, a rule program that does not parse as `synthesis logic: …`."""
     def build(payload: object) -> Plan:
         if not isinstance(payload, dict) or payload.get("format") != _PLAN_FORMAT:
             raise ValueError(f"not a plan file (expected format {_PLAN_FORMAT})")
-        return plan_from_dict(payload["plan"])
+        try:
+            return plan_from_dict(payload["plan"])
+        except DslError as exc:
+            raise ValueError(f"synthesis logic: {exc}") from exc
 
     try:
         return read_json(path, build)
@@ -279,8 +283,9 @@ def unpack(data: bytes) -> ArtifactBundle:
     hashes, the format major version, and the digests written inside the
     bundle (the parsed rule program's, and the guideline's when its body
     rides along) all check out, and the bundle holds a plan `pack` would
-    write: one Plan accepts with a case per subtask (case_shortfalls), whose
-    prompts `pack`'s status rule accepts. Only pack and unpack check that rule.
+    write: one Plan accepts, with its rule program parsed once there and a
+    case per subtask (validate_plan), whose prompts `pack`'s status rule
+    accepts. Only pack and unpack check that rule.
     """
     try:
         text = data.decode("utf-8")
@@ -341,7 +346,7 @@ def unpack(data: bytes) -> ArtifactBundle:
         if not isinstance(allow_failed, bool):
             raise ValueError(f"meta.allow_failed: must be true or false, got {allow_failed!r}")
         _require_refined(plan, allow_failed)
-        if shortfalls := case_shortfalls(plan, DEFAULT_MIN_CASES):
+        if shortfalls := validate_plan(plan):
             raise ValueError("; ".join(shortfalls))
         if sha256_text(pretty(logic)) != s["logic"]["parsed_digest"]:
             raise BundleError("rule program does not match logic.parsed_digest")

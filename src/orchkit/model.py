@@ -25,10 +25,10 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, TypeVar
 
-from .errors import DslError
-
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .ruledsl import SynthesisLogic
 
 UNKNOWN = "unknown"
 
@@ -520,7 +520,7 @@ class Document(Record):
 # Plan
 # ---------------------------------------------------------------------------
 
-class Plan(Record):
+class Plan(Record, hidden=("logic",)):
     """Complete planning output: subtasks, prompts, synthesis logic source,
     label universe, synthetic test sets, and provenance.
 
@@ -529,7 +529,10 @@ class Plan(Record):
     by two subtasks, and synthetic sets are keyed by the plan's subtasks and
     hold only cases tagged for their set whose values a parsed reply could
     equal: FeatureSet.from_raw accepts them unchanged (optional fields may
-    be left out).
+    be left out). Then it parses the rule program against the plan's
+    schemas and labels, raising DslError if it does not parse, and keeps it
+    as `logic`, which ==, hash and repr leave out; a value given for it is
+    replaced. This is the one place a rule program is parsed.
 
     Provenance never contains document content; no planning operation
     accepts a Document, so the guarantee is structural.
@@ -541,6 +544,7 @@ class Plan(Record):
     labels: tuple[OutcomeLabel, ...]
     synthetic_sets: Mapping[str, tuple[SyntheticCase, ...]] = {}
     provenance: Mapping[str, object] = {}
+    logic: SynthesisLogic | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "subtasks", tuple(self.subtasks))
@@ -583,6 +587,10 @@ class Plan(Record):
                              f"expected {conformed[name]!r}")
         _nonempty_text(self.logic_source, "Plan.logic_source")
         _require(len(self.labels) >= 2, "Plan.labels", "needs at least two labels")
+        from . import ruledsl  # late import: ruledsl depends on this module
+
+        object.__setattr__(self, "logic", ruledsl.parse_logic(
+            self.logic_source, list(schemas.values()), self.labels))
 
     def prompt_for(self, subtask_id: str) -> PromptSpec:
         """The prompt of one of this plan's subtasks; KeyError for any other id."""
@@ -591,14 +599,9 @@ class Plan(Record):
                 return p
         raise KeyError(subtask_id)
 
-    def parsed_logic(self):
-        """Parse logic_source against this plan's schemas and labels."""
-        from . import ruledsl  # late import: ruledsl depends on this module
-
-        return ruledsl.parse_logic(
-            self.logic_source,
-            [s.output_schema for s in self.subtasks],
-            self.labels)
+    def parsed_logic(self) -> SynthesisLogic:
+        """The rule program, parsed when this plan was built."""
+        return self.logic
 
     def with_prompts(self, prompts: Sequence[PromptSpec]) -> "Plan":
         return replace(self, prompts=prompts)
@@ -607,23 +610,12 @@ class Plan(Record):
         return replace(self, synthetic_sets=sets)
 
 
-def case_shortfalls(plan: Plan, min_cases: int) -> list[str]:
-    """One message per subtask with fewer than `min_cases` synthetic cases."""
+def validate_plan(plan: Plan, *, min_cases: int = DEFAULT_MIN_CASES) -> list[str]:
+    """The case rule, over a plan whose structure, cases and rule program its
+    constructor already checked: one message per subtask with fewer than
+    `min_cases` synthetic cases. Empty means the plan is sound. Nothing is
+    raised: callers (plan, validate, pack, and unpack at the default of 1)
+    decide the cost.
+    """
     return [f"subtask {s.id!r} has {n} synthetic cases, minimum is {min_cases}"
             for s in plan.subtasks if (n := len(plan.synthetic_sets.get(s.id, ()))) < min_cases]
-
-
-def validate_plan(plan: Plan, *, min_cases: int = DEFAULT_MIN_CASES) -> list[str]:
-    """Policy over a plan whose structure and cases its constructor already
-    checked: every subtask has at least `min_cases` cases (case_shortfalls,
-    which unpack applies at 1), and the rule program parses.
-
-    Returns a list of violation messages; empty means the plan is sound.
-    Nothing is raised: callers (plan, validate, pack) decide the cost.
-    """
-    violations = case_shortfalls(plan, min_cases)
-    try:
-        plan.parsed_logic()
-    except DslError as exc:
-        violations.append(f"synthesis logic: {exc}")
-    return violations

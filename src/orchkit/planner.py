@@ -48,7 +48,7 @@ from .model import (
     record_fields,
 )
 from .parsing import extract_json_object, format_block
-from .ruledsl import parse_logic
+from .ruledsl import parse_logic  # noqa: F401 - bench/tracer.py wraps it by name
 
 _TEMPLATE_DIR = Path(__file__).parent / "templates"
 _REPLY_NUDGE = "Reply now with the JSON object only."
@@ -177,12 +177,10 @@ def _interpret_plan_reply(raw: str, task: TaskSpec, provenance: Mapping[str, obj
         subtasks.append(subtask)
         prompts.append(PromptSpec.draft(
             subtask.id, compose_system_prompt(task.task_description, entry["prompt"], schema)))
-    # The Plan checks the reply's structure; parse_logic static-checks the
-    # logic against the declared schemas and label set.
-    plan = Plan(subtasks=tuple(subtasks), prompts=tuple(prompts), logic_source=logic_source,
+    # The Plan checks the reply's structure, then parses the logic against
+    # the declared schemas and label set (DslError).
+    return Plan(subtasks=tuple(subtasks), prompts=tuple(prompts), logic_source=logic_source,
                 labels=task.preferences.output_labels, provenance=provenance)
-    parse_logic(logic_source, [s.output_schema for s in subtasks], plan.labels)
-    return plan
 
 
 def decompose(task: TaskSpec, gateway: Gateway, *,

@@ -570,8 +570,10 @@ def test_revalidate_checks_every_subtask_so_a_bundle_packed_without_a_set_exits_
 
 def test_each_command_parses_the_rule_program_as_often_as_before(workspace, tmp_path,
                                                                  monkeypatch):
-    # unpack checks a bundle's cases without a parse of its own; infer parses
-    # once to verify the bundle and once to run it, and revalidation not at all.
+    # A Plan parses its rule program when it is built, and nothing else does:
+    # plan builds the reply's plan and its copy with synthetic sets, validate
+    # the loaded plan and its copy with refined prompts; pack, unpack and
+    # infer each build one plan from a file, and revalidation builds none.
     from orchkit import planner, ruledsl
 
     parses = []
@@ -598,7 +600,7 @@ def test_each_command_parses_the_rule_program_as_often_as_before(workspace, tmp_
         before = len(parses)
         assert run() == 0
         counts[command] = len(parses) - before
-    assert counts == {"plan": 2, "validate": 1, "pack": 2, "unpack": 1, "infer": 2}
+    assert counts == {"plan": 2, "validate": 2, "pack": 1, "unpack": 1, "infer": 1}
 
 
 def _local_only(config, tmp_path):
@@ -1082,6 +1084,8 @@ def _refusals(ws, tmp):
     for path, plan in ((plan_file, refined_plan()), (sparse_file, sparse)):
         path.write_text(json.dumps({"format": "orchkit-plan/1", "plan": plan_to_dict(plan)}),
                         encoding="utf-8")
+    unparseable = plan_to_dict(refined_plan())
+    unparseable["logic_source"] = "when ghost == x -> Metastatic; default -> Resectable"
 
     def infer(config=ws["config"], documents=ws["docs"]):
         return ["infer", "--bundle", str(bundle_file), "--docs", str(documents),
@@ -1108,6 +1112,10 @@ def _refusals(ws, tmp):
             ["pack", "--plan", str(plan_file), "--config", str(cfg)],
             f"subtask 'distant_spread' has 3 {too_few}; "
             f"subtask 'vessel_involvement' has 3 {too_few}"),
+        "pack a rule program that does not parse": (
+            plan_file, json.dumps({"format": "orchkit-plan/1", "plan": unparseable}),
+            ["pack", "--plan", str(plan_file), "--config", str(ws["config"])],
+            f"{plan_file}: synthesis logic: unknown field 'ghost' (line 1, column 6)"),
         "--labels naming no label": (
             None, None, evaluate(ws["gt"], "--labels", " , "),
             "evaluate: --labels names no label"),
@@ -1147,7 +1155,9 @@ def _refusals(ws, tmp):
 
 @pytest.mark.parametrize("case", ["config line without '='", "local_http without an endpoint",
                                   "docs file with no document", "ground-truth row with one field",
-                                  "pack below min_synthetic_cases", "--labels naming no label",
+                                  "pack below min_synthetic_cases",
+                                  "pack a rule program that does not parse",
+                                  "--labels naming no label",
                                   "--labels empty", "--labels-from-summary empty",
                                   "--max-iters 0",
                                   "validate with an empty synthetic set",

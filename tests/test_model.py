@@ -8,6 +8,7 @@ import re
 import pytest
 
 from orchkit.bundle import plan_from_dict, plan_to_dict
+from orchkit.errors import DslError
 from orchkit.model import (
     UNKNOWN,
     Document,
@@ -213,12 +214,10 @@ def _brute_scan_referenced_fields(logic_source: str) -> set[str]:
 
 def test_validate_plan_undeclared_logic_field_matches_brute_oracle(plan):
     bad_logic = GOLDEN_LOGIC.replace("distant_metastasis ==", "tumor_sized ==")
-    broken = Plan(subtasks=plan.subtasks, prompts=plan.prompts,
-                  logic_source=bad_logic, labels=plan.labels,
-                  synthetic_sets=plan.synthetic_sets, provenance=plan.provenance)
-    violations = validate_plan(broken)
-    assert len(violations) == 1
-    assert "tumor_sized" in violations[0]
+    with pytest.raises(DslError, match="unknown field 'tumor_sized'"):
+        Plan(subtasks=plan.subtasks, prompts=plan.prompts,
+             logic_source=bad_logic, labels=plan.labels,
+             synthetic_sets=plan.synthetic_sets, provenance=plan.provenance)
 
     declared = {name for s in plan.subtasks for name in s.output_schema.field_names()}
     oracle_undeclared = _brute_scan_referenced_fields(bad_logic) - declared
