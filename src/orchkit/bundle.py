@@ -30,7 +30,16 @@ from pathlib import Path
 
 from .config import DEFAULT_MIN_CASES, RuntimeDefaults
 from .errors import BundleError, DslError
-from .jsonio import canonical_json, decode, digest, loads, read_json, sha256_text, write_json
+from .jsonio import (
+    canonical_json,
+    decode,
+    digest,
+    loads,
+    read_json,
+    sha256_text,
+    write_json,
+    write_whole,
+)
 from .model import (
     CaseResult,
     FeatureSchema,
@@ -365,7 +374,7 @@ def unpack(data: bytes) -> ArtifactBundle:
 
 
 def write_bundle(data: bytes, path: str | Path) -> None:
-    Path(path).write_bytes(data)
+    write_whole(path, data)
 
 
 def read_bundle(path: str | Path) -> ArtifactBundle:

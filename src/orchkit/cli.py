@@ -8,7 +8,8 @@ that guard (and any requested revalidation, over every subtask) has passed.
 Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
     0  success
     2  invalid input (missing/malformed files, a malformed replay-session
-       line, id mismatches, an output flag naming another flag's file):
+       line, id mismatches, an output flag naming another flag's file or a
+       document of infer's --docs directory):
        OrchError, OutputParseError, ValueError, OSError; a file's error
        names it, and a JSON-lines file's its line
     3  planner failure (unusable or repeatedly invalid plan replies, a bad
@@ -61,6 +62,19 @@ def _own_files(command: str, outputs: dict[str, str | None],
     for flag, path in outputs.items():
         if path and (other := named.setdefault(Path(path).resolve(), flag)) != flag:
             raise ValueError(f"{command}: {other} and {flag} name the same file, {path}")
+
+
+def _outside_documents(outputs: dict[str, str | None], docs: str, pattern: str) -> None:
+    """Refuse an output flag whose file `infer`'s --docs directory would read
+    as a document next time: a name matching the loader's `pattern` in that
+    directory, as given or once its links are followed."""
+    directory = Path(docs).resolve()
+    if not directory.is_dir():
+        return
+    for flag, path in outputs.items():
+        if path and any(entry.parent == directory and entry.match(pattern) for entry in
+                        (Path(path).parent.resolve() / Path(path).name, Path(path).resolve())):
+            raise ValueError(f"infer: --docs would read {flag} as a document, {path}")
 
 
 def _removing_first(path: str | None, items):
@@ -200,8 +214,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
                                   "over documents in this environment")
     if args.rounds is not None and (problem := setting_problem("rounds", args.rounds)):
         raise ValueError(f"infer: --rounds {problem}, got {args.rounds}")
-    _own_files("infer", {"--out": args.out, "--summary": args.summary},
-               {"--bundle": args.bundle, "--docs": args.docs})
+    outputs = {"--out": args.out, "--summary": args.summary}
+    _own_files("infer", outputs, {"--bundle": args.bundle, "--docs": args.docs})
+    _outside_documents(outputs, args.docs, executor.DOCUMENT_FILES)
     artifact = bundlemod.read_bundle(args.bundle)
     plan, runtime = artifact.to_plan(), artifact.runtime
     rounds = args.rounds if args.rounds is not None else runtime.rounds

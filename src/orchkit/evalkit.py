@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
-from .jsonio import read_jsonl, read_text, record_id
+from .jsonio import read_jsonl, read_text, record_id, write_whole
 from .model import Record
 
 INDETERMINATE = "indeterminate"
@@ -192,11 +192,12 @@ def load_labeled(path: str | Path, source: str | None = None) -> LabeledSet:
 
 
 def confusion_to_csv(report: EvalReport, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gt\\pred", *report.labels])
-        for lbl, row in zip(report.labels, report.matrix):
-            writer.writerow([lbl, *row])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["gt\\pred", *report.labels])
+    for lbl, row in zip(report.labels, report.matrix):
+        writer.writerow([lbl, *row])
+    write_whole(path, buffer.getvalue().encode("utf-8"))
 
 
 def render_table(reports: Sequence[EvalReport]) -> str:

@@ -39,6 +39,8 @@ from .ruledsl import SynthesisLogic, evaluate
 T = TypeVar("T")
 R = TypeVar("R")
 
+DOCUMENT_FILES = "*.txt"  # the files of a document directory that load_documents reads
+
 _REPAIR_NOTE = (
     "Your previous reply could not be parsed against the output contract. "
     "Respond again with only the JSON object, exactly as specified below.")
@@ -262,16 +264,16 @@ def run_documents(gateway: Gateway, plan: Plan, docs: Iterable[Document], *,
 # ---------------------------------------------------------------------------
 
 def load_documents(path: str | Path) -> list[Document]:
-    """Directory of *.txt files (id = stem) or a JSON-lines file with
+    """Directory of DOCUMENT_FILES (id = stem) or a JSON-lines file with
     {"id", "body", "format_tag"} per line. A document that is not valid
     raises ValueError naming its file, and a line its line; a line repeating
     an earlier line's id names the id too."""
     p = Path(path)
     if p.is_dir():
         docs = [read_text(f, lambda body: Document(id=f.stem, body=body))
-                for f in sorted(p.glob("*.txt"))]
+                for f in sorted(p.glob(DOCUMENT_FILES))]
         if not docs:
-            raise ValueError(f"no *.txt documents in {p}")
+            raise ValueError(f"no {DOCUMENT_FILES} documents in {p}")
         return docs
     seen: set[str] = set()
 

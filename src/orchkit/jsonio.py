@@ -13,6 +13,9 @@ files and digests, so these forms are the interface between them:
     sessions, predictions output, document and labeled-set inputs.
   * write_json -- indented, sorted keys, UTF-8, trailing newline. Plan
     files, validation history, inference summary, evaluation report.
+    Like every whole-file output (the bundle and the confusion CSV too),
+    it goes through write_whole: the file holds all of it or what it
+    held before.
     read_json reads one JSON document back: a plan file, the planning
     preferences or an inference summary.
   * read_text -- UTF-8 text: config, task, guideline, template, CSV and
@@ -32,6 +35,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 from collections.abc import Callable
 from pathlib import Path
 from typing import TypeVar
@@ -138,6 +143,40 @@ def read_json(path: str | Path, build: Callable[[object], T]) -> T:
     return _build(build, read_text(path), str(path))
 
 
+def write_whole(path: str | Path, data: bytes) -> None:
+    """Make `data` the whole of the file at `path`, or leave that file as it
+    was. The bytes go to a new file beside it, flushed and fsynced, which
+    then replaces it; on any failure the new file is removed. As with a
+    plain write, a symlink is written through, the file keeps an existing
+    file's permission bits (a new one gets 0o666 less the umask), and a
+    target that is not a regular file (/dev/null, a pipe) is written in place.
+    """
+    target = Path(os.path.realpath(path))
+    try:
+        mode = target.stat().st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        target.write_bytes(data)
+        return
+    staged = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named as a plain open names it
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            fh.write(data)
+            fh.flush()
+            os.fsync(fd)
+        os.replace(staged, target)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, value: object) -> None:
-    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
-                          + "\n", encoding="utf-8")
+    write_whole(path, (json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+                       + "\n").encode("utf-8"))

@@ -28,6 +28,7 @@ from conftest import (
     build_e2e_workspace,
     e2e_cloud_handler,
     fake_local_extractor,
+    fixture_documents,
     golden_plan,
     refined_plan,
 )
@@ -1198,6 +1199,65 @@ def test_infer_refuses_an_output_naming_its_input_before_any_model_call_exit_2(
         f"error: infer: {source} and {output} name the same file, {paths[output]}\n")
     assert {path: path.read_bytes() for path in inputs} == inputs
     assert calls == [] and sorted(tmp_path.iterdir()) == sorted(inputs)
+
+
+def _document_directory(tmp_path):
+    """The fixture documents as reports/d1.txt ... reports/d5.txt."""
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    for doc in fixture_documents():
+        (reports / f"{doc.id}.txt").write_text(doc.body, encoding="utf-8")
+    return reports
+
+
+@pytest.mark.parametrize("flag, path", [
+    ("--out", "reports/d5.txt"),
+    ("--summary", "reports/s.txt"),
+    ("--out", "reports/../reports/new.txt"),
+    ("--summary", "link"),  # a link to reports/linked.txt, not there yet
+    ("--out", "reports/link.txt"),  # a link to elsewhere.jsonl, read as a document
+], ids=["--out naming a document", "--summary naming a new .txt", "--out through ..",
+        "--summary through a link", "--out naming a link in the directory"])
+def test_infer_refuses_an_output_its_docs_directory_would_read_exit_2(
+        workspace, tmp_path, monkeypatch, capsys, flag, path):
+    reports = _document_directory(tmp_path)
+    (tmp_path / "link").symlink_to(reports / "linked.txt")
+    (tmp_path / "elsewhere.jsonl").write_text("", encoding="utf-8")
+    (reports / "link.txt").symlink_to(tmp_path / "elsewhere.jsonl")
+    bundle_file = tmp_path / "a.orchb"
+    write_bundle(pack(refined_plan()), bundle_file)
+    before = {f.name: f.read_bytes() for f in reports.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    paths = {"--out": "p.jsonl", "--summary": "s.json", flag: path}
+    calls = []
+    monkeypatch.setattr(Gateway, "complete", lambda gw, request: calls.append(request))
+    capsys.readouterr()
+    assert run_cli("infer", "--bundle", str(bundle_file), "--docs", "reports",
+                   *(arg for item in paths.items() for arg in item),
+                   "--config", str(workspace["config"])) == 2
+    assert capsys.readouterr().err == (
+        f"error: infer: --docs would read {flag} as a document, {path}\n")
+    assert {f.name: f.read_bytes() for f in reports.iterdir()} == before
+    assert calls == [] and not (tmp_path / "p.jsonl").exists()
+    assert (tmp_path / "elsewhere.jsonl").read_text(encoding="utf-8") == ""
+
+
+def test_infer_outputs_in_its_docs_directory_under_other_names_are_not_documents(
+        workspace, tmp_path):
+    reports = _document_directory(tmp_path)
+    plan_file, validated = tmp_path / "plan.json", tmp_path / "validated.json"
+    bundle_file = tmp_path / "a.orchb"
+    config = ["--config", str(workspace["config"])]
+    assert plan_cmd(workspace, plan_file) == 0
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated), *config) == 0
+    assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file), *config) == 0
+    for _ in range(2):  # the second run reads the first one's outputs' directory
+        assert run_cli("infer", "--bundle", str(bundle_file), "--docs", str(reports),
+                       "--out", str(reports / "p.jsonl"),
+                       "--summary", str(reports / "s.json"), *config) == 0
+        preds = (reports / "p.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["document_id"] for line in preds] == [
+            doc.id for doc in fixture_documents()]
 
 
 # JSON nested far deeper than the decoder recurses, yet far under any size
