@@ -222,15 +222,16 @@ def iter_documents(gateway: Gateway, plan: Plan, docs: Iterable[Document], *,
     document's prediction in input order once it and every earlier document
     are voted.
 
-    The gateway and rounds are checked, and the rule program parsed, before
-    any lane starts. `docs` is walked once, by iter_lanes, which takes a lane
-    per (document, round, subtask) only as a slot frees, at most workers x
-    rounds x subtasks running: a document is read when its first lane can
-    start, nothing the size of the corpus is built, and only results wait
-    behind a stalled document. Each prediction is built from the next rounds
-    x subtasks results, its document's own. Round r sends seed r, so a
-    round's reply cannot land in another round, and only identical documents
-    repeat a request. A lane's error is raised after the documents before it.
+    The gateway and rounds are checked before any lane starts; the rule
+    program is the one the plan parsed when it was built. `docs` is walked
+    once, by iter_lanes, which takes a lane per (document, round, subtask)
+    only as a slot frees, at most workers x rounds x subtasks running: a
+    document is read when its first lane can start, nothing the size of the
+    corpus is built, and only results wait behind a stalled document. Each
+    prediction is built from the next rounds x subtasks results, its
+    document's own. Round r sends seed r, so a round's reply cannot land in
+    another round, and only identical documents repeat a request. A lane's
+    error is raised after the documents before it.
     Prompts run whatever their status: only a bundle's reader gates it.
     """
     _require_local(gateway)
