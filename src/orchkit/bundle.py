@@ -355,7 +355,7 @@ def unpack(data: bytes) -> ArtifactBundle:
         if not isinstance(allow_failed, bool):
             raise ValueError(f"meta.allow_failed: must be true or false, got {allow_failed!r}")
         _require_refined(plan, allow_failed)
-        if shortfalls := validate_plan(plan):
+        if shortfalls := validate_plan(plan, min_cases=DEFAULT_MIN_CASES):
             raise ValueError("; ".join(shortfalls))
         if sha256_text(pretty(logic)) != s["logic"]["parsed_digest"]:
             raise BundleError("rule program does not match logic.parsed_digest")

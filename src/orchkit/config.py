@@ -15,7 +15,6 @@ operator's file that sets them. Every other module asks here.
     rounds = 5
     threshold = 0.80
     max_iters = 5
-    synthetic_cases_per_subtask = 10
     min_synthetic_cases = 1
     validation_repeats = 1
     workers = 1
@@ -30,13 +29,13 @@ ORCH_CLOUD_API_KEY, and ORCH_CONFIG names the config file when the CLI
 flag is absent. Scripted channels replace endpoint/model with
 `<channel>.session = <recorded session file>`.
 
-The values above are the defaults, each written once: here, or for the case
-count and its minimum in model, whose UserPrefs and validate_plan need them.
+The values above are the defaults, each written once, here. The case count
+per subtask is no config key but a preference, the prefs file's alone.
 setting_problem holds each numeric setting's type and range (every count,
 `min_synthetic_cases` too, is >= 1) for the file, a bundle's `runtime`
-section, a flag and a model request alike.
-Precedence is Config.preferences(data) at `plan`, Config.runtime() at `pack`
-and ProfileConfig.to_profile(channel, runtime) at `infer`.
+section, a flag and a model request alike. Config.preferences(data) checks
+the prefs file against the config at `plan`; precedence is Config.runtime()
+at `pack` and ProfileConfig.to_profile(channel, runtime) at `infer`.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .jsonio import read_text
-from .model import DEFAULT_MIN_CASES, Record, UserPrefs, record_fields
+from .model import Record, UserPrefs, record_fields
 
 if TYPE_CHECKING:
     from .gateway import BackendProfile
@@ -74,9 +73,9 @@ DEFAULT_ROUNDS = 5
 DEFAULT_THRESHOLD = 0.80
 DEFAULT_MAX_ITERS = 5
 
-# Synthetic cases per subtask (UserPrefs' default; the fewest a plan may hold
-# is validate_plan's), validation runs per case, and documents in flight.
-DEFAULT_CASES = UserPrefs.synthetic_cases_per_subtask
+# The fewest synthetic cases a plan's subtask may hold, validation runs per
+# case, and documents in flight.
+DEFAULT_MIN_CASES = 1
 DEFAULT_REPEATS = 1
 DEFAULT_WORKERS = 1
 
@@ -87,9 +86,8 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 # its range in words and as a test (which NaN fails).
 _COUNT = (int, ">= 1", lambda value: value >= 1)
 _RANGES = {
-    "rounds": _COUNT, "max_iters": _COUNT, "synthetic_cases_per_subtask": _COUNT,
-    "min_synthetic_cases": _COUNT, "validation_repeats": _COUNT, "workers": _COUNT,
-    "context": _COUNT,
+    "rounds": _COUNT, "max_iters": _COUNT, "min_synthetic_cases": _COUNT,
+    "validation_repeats": _COUNT, "workers": _COUNT, "context": _COUNT,
     "threshold": (float, "in (0, 1]", lambda value: 0 < value <= 1),
     "temperature": (float, "in [0, 2]", lambda value: 0 <= value <= 2),
 }
@@ -166,7 +164,6 @@ class Config(Record):
     rounds: int = DEFAULT_ROUNDS
     threshold: float = DEFAULT_THRESHOLD
     max_iters: int = DEFAULT_MAX_ITERS
-    synthetic_cases_per_subtask: int = DEFAULT_CASES
     min_synthetic_cases: int = DEFAULT_MIN_CASES
     validation_repeats: int = DEFAULT_REPEATS
     workers: int = DEFAULT_WORKERS
@@ -184,13 +181,18 @@ class Config(Record):
         return RuntimeDefaults(self.rounds, *self.local._settings(PHASE_LOCAL), self.threshold)
 
     def preferences(self, data: dict) -> UserPrefs:
-        """The planning preferences in a prefs file's JSON `data`: a case count it
-        omits is this config's, another key UserPrefs's; an unknown key is refused."""
-        prefs = {"output_labels": data["output_labels"],
-                 "synthetic_cases_per_subtask": self.synthetic_cases_per_subtask, **data}
-        if unknown := [key for key in prefs if key not in record_fields(UserPrefs)]:
+        """The planning preferences in a prefs file's JSON `data`, a key it omits
+        at UserPrefs's default. An unknown key is refused, and so is a case count
+        below this config's min_synthetic_cases, whose plan `validate` and `pack`
+        would refuse: `plan` stops before its first cloud call."""
+        fields = {"output_labels": data["output_labels"], **data}
+        if unknown := [key for key in fields if key not in record_fields(UserPrefs)]:
             raise ValueError(f"unknown key {unknown[0]!r}")
-        return UserPrefs(**prefs)
+        prefs = UserPrefs(**fields)
+        if (count := prefs.synthetic_cases_per_subtask) < self.min_synthetic_cases:
+            raise ValueError(f"synthetic_cases_per_subtask is {count}, below the config's "
+                             f"min_synthetic_cases of {self.min_synthetic_cases}")
+        return prefs
 
 
 def parse_config(text: str) -> Config:

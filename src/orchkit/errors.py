@@ -56,8 +56,7 @@ class PhaseViolationError(OrchError):
 # --- planner ---------------------------------------------------------------
 
 class PlannerError(OrchError):
-    """Planner reply stayed unusable or invalid after all repair round-trips,
-    or the planned artifact failed validation."""
+    """Planner reply stayed unusable or invalid after all repair round-trips."""
 
     exit_code = 3
 

@@ -36,7 +36,6 @@ FIELD_KINDS = ("categorical", "boolean", "text")
 PROMPT_STATUSES = ("draft", "refined", "failed")
 PARSE_STATUSES = ("ok", "repaired", "unparseable")
 FORMAT_TAGS = ("free_text", "structured", "other")
-DEFAULT_MIN_CASES = 1  # the fewest synthetic cases a plan's subtask may have; config reads it
 
 
 R = TypeVar("R", bound="Record")
@@ -333,8 +332,8 @@ def make_labels(names: Sequence[str]) -> tuple[OutcomeLabel, ...]:
 
 
 class UserPrefs(Record):
-    """User-side knobs: label universe, granularity, format notes. Its case
-    count's default is config's too (config.DEFAULT_CASES reads it here)."""
+    """User-side knobs, the prefs file's alone: label universe, granularity,
+    synthetic cases per subtask, format notes (read by Config.preferences)."""
 
     output_labels: tuple[OutcomeLabel, ...]
     max_subtasks: int = 6
@@ -610,12 +609,12 @@ class Plan(Record, hidden=("logic",)):
         return replace(self, synthetic_sets=sets)
 
 
-def validate_plan(plan: Plan, *, min_cases: int = DEFAULT_MIN_CASES) -> list[str]:
+def validate_plan(plan: Plan, *, min_cases: int) -> list[str]:
     """The case rule, over a plan whose structure, cases and rule program its
     constructor already checked: one message per subtask with fewer than
     `min_cases` synthetic cases. Empty means the plan is sound. Nothing is
-    raised: callers (plan, validate, pack, and unpack at the default of 1)
-    decide the cost.
+    raised: callers (validate and pack at the config's min_synthetic_cases,
+    unpack at config.DEFAULT_MIN_CASES) decide the cost.
     """
     return [f"subtask {s.id!r} has {n} synthetic cases, minimum is {min_cases}"
             for s in plan.subtasks if (n := len(plan.synthetic_sets.get(s.id, ()))) < min_cases]

@@ -23,7 +23,6 @@ import warnings
 from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 
-from .config import DEFAULT_CASES
 from .errors import (
     CoverageIncompleteWarning,
     CoverageUnreachableWarning,
@@ -45,6 +44,7 @@ from .model import (
     SubtaskRun,
     SyntheticCase,
     TaskSpec,
+    UserPrefs,
     record_fields,
 )
 from .parsing import extract_json_object, format_block
@@ -238,7 +238,7 @@ def _uncovered_values(subtask: Subtask, cases: Sequence[SyntheticCase]) -> list[
 
 
 def generate_synthetic(subtask: Subtask, guideline: str, gateway: Gateway, *,
-                       count: int = DEFAULT_CASES,
+                       count: int = UserPrefs.synthetic_cases_per_subtask,
                        templates: TemplateSet | None = None) -> list[SyntheticCase]:
     """Generate exactly `count` schema-conforming synthetic cases.
 

@@ -276,8 +276,7 @@ def build_e2e_workspace(root, *, rounds: int = 3, stuck: bool = False,
         f"cloud.kind = scripted\ncloud.session = {cloud_session}\n"
         f"cloud.model = scripted-cloud\n"
         f"local.kind = scripted\nlocal.session = {local_session}\n"
-        f"rounds = {rounds}\nthreshold = 0.8\nmax_iters = {max_iters}\n"
-        f"synthetic_cases_per_subtask = 3\n", encoding="utf-8")
+        f"rounds = {rounds}\nthreshold = 0.8\nmax_iters = {max_iters}\n", encoding="utf-8")
 
     # Record both sessions by replaying the exact CLI flow programmatically,
     # reading the inputs back from disk the way the CLI will.

@@ -57,26 +57,22 @@ def test_plan_command_writes_plan(workspace, tmp_path):
     assert all(len(v) == 3 for v in plan.synthetic_sets.values())
 
 
-def test_plan_case_count_from_config_unless_prefs_set_it(workspace, tmp_path):
-    # The recorded cloud session asks for 3 cases per subtask; another count
-    # would be an unseen request.
-    prefs = json.loads(workspace["prefs"].read_text(encoding="utf-8"))
-    assert prefs.pop("synthetic_cases_per_subtask") == 3
-    bare_prefs = tmp_path / "prefs.json"
-    bare_prefs.write_text(json.dumps(prefs), encoding="utf-8")
+def test_plan_refuses_a_config_setting_the_case_count_exit_2(workspace, tmp_path, monkeypatch,
+                                                              capsys):
+    """The case count is the prefs file's alone: a config line naming it is
+    an unknown key."""
+    config = tmp_path / "seven.cfg"
+    text = workspace["config"].read_text(encoding="utf-8")
+    config.write_text(text + "synthetic_cases_per_subtask = 7\n", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(Gateway, "complete", lambda gw, request: calls.append(request))
     out = tmp_path / "plan.json"
-    assert run_cli("plan", "--task", str(workspace["task"]),
-                   "--guideline", str(workspace["guideline"]),
-                   "--prefs", str(bare_prefs), "--out", str(out),
-                   "--config", str(workspace["config"]), "--deterministic") == 0
-    assert all(len(v) == 3 for v in load_plan(out).synthetic_sets.values())
-
-    other_count = tmp_path / "seven.cfg"
-    other_count.write_text(workspace["config"].read_text(encoding="utf-8")
-                           + "synthetic_cases_per_subtask = 7\n", encoding="utf-8")
-    out = tmp_path / "plan-prefs.json"
-    assert plan_cmd({**workspace, "config": other_count}, out) == 0
-    assert all(len(v) == 3 for v in load_plan(out).synthetic_sets.values())
+    capsys.readouterr()
+    assert plan_cmd({**workspace, "config": config}, out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: config line {len(text.splitlines()) + 1}: "
+        "unknown key 'synthetic_cases_per_subtask'\n")
+    assert calls == [] and not out.exists()
 
 
 def test_plan_refuses_an_unknown_prefs_key_exit_2(workspace, tmp_path, capsys):
@@ -128,8 +124,8 @@ def test_plan_scripted_failure_is_exit_3(workspace, tmp_path):
     config.write_text(
         f"cloud.kind = scripted\ncloud.session = {bad_session}\n"
         f"cloud.model = scripted-cloud\n"
-        f"local.kind = scripted\nlocal.session = {workspace['local_session']}\n"
-        "synthetic_cases_per_subtask = 3\n", encoding="utf-8")
+        f"local.kind = scripted\nlocal.session = {workspace['local_session']}\n",
+        encoding="utf-8")
     code = run_cli("plan", "--task", str(workspace["task"]),
                    "--guideline", str(workspace["guideline"]),
                    "--prefs", str(workspace["prefs"]),
@@ -138,20 +134,22 @@ def test_plan_scripted_failure_is_exit_3(workspace, tmp_path):
     assert code == 3
 
 
-def test_plan_failing_validation_exits_3_and_writes_no_plan(workspace, tmp_path, capsys):
+def test_plan_prefs_below_min_synthetic_cases_exits_2_before_any_cloud_call(
+        workspace, tmp_path, monkeypatch, capsys):
+    """Every subtask gets exactly the prefs file's count, so a count below the
+    config's floor is refused where the two meet, not after the plan is built."""
     config = tmp_path / "strict.cfg"
     config.write_text(workspace["config"].read_text(encoding="utf-8")
                       + "min_synthetic_cases = 50\n", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(Gateway, "complete", lambda gw, request: calls.append(request))
     out = tmp_path / "plan.json"
     capsys.readouterr()
-    assert run_cli("plan", "--task", str(workspace["task"]),
-                   "--guideline", str(workspace["guideline"]),
-                   "--prefs", str(workspace["prefs"]), "--out", str(out),
-                   "--config", str(config), "--deterministic") == 3
-    err = capsys.readouterr().err
-    assert ("planned artifact failed validation: subtask 'distant_spread' has 3 synthetic "
-            "cases, minimum is 50") in err
-    assert not out.exists()
+    assert plan_cmd({**workspace, "config": config}, out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {workspace['prefs']}: synthetic_cases_per_subtask is 3, below the config's "
+        "min_synthetic_cases of 50\n")
+    assert calls == [] and not out.exists()
 
 
 MALFORMED_FIELDS = {

@@ -20,7 +20,6 @@ def test_defaults():
     assert config.rounds == 5
     assert config.threshold == 0.80
     assert config.max_iters == 5
-    assert config.synthetic_cases_per_subtask == 10
     assert config.validation_repeats == 1
     assert config.workers == 1
 
@@ -75,15 +74,37 @@ def test_invariants_rejected():
         parse_config("local.kind = scripted\nlocal.session = s.jsonl\nlocal.context = 0\n")
 
 
-@pytest.mark.parametrize("text, message", [
-    ("synthetic_cases_per_subtask = 0\n",
-     "config: synthetic_cases_per_subtask must be >= 1, got 0"),
-    ("min_synthetic_cases = 0\n", "config: min_synthetic_cases must be >= 1, got 0"),
-], ids=["synthetic_cases_per_subtask", "min_synthetic_cases"])
-def test_case_counts_bounded_at_load(text, message):
+def test_case_floor_bounded_at_load():
     with pytest.raises(ValueError) as err:
-        parse_config(text)
-    assert str(err.value) == message
+        parse_config("min_synthetic_cases = 0\n")
+    assert str(err.value) == "config: min_synthetic_cases must be >= 1, got 0"
+
+
+def test_the_case_count_is_no_config_key():
+    with pytest.raises(ValueError) as err:
+        parse_config("rounds = 3\nsynthetic_cases_per_subtask = 7\n")
+    assert str(err.value) == "config line 2: unknown key 'synthetic_cases_per_subtask'"
+
+
+@pytest.mark.parametrize("config", [
+    Config(), Config(min_synthetic_cases=10), Config(rounds=2, max_iters=9),
+    parse_config("min_synthetic_cases = 4\nvalidation_repeats = 3\n"),
+], ids=["default", "floor at the count", "other settings", "parsed"])
+def test_a_prefs_file_without_a_case_count_gets_userprefs_default(config):
+    prefs = config.preferences({"output_labels": ["low", "high"]})
+    assert prefs.synthetic_cases_per_subtask == 10
+    assert config.preferences({"output_labels": ["low", "high"],
+                               "synthetic_cases_per_subtask": 12}).synthetic_cases_per_subtask == 12
+
+
+def test_a_prefs_case_count_below_the_configs_floor_is_refused():
+    assert Config(min_synthetic_cases=3).preferences(
+        {"output_labels": ["low", "high"], "synthetic_cases_per_subtask": 3}
+    ).synthetic_cases_per_subtask == 3
+    with pytest.raises(ValueError) as err:
+        Config(min_synthetic_cases=11).preferences({"output_labels": ["low", "high"]})
+    assert str(err.value) == ("synthetic_cases_per_subtask is 10, below the config's "
+                              "min_synthetic_cases of 11")
 
 
 def test_a_config_allowing_an_empty_synthetic_set_is_refused_naming_its_file(tmp_path):

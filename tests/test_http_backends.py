@@ -623,8 +623,7 @@ def test_no_socket_outlives_its_command(tmp_path, monkeypatch):
     with (_model_server(monkeypatch, e2e_cloud_handler) as cloud,
           _model_server(monkeypatch, _refined_only) as local):
         channels = {"local.kind": "local_http", "local.endpoint": local.base,
-                    "local.model": "small-extractor", "rounds": 3, "threshold": 0.8,
-                    "synthetic_cases_per_subtask": 3}
+                    "local.model": "small-extractor", "rounds": 3, "threshold": 0.8}
         connected = _write_config(tmp_path / "connected.cfg", **{
             "cloud.kind": "cloud_http", "cloud.endpoint": f"{cloud.base}/v1",
             "cloud.model": "big-planner", **channels})

@@ -170,7 +170,7 @@ def test_merge_schemas_first_wins():
 # --- validate_plan ---------------------------------------------------------------
 
 def test_validate_plan_golden_is_clean(plan):
-    assert validate_plan(plan) == []
+    assert validate_plan(plan, min_cases=1) == []
 
 
 def test_validate_plan_dangling_case_reference(plan):

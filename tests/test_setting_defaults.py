@@ -1,10 +1,9 @@
-"""Each run setting's default is written in one place.
+"""Each run setting's default is written in one place, config.
 
-config holds the defaults, but for the two that model writes for its own
-UserPrefs and validate_plan and config reads. Every function that takes a
-run setting as a keyword, and every record that carries one, must default
-it to that one value: a literal written again, and later changed in one
-place only, fails here.
+Every function that takes a run setting as a keyword, and every record that
+carries one, must default it to that one value: a literal written again,
+and later changed in one place only, fails here. The synthetic-case count
+is a preference, not a run setting: its default is UserPrefs's.
 """
 
 from __future__ import annotations
@@ -24,13 +23,11 @@ KEYWORDS = [
     (validator.run_refinement_loops, "repeats", config.DEFAULT_REPEATS),
     (validator.run_refinement_loop, "repeats", config.DEFAULT_REPEATS),
     (bundle.pack, "min_cases", config.DEFAULT_MIN_CASES),
-    (model.validate_plan, "min_cases", config.DEFAULT_MIN_CASES),
-    (planner.generate_synthetic, "count", config.DEFAULT_CASES),
+    (planner.generate_synthetic, "count", model.UserPrefs.synthetic_cases_per_subtask),
 ]
 
 # (Config field, the constant it defaults to)
 CONFIG_FIELDS = [
-    ("synthetic_cases_per_subtask", config.DEFAULT_CASES),
     ("min_synthetic_cases", config.DEFAULT_MIN_CASES),
     ("validation_repeats", config.DEFAULT_REPEATS),
     ("workers", config.DEFAULT_WORKERS),
@@ -51,11 +48,11 @@ def test_a_config_default_is_configs(field, constant):
     assert getattr(config.Config(), field) == constant
 
 
-def test_model_writes_the_two_defaults_config_reads():
-    assert config.DEFAULT_CASES == model.UserPrefs.synthetic_cases_per_subtask
-    assert config.DEFAULT_MIN_CASES is model.DEFAULT_MIN_CASES
-    prefs = model.UserPrefs(output_labels=("low", "high"))
-    assert prefs.synthetic_cases_per_subtask == config.DEFAULT_CASES
+def test_model_writes_no_run_setting_default():
+    # validate_plan's floor is its caller's: the config's, or unpack's default.
+    assert not hasattr(model, "DEFAULT_MIN_CASES") and not hasattr(config, "DEFAULT_CASES")
+    min_cases = inspect.signature(model.validate_plan).parameters["min_cases"]
+    assert min_cases.kind is min_cases.KEYWORD_ONLY and min_cases.default is min_cases.empty
 
 
 def test_the_documented_defaults_are_configs():
