@@ -10,10 +10,10 @@ Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
     2  invalid input (missing/malformed files, a malformed replay-session
        line, id mismatches, an output flag naming another flag's file or a
        document of infer's --docs directory):
-       OrchError, OutputParseError, ValueError, OSError; a file's error
-       names it, and a JSON-lines file's its line
-    3  planner failure (unusable or repeatedly invalid plan replies, a bad
-       rule program): PlannerError, DslError
+       OrchError, OutputParseError, DslError, ValueError, OSError; a
+       file's error names it, and a JSON-lines file's its line
+    3  planner failure (unusable or repeatedly invalid plan replies):
+       PlannerError
     4  failed model call (transport failure, malformed reply or completion
        text that is not a string, truncation, empty reply, unrecorded
        replay request): ModelCallError, TransportError, UnseenRequestError
@@ -54,11 +54,11 @@ def _fail(code: int, message: str) -> int:
 
 
 def _own_files(command: str, outputs: dict[str, str | None],
-               inputs: dict[str, str] | None = None) -> None:
+               inputs: dict[str, str | None]) -> None:
     """Refuse an output flag that names, once resolved, the file of another
     output flag or of an input flag: one write would replace the other, or
-    truncate a file the command reads."""
-    named = {Path(path).resolve(): flag for flag, path in (inputs or {}).items()}
+    replace a file the command reads."""
+    named = {Path(path).resolve(): flag for flag, path in inputs.items() if path}
     for flag, path in outputs.items():
         if path and (other := named.setdefault(Path(path).resolve(), flag)) != flag:
             raise ValueError(f"{command}: {other} and {flag} name the same file, {path}")
@@ -125,7 +125,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from . import bundle as bundlemod
     from . import planner, validator
 
-    _own_files("validate", {"--out": args.out, "--emit-history": args.emit_history})
+    _own_files("validate", {"--out": args.out, "--emit-history": args.emit_history},
+               {"--plan": args.plan})
     config = load_config(args.config)
     max_iters = config.max_iters if args.max_iters is None else args.max_iters
     if problem := setting_problem("max_iters", max_iters):  # only the flag can be out of range
@@ -166,6 +167,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     new_prompts = [outcome.prompt for outcome in outcomes]
     any_failed = any(prompt.status == "failed" for prompt in new_prompts)
     refined_plan = plan.with_prompts(new_prompts)
+    if args.emit_history:  # gone before --out is replaced: no pair from two runs
+        Path(args.emit_history).unlink(missing_ok=True)
     bundlemod.save_plan(refined_plan, args.out)
     if args.emit_history:
         write_json(args.emit_history, histories)
@@ -263,7 +266,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if args.labels is not None and args.labels_from_summary is not None:
         raise ValueError("evaluate: give --labels or --labels-from-summary, not both")
-    _own_files("evaluate", {"--out": args.out, "--confusion-csv": args.confusion_csv})
+    _own_files("evaluate", {"--out": args.out, "--confusion-csv": args.confusion_csv},
+               {"--pred": args.pred, "--gt": args.gt,
+                "--labels-from-summary": args.labels_from_summary})
     pred = evalkit.load_labeled(args.pred, source="system")
     gt = evalkit.load_labeled(args.gt, source="gt")
     labels = None
@@ -283,6 +288,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
           f"({report.n_scored} scored = {report.n_total} total "
           f"- {report.n_excluded} indeterminate)")
     if args.out:
+        if args.confusion_csv:  # gone before --out is replaced: no pair from two runs
+            Path(args.confusion_csv).unlink(missing_ok=True)
         write_json(args.out, report.to_dict())
     if args.confusion_csv:
         evalkit.confusion_to_csv(report, args.confusion_csv)

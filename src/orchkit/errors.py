@@ -74,8 +74,6 @@ class CoverageIncompleteWarning(UserWarning):
 class DslError(OrchError):
     """Synthesis-logic parse or check failure, with its source position when known."""
 
-    exit_code = 3
-
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         if line is not None:
             message = f"{message} (line {line}, column {column})"

@@ -210,7 +210,7 @@ EXIT_CODES = [
     (errors.TransportError("down"), 4),
     (errors.UnseenRequestError("not recorded"), 4),
     (errors.PlannerError("reply unusable"), 3),
-    (errors.DslError("unknown field 'x'", 1, 6), 3),
+    (errors.DslError("unknown field 'x'", 1, 6), 2),
     (errors.OutputParseError("no JSON"), 2),
     (errors.OrchError("bad input"), 2),
     (ValueError("bad value"), 2),
@@ -284,6 +284,51 @@ def test_validate_pack_infer_evaluate_chain(workspace, tmp_path, capsys):
     assert len(rows) == 5
     out = capsys.readouterr().out
     assert "75.00%" in out
+
+
+def test_validate_refuses_to_replace_its_plan_exit_2(workspace, tmp_path, monkeypatch, capsys):
+    plan_file = tmp_path / "plan.json"
+    assert plan_cmd(workspace, plan_file) == 0
+    before = plan_file.read_bytes()
+    calls = []
+    monkeypatch.setattr(Gateway, "complete", lambda gw, request: calls.append(request))
+    capsys.readouterr()
+    assert run_cli("validate", "--plan", str(plan_file), "--out", f"{tmp_path}/./plan.json",
+                   "--config", str(workspace["config"])) == 2
+    assert capsys.readouterr().err == (
+        f"error: validate: --plan and --out name the same file, {tmp_path}/./plan.json\n")
+    assert calls == [] and plan_file.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_a_failed_second_write_leaves_no_second_file_of_the_previous_run(
+        workspace, tmp_path, monkeypatch, command):
+    """validate writes --out, then --emit-history; evaluate writes --out, then
+    --confusion-csv. A run that fails between the two leaves its own first
+    file and no second one, never a pair from two runs."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    if command == "validate":
+        plan_file = tmp_path / "plan.json"
+        assert plan_cmd(workspace, plan_file) == 0
+        argv = ["validate", "--plan", str(plan_file), "--config", str(workspace["config"]),
+                "--out", str(first), "--emit-history", str(second)]
+        target, name = cli, "write_json"
+    else:
+        argv = ["evaluate", "--pred", str(workspace["gt"]), "--gt", str(workspace["gt"]),
+                "--out", str(first), "--confusion-csv", str(second)]
+        from orchkit import evalkit
+        target, name = evalkit, "confusion_to_csv"
+    assert run_cli(*argv) == 0
+    assert second.exists()
+    first.write_text("the previous run's", encoding="utf-8")
+
+    def failing(path, *_args):
+        raise OSError(f"{path}: no space left on device")
+
+    monkeypatch.setattr(target, name, failing)
+    assert run_cli(*argv) == 2
+    assert first.read_text(encoding="utf-8") != "the previous run's"
+    assert not second.exists()
 
 
 def test_pack_rejects_draft_plan_exit_2(workspace, tmp_path):
@@ -1149,6 +1194,24 @@ def _refusals(ws, tmp):
         "evaluate --confusion-csv naming --out": (
             None, None, evaluate(ws["gt"], "--confusion-csv", str(tmp / "out")),
             f"evaluate: --out and --confusion-csv name the same file, {tmp / 'out'}"),
+        # An output naming an input: the write would replace what was read.
+        "validate --emit-history naming --plan": (
+            None, None, ["validate", "--plan", str(plan_file), "--config", str(ws["config"]),
+                         "--emit-history", str(plan_file)],
+            f"validate: --plan and --emit-history name the same file, {plan_file}"),
+        "evaluate --confusion-csv naming --pred": (
+            gt, ws["gt"].read_text(encoding="utf-8"),
+            evaluate(gt, "--confusion-csv", str(ws["gt"])),
+            f"evaluate: --pred and --confusion-csv name the same file, {ws['gt']}"),
+        "evaluate --confusion-csv naming --gt": (
+            gt, ws["gt"].read_text(encoding="utf-8"), evaluate(gt, "--confusion-csv", str(gt)),
+            f"evaluate: --gt and --confusion-csv name the same file, {gt}"),
+        "evaluate --confusion-csv naming --labels-from-summary": (
+            summary, json.dumps({"label_order": list(LABEL_NAMES)}),
+            evaluate(ws["gt"], "--labels-from-summary", str(summary),
+                     "--confusion-csv", str(summary)),
+            "evaluate: --labels-from-summary and --confusion-csv name the same file, "
+            f"{summary}"),
     }
 
 
@@ -1163,7 +1226,11 @@ def _refusals(ws, tmp):
                                   "--labels with --labels-from-summary",
                                   "infer --summary naming --out",
                                   "validate --emit-history naming --out",
-                                  "evaluate --confusion-csv naming --out"])
+                                  "evaluate --confusion-csv naming --out",
+                                  "validate --emit-history naming --plan",
+                                  "evaluate --confusion-csv naming --pred",
+                                  "evaluate --confusion-csv naming --gt",
+                                  "evaluate --confusion-csv naming --labels-from-summary"])
 def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_path, capsys,
                                                                   case):
     path, text, argv, message = _refusals(workspace, tmp_path)[case]
@@ -1174,6 +1241,8 @@ def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_
     assert run_cli(*argv, "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+    if path is not None:
+        assert path.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("output", ["--out", "--summary"])

@@ -11,6 +11,7 @@ from orchkit.bundle import pack, read_bundle, write_bundle
 from orchkit.cli import main
 from orchkit.config import Config, load_config, parse_config
 from orchkit.gateway import Gateway
+from orchkit.model import record_fields
 
 from conftest import refined_plan
 
@@ -86,23 +87,24 @@ def test_the_case_count_is_no_config_key():
     assert str(err.value) == "config line 2: unknown key 'synthetic_cases_per_subtask'"
 
 
-@pytest.mark.parametrize("config", [
-    Config(), Config(min_synthetic_cases=10), Config(rounds=2, max_iters=9),
-    parse_config("min_synthetic_cases = 4\nvalidation_repeats = 3\n"),
-], ids=["default", "floor at the count", "other settings", "parsed"])
-def test_a_prefs_file_without_a_case_count_gets_userprefs_default(config):
-    prefs = config.preferences({"output_labels": ["low", "high"]})
-    assert prefs.synthetic_cases_per_subtask == 10
-    assert config.preferences({"output_labels": ["low", "high"],
-                               "synthetic_cases_per_subtask": 12}).synthetic_cases_per_subtask == 12
+LABELS = {"output_labels": ["low", "high"]}
+
+
+@pytest.mark.parametrize("count", [1, 3, 7, 10])
+def test_a_prefs_file_without_a_case_count_gets_userprefs_default(count):
+    # Every count the config has, at `count`: none of them is the case count.
+    config = Config(**{name: count for name in record_fields(Config)
+                       if isinstance(getattr(Config(), name), int)})
+    assert config.preferences(LABELS).synthetic_cases_per_subtask == 10
+    prefs = config.preferences({**LABELS, "synthetic_cases_per_subtask": 12})
+    assert prefs.synthetic_cases_per_subtask == 12
 
 
 def test_a_prefs_case_count_below_the_configs_floor_is_refused():
-    assert Config(min_synthetic_cases=3).preferences(
-        {"output_labels": ["low", "high"], "synthetic_cases_per_subtask": 3}
-    ).synthetic_cases_per_subtask == 3
+    prefs = Config(min_synthetic_cases=3).preferences({**LABELS, "synthetic_cases_per_subtask": 3})
+    assert prefs.synthetic_cases_per_subtask == 3
     with pytest.raises(ValueError) as err:
-        Config(min_synthetic_cases=11).preferences({"output_labels": ["low", "high"]})
+        Config(min_synthetic_cases=11).preferences(LABELS)
     assert str(err.value) == ("synthetic_cases_per_subtask is 10, below the config's "
                               "min_synthetic_cases of 11")
 
