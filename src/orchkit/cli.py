@@ -53,27 +53,33 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _own_files(command: str, outputs: dict[str, str | None],
-               inputs: dict[str, str | None]) -> None:
-    """Refuse an output flag that names, once resolved, the file of another
-    output flag or of an input flag: one write would replace the other, or
-    replace a file the command reads."""
-    named = {Path(path).resolve(): flag for flag, path in inputs.items() if path}
-    for flag, path in outputs.items():
-        if path and (other := named.setdefault(Path(path).resolve(), flag)) != flag:
-            raise ValueError(f"{command}: {other} and {flag} name the same file, {path}")
+def _files(args: argparse.Namespace, flags: tuple[str, ...]):
+    """(flag, path) for each of `flags` that names a file."""
+    for flag in flags:
+        if path := getattr(args, flag[2:].replace("-", "_")):
+            yield flag, path
 
 
-def _outside_documents(outputs: dict[str, str | None], docs: str, pattern: str) -> None:
+def _own_files(args: argparse.Namespace) -> None:
+    """Refuse an output flag (in `writes`) that names, once resolved, the
+    file of an earlier output flag or of an input flag (in `reads`): one
+    write would replace the other, or replace a file the command reads."""
+    named = {Path(path).resolve(): flag for flag, path in _files(args, args.reads)}
+    for flag, path in _files(args, args.writes):
+        if (other := named.setdefault(Path(path).resolve(), flag)) != flag:
+            raise ValueError(f"{args.command}: {other} and {flag} name the same file, {path}")
+
+
+def _outside_documents(args: argparse.Namespace, pattern: str) -> None:
     """Refuse an output flag whose file `infer`'s --docs directory would read
     as a document next time: a name matching the loader's `pattern` in that
     directory, as given or once its links are followed."""
-    directory = Path(docs).resolve()
+    directory = Path(args.docs).resolve()
     if not directory.is_dir():
         return
-    for flag, path in outputs.items():
-        if path and any(entry.parent == directory and entry.match(pattern) for entry in
-                        (Path(path).parent.resolve() / Path(path).name, Path(path).resolve())):
+    for flag, path in _files(args, args.writes):
+        if any(entry.parent == directory and entry.match(pattern) for entry in
+               (Path(path).parent.resolve() / Path(path).name, Path(path).resolve())):
             raise ValueError(f"infer: --docs would read {flag} as a document, {path}")
 
 
@@ -125,8 +131,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from . import bundle as bundlemod
     from . import planner, validator
 
-    _own_files("validate", {"--out": args.out, "--emit-history": args.emit_history},
-               {"--plan": args.plan})
     config = load_config(args.config)
     max_iters = config.max_iters if args.max_iters is None else args.max_iters
     if problem := setting_problem("max_iters", max_iters):  # only the flag can be out of range
@@ -215,9 +219,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
                                   "over documents in this environment")
     if args.rounds is not None and (problem := setting_problem("rounds", args.rounds)):
         raise ValueError(f"infer: --rounds {problem}, got {args.rounds}")
-    outputs = {"--out": args.out, "--summary": args.summary}
-    _own_files("infer", outputs, {"--bundle": args.bundle, "--docs": args.docs})
-    _outside_documents(outputs, args.docs, executor.DOCUMENT_FILES)
+    _outside_documents(args, executor.DOCUMENT_FILES)
     artifact = bundlemod.read_bundle(args.bundle)
     plan, runtime = artifact.to_plan(), artifact.runtime
     rounds = args.rounds if args.rounds is not None else runtime.rounds
@@ -266,9 +268,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if args.labels is not None and args.labels_from_summary is not None:
         raise ValueError("evaluate: give --labels or --labels-from-summary, not both")
-    _own_files("evaluate", {"--out": args.out, "--confusion-csv": args.confusion_csv},
-               {"--pred": args.pred, "--gt": args.gt,
-                "--labels-from-summary": args.labels_from_summary})
     pred = evalkit.load_labeled(args.pred, source="system")
     gt = evalkit.load_labeled(args.gt, source="gt")
     labels = None
@@ -315,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--deterministic", action="store_true",
                    help="suppress timestamps for reproducible output")
-    p.set_defaults(func=cmd_plan)
+    p.set_defaults(func=cmd_plan, reads=("--task", "--guideline", "--prefs", "--config"),
+                   writes=("--out",))
 
     p = sub.add_parser("validate", help="run the refinement loop over every prompt")
     p.add_argument("--plan", required=True)
@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--emit-history", default=None, help="write full validation history JSON")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, reads=("--plan", "--config"),
+                   writes=("--out", "--emit-history"))
 
     p = sub.add_parser("pack", help="serialize a validated plan into an .orchb bundle")
     p.add_argument("--plan", required=True)
@@ -334,12 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-guideline", default=None,
                    help="embed this guideline file (default: digest only)")
     p.add_argument("--deterministic", action="store_true")
-    p.set_defaults(func=cmd_pack)
+    p.set_defaults(func=cmd_pack, reads=("--plan", "--include-guideline", "--config"),
+                   writes=("--out",))
 
     p = sub.add_parser("unpack", help="verify a bundle and extract the plan")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_unpack)
+    p.set_defaults(func=cmd_unpack, reads=("--bundle",), writes=("--out",))
 
     p = sub.add_parser("infer", help="run the bundle over documents (local phase)")
     p.add_argument("--bundle", required=True)
@@ -354,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bypass the cloud-profile guard for scripted backends")
     p.add_argument("--config", default=None)
     p.add_argument("--deterministic", action="store_true")
-    p.set_defaults(func=cmd_infer)
+    p.set_defaults(func=cmd_infer, reads=("--bundle", "--docs", "--config"),
+                   writes=("--out", "--summary"))
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
     p.add_argument("--pred", required=True,
@@ -368,13 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="read label order from an infer summary JSON")
     p.add_argument("--out", default=None, help="write report JSON here")
     p.add_argument("--confusion-csv", default=None)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, reads=("--pred", "--gt", "--labels-from-summary"),
+                   writes=("--out", "--confusion-csv"))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _own_files(args)
         return args.func(args)
     except OrchError as exc:
         return _fail(exc.exit_code, str(exc))

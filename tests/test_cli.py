@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -1212,6 +1213,36 @@ def _refusals(ws, tmp):
                      "--confusion-csv", str(summary)),
             "evaluate: --labels-from-summary and --confusion-csv name the same file, "
             f"{summary}"),
+        # --out named by the row itself, not by the test's trailing --out.
+        "plan --out naming --prefs": (
+            tmp / "prefs.json", ws["prefs"].read_text(encoding="utf-8"),
+            ["plan", "--task", str(ws["task"]), "--guideline", str(ws["guideline"]),
+             "--prefs", str(tmp / "prefs.json"), "--config", str(ws["config"]),
+             "--out", str(tmp / "prefs.json")],
+            f"plan: --prefs and --out name the same file, {tmp / 'prefs.json'}"),
+        "pack --out naming --plan": (
+            plan_file, plan_file.read_text(encoding="utf-8"),
+            ["pack", "--plan", str(plan_file), "--config", str(ws["config"]),
+             "--out", str(plan_file)],
+            f"pack: --plan and --out name the same file, {plan_file}"),
+        "unpack --out naming --bundle": (
+            bundle_file, bundle_file.read_text(encoding="utf-8"),
+            ["unpack", "--bundle", str(bundle_file), "--out", str(bundle_file)],
+            f"unpack: --bundle and --out name the same file, {bundle_file}"),
+        "pack --out naming --include-guideline": (
+            tmp / "guideline.txt", ws["guideline"].read_text(encoding="utf-8"),
+            ["pack", "--plan", str(plan_file), "--config", str(ws["config"]),
+             "--include-guideline", str(tmp / "guideline.txt"),
+             "--out", str(tmp / "guideline.txt")],
+            f"pack: --include-guideline and --out name the same file, {tmp / 'guideline.txt'}"),
+        "validate --out naming --config": (
+            cfg, ws["config"].read_text(encoding="utf-8"),
+            ["validate", "--plan", str(plan_file), "--config", str(cfg), "--out", str(cfg)],
+            f"validate: --config and --out name the same file, {cfg}"),
+        "infer --summary naming --config": (
+            cfg, ws["config"].read_text(encoding="utf-8"),
+            [*infer(config=cfg), "--summary", str(cfg)],
+            f"infer: --config and --summary name the same file, {cfg}"),
     }
 
 
@@ -1230,19 +1261,41 @@ def _refusals(ws, tmp):
                                   "validate --emit-history naming --plan",
                                   "evaluate --confusion-csv naming --pred",
                                   "evaluate --confusion-csv naming --gt",
-                                  "evaluate --confusion-csv naming --labels-from-summary"])
+                                  "evaluate --confusion-csv naming --labels-from-summary",
+                                  "plan --out naming --prefs", "pack --out naming --plan",
+                                  "unpack --out naming --bundle",
+                                  "pack --out naming --include-guideline",
+                                  "validate --out naming --config",
+                                  "infer --summary naming --config"])
 def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_path, capsys,
                                                                   case):
     path, text, argv, message = _refusals(workspace, tmp_path)[case]
     if path is not None:
         path.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
+    if "--out" not in argv:
+        argv = [*argv, "--out", str(out)]
     capsys.readouterr()
-    assert run_cli(*argv, "--out", str(out)) == 2
+    assert run_cli(*argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
     if path is not None:
         assert path.read_text(encoding="utf-8") == text
+
+
+NOT_FILES = {"--max-iters", "--rounds", "--labels"}
+
+
+def test_every_option_that_takes_a_value_is_a_declared_file_or_not_a_file():
+    """A file flag left out of its command's `reads` and `writes` would escape
+    the check that no output replaces another output or an input."""
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for name, command in commands.items():
+        declared = [*command.get_default("reads"), *command.get_default("writes")]
+        options = {action.option_strings[0] for action in command._actions
+                   if action.option_strings and action.nargs != 0}
+        assert sorted(options - NOT_FILES) == sorted(declared), name
 
 
 @pytest.mark.parametrize("output", ["--out", "--summary"])
