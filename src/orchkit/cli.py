@@ -8,7 +8,8 @@ that guard (and any requested revalidation, over every subtask) has passed.
 Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
     0  success
     2  invalid input (missing/malformed files, a malformed replay-session
-       line, id mismatches, an output flag naming another flag's file or a
+       line, id mismatches, an output flag naming the file of an earlier
+       output or of an input, $ORCH_CONFIG's counting as --config's, or a
        document of infer's --docs directory):
        OrchError, OutputParseError, DslError, ValueError, OSError; a
        file's error names it, and a JSON-lines file's its line
@@ -37,7 +38,7 @@ import sys
 import threading
 from pathlib import Path
 
-from .config import load_config, setting_problem
+from .config import config_file, load_config, setting_problem
 from .errors import OrchError, PhaseViolationError
 from .gateway import KIND_CLOUD_HTTP, KIND_SCRIPTED, PHASE_CLOUD, PHASE_LOCAL, Gateway
 from .jsonio import read_json, read_text, write_json
@@ -54,9 +55,11 @@ def _fail(code: int, message: str) -> int:
 
 
 def _files(args: argparse.Namespace, flags: tuple[str, ...]):
-    """(flag, path) for each of `flags` that names a file."""
+    """(flag, path) for each of `flags` that names a file; --config's is the
+    file load_config reads, $ORCH_CONFIG's when the flag is absent."""
     for flag in flags:
-        if path := getattr(args, flag[2:].replace("-", "_")):
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path := (config_file(path) if flag == "--config" else path):
             yield flag, path
 
 

@@ -246,8 +246,13 @@ def _is_http_url(value: str) -> bool:
         return False
 
 
+def config_file(path: str | Path | None = None) -> str | Path | None:
+    """The file load_config reads: the given path, else $ORCH_CONFIG, else none."""
+    return path if path is not None else os.environ.get(CONFIG_ENV) or None
+
+
 def load_config(path: str | Path | None = None) -> Config:
-    """Load from the given path, else $ORCH_CONFIG, else built-in defaults."""
-    if path is None and not (path := os.environ.get(CONFIG_ENV)):
+    """Load from config_file(path), else built-in defaults."""
+    if (path := config_file(path)) is None:
         return Config()
     return read_text(path, parse_config)

@@ -1283,6 +1283,33 @@ def test_refused_input_exits_2_with_one_error_line_and_no_output(workspace, tmp_
         assert path.read_text(encoding="utf-8") == text
 
 
+@pytest.mark.parametrize("command", ["plan", "validate", "pack", "infer"])
+def test_an_output_naming_the_orch_config_file_exits_2_before_any_model_call(
+        workspace, tmp_path, monkeypatch, capsys, command):
+    """Without --config, the file $ORCH_CONFIG names is the config input."""
+    cfg, plan_file = tmp_path / "orch.cfg", tmp_path / "plan.json"
+    cfg.write_bytes(workspace["config"].read_bytes())
+    plan_file.write_text(json.dumps({"format": "orchkit-plan/1",
+                                     "plan": plan_to_dict(refined_plan())}), encoding="utf-8")
+    write_bundle(pack(refined_plan()), tmp_path / "a.orchb")
+    monkeypatch.setenv("ORCH_CONFIG", str(cfg))
+    calls = []
+    monkeypatch.setattr(Gateway, "complete", lambda gw, request: calls.append(request))
+    argv = {
+        "plan": ["--task", str(workspace["task"]), "--guideline", str(workspace["guideline"]),
+                 "--prefs", str(workspace["prefs"])],
+        "validate": ["--plan", str(plan_file)],
+        "pack": ["--plan", str(plan_file)],
+        "infer": ["--bundle", str(tmp_path / "a.orchb"), "--docs", str(workspace["docs"])],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, *argv, "--out", str(cfg)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {command}: --config and --out name the same file, {cfg}\n")
+    assert cfg.read_bytes() == workspace["config"].read_bytes()
+    assert calls == []
+
+
 NOT_FILES = {"--max-iters", "--rounds", "--labels"}
 
 
