@@ -96,6 +96,14 @@ def _removing_first(path: str | None, items):
         yield item
 
 
+def _checks(plan, config, rounds: int) -> tuple[list, int]:
+    """What validate and infer --revalidate check, in plan order: each
+    subtask's (subtask, prompt, cases), and the width that runs them all at
+    once, workers × rounds × subtasks."""
+    return ([(subtask, plan.prompt_for(subtask.id), plan.synthetic_sets[subtask.id])
+             for subtask in plan.subtasks], config.workers * rounds * len(plan.subtasks))
+
+
 def _now_iso() -> str:
     from datetime import datetime, timezone
 
@@ -155,12 +163,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
                                      templates=templates, schema=subtask.output_schema)
 
     # stdout, history and plan follow plan order.
+    checks, width = _checks(plan, config, config.rounds)
     try:
         outcomes = validator.run_refinement_loops(
-            [(subtask, plan.prompt_for(subtask.id), plan.synthetic_sets[subtask.id])
-             for subtask in plan.subtasks],
-            local_gateway, refine, max_iters=max_iters, repeats=config.validation_repeats,
-            threshold=config.threshold, width=config.workers * config.rounds * len(plan.subtasks))
+            checks, local_gateway, refine, max_iters=max_iters,
+            repeats=config.validation_repeats, threshold=config.threshold, width=width)
     finally:
         for gateway in (local_gateway, *cloud_gateway):
             gateway.close()
@@ -230,10 +237,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
         if args.revalidate:
             from . import validator
 
-            reports = validator.validate_prompt(
-                [(s, plan.prompt_for(s.id), plan.synthetic_sets[s.id]) for s in plan.subtasks],
-                gateway, threshold=runtime.threshold, repeats=config.validation_repeats,
-                width=config.workers * rounds * len(plan.subtasks))
+            checks, width = _checks(plan, config, rounds)
+            reports = validator.validate_prompt(checks, gateway, threshold=runtime.threshold,
+                                                repeats=config.validation_repeats, width=width)
             for report in reports:
                 print(f"revalidate {report.subtask_id}: {report.passes}/{report.total} "
                       f"({report.verdict})")
