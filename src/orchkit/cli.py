@@ -8,9 +8,9 @@ that guard (and any requested revalidation, over every subtask) has passed.
 Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
     0  success
     2  invalid input (missing/malformed files, a malformed replay-session
-       line, id mismatches, an output flag naming the file of an earlier
-       output or of an input, $ORCH_CONFIG's counting as --config's, or a
-       document of infer's --docs directory):
+       line, id mismatches, an output flag naming an earlier output's or an
+       input's file, $ORCH_CONFIG's included, or a document of infer's
+       --docs directory):
        OrchError, OutputParseError, DslError, ValueError, OSError; a
        file's error names it, and a JSON-lines file's its line
     3  planner failure (unusable or repeatedly invalid plan replies):
@@ -97,9 +97,7 @@ def _removing_first(path: str | None, items):
 
 
 def _checks(plan, config, rounds: int) -> tuple[list, int]:
-    """What validate and infer --revalidate check, in plan order: each
-    subtask's (subtask, prompt, cases), and the width that runs them all at
-    once, workers × rounds × subtasks."""
+    """(subtask, prompt, cases) in plan order, and workers × rounds × subtasks."""
     return ([(subtask, plan.prompt_for(subtask.id), plan.synthetic_sets[subtask.id])
              for subtask in plan.subtasks], config.workers * rounds * len(plan.subtasks))
 
