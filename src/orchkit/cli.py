@@ -38,9 +38,8 @@ import sys
 import threading
 from pathlib import Path
 
-from .config import config_file, load_config, setting_problem
+from .config import KIND_CLOUD_HTTP, KIND_SCRIPTED, config_file, load_config, setting_problem
 from .errors import OrchError, PhaseViolationError
-from .gateway import KIND_CLOUD_HTTP, KIND_SCRIPTED, PHASE_CLOUD, PHASE_LOCAL, Gateway
 from .jsonio import read_json, read_text, write_json
 from .model import TaskSpec, validate_plan
 
@@ -111,9 +110,8 @@ def _now_iso() -> str:
 # ---------------------------------------------------------------------------
 # Commands
 #
-# Each command imports the modules it runs. Every command also loads gateway
-# (with config, jsonio and model): `Gateway` is imported above as the seam
-# tests patch.
+# Each command imports the modules it runs; Config.gateway loads the model
+# gateway for the commands that call a model.
 # ---------------------------------------------------------------------------
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -126,7 +124,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         guideline=read_text(args.guideline),
         preferences=read_json(args.prefs, config.preferences))
     clock = None if args.deterministic else _now_iso
-    with Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD) as gateway:
+    with config.gateway("cloud") as gateway:
         plan = planner.build_plan(task, gateway,
                                   templates=planner.TemplateSet.load(config.templates_dir),
                                   clock=clock)
@@ -147,16 +145,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
     plan = bundlemod.load_plan(args.plan)
     if violations := validate_plan(plan, min_cases=config.min_synthetic_cases):
         raise ValueError(f"{args.plan}: " + "; ".join(violations))
-    local_gateway = Gateway(config.local.to_profile("local"), PHASE_LOCAL)
+    local_gateway = config.gateway("local")
     templates = planner.TemplateSet.load(config.templates_dir)
 
-    cloud_gateway: list[Gateway] = []  # built lazily: only refinement needs it
+    cloud_gateway = []  # built lazily: only refinement needs it
     cloud_lock = threading.Lock()  # a wave's rewrites run at once
 
     def refine(subtask, prompt, failures):
         with cloud_lock:
             if not cloud_gateway:
-                cloud_gateway.append(Gateway(config.cloud.to_profile("cloud"), PHASE_CLOUD))
+                cloud_gateway.append(config.gateway("cloud"))
         return planner.refine_prompt(prompt, failures, cloud_gateway[0],
                                      templates=templates, schema=subtask.output_schema)
 
@@ -231,7 +229,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     artifact = bundlemod.read_bundle(args.bundle)
     plan, runtime = artifact.to_plan(), artifact.runtime
     rounds = args.rounds if args.rounds is not None else runtime.rounds
-    with Gateway(config.local.to_profile(PHASE_LOCAL, runtime), PHASE_LOCAL) as gateway:
+    with config.gateway("local", runtime) as gateway:
         if args.revalidate:
             from . import validator
 

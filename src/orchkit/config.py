@@ -35,7 +35,8 @@ setting_problem holds each numeric setting's type and range (every count,
 `min_synthetic_cases` too, is >= 1) for the file, a bundle's `runtime`
 section, a flag and a model request alike. Config.preferences(data) checks
 the prefs file against the config at `plan`; precedence is Config.runtime()
-at `pack` and ProfileConfig.to_profile(channel, runtime) at `infer`.
+at `pack` and ProfileConfig.to_profile(channel, runtime) at `infer`, where
+Config.gateway(channel, runtime) builds the channel's gateway.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .jsonio import read_text
 from .model import Record, UserPrefs, record_fields
 
 if TYPE_CHECKING:
-    from .gateway import BackendProfile
+    from .gateway import BackendProfile, Gateway
 
 CONFIG_ENV = "ORCH_CONFIG"
 
@@ -175,6 +176,13 @@ class Config(Record):
             value = getattr(self, name)
             if name in _RANGES and (problem := setting_problem(name, value)):
                 raise ValueError(f"config: {name} {problem}, got {value}")
+
+    def gateway(self, channel: str, runtime: RuntimeDefaults | None = None) -> Gateway:
+        """The gateway to `channel`'s model, with the profile to_profile gives:
+        the one place a command builds one."""
+        from .gateway import Gateway  # loaded only here
+
+        return Gateway(getattr(self, channel).to_profile(channel, runtime), channel)
 
     def runtime(self) -> RuntimeDefaults:
         """The runtime section `pack` writes from this config."""

@@ -173,7 +173,7 @@ def _plan_with_malformed_fields(workspace, tmp_path, monkeypatch, fields, bad_re
         decompose_requests.append(request)
         return json.dumps(bad if len(decompose_requests) <= bad_replies else E2E_PLAN_REPLY)
 
-    monkeypatch.setattr(cli, "Gateway", lambda profile, phase: Gateway(
+    monkeypatch.setattr("orchkit.gateway.Gateway", lambda profile, phase: Gateway(
         BackendProfile.scripted(ScriptedBackend(cloud), model=profile.model), phase))
     code = plan_cmd(workspace, tmp_path / "plan.json")
     return code, decompose_requests
@@ -1418,7 +1418,7 @@ def test_a_completion_nested_too_deeply_is_an_unparseable_run(workspace, tmp_pat
             return _DEEP
         return fake_local_extractor(request)
 
-    monkeypatch.setattr(cli, "Gateway", lambda profile, phase: Gateway(
+    monkeypatch.setattr("orchkit.gateway.Gateway", lambda profile, phase: Gateway(
         BackendProfile.scripted(ScriptedBackend(local)), phase, sleep=lambda _s: None))
     bundle_file, preds = tmp_path / "a.orchb", tmp_path / "preds.jsonl"
     write_bundle(pack(refined_plan()), bundle_file)

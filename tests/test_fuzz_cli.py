@@ -124,7 +124,7 @@ def _run(argv, *, cloud=e2e_cloud_handler, local=fake_local_extractor, replay=Fa
     with contextlib.ExitStack() as stack:
         out = Path(stack.enter_context(tempfile.TemporaryDirectory())) / "out"
         if not replay:
-            stack.enter_context(mock.patch.object(cli, "Gateway", scripted))
+            stack.enter_context(mock.patch("orchkit.gateway.Gateway", scripted))
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         stack.enter_context(contextlib.redirect_stderr(err))
         code = cli.main([*argv, "--out", str(out)])

@@ -20,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from orchkit import cli, executor
+from orchkit import executor, gateway
 from orchkit.bundle import save_plan
 from orchkit.cli import main
 from orchkit.errors import UnseenRequestError
@@ -105,7 +105,7 @@ def scripted_channels(monkeypatch, local, cloud=cloud_rewrite) -> list[str]:
                                                context=profile.default_context),
                        phase, sleep=lambda _s: None)
 
-    monkeypatch.setattr(cli, "Gateway", make)
+    monkeypatch.setattr(gateway, "Gateway", make)
     return built
 
 
@@ -532,13 +532,13 @@ def test_cloud_gateway_built_once_and_only_for_refinement(tmp_path, monkeypatch,
 
     ws = write_inputs(tmp_path / "ws", workers=1)
     built = scripted_channels(monkeypatch, drafts_guess_unknown)
-    make = cli.Gateway
+    make = gateway.Gateway
 
     def slow_make(profile, phase):
         time.sleep(0.05)  # widen the window in which both loops could build one
         return make(profile, phase)
 
-    monkeypatch.setattr(cli, "Gateway", slow_make)
+    monkeypatch.setattr(gateway, "Gateway", slow_make)
     assert validate(ws) == 0
     assert "distant_spread: refined at revision 1" in capsys.readouterr().out
     assert built.count(PHASE_CLOUD) == 1

@@ -194,7 +194,7 @@ from pathlib import Path
 
 sys.path.insert(0, sys.argv[1])
 from conftest import fake_local_extractor, fixture_documents
-from orchkit import cli
+from orchkit import cli, gateway
 from orchkit.gateway import BackendProfile, Gateway, ScriptedBackend
 
 out, crash_id = Path(sys.argv[2]), sys.argv[3]
@@ -220,7 +220,7 @@ def make(profile, phase):
                    phase, sleep=lambda _s: None)
 
 
-cli.Gateway = make
+gateway.Gateway = make
 sys.exit(cli.main(sys.argv[4:]))
 """
 
