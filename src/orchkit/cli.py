@@ -9,8 +9,8 @@ Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
     0  success
     2  invalid input (missing/malformed files, a malformed replay-session
        line, id mismatches, an output flag naming an earlier output's or an
-       input's file, $ORCH_CONFIG's included, or a document of infer's
-       --docs directory):
+       input's file, $ORCH_CONFIG's and its sessions included, or a
+       document of infer's --docs directory):
        OrchError, OutputParseError, DslError, ValueError, OSError; a
        file's error names it, and a JSON-lines file's its line
     3  planner failure (unusable or repeatedly invalid plan replies):
@@ -54,18 +54,24 @@ def _fail(code: int, message: str) -> int:
 
 
 def _files(args: argparse.Namespace, flags: tuple[str, ...]):
-    """(flag, path) for each of `flags` that names a file; --config's is the
-    file load_config reads, $ORCH_CONFIG's when the flag is absent."""
+    """(name, path) for each of `flags` that names a file; --config's is the
+    file load_config read, $ORCH_CONFIG's when the flag is absent, and each
+    <channel>.session that config sets follows it."""
     for flag in flags:
         path = getattr(args, flag[2:].replace("-", "_"))
         if path := (config_file(path) if flag == "--config" else path):
             yield flag, path
+        if flag == "--config":
+            for channel in ("cloud", "local"):
+                if session := getattr(args.settings, channel).session:
+                    yield f"{channel}.session", session
 
 
 def _own_files(args: argparse.Namespace) -> None:
     """Refuse an output flag (in `writes`) that names, once resolved, the
-    file of an earlier output flag or of an input flag (in `reads`): one
-    write would replace the other, or replace a file the command reads."""
+    file of an earlier output flag or of an input (in `reads`, a config's
+    sessions included): one write would replace the other, or replace a
+    file the command reads."""
     named = {Path(path).resolve(): flag for flag, path in _files(args, args.reads)}
     for flag, path in _files(args, args.writes):
         if (other := named.setdefault(Path(path).resolve(), flag)) != flag:
@@ -118,7 +124,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     from . import bundle as bundlemod
     from . import planner
 
-    config = load_config(args.config)
+    config = args.settings
     task = TaskSpec(
         task_description=read_text(args.task),
         guideline=read_text(args.guideline),
@@ -138,7 +144,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from . import bundle as bundlemod
     from . import planner, validator
 
-    config = load_config(args.config)
+    config = args.settings
     max_iters = config.max_iters if args.max_iters is None else args.max_iters
     if problem := setting_problem("max_iters", max_iters):  # only the flag can be out of range
         raise ValueError(f"validate: --max-iters {problem}, got {max_iters}")
@@ -189,7 +195,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_pack(args: argparse.Namespace) -> int:
     from . import bundle as bundlemod
 
-    config = load_config(args.config)
+    config = args.settings
     plan = bundlemod.load_plan(args.plan)
     guideline_body = read_text(args.include_guideline) if args.include_guideline else None
     data = bundlemod.pack(plan, config.runtime(),
@@ -216,7 +222,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     from . import bundle as bundlemod
     from . import executor
 
-    config = load_config(args.config)
+    config = args.settings
 
     # Privacy guard comes before anything else is even read.
     cloud_active = config.cloud.kind == KIND_CLOUD_HTTP or config.local.kind == KIND_CLOUD_HTTP
@@ -384,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Read once, before the file check: the sessions it sets are inputs too.
+        args.settings = load_config(args.config) if "--config" in args.reads else None
         _own_files(args)
         return args.func(args)
     except OrchError as exc:

@@ -19,9 +19,9 @@ from pathlib import Path
 from queue import SimpleQueue
 from typing import TypeVar
 
-from .config import DEFAULT_ROUNDS, DEFAULT_WORKERS, setting_problem
+from .config import DEFAULT_ROUNDS, DEFAULT_WORKERS, KIND_CLOUD_HTTP, PHASE_LOCAL, setting_problem
 from .errors import ModelCallError, OutputParseError, PhaseViolationError
-from .gateway import KIND_CLOUD_HTTP, PHASE_LOCAL, Gateway
+from .gateway import Gateway
 from .jsonio import jsonl_line, read_jsonl, read_text, record_id
 from .model import (
     Document,

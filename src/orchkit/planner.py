@@ -23,6 +23,7 @@ import warnings
 from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 
+from .config import PHASE_CLOUD
 from .errors import (
     CoverageIncompleteWarning,
     CoverageUnreachableWarning,
@@ -32,7 +33,7 @@ from .errors import (
     PlannerError,
 )
 from .executor import iter_lanes
-from .gateway import PHASE_CLOUD, Gateway
+from .gateway import Gateway
 from .jsonio import decode, digest, read_text, sha256_text
 from .model import (
     FeatureSchema,

@@ -1310,7 +1310,40 @@ def test_an_output_naming_the_orch_config_file_exits_2_before_any_model_call(
     assert calls == []
 
 
-NOT_FILES = {"--max-iters", "--rounds", "--labels"}
+@pytest.mark.parametrize("command, channel", [
+    ("plan", "cloud"), ("validate", "cloud"), ("pack", "local"), ("infer", "local")])
+def test_an_output_naming_a_session_the_config_sets_exits_2_before_any_model_call(
+        tmp_path, monkeypatch, capsys, command, channel):
+    """A <channel>.session the config sets is an input of the command that
+    reads the config: an output naming it would replace the recording."""
+    ws = build_e2e_workspace(tmp_path / "ws")
+    session = ws[f"{channel}_session"]
+    recorded = session.read_bytes()
+    plan_file, validated = tmp_path / "plan.json", tmp_path / "validated.json"
+    bundle_file, config = tmp_path / "a.orchb", ["--config", str(ws["config"])]
+    assert plan_cmd(ws, plan_file) == 0  # the replayed chain each row's input comes from
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated), *config) == 0
+    assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file), *config,
+                   "--deterministic") == 0
+    calls, complete = [], Gateway.complete
+    monkeypatch.setattr(Gateway, "complete",
+                        lambda gw, request: calls.append(request) or complete(gw, request))
+    argv = {
+        "plan": ["--task", str(ws["task"]), "--guideline", str(ws["guideline"]),
+                 "--prefs", str(ws["prefs"]), "--deterministic"],
+        "validate": ["--plan", str(plan_file)],
+        "pack": ["--plan", str(validated), "--deterministic"],
+        "infer": ["--bundle", str(bundle_file), "--docs", str(ws["docs"]), "--deterministic"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, *argv, "--config", str(ws["config"]), "--out", str(session)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {command}: {channel}.session and --out name the same file, {session}\n")
+    assert session.read_bytes() == recorded
+    assert calls == []
+
+
+NOT_FILES ={"--max-iters", "--rounds", "--labels"}
 
 
 def test_every_option_that_takes_a_value_is_a_declared_file_or_not_a_file():

@@ -62,17 +62,19 @@ ABSENT = {
     # The run settings and the bundle format make no model call.
     "import orchkit.config": ("orchkit.gateway",),
     "import orchkit.bundle": ("orchkit.gateway",),
-    "import orchkit.cli": ("orchkit.bundle", "orchkit.executor", "orchkit.planner",
-                           "orchkit.validator", "orchkit.evalkit", *_RECORDS),
+    # The CLI loads the model gateway only for a command that calls a model.
+    "import orchkit.cli": ("orchkit.gateway", "orchkit.bundle", "orchkit.executor",
+                           "orchkit.planner", "orchkit.validator", "orchkit.evalkit",
+                           *_RECORDS),
     "plan": ("orchkit.validator", "orchkit.evalkit", *_FUTURES, *_RECORDS),
     "validate": ("orchkit.evalkit", *_FUTURES, *_RECORDS),
-    "pack": (*_BUNDLE_ONLY, *_RECORDS),
-    "unpack": (*_BUNDLE_ONLY, *_RECORDS),
+    "pack": ("orchkit.gateway", *_BUNDLE_ONLY, *_RECORDS),
+    "unpack": ("orchkit.gateway", *_BUNDLE_ONLY, *_RECORDS),
     "infer": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit", *_FUTURES,
               *_RECORDS),
     "infer over local_http": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit",
                               *_FUTURES, *_HTTP_CLIENT, *_IDNA, *_RECORDS),
-    "evaluate": ("orchkit.bundle", "orchkit.executor", "orchkit.planner",
+    "evaluate": ("orchkit.gateway", "orchkit.bundle", "orchkit.executor", "orchkit.planner",
                  "orchkit.validator", *_RECORDS),
 }
 

@@ -9,7 +9,7 @@ import pytest
 from orchkit import bundle
 from orchkit.bundle import pack, read_bundle, write_bundle
 from orchkit.cli import main
-from orchkit.config import Config, load_config, parse_config
+from orchkit.config import DEFAULT_CONTEXT, Config, RuntimeDefaults, load_config, parse_config
 from orchkit.gateway import Gateway
 from orchkit.model import record_fields
 
@@ -51,6 +51,21 @@ templates_dir = /srv/templates#v3
     assert config.validation_repeats == 2
     assert config.local.session == "/data/run#2/local.jsonl"
     assert config.templates_dir == "/srv/templates#v3"
+
+
+@pytest.mark.parametrize("channel, kind", [("cloud", "cloud_http"), ("local", "local_http")])
+def test_a_channels_gateway_has_its_phase_and_the_profile_to_profile_gives(channel, kind):
+    """A bundle's runtime fills only what the config leaves unset: here the
+    context, not the temperature."""
+    config = parse_config(f"{channel}.kind = {kind}\n{channel}.endpoint = http://127.0.0.1:9\n"
+                          f"{channel}.temperature = 0.3\n")
+    runtime = RuntimeDefaults(local_temperature=0.5, local_context=4096)
+    for given, settings in ((None, (0.3, DEFAULT_CONTEXT)), (runtime, (0.3, 4096))):
+        with config.gateway(channel, given) as gateway:
+            assert gateway.phase == channel
+            assert gateway.profile == getattr(config, channel).to_profile(channel, given)
+            assert (gateway.profile.default_temperature,
+                    gateway.profile.default_context) == settings
 
 
 def test_scripted_profile_needs_session():
