@@ -1343,7 +1343,7 @@ def test_an_output_naming_a_session_the_config_sets_exits_2_before_any_model_cal
     assert calls == []
 
 
-NOT_FILES ={"--max-iters", "--rounds", "--labels"}
+NOT_FILES = {"--max-iters", "--rounds", "--labels"}
 
 
 def test_every_option_that_takes_a_value_is_a_declared_file_or_not_a_file():
