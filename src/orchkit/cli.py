@@ -8,9 +8,10 @@ that guard (and any requested revalidation, over every subtask) has passed.
 Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
     0  success
     2  invalid input (missing/malformed files, a malformed replay-session
-       line, id mismatches, an output flag naming an earlier output's or an
-       input's file, $ORCH_CONFIG's and its sessions included, or a
-       document of infer's --docs directory):
+       line, id mismatches, an output flag naming an earlier output's
+       or an input's file, $ORCH_CONFIG's and the sessions and
+       templates_dir templates it points at included, or a document of
+       infer's --docs directory):
        OrchError, OutputParseError, DslError, ValueError, OSError; a
        file's error names it, and a JSON-lines file's its line
     3  planner failure (unusable or repeatedly invalid plan replies):
@@ -55,23 +56,22 @@ def _fail(code: int, message: str) -> int:
 
 def _files(args: argparse.Namespace, flags: tuple[str, ...]):
     """(name, path) for each of `flags` that names a file; --config's is the
-    file load_config read, $ORCH_CONFIG's when the flag is absent, and each
-    <channel>.session that config sets follows it."""
+    file load_config read, $ORCH_CONFIG's when the flag is absent, and the
+    files that config points at (Config.files(): its sessions and
+    templates_dir's templates) follow it."""
     for flag in flags:
         path = getattr(args, flag[2:].replace("-", "_"))
         if path := (config_file(path) if flag == "--config" else path):
             yield flag, path
         if flag == "--config":
-            for channel in ("cloud", "local"):
-                if session := getattr(args.settings, channel).session:
-                    yield f"{channel}.session", session
+            yield from args.settings.files()
 
 
 def _own_files(args: argparse.Namespace) -> None:
     """Refuse an output flag (in `writes`) that names, once resolved, the
     file of an earlier output flag or of an input (in `reads`, a config's
-    sessions included): one write would replace the other, or replace a
-    file the command reads."""
+    sessions and templates included): one write would replace the other,
+    or replace a file the command reads."""
     named = {Path(path).resolve(): flag for flag, path in _files(args, args.reads)}
     for flag, path in _files(args, args.writes):
         if (other := named.setdefault(Path(path).resolve(), flag)) != flag:

@@ -1,5 +1,7 @@
-"""Run settings: each one's name, default, range and precedence, and the
-operator's file that sets them. Every other module asks here.
+"""Run settings: each one's name, default, range and precedence, the
+operator's file that sets them, and the files that file points at
+(Config.files(): each channel's session and the meta-prompt templates,
+whose paths template_files gives). Every other module asks here.
 
     # channels
     cloud.kind = cloud_http          # cloud_http | scripted
@@ -44,7 +46,7 @@ from __future__ import annotations
 import os
 import re
 import urllib.parse
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -82,6 +84,11 @@ DEFAULT_WORKERS = 1
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
+# The planner's meta-prompts, one `<name>.txt` each, in `templates_dir` or
+# the package's own templates/.
+_TEMPLATE_NAMES = ("decompose", "synthetic", "refine", "repair")
+_TEMPLATE_DIR = Path(__file__).parent / "templates"
+
 
 # Each numeric setting, a channel's by its key after the dot: its type, and
 # its range in words and as a test (which NaN fails).
@@ -92,6 +99,12 @@ _RANGES = {
     "threshold": (float, "in (0, 1]", lambda value: 0 < value <= 1),
     "temperature": (float, "in [0, 2]", lambda value: 0 <= value <= 2),
 }
+
+
+def template_files(directory: str | Path | None = None) -> dict[str, Path]:
+    """Each meta-prompt template's file by name, in `directory`, else the package's."""
+    base = Path(directory) if directory else _TEMPLATE_DIR
+    return {name: base / f"{name}.txt" for name in _TEMPLATE_NAMES}
 
 
 def setting_problem(name: str, value: object) -> str | None:
@@ -176,6 +189,17 @@ class Config(Record):
             value = getattr(self, name)
             if name in _RANGES and (problem := setting_problem(name, value)):
                 raise ValueError(f"config: {name} {problem}, got {value}")
+
+    def files(self) -> Iterator[tuple[str, str | Path]]:
+        """(setting, path) for each file this config points at: each
+        <channel>.session it sets, then, when templates_dir is set, the four
+        templates there."""
+        for channel in (PHASE_CLOUD, PHASE_LOCAL):
+            if session := getattr(self, channel).session:
+                yield f"{channel}.session", session
+        if self.templates_dir:
+            for path in template_files(self.templates_dir).values():
+                yield "templates_dir", path
 
     def gateway(self, channel: str, runtime: RuntimeDefaults | None = None) -> Gateway:
         """The gateway to `channel`'s model, with the profile to_profile gives:

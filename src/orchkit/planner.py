@@ -23,7 +23,7 @@ import warnings
 from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 
-from .config import PHASE_CLOUD
+from .config import PHASE_CLOUD, template_files
 from .errors import (
     CoverageIncompleteWarning,
     CoverageUnreachableWarning,
@@ -51,7 +51,6 @@ from .model import (
 from .parsing import extract_json_object, format_block
 from .ruledsl import parse_logic  # noqa: F401 - bench/tracer.py wraps it by name
 
-_TEMPLATE_DIR = Path(__file__).parent / "templates"
 _REPLY_NUDGE = "Reply now with the JSON object only."
 
 DEFAULT_MAX_REPAIRS = 2
@@ -78,8 +77,8 @@ class TemplateSet(Record):
 
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "TemplateSet":
-        base = Path(directory) if directory else _TEMPLATE_DIR
-        return cls(**{name: read_text(base / f"{name}.txt") for name in record_fields(cls)})
+        """The templates config.template_files(directory) names."""
+        return cls(**{name: read_text(path) for name, path in template_files(directory).items()})
 
     def digests(self) -> dict[str, str]:
         return {name: sha256_text(getattr(self, name)) for name in record_fields(TemplateSet)}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ import pytest
 from orchkit import bundle, cli, errors, executor
 from orchkit.bundle import load_plan, pack, plan_to_dict, read_bundle, write_bundle
 from orchkit.cli import main
+from orchkit.config import template_files
 from orchkit.gateway import (
     PHASE_CLOUD,
     BackendProfile,
@@ -1343,7 +1345,44 @@ def test_an_output_naming_a_session_the_config_sets_exits_2_before_any_model_cal
     assert calls == []
 
 
-NOT_FILES = {"--max-iters", "--rounds", "--labels"}
+@pytest.mark.parametrize("command, flag, template", [
+    ("plan", "--out", "decompose"), ("validate", "--out", "refine"),
+    ("validate", "--emit-history", "repair")])
+def test_an_output_naming_a_template_the_config_points_at_exits_2_before_any_model_call(
+        tmp_path, monkeypatch, capsys, command, flag, template):
+    """The meta-prompts in a config's templates_dir are inputs of `plan` and
+    `validate`: an output naming one would replace the prompt that plan
+    provenance records by digest."""
+    ws = build_e2e_workspace(tmp_path / "ws")
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    for packaged in template_files().values():
+        shutil.copy(packaged, templates)
+    before = {path.name: path.read_bytes() for path in templates.iterdir()}
+    config = tmp_path / "templated.cfg"
+    config.write_text(ws["config"].read_text(encoding="utf-8")
+                      + f"templates_dir = {templates}\n", encoding="utf-8")
+    plan_file, path = tmp_path / "plan.json", templates / f"{template}.txt"
+    assert plan_cmd(ws, plan_file) == 0  # validate's input
+    calls, complete = [], Gateway.complete
+    monkeypatch.setattr(Gateway, "complete",
+                        lambda gw, request: calls.append(request) or complete(gw, request))
+    argv = {
+        "plan": ["--task", str(ws["task"]), "--guideline", str(ws["guideline"]),
+                 "--prefs", str(ws["prefs"]), "--deterministic"],
+        "validate": ["--plan", str(plan_file)],
+    }[command]
+    outputs = {"--out": str(tmp_path / "out.json"), flag: str(path)}
+    capsys.readouterr()
+    assert run_cli(command, *argv, "--config", str(config),
+                   *(arg for item in outputs.items() for arg in item)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {command}: templates_dir and {flag} name the same file, {path}\n")
+    assert {path.name: path.read_bytes() for path in templates.iterdir()} == before
+    assert calls == [] and not (tmp_path / "out.json").exists()
+
+
+NOT_FILES ={"--max-iters", "--rounds", "--labels"}
 
 
 def test_every_option_that_takes_a_value_is_a_declared_file_or_not_a_file():

@@ -4,7 +4,8 @@ Every command is a short-lived process, and importing a module it never
 calls costs that process start-up time and memory. Each command below runs
 in its own interpreter over the end-to-end replay sessions, then reports
 `sys.modules`; the modules it has no use for must be absent. One more
-`infer` calls a local model over plain HTTP, at a stdlib keep-alive server.
+`infer` calls a local model over plain HTTP, at a stdlib keep-alive server,
+and a `pack` and an `infer` read a config that sets `templates_dir`.
 Two rows import one module alone: the run settings, and the bundle format.
 """
 
@@ -72,6 +73,9 @@ ABSENT = {
     "unpack": ("orchkit.gateway", *_BUNDLE_ONLY, *_RECORDS),
     "infer": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit", *_FUTURES,
               *_RECORDS),
+    # The templates a config points at are counted without the planner.
+    "pack over templates_dir": ("orchkit.gateway", "orchkit.planner"),
+    "infer over templates_dir": ("orchkit.planner",),
     "infer over local_http": ("orchkit.planner", "orchkit.validator", "orchkit.evalkit",
                               *_FUTURES, *_HTTP_CLIENT, *_IDNA, *_RECORDS),
     "evaluate": ("orchkit.gateway", "orchkit.bundle", "orchkit.executor", "orchkit.planner",
@@ -125,6 +129,10 @@ def loaded(tmp_path_factory):
     ws = build_e2e_workspace(tmp / "ws")
     config = ["--config", str(ws["config"])]
     local_http = tmp / "local_http.cfg"
+    templated = tmp / "templated.cfg"
+    templated.write_text(ws["config"].read_text(encoding="utf-8")
+                         + f"templates_dir = {ROOT / 'src' / 'orchkit' / 'templates'}\n",
+                         encoding="utf-8")
     argv = {
         "import orchkit.config": ["orchkit.config"],
         "import orchkit.bundle": ["orchkit.bundle"],
@@ -140,6 +148,12 @@ def loaded(tmp_path_factory):
         "infer": ["infer", "--bundle", tmp / "a.orchb", "--docs", ws["docs"],
                   "--out", tmp / "preds.jsonl", "--summary", tmp / "summary.json", *config,
                   "--deterministic"],
+        "pack over templates_dir": ["pack", "--plan", tmp / "validated.json",
+                                    "--out", tmp / "t.orchb", "--config", templated,
+                                    "--deterministic"],
+        "infer over templates_dir": ["infer", "--bundle", tmp / "t.orchb", "--docs", ws["docs"],
+                                     "--out", tmp / "t_preds.jsonl", "--config", templated,
+                                     "--deterministic"],
         "evaluate": ["evaluate", "--pred", tmp / "preds.jsonl", "--gt", ws["gt"],
                      "--labels-from-summary", tmp / "summary.json"],
         "infer over local_http": ["infer", "--bundle", tmp / "a.orchb", "--docs", ws["docs"],

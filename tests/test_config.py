@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +73,21 @@ def test_scripted_profile_needs_session():
     config = parse_config("cloud.kind = scripted\n")
     with pytest.raises(ValueError, match="session"):
         config.cloud.to_profile("cloud")
+
+
+@pytest.mark.parametrize("text, files", [
+    ("", []),
+    ("local.session = l.jsonl\ncloud.kind = scripted\n", [("local.session", "l.jsonl")]),
+    ("templates_dir = t\nlocal.session = l.jsonl\ncloud.session = c.jsonl\n",
+     [("cloud.session", "c.jsonl"), ("local.session", "l.jsonl"),
+      *(("templates_dir", Path("t", f"{name}.txt"))
+        for name in ("decompose", "synthetic", "refine", "repair"))]),
+], ids=["none", "one session", "sessions and templates"])
+def test_a_config_names_its_sessions_then_its_templates_in_a_fixed_order(text, files):
+    """The files a command counts as --config's: cloud's session, local's, then
+    the templates in TemplateSet's order, whatever the file's line order."""
+    assert list(parse_config(text).files()) == files
+    assert list(Config().files()) == []
 
 
 def test_unknown_key_rejected():
