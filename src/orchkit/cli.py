@@ -8,8 +8,8 @@ that guard (and any requested revalidation, over every subtask) has passed.
 Exit codes, fixed so air-gapped shell pipelines can branch on failure class:
     0  success
     2  invalid input (missing/malformed files, a malformed replay-session
-       line, id mismatches, an output flag naming an earlier output's
-       or an input's file, $ORCH_CONFIG's and the sessions and
+       line, id mismatches, an output flag naming a directory, an earlier
+       output's or an input's file, $ORCH_CONFIG's and the sessions and
        templates_dir templates it points at included, or a document of
        infer's --docs directory):
        OrchError, OutputParseError, DslError, ValueError, OSError; a
@@ -71,11 +71,15 @@ def _own_files(args: argparse.Namespace) -> None:
     """Refuse an output flag (in `writes`) that names, once resolved, the
     file of an earlier output flag or of an input (in `reads`, a config's
     sessions and templates included): one write would replace the other,
-    or replace a file the command reads."""
+    or replace a file the command reads. Refuse one naming a directory
+    too, which no write can replace; /dev/null and other files that are
+    not regular stay writable."""
     named = {Path(path).resolve(): flag for flag, path in _files(args, args.reads)}
     for flag, path in _files(args, args.writes):
         if (other := named.setdefault(Path(path).resolve(), flag)) != flag:
             raise ValueError(f"{args.command}: {other} and {flag} name the same file, {path}")
+        if Path(path).is_dir():
+            raise ValueError(f"{args.command}: {flag} names a directory, {path}")
 
 
 def _outside_documents(args: argparse.Namespace, pattern: str) -> None:

@@ -1382,6 +1382,59 @@ def test_an_output_naming_a_template_the_config_points_at_exits_2_before_any_mod
     assert calls == [] and not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("plan", "--out"), ("validate", "--emit-history"), ("infer", "--summary"),
+    ("evaluate", "--confusion-csv")])
+def test_an_output_naming_a_directory_exits_2_before_any_model_call(
+        tmp_path, monkeypatch, capsys, command, flag):
+    """No write can replace a directory: the command stops before it calls a
+    model or removes a previous run's outputs, not after."""
+    ws = build_e2e_workspace(tmp_path / "ws")
+    plan_file, validated = tmp_path / "plan.json", tmp_path / "validated.json"
+    bundle_file, config = tmp_path / "a.orchb", ["--config", str(ws["config"])]
+    assert plan_cmd(ws, plan_file) == 0  # the replayed chain each row's input comes from
+    assert run_cli("validate", "--plan", str(plan_file), "--out", str(validated), *config) == 0
+    assert run_cli("pack", "--plan", str(validated), "--out", str(bundle_file), *config,
+                   "--deterministic") == 0
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    (directory / "kept.txt").write_bytes(b"kept\n")
+    calls, complete = [], Gateway.complete
+    monkeypatch.setattr(Gateway, "complete",
+                        lambda gw, request: calls.append(request) or complete(gw, request))
+    argv, writes = {
+        "plan": (["--task", str(ws["task"]), "--guideline", str(ws["guideline"]),
+                  "--prefs", str(ws["prefs"]), *config, "--deterministic"], ["--out"]),
+        "validate": (["--plan", str(plan_file), *config], ["--out", "--emit-history"]),
+        "infer": (["--bundle", str(bundle_file), "--docs", str(ws["docs"]), *config,
+                   "--deterministic"], ["--out", "--summary"]),
+        "evaluate": (["--pred", str(ws["gt"]), "--gt", str(ws["gt"])],
+                     ["--out", "--confusion-csv"]),
+    }[command]
+    outputs = {output: tmp_path / f"previous{output}" for output in writes}
+    for path in outputs.values():
+        path.write_bytes(b"a previous run's output\n")
+    outputs[flag] = directory
+    before = {path: path.read_bytes() for path in [*tmp_path.iterdir(), *directory.iterdir()]
+              if path.is_file()}
+    capsys.readouterr()
+    assert run_cli(command, *argv,
+                   *(arg for item in outputs.items() for arg in map(str, item))) == 2
+    assert capsys.readouterr().err == (
+        f"error: {command}: {flag} names a directory, {directory}\n")
+    assert {path: path.read_bytes() for path in [*tmp_path.iterdir(), *directory.iterdir()]
+            if path.is_file()} == before
+    assert calls == []
+
+
+def test_an_output_naming_a_file_that_is_not_regular_is_written(workspace, tmp_path):
+    """/dev/null is no directory: the refusal above leaves it to write_whole,
+    which writes such a file in place."""
+    assert run_cli("evaluate", "--pred", str(workspace["gt"]), "--gt", str(workspace["gt"]),
+                   "--out", "/dev/null", "--confusion-csv", str(tmp_path / "c.csv")) == 0
+    assert (tmp_path / "c.csv").is_file()
+
+
 NOT_FILES ={"--max-iters", "--rounds", "--labels"}
 
 
