@@ -1,7 +1,6 @@
 """Run settings: each one's name, default, range and precedence, the
 operator's file that sets them, and the files that file points at
-(Config.files(): each channel's session and the meta-prompt templates,
-whose paths template_files gives). Every other module asks here.
+(Config.files()). Every other module asks here.
 
     # channels
     cloud.kind = cloud_http          # cloud_http | scripted
@@ -84,11 +83,6 @@ DEFAULT_WORKERS = 1
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
-# The planner's meta-prompts, one `<name>.txt` each, in `templates_dir` or
-# the package's own templates/.
-_TEMPLATE_NAMES = ("decompose", "synthetic", "refine", "repair")
-_TEMPLATE_DIR = Path(__file__).parent / "templates"
-
 
 # Each numeric setting, a channel's by its key after the dot: its type, and
 # its range in words and as a test (which NaN fails).
@@ -99,12 +93,6 @@ _RANGES = {
     "threshold": (float, "in (0, 1]", lambda value: 0 < value <= 1),
     "temperature": (float, "in [0, 2]", lambda value: 0 <= value <= 2),
 }
-
-
-def template_files(directory: str | Path | None = None) -> dict[str, Path]:
-    """Each meta-prompt template's file by name, in `directory`, else the package's."""
-    base = Path(directory) if directory else _TEMPLATE_DIR
-    return {name: base / f"{name}.txt" for name in _TEMPLATE_NAMES}
 
 
 def setting_problem(name: str, value: object) -> str | None:
@@ -281,6 +269,13 @@ def _is_http_url(value: str) -> bool:
 def config_file(path: str | Path | None = None) -> str | Path | None:
     """The file load_config reads: the given path, else $ORCH_CONFIG, else none."""
     return path if path is not None else os.environ.get(CONFIG_ENV) or None
+
+
+def template_files(directory: str | Path | None = None) -> dict[str, Path]:
+    """The planner's meta-prompt templates by name: `<name>.txt` in
+    `directory` (a config's templates_dir), else in the package's templates/."""
+    base = Path(directory) if directory else Path(__file__).parent / "templates"
+    return {name: base / f"{name}.txt" for name in ("decompose", "synthetic", "refine", "repair")}
 
 
 def load_config(path: str | Path | None = None) -> Config:
