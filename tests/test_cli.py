@@ -1435,7 +1435,7 @@ def test_an_output_naming_a_file_that_is_not_regular_is_written(workspace, tmp_p
     assert (tmp_path / "c.csv").is_file()
 
 
-NOT_FILES ={"--max-iters", "--rounds", "--labels"}
+NOT_FILES = {"--max-iters", "--rounds", "--labels"}
 
 
 def test_every_option_that_takes_a_value_is_a_declared_file_or_not_a_file():
